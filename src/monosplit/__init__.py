@@ -28,7 +28,6 @@ from .antiderivative import (
 )
 from .core import (
     CostSpec,
-    CustomForm,
     EvenPowerForm,
     GammaSet,
     IndicatorQuadraticForm,

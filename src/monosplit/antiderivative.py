@@ -25,7 +25,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .core import ClosedForm, PairwiseCost, Vec, as_vec, form_from_json
+from .core import ClosedForm, PairwiseCost, Vec, as_vec, dedup_pairs, form_from_json
 from .errors import (
     BasePointNotInProjection,
     ImproperInput,
@@ -33,7 +33,7 @@ from .errors import (
     NotCyclicallyMonotone,
     ParseError,
 )
-from .monotone import DEFAULT_TOL, _dedup_pairs, scan_gain_digraph
+from .monotone import DEFAULT_TOL, scan_gain_digraph
 
 FORM_AGREEMENT_TOL = 1e-9
 
@@ -176,7 +176,7 @@ def rockafellar_potential(
     can only raise R, so tabulated values certify the sampled set, not any
     continuum limit.
     """
-    deduped = _dedup_pairs(pairs)
+    deduped = dedup_pairs(pairs)
     xs = [p[0] for p in deduped]
     ys = [p[1] for p in deduped]
     base = as_vec(s1)
@@ -271,7 +271,7 @@ def c_subdifferential_graph(
     f^c the discrete conjugate over f's table.  Candidates where f is +inf
     are never retained.
     """
-    cand = _dedup_pairs(candidates)
+    cand = dedup_pairs(candidates)
     conj = c_conjugate(f, cost, [y for _, y in cand])
     kept = []
     residuals = []
@@ -308,7 +308,7 @@ def verify_antiderivative(
     must hold within tol.  Returns the worst residual; a pair where f is
     +inf fails outright.
     """
-    cand = _dedup_pairs(pairs)
+    cand = dedup_pairs(pairs)
     probes = f.finite_entries()
     worst = -math.inf
     for x1, x2 in cand:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import abc
 import json
 import math
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -72,10 +72,6 @@ def point_add(p: Point, q: Point) -> Point:
     if len(p) != len(q):
         raise DimensionMismatch("points have different numbers of marginals")
     return tuple(vec_add(a, b) for a, b in zip(p, q))
-
-
-def point_scale(s: float, p: Point) -> Point:
-    return tuple(vec_scale(s, x) for x in p)
 
 
 def _dot(x: Vec, y: Vec) -> float:
@@ -254,20 +250,6 @@ class IndicatorQuadraticForm(ClosedForm):
         }
 
 
-@dataclass(frozen=True)
-class CustomForm(ClosedForm):
-    """Wrap an arbitrary callable; not serializable."""
-
-    fn: Callable[[Vec], float]
-    label: str = "custom"
-
-    def value(self, x: Vec) -> float:
-        return float(self.fn(x))
-
-    def to_json(self) -> dict:
-        raise NotImplementedError("custom closed forms are not serializable")
-
-
 def form_from_json(obj: dict) -> ClosedForm:
     if not isinstance(obj, dict) or "form" not in obj:
         raise ParseError("closed form JSON must be an object with a 'form' tag")
@@ -435,12 +417,6 @@ class PairwiseCost:
             if isinstance(exc, InputValidationError):
                 raise
             raise ParseError(f"bad pairwise cost payload: {exc}") from exc
-
-
-def eval_pairwise(cost: PairwiseCost, x: float | Sequence[float],
-                  y: float | Sequence[float]) -> float:
-    """Evaluate one coupling at validated marginal points."""
-    return cost.value(as_vec(x), as_vec(y))
 
 
 # ---------------------------------------------------------------------------
@@ -740,70 +716,48 @@ def project_pair(g: GammaSet, i: int, j: int) -> tuple[tuple[Vec, Vec], ...]:
     return tuple(seen)
 
 
+def dedup_pairs(pairs: Sequence[tuple]) -> list[tuple[Vec, Vec]]:
+    """Validated (x, y) pairs with duplicates dropped, in first-seen order."""
+    seen: dict[tuple[Vec, Vec], None] = {}
+    for x, y in pairs:
+        seen.setdefault((as_vec(x), as_vec(y)), None)
+    if not seen:
+        raise InputValidationError("the pair list must be nonempty")
+    out = list(seen)
+    dx = len(out[0][0])
+    dy = len(out[0][1])
+    for x, y in out:
+        if len(x) != dx or len(y) != dy:
+            raise DimensionMismatch("pairs mix marginal dimensions")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Deterministic JSON writing
 # ---------------------------------------------------------------------------
 
 
-def _write_json(obj, pieces: list[str], indent: str, level: int) -> None:
-    pad = indent * (level + 1)
-    if obj is None:
-        pieces.append("null")
-    elif obj is True:
-        pieces.append("true")
-    elif obj is False:
-        pieces.append("false")
-    elif isinstance(obj, str):
-        pieces.append(
-            '"' + obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n") + '"'
-        )
-    elif isinstance(obj, int):
-        pieces.append(str(obj))
-    elif isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise InputValidationError(
-                "non-finite float reached the JSON writer; encode it upstream"
-            )
-        pieces.append(format(obj, ".17g"))
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            pieces.append("[]")
-            return
-        pieces.append("[\n")
-        for k, item in enumerate(obj):
-            pieces.append(pad)
-            _write_json(item, pieces, indent, level + 1)
-            pieces.append(",\n" if k + 1 < len(obj) else "\n")
-        pieces.append(indent * level + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            pieces.append("{}")
-            return
-        pieces.append("{\n")
-        items = list(obj.items())
-        for k, (key, item) in enumerate(items):
-            if not isinstance(key, str):
-                raise InputValidationError("JSON object keys must be strings")
-            pieces.append(pad)
-            _write_json(key, pieces, indent, level + 1)
-            pieces.append(": ")
-            _write_json(item, pieces, indent, level + 1)
-            pieces.append(",\n" if k + 1 < len(items) else "\n")
-        pieces.append(indent * level + "}")
-    else:
-        raise InputValidationError(f"cannot serialize {type(obj).__name__}")
+def _enc(v: float):
+    """Encode an infinite float as the string "inf" or "-inf" for JSON."""
+    if v == math.inf:
+        return "inf"
+    if v == -math.inf:
+        return "-inf"
+    return v
 
 
 def dumps_json(obj) -> str:
-    """Serialize to JSON with floats at 17 significant digits.
+    """Serialize to JSON with two-space indentation and a final newline.
 
-    17 digits round-trip IEEE doubles exactly, and the writer visits keys in
+    Floats are written as their shortest round-trip repr and keys in
     insertion order, so identical inputs produce byte-identical documents.
+    Non-finite floats and values JSON cannot represent raise
+    InputValidationError, so infinities are encoded upstream as strings.
     """
-    pieces: list[str] = []
-    _write_json(obj, pieces, "  ", 0)
-    pieces.append("\n")
-    return "".join(pieces)
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    except (TypeError, ValueError) as exc:
+        raise InputValidationError(f"cannot serialize to JSON: {exc}") from exc
 
 
 def loads_json(text: str):

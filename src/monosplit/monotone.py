@@ -10,7 +10,8 @@ Fixing s_1 to the identity loses no generality (relabel j by s_1^{-1}), and
 enumerating multisets instead of ordered tuples loses none either, so the
 brute-force verifier walks multisets in lexicographic index order and
 permutation tuples in lexicographic order, reporting the first violation it
-meets.  c-monotone means 2-c-monotone.
+meets.  It handles any number N of marginals.  c-monotone means
+2-c-monotone, and :func:`is_c_monotone` is order 2 of the same verifier.
 
 For two marginals, cyclic monotonicity is equivalent to the absence of a
 positive-gain cycle in the digraph on pairs with edge weight
@@ -45,6 +46,7 @@ from .core import (
     Vec,
     as_vec,
     classical_cost,
+    dedup_pairs,
     project_pair,
 )
 from .errors import (
@@ -261,21 +263,6 @@ def scan_gain_digraph(
     return GainScan(gains=gains, longest=-dist, cycle=cycle, cycle_gain=cycle_gain)
 
 
-def _dedup_pairs(pairs: Sequence[tuple]) -> list[tuple[Vec, Vec]]:
-    seen: dict[tuple[Vec, Vec], None] = {}
-    for x, y in pairs:
-        seen.setdefault((as_vec(x), as_vec(y)), None)
-    if not seen:
-        raise InputValidationError("the pair list must be nonempty")
-    out = list(seen)
-    dx = len(out[0][0])
-    dy = len(out[0][1])
-    for x, y in out:
-        if len(x) != dx or len(y) != dy:
-            raise DimensionMismatch("pairs mix marginal dimensions")
-    return out
-
-
 def is_two_marginal_cyclically_monotone(
     pairs: Sequence[tuple],
     cost: PairwiseCost,
@@ -287,7 +274,7 @@ def is_two_marginal_cyclically_monotone(
     permutation decomposes into cycles, and a cyclic shift along any
     positive cycle is itself a violation.
     """
-    deduped = _dedup_pairs(pairs)
+    deduped = dedup_pairs(pairs)
     m = len(deduped)
     xs = [p[0] for p in deduped]
     ys = [p[1] for p in deduped]
@@ -350,19 +337,20 @@ def is_n_c_monotone_bruteforce(
     spec: CostSpec,
     n: int,
     tol: float = DEFAULT_TOL,
-    budget: int = BRUTE_FORCE_BUDGET,
+    budget: float = BRUTE_FORCE_BUDGET,
 ) -> MonotonicityVerdict:
     """Exhaustive order-n monotonicity check straight from the definition.
 
     Walks every size-n multiset of points (repetition allowed; a tuple may
     use the same point twice) and every permutation tuple with the first
     marginal fixed to the identity.  Cost sums are assembled from
-    precomputed pairwise matrices, which caches evaluations but enumerates
-    every comparison exactly.  The first violation in (multiset,
-    permutation) lexicographic order becomes the witness.
+    precomputed pairwise matrices into one array with an axis per marginal
+    2..N, which caches evaluations but enumerates every comparison exactly.
+    The first violation in (multiset, permutation) lexicographic order
+    becomes the witness.  Any number of marginals is supported.
 
-    Raises OrderTooLarge when n > 7, when the number of marginals exceeds 4,
-    or when multisets * permutation tuples would exceed the budget.
+    Raises OrderTooLarge when n > 7, or when multisets * permutation tuples
+    would exceed the budget.
     """
     _check_gamma_against_spec(g, spec)
     if n < 1:
@@ -370,8 +358,6 @@ def is_n_c_monotone_bruteforce(
     if n > 7:
         raise OrderTooLarge(f"order {n} is beyond the factorial guard of 7")
     nmarg = g.n_marginals
-    if nmarg > 4:
-        raise OrderTooLarge("full permutation enumeration supports at most 4 marginals")
     n_multisets = math.comb(g.size + n - 1, n)
     per_multiset = math.factorial(n) ** (nmarg - 1)
     if n_multisets * per_multiset > budget:
@@ -383,50 +369,28 @@ def is_n_c_monotone_bruteforce(
     mats = _full_pair_matrices(g, spec)
     shifts = _shift_vectors(g, spec)
     perms = _perm_array(n)
-    pcount = len(perms)
     rows = np.arange(n)
+    # Axis k of the sum array indexes the permutation of marginal k + 2; a
+    # pair's term broadcasts along the axes of its permuted marginals.
+    ndim = nmarg - 1
+    layout = [
+        (i, j, tuple(len(perms) if k + 2 in (i, j) else 1 for k in range(ndim)))
+        for i, j in sorted(mats)
+    ]
     checked = 0
 
     for combo in itertools.combinations_with_replacement(range(g.size), n):
         idx = np.array(combo)
-        sub = {key: m[np.ix_(idx, idx)] for key, m in mats.items()}
-        svec = [s[idx] for s in shifts]
-        base = float(svec[0].sum())
-        # terms[k] aggregates pair (1, k+2) plus the shift of marginal k+2,
-        # indexed by the permutation of that marginal
-        terms = []
-        for k in range(2, nmarg + 1):
-            t = sub[(1, k)][rows[None, :], perms].sum(axis=1)
-            t = t + svec[k - 1][perms].sum(axis=1)
-            terms.append(t)
-        if nmarg == 2:
-            vals = base + terms[0]
-        elif nmarg == 3:
-            d23 = np.zeros((pcount, pcount))
-            m23 = sub[(2, 3)]
-            for j in range(n):
-                col = perms[:, j]
-                d23 += m23[col[:, None], col[None, :]]
-            vals = base + terms[0][:, None] + terms[1][None, :] + d23
-        else:
-            pairs_mid = {}
-            for a, b in ((2, 3), (2, 4), (3, 4)):
-                d = np.zeros((pcount, pcount))
-                mab = sub[(a, b)]
-                for j in range(n):
-                    col = perms[:, j]
-                    d += mab[col[:, None], col[None, :]]
-                pairs_mid[(a, b)] = d
-            vals = (
-                base
-                + terms[0][:, None, None]
-                + terms[1][None, :, None]
-                + terms[2][None, None, :]
-                + pairs_mid[(2, 3)][:, :, None]
-                + pairs_mid[(2, 4)][:, None, :]
-                + pairs_mid[(3, 4)][None, :, :]
-            )
-        diagonal = float(vals[(0,) * (nmarg - 1)])
+        vals = np.full((len(perms),) * ndim, float(shifts[0][idx].sum()))
+        for i, j, shape in layout:
+            sub = mats[(i, j)][np.ix_(idx, idx)]
+            if i == 1:
+                # pair (1, j) plus the shift of marginal j
+                term = sub[rows, perms].sum(axis=1) + shifts[j - 1][idx][perms].sum(axis=1)
+            else:
+                term = sub[perms[:, None, :], perms[None, :, :]].sum(axis=2)
+            vals += term.reshape(shape)
+        diagonal = float(vals[(0,) * ndim])
         checked += per_multiset
         viol = vals > diagonal + tol
         if viol.any():
@@ -448,44 +412,12 @@ def is_n_c_monotone_bruteforce(
 def is_c_monotone(g: GammaSet, spec: CostSpec, tol: float = DEFAULT_TOL) -> MonotonicityVerdict:
     """2-c-monotonicity: no coordinate swap between two points pays off.
 
-    For every unordered pair of points and every nonempty set S of marginals
-    (first marginal fixed, so S runs over subsets of {2..N}), compares the
-    cost of the two S-swapped tuples against the originals.  O(|g|^2 2^N)
-    cost evaluations, all through eval_total_cost.
+    This is order 2 of :func:`is_n_c_monotone_bruteforce` with no budget: the
+    order-2 permutation tuples are exactly the swaps of a set of marginals
+    between two points, so every pair of points and every such set is
+    compared, C(|g| + 1, 2) * 2^(N-1) comparisons in all.
     """
-    _check_gamma_against_spec(g, spec)
-    nmarg = g.n_marginals
-    masks = [
-        mask for r in range(1, nmarg) for mask in itertools.combinations(range(2, nmarg + 1), r)
-    ]
-    checked = 0
-    for a in range(g.size):
-        for b in range(a + 1, g.size):
-            p, q = g.points[a], g.points[b]
-            diagonal = spec.total(p) + spec.total(q)
-            for mask in masks:
-                swapped = set(mask)
-                mix_pq = tuple(
-                    q[i - 1] if i in swapped else p[i - 1] for i in range(1, nmarg + 1)
-                )
-                mix_qp = tuple(
-                    p[i - 1] if i in swapped else q[i - 1] for i in range(1, nmarg + 1)
-                )
-                permuted = spec.total(mix_pq) + spec.total(mix_qp)
-                checked += 1
-                if permuted > diagonal + tol:
-                    sigmas = tuple(
-                        (1, 0) if i in swapped else (0, 1) for i in range(1, nmarg + 1)
-                    )
-                    witness = Witness(
-                        kind="permutation",
-                        points=(p, q),
-                        permutations=sigmas,
-                        permuted_sum=permuted,
-                        diagonal_sum=diagonal,
-                    )
-                    return MonotonicityVerdict(False, witness, checked, tol)
-    return MonotonicityVerdict(True, None, checked, tol)
+    return is_n_c_monotone_bruteforce(g, spec, 2, tol=tol, budget=math.inf)
 
 
 def is_pair_monotone_classical(
@@ -498,7 +430,7 @@ def is_pair_monotone_classical(
     second coordinates of the two pairs realises it as a cost violation for
     the inner-product coupling.
     """
-    deduped = _dedup_pairs(pairs)
+    deduped = dedup_pairs(pairs)
     inner = PairwiseCost.inner_product()
     checked = 0
     for a in range(len(deduped)):

@@ -33,6 +33,7 @@ from .core import (
     Point,
     QuadraticForm,
     Vec,
+    _enc,
     as_vec,
     classical_cost,
 )
@@ -319,14 +320,6 @@ class CounterexampleReport:
                 for label, lam, value in self.pair_witnesses
             ],
         }
-
-
-def _enc(v: float):
-    if v == math.inf:
-        return "inf"
-    if v == -math.inf:
-        return "-inf"
-    return v
 
 
 PAIR_WITNESS_LAMBDAS = (((1, 2), 3.0, -1.0), ((1, 3), -1.0, -1.0), ((2, 3), 1.9, -0.06))

@@ -41,6 +41,7 @@ from .core import (
     GammaSet,
     Point,
     Vec,
+    _enc,
     as_point,
     as_vec,
     project,
@@ -63,14 +64,6 @@ DEFAULT_SEED = 0
 LATTICE_PER_AXIS = 5
 LATTICE_CAP = 20_000
 EXACTNESS_BUDGET = 1_000_000
-
-
-def _enc(v: float):
-    if v == math.inf:
-        return "inf"
-    if v == -math.inf:
-        return "-inf"
-    return v
 
 
 @dataclass(frozen=True)

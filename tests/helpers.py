@@ -1,7 +1,8 @@
 """Shared generators and independent oracles for the test suite.
 
 Oracles here deliberately avoid the library's own algorithms: the chain
-enumerator walks every simple chain explicitly, and the comonotone
+enumerator walks every simple chain explicitly, the coupling oracle
+enumerates assignments without any library verifier, and the comonotone
 generator builds monotone structure by construction rather than by
 checking it.
 """
@@ -13,7 +14,8 @@ import math
 
 import numpy as np
 
-from monosplit.core import GammaSet, PairwiseCost, Vec, as_vec
+from monosplit.core import CostSpec, GammaSet, PairwiseCost, Vec, as_vec
+from monosplit.monotone import brute_force_optimal_coupling
 
 COARSE_GRID = (-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0)
 
@@ -101,3 +103,15 @@ def bruteforce_cycle_gain(cost: PairwiseCost, pairs: list[tuple[Vec, Vec]]) -> f
                 )
             best = max(best, total)
     return best
+
+
+def coupling_oracle_holds(g: GammaSet, spec: CostSpec, n: int,
+                          tol: float = 1e-9) -> bool:
+    """n-c-monotonicity from the assignment problem: g is n-c-monotone iff
+    for every n points of g (repetition allowed) the diagonal assignment
+    attains the brute-force coupling optimum."""
+    for combo in itertools.combinations_with_replacement(g.points, n):
+        columns = [[p[i] for p in combo] for i in range(g.n_marginals)]
+        if not brute_force_optimal_coupling(columns, spec).diagonal_attains(tol):
+            return False
+    return True

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import monosplit
 from monosplit.antiderivative import Potential
 from monosplit.cli import main
-from monosplit.core import classical_cost, gamma_1d
+from monosplit.core import classical_cost, gamma_1d, loads_json
 from monosplit.splitting import SplittingTuple, certify_splitting
 
 DIAGONAL_DOC = gamma_1d([[t, t, t] for t in (-1.0, 0.0, 1.0)]).to_json()
@@ -79,6 +82,15 @@ def test_verify_accepts_a_cost_file(capsys, gamma_file, tmp_path):
     code, out, _ = _run(capsys, ["verify", gamma_file, "--cost", str(spec_path)])
     assert code == 0
     assert json.loads(out)["all_hold"]
+
+
+def test_report_echoes_a_path_with_a_tab(capsys, tmp_path):
+    path = tmp_path / "in\tdir" / "gamma.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(DIAGONAL_DOC))
+    code, out, _ = _run(capsys, ["verify", str(path)])
+    assert code == 0
+    assert loads_json(out)["config"]["inputs"] == [str(path)]
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +313,15 @@ def test_parse_errors(capsys, tmp_path, gamma_file):
 
 
 def test_module_entry_point_subprocess():
+    # the child imports the same package as this process, installed or not
+    src = str(Path(monosplit.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "monosplit.cli", "example", "young", "--a", "2", "--b", "1"],
         capture_output=True,
         text=True,
         timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)

@@ -230,12 +230,14 @@ def test_dumps_json_deterministic_and_lossless():
     s1, s2 = dumps_json(doc), dumps_json(doc)
     assert s1 == s2
     back = loads_json(s1)
-    assert back["a"] == 1.0 / 3.0  # 17 significant digits round-trip doubles
+    assert back["a"] == 1.0 / 3.0  # the shortest repr round-trips doubles
 
 
 def test_dumps_json_rejects_non_finite():
     with pytest.raises(InputValidationError):
         dumps_json({"bad": math.inf})
+    with pytest.raises(InputValidationError):
+        dumps_json({"bad": object()})
 
 
 def test_loads_json_raises_parse_error():

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from helpers import (
     bruteforce_cycle_gain,
+    coupling_oracle_holds,
     make_comonotone_gamma,
     make_random_gamma,
     make_random_pairs,
@@ -91,20 +94,39 @@ def test_order_too_large_guards():
     big = gamma_1d([[float(k), float(k)] for k in range(30)])
     with pytest.raises(OrderTooLarge):
         is_n_c_monotone_bruteforce(big, spec, 7, budget=1000)
-    wide = GammaSet.from_points([[0.0] * 5])
-    with pytest.raises(OrderTooLarge):
-        is_n_c_monotone_bruteforce(wide, classical_cost("c1", 5, 1), 2)
 
 
-def test_is_c_monotone_equals_order_two_brute(rng):
+def test_bruteforce_matches_coupling_oracle_for_any_marginal_count(rng):
+    seen = set()
+    for nmarg in (2, 3, 4, 5):
+        spec = classical_cost(("c1", "c3")[nmarg % 2], nmarg, 1)
+        for order in (2, 3):
+            for make in (make_comonotone_gamma, make_random_gamma, make_random_gamma):
+                g = make(rng, n_marginals=nmarg, size=5 - order)
+                verdict = is_n_c_monotone_bruteforce(g, spec, order)
+                assert verdict.holds == coupling_oracle_holds(g, spec, order)
+                if verdict.holds:
+                    multisets = math.comb(g.size + order - 1, order)
+                    assert verdict.checked == multisets * math.factorial(order) ** (nmarg - 1)
+                else:
+                    permuted, diagonal = recheck_witness(verdict.witness, spec)
+                    assert permuted > diagonal + verdict.tolerance
+                seen.add((nmarg, verdict.holds))
+    assert seen == {(k, h) for k in (2, 3, 4, 5) for h in (True, False)}
+
+
+def test_is_c_monotone_matches_coupling_oracle(rng):
     for which in ("c1", "c2", "c3"):
         spec = classical_cost(which, 3, 1)
         for _ in range(30):
             g = make_random_gamma(rng, size=4)
-            assert (
-                is_c_monotone(g, spec).holds
-                == is_n_c_monotone_bruteforce(g, spec, 2).holds
-            )
+            verdict = is_c_monotone(g, spec)
+            assert verdict.holds == coupling_oracle_holds(g, spec, 2)
+            if not verdict.holds:
+                permuted, diagonal = recheck_witness(verdict.witness, spec)
+                assert permuted == pytest.approx(verdict.witness.permuted_sum, abs=1e-9)
+                assert diagonal == pytest.approx(verdict.witness.diagonal_sum, abs=1e-9)
+                assert permuted > diagonal + verdict.tolerance
 
 
 def test_cycle_scan_matches_exhaustive_cycles(rng):
