@@ -24,8 +24,11 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .core import ClosedForm, PairwiseCost, Vec, as_vec, dedup_pairs, form_from_json
+import numpy as np
+
+from .core import ClosedForm, PairwiseCost, Vec, _rows, as_vec, dedup_pairs, form_from_json
 from .errors import (
     BasePointNotInProjection,
     ImproperInput,
@@ -36,6 +39,15 @@ from .errors import (
 from .monotone import DEFAULT_TOL, scan_gain_digraph
 
 FORM_AGREEMENT_TOL = 1e-9
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One sortable key per row of a (k, d) array: the coordinate itself when
+    d = 1, else a record compared field by field (so -0.0 equals 0.0)."""
+    rows = np.ascontiguousarray(rows, dtype=float)
+    if rows.shape[1] == 1:
+        return rows[:, 0]
+    return rows.view([(f"f{k}", float) for k in range(rows.shape[1])])[:, 0]
 
 
 @dataclass(frozen=True)
@@ -103,9 +115,6 @@ class Potential:
             return True
         return self.closed_form is not None and not self.points
 
-    def finite_entries(self) -> list[tuple[Vec, float]]:
-        return [(p, v) for p, v in zip(self.points, self.values) if v != math.inf]
-
     def value_at(self, x: float | Sequence[float]) -> float:
         """Table value, else closed form, else +inf."""
         key = as_vec(x)
@@ -118,6 +127,30 @@ class Potential:
 
     def __call__(self, x: float | Sequence[float]) -> float:
         return self.value_at(x)
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Table points (n, d), values, sorted point keys, table index of each."""
+        rows = np.array(self.points, dtype=float) if self.points else np.empty((0, 1))
+        keys = _row_keys(rows)
+        order = np.argsort(keys, kind="stable")
+        return rows, np.array(self.values), keys[order], order
+
+    def values_at(self, xs: np.ndarray) -> np.ndarray:
+        """value_at for each row of a (k, d) array: the table by exact match,
+        else the closed form (row by row), else +inf."""
+        rows, vals, keys, order = self._arrays
+        out = np.full(len(xs), math.inf)
+        miss = np.ones(len(xs), dtype=bool)
+        if len(keys) and xs.shape[1] == rows.shape[1]:
+            q = _row_keys(xs)
+            pos = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
+            miss = keys[pos] != q
+            out[~miss] = vals[order[pos[~miss]]]
+        if self.closed_form is not None:
+            for r in np.flatnonzero(miss):
+                out[r] = self.closed_form.value(tuple(xs[r].tolist()))
+        return out
 
     def to_json(self) -> dict:
         out: dict = {
@@ -195,21 +228,11 @@ def rockafellar_potential(
             full.cycle_gain,
         )
     scan = scan_gain_digraph(xs, ys, cost, tol=tol, source_mask=source)
-    longest = scan.longest
-    m = len(deduped)
     pts = _dedup_vecs(eval_points)
-    values = []
-    for x in pts:
-        if x == base:
-            values.append(0.0)
-            continue
-        best = -math.inf
-        for v in range(m):
-            r = longest[v] + cost.value(x, ys[v]) - cost.value(xs[v], ys[v])
-            if r > best:
-                best = r
-        values.append(float(best))
-    return Potential(pts, tuple(values))
+    gains = (scan.longest + cost.matrix(pts, ys)) - cost.paired(xs, ys)
+    best = gains[np.arange(len(pts)), gains.argmax(axis=1)]
+    values = np.where((_rows(pts) == base).all(axis=1), 0.0, best)
+    return Potential(pts, tuple(values.tolist()))
 
 
 def c_conjugate(
@@ -223,24 +246,15 @@ def c_conjugate(
     indices are recorded on the result for reproducibility.  Raises
     ImproperInput when f has no finite tabulated value to maximise over.
     """
-    entries = [(i, p, v) for i, (p, v) in enumerate(zip(f.points, f.values))
-               if v != math.inf]
-    if not entries:
+    rows, vals = f._arrays[:2]
+    finite = np.flatnonzero(vals != math.inf)
+    if not finite.size:
         raise ImproperInput("cannot conjugate a potential with no finite values")
     pts = _dedup_vecs(eval_points)
-    values = []
-    arg = []
-    for y in pts:
-        best = -math.inf
-        best_i = -1
-        for i, x, v in entries:
-            r = cost.value(x, y) - v
-            if r > best:
-                best = r
-                best_i = i
-        values.append(float(best))
-        arg.append(best_i)
-    return Potential(pts, tuple(values), argmax=tuple(arg))
+    gains = cost.matrix(rows[finite], pts) - vals[finite, None]
+    arg = gains.argmax(axis=0)  # first maximum: the lowest domain index
+    best = gains[arg, np.arange(len(pts))]
+    return Potential(pts, tuple(best.tolist()), argmax=tuple(finite[arg].tolist()))
 
 
 @dataclass(frozen=True)
@@ -273,17 +287,14 @@ def c_subdifferential_graph(
     """
     cand = dedup_pairs(candidates)
     conj = c_conjugate(f, cost, [y for _, y in cand])
-    kept = []
-    residuals = []
-    for x, y in cand:
-        fx = f.value_at(x)
-        if fx == math.inf:
-            continue
-        residual = fx + conj.value_at(y) - cost.value(x, y)
-        if abs(residual) <= tol:
-            kept.append((x, y))
-            residuals.append(float(residual))
-    return SubdiffGraph(tuple(kept), tuple(residuals), tol)
+    x, y = _rows([p[0] for p in cand]), _rows([p[1] for p in cand])
+    fx = f.values_at(x)
+    live = np.flatnonzero(fx != math.inf)
+    resid = (fx[live] + conj.values_at(y[live])) - cost.paired(x[live], y[live])
+    keep = np.abs(resid) <= tol
+    return SubdiffGraph(
+        tuple(cand[k] for k in live[keep]), tuple(resid[keep].tolist()), tol
+    )
 
 
 @dataclass(frozen=True)
@@ -309,14 +320,14 @@ def verify_antiderivative(
     +inf fails outright.
     """
     cand = dedup_pairs(pairs)
-    probes = f.finite_entries()
+    x1, x2 = _rows([p[0] for p in cand]), _rows([p[1] for p in cand])
+    fx = f.values_at(x1)
+    if (fx == math.inf).any():
+        return AntiderivativeCheck(False, math.inf)
+    rows, vals = f._arrays[:2]
+    probes = np.flatnonzero(vals != math.inf)
     worst = -math.inf
-    for x1, x2 in cand:
-        fx = f.value_at(x1)
-        if fx == math.inf:
-            return AntiderivativeCheck(False, math.inf)
-        for x1p, fv in probes:
-            residual = fx + cost.value(x1p, x2) - fv - cost.value(x1, x2)
-            if residual > worst:
-                worst = residual
+    if probes.size:
+        resid = ((fx + cost.matrix(rows[probes], x2)) - vals[probes, None]) - cost.paired(x1, x2)
+        worst = float(resid.max())
     return AntiderivativeCheck(worst <= tol, worst)

@@ -22,6 +22,9 @@ import json
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .errors import (
     DimensionMismatch,
@@ -76,6 +79,24 @@ def point_add(p: Point, q: Point) -> Point:
 
 def _dot(x: Vec, y: Vec) -> float:
     return sum(a * b for a, b in zip(x, y))
+
+
+def _rows(points) -> np.ndarray:
+    """Points as a float array, coordinates on the last axis; a flat
+    sequence of numbers is a column of one-dimensional points."""
+    try:
+        a = np.asarray(points, dtype=float)
+    except ValueError as exc:
+        raise DimensionMismatch("points mix dimensions") from exc
+    return a[:, None] if a.ndim == 1 else a
+
+
+def marginal_blocks(rows: np.ndarray, dims: Sequence[int]) -> list[np.ndarray]:
+    """Split (k, sum(dims)) flattened product points into one (k, d_i)
+    array per marginal."""
+    if rows.ndim != 2 or rows.shape[1] != sum(dims):
+        raise DimensionMismatch(f"points need {sum(dims)} coordinates, got {rows.shape}")
+    return np.split(rows, np.cumsum(dims)[:-1], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -288,13 +309,13 @@ class PairwiseCost:
     Attributes:
         kind: one of :data:`PAIRWISE_KINDS`.
         sign: +1 or -1 multiplier, so negated costs stay first-class values.
-        matrix: bilinear kernel, when kind == "bilinear".
+        coef: the matrix A, when kind == "bilinear".
         grid_x, grid_y, table: lookup data, when kind == "tabulated".
     """
 
     kind: str
     sign: int = 1
-    matrix: tuple[tuple[float, ...], ...] | None = None
+    coef: tuple[tuple[float, ...], ...] | None = None
     grid_x: tuple[Vec, ...] | None = None
     grid_y: tuple[Vec, ...] | None = None
     table: tuple[tuple[float, ...], ...] | None = None
@@ -311,9 +332,9 @@ class PairwiseCost:
         if self.sign not in (1, -1):
             raise InputValidationError("sign must be +1 or -1")
         if self.kind == "bilinear":
-            if self.matrix is None:
+            if self.coef is None:
                 raise InputValidationError("bilinear cost needs a matrix")
-            object.__setattr__(self, "matrix", _matrix_tuple(self.matrix))
+            object.__setattr__(self, "coef", _matrix_tuple(self.coef))
         if self.kind == "tabulated":
             if self.grid_x is None or self.grid_y is None or self.table is None:
                 raise InputValidationError("tabulated cost needs grid_x, grid_y, table")
@@ -342,7 +363,7 @@ class PairwiseCost:
 
     @classmethod
     def bilinear(cls, matrix: Sequence[Sequence[float]], sign: int = 1) -> "PairwiseCost":
-        return cls("bilinear", sign, matrix=_matrix_tuple(matrix))
+        return cls("bilinear", sign, coef=_matrix_tuple(matrix))
 
     @classmethod
     def tabulated(
@@ -360,22 +381,34 @@ class PairwiseCost:
             table=tuple(tuple(float(v) for v in row) for row in table),
         )
 
-    def value(self, x: Vec, y: Vec) -> float:
-        if self.kind == "inner_product":
-            if len(x) != len(y):
-                raise DimensionMismatch("inner product needs equal dimensions")
-            return self.sign * _dot(x, y)
-        if self.kind == "half_sq_dist":
-            if len(x) != len(y):
-                raise DimensionMismatch("half squared distance needs equal dimensions")
-            return self.sign * 0.5 * sum((a - b) ** 2 for a, b in zip(x, y))
+    def _couple(self, x, y):
+        """The closed-form kinds on coordinate sequences: floats for one pair
+        of points, or broadcastable arrays for many, summed in one order."""
         if self.kind == "bilinear":
-            assert self.matrix is not None
-            if len(x) != len(self.matrix) or len(y) != len(self.matrix[0]):
+            assert self.coef is not None
+            if len(x) != len(self.coef) or len(y) != len(self.coef[0]):
                 raise DimensionMismatch("bilinear cost shape mismatch")
-            return self.sign * sum(
-                x[i] * _dot(self.matrix[i], y) for i in range(len(x))
-            )
+            s = sum(x[i] * _dot(row, y) for i, row in enumerate(self.coef))
+        elif len(x) != len(y):
+            raise DimensionMismatch(f"{self.kind} needs equal dimensions")
+        elif self.kind == "inner_product":
+            s = _dot(x, y)
+        else:
+            s = 0.5 * sum((a - b) * (a - b) for a, b in zip(x, y))
+        return s if self.sign > 0 else -s
+
+    def _grid_index(self, pts: np.ndarray, axis: str) -> np.ndarray:
+        index = self._ix if axis == "x" else self._iy
+        out = []
+        for p in map(tuple, pts.tolist()):
+            if p not in index:
+                raise OffGrid(f"point {p!r} not on the tabulated {axis}-grid")
+            out.append(index[p])
+        return np.array(out, dtype=int)
+
+    def value(self, x: Vec, y: Vec) -> float:
+        if self.kind != "tabulated":
+            return self._couple(x, y)
         ix = self._ix.get(x)
         iy = self._iy.get(y)
         if ix is None:
@@ -385,17 +418,33 @@ class PairwiseCost:
         assert self.table is not None
         return self.sign * self.table[ix][iy]
 
+    def matrix(self, xs, ys) -> np.ndarray:
+        """M[a, b] = value(xs[a], ys[b]), bit for bit, as one array."""
+        x, y = _rows(xs), _rows(ys)
+        if self.kind == "tabulated":
+            ix, iy = np.ix_(self._grid_index(x, "x"), self._grid_index(y, "y"))
+            return self.sign * np.asarray(self.table)[ix, iy]
+        return self._couple(x.T[:, :, None], y.T[:, None, :])
+
+    def paired(self, xs, ys) -> np.ndarray:
+        """value(xs[r], ys[r]) for each row r of two (k, d) arrays."""
+        x, y = _rows(xs), _rows(ys)
+        if self.kind == "tabulated":
+            ix, iy = self._grid_index(x, "x"), self._grid_index(y, "y")
+            return self.sign * np.asarray(self.table)[ix, iy]
+        return self._couple(x.T, y.T)
+
     def negated(self) -> "PairwiseCost":
         return PairwiseCost(
-            self.kind, -self.sign, matrix=self.matrix,
+            self.kind, -self.sign, coef=self.coef,
             grid_x=self.grid_x, grid_y=self.grid_y, table=self.table,
         )
 
     def to_json(self) -> dict:
         out: dict = {"kind": self.kind, "sign": self.sign}
         if self.kind == "bilinear":
-            assert self.matrix is not None
-            out["matrix"] = [list(r) for r in self.matrix]
+            assert self.coef is not None
+            out["matrix"] = [list(r) for r in self.coef]
         if self.kind == "tabulated":
             assert self.grid_x and self.grid_y and self.table
             out["grid_x"] = [list(v) for v in self.grid_x]
@@ -453,8 +502,8 @@ class CostSpec:
             )
         for (i, j), c in pairs.items():
             if c.kind == "bilinear":
-                assert c.matrix is not None
-                if (len(c.matrix), len(c.matrix[0])) != (dims[i - 1], dims[j - 1]):
+                assert c.coef is not None
+                if (len(c.coef), len(c.coef[0])) != (dims[i - 1], dims[j - 1]):
                     raise DimensionMismatch(
                         f"bilinear matrix for pair ({i},{j}) has the wrong shape"
                     )
@@ -503,6 +552,18 @@ class CostSpec:
         if self.shift is not None:
             for i in range(1, self.n_marginals + 1):
                 out += self.shift_value(i, p[i - 1])
+        return out
+
+    def total_many(self, rows: np.ndarray) -> np.ndarray:
+        """total() of each row of a (k, sum(dims)) array, in the same order:
+        couplings pair by pair, then the shifts (evaluated row by row)."""
+        cols = marginal_blocks(rows, self.dims)
+        out = np.zeros(len(rows))
+        for (i, j), c in self.pairs.items():
+            out = out + c.paired(cols[i - 1], cols[j - 1])
+        if self.shift is not None:
+            for i, col in enumerate(cols, start=1):
+                out = out + [self.shift_value(i, x) for x in map(tuple, col.tolist())]
         return out
 
     def negated(self) -> "CostSpec":
@@ -657,6 +718,11 @@ class GammaSet:
     @property
     def size(self) -> int:
         return len(self.points)
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """The points as a (size, sum(dims)) array, marginals side by side."""
+        return np.array([[c for x in p for c in x] for p in self.points])
 
     def __contains__(self, p: Point) -> bool:
         return p in self._members

@@ -151,29 +151,6 @@ def recheck_witness(witness: Witness, spec: CostSpec) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _pair_cost_matrix(cost: PairwiseCost, xs: Sequence[Vec], ys: Sequence[Vec]) -> np.ndarray:
-    """M[a, b] = cost(xs[a], ys[b]) as a dense float array."""
-    if cost.kind == "inner_product":
-        x = np.asarray(xs, dtype=float)
-        y = np.asarray(ys, dtype=float)
-        return cost.sign * (x @ y.T)
-    if cost.kind == "bilinear":
-        x = np.asarray(xs, dtype=float)
-        y = np.asarray(ys, dtype=float)
-        a = np.asarray(cost.matrix, dtype=float)
-        return cost.sign * (x @ a @ y.T)
-    if cost.kind == "half_sq_dist":
-        x = np.asarray(xs, dtype=float)
-        y = np.asarray(ys, dtype=float)
-        diff = x[:, None, :] - y[None, :, :]
-        return cost.sign * 0.5 * np.einsum("abd,abd->ab", diff, diff)
-    out = np.empty((len(xs), len(ys)))
-    for a, xa in enumerate(xs):
-        for b, yb in enumerate(ys):
-            out[a, b] = cost.value(xa, yb)
-    return out
-
-
 @dataclass(frozen=True)
 class GainScan:
     """Result of scanning the two-marginal gain digraph.
@@ -210,7 +187,7 @@ def scan_gain_digraph(
     the verdict matches the tolerance convention of the verifiers.
     """
     m = len(xs)
-    cm = _pair_cost_matrix(cost, xs, ys)  # cm[a, b] = c(x_a, y_b)
+    cm = cost.matrix(xs, ys)  # cm[a, b] = c(x_a, y_b)
     diag = np.diag(cm).copy()
     gains = cm.T - diag[:, None]  # gains[u, v] = c(x_v, y_u) - c(x_u, y_u)
     np.fill_diagonal(gains, 0.0)
@@ -321,7 +298,7 @@ def _full_pair_matrices(g: GammaSet, spec: CostSpec) -> dict[tuple[int, int], np
     for (i, j), cost in spec.pairs.items():
         xs = [p[i - 1] for p in g.points]
         ys = [p[j - 1] for p in g.points]
-        mats[(i, j)] = _pair_cost_matrix(cost, xs, ys)
+        mats[(i, j)] = cost.matrix(xs, ys)
     return mats
 
 

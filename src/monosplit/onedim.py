@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .antiderivative import Potential, rockafellar_potential, verify_antiderivative
 from .core import EvenPowerForm, GammaSet, classical_cost, project, project_pair

@@ -32,7 +32,6 @@ from .core import (
     IndicatorQuadraticForm,
     Point,
     QuadraticForm,
-    Vec,
     _enc,
     as_vec,
     classical_cost,

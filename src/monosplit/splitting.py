@@ -44,6 +44,7 @@ from .core import (
     _enc,
     as_point,
     as_vec,
+    marginal_blocks,
     project,
     project_pair,
 )
@@ -185,19 +186,15 @@ def assemble_splitting_tuple(
             pair_pots[(i, j)] = f
             pair_conjs[(i, j)] = c_conjugate(f, cost_ij, grids[j - 1])
 
+    # Every f_{i,k} and f_{k,i}^c is tabulated on grids[i - 1], in its order.
     potentials = []
     for i in range(1, n + 1):
-        values = []
-        for x in grids[i - 1]:
-            total = 0.0
-            for k in range(i + 1, n + 1):
-                total += pair_pots[(i, k)].value_at(x)
-            for k in range(1, i):
-                total += pair_conjs[(k, i)].value_at(x)
-            if spec.shift is not None:
-                total += spec.shift_value(i, x)
-            values.append(total)
-        potentials.append(Potential(grids[i - 1], tuple(values)))
+        terms = [pair_pots[(i, k)] for k in range(i + 1, n + 1)]
+        terms += [pair_conjs[(k, i)] for k in range(1, i)]
+        total = sum(np.asarray(u.values) for u in terms)
+        if spec.shift is not None:
+            total = total + [spec.shift_value(i, x) for x in grids[i - 1]]
+        potentials.append(Potential(grids[i - 1], tuple(total.tolist())))
     return SplittingTuple(tuple(potentials), pair_pots, pair_conjs, base)
 
 
@@ -231,63 +228,41 @@ def shift_splitting_tuple(
     )
 
 
-def _marginal_bounds(g: GammaSet) -> tuple[list[float], list[float]]:
-    """Per-coordinate bounds over the flattened product space, padded 50%."""
-    lows: list[float] = []
-    highs: list[float] = []
-    for i in range(1, g.n_marginals + 1):
-        cols = list(zip(*project(g, i)))
-        for col in cols:
-            lo, hi = min(col), max(col)
-            pad = 0.5 * (hi - lo) if hi > lo else 0.5
-            lows.append(lo - pad)
-            highs.append(hi + pad)
-    return lows, highs
-
-
-def _split_coords(flat: Sequence[float], dims: tuple[int, ...]) -> Point:
-    out = []
-    k = 0
-    for d in dims:
-        out.append(tuple(float(t) for t in flat[k : k + d]))
-        k += d
-    return tuple(out)
-
-
 def sample_test_points(
     g: GammaSet,
     n_samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
     per_axis: int = LATTICE_PER_AXIS,
-) -> tuple[Point, ...]:
+) -> np.ndarray:
     """Deterministic certification sample: G, a lattice, and uniform draws.
 
     The lattice covers the bounding box of G's marginals expanded by 50
     percent on each side, with the per-axis count reduced until the lattice
     stays under LATTICE_CAP points (dropped entirely if even 2 per axis
     overflows).  Uniform draws use numpy's default generator with the given
-    seed.  Points of G come first, so equality points are always present.
+    seed.  Returns a (k, sum(dims)) array of distinct flattened points in
+    first-seen order; points of G come first, so equality points are always
+    present.
     """
-    lows, highs = _marginal_bounds(g)
-    dims = g.dims
-    total_dim = sum(dims)
-    seen: dict[Point, None] = {}
-    for p in g.points:
-        seen.setdefault(p, None)
-
+    lo, hi = g.coords.min(axis=0), g.coords.max(axis=0)
+    pad = np.where(hi > lo, 0.5 * (hi - lo), 0.5)
+    lows, highs = lo - pad, hi + pad
+    total_dim = len(lows)
+    blocks = [g.coords]
     k = per_axis
     while k >= 2 and k**total_dim > LATTICE_CAP:
         k -= 1
     if k >= 2:
-        axes = [np.linspace(lo, hi, k) for lo, hi in zip(lows, highs)]
-        for flat in itertools.product(*axes):
-            seen.setdefault(_split_coords(flat, dims), None)
-
+        axes = np.meshgrid(*(np.linspace(a, b, k) for a, b in zip(lows, highs)), indexing="ij")
+        blocks.append(np.stack(axes, axis=-1).reshape(-1, total_dim))
     rng = np.random.default_rng(seed)
-    draws = rng.uniform(low=lows, high=highs, size=(n_samples, total_dim))
-    for row in draws:
-        seen.setdefault(_split_coords(row, dims), None)
-    return tuple(seen)
+    blocks.append(rng.uniform(low=lows, high=highs, size=(n_samples, total_dim)))
+    pts = np.concatenate(blocks)
+    # A stable sort puts equal rows (-0.0 equals 0.0) together, first seen first.
+    order = np.lexsort(pts.T[::-1])
+    first = np.ones(len(pts), dtype=bool)
+    first[order[1:]] = (pts[order[1:]] != pts[order[:-1]]).any(axis=1)
+    return pts[first]
 
 
 @dataclass(frozen=True)
@@ -349,47 +324,49 @@ def certify_splitting(
     PASS means both: c(p) <= sum u_i(p_i) + ineq_tol at every non-vacuous
     test point, and |c(p) - sum u_i(p_i)| <= eq_tol at every point of g.
     Raises UndefinedOnGamma when some u_i is +inf on its marginal of g;
-    everywhere else +inf potentials satisfy the inequality vacuously.
+    everywhere else +inf potentials satisfy the inequality vacuously.  A
+    supplied test point of the wrong shape raises DimensionMismatch.
     """
-    if tup.n_marginals != spec.n_marginals or g.n_marginals != spec.n_marginals:
-        raise DimensionMismatch("tuple, set, and cost must agree on the marginal count")
+    if tup.n_marginals != spec.n_marginals or g.dims != spec.dims:
+        raise DimensionMismatch("tuple, set, and cost must agree on the marginals")
 
-    max_resid = 0.0
-    worst_eq: Point | None = None
-    for p in g:
-        total = 0.0
-        for i, (u, x) in enumerate(zip(tup.potentials, p), start=1):
-            v = u.value_at(x)
-            if v == math.inf:
-                raise UndefinedOnGamma(
-                    f"potential u_{i} is +inf at {x!r}, a point of projection {i}"
-                )
-            total += v
-        cval = spec.total(p)
-        resid = math.inf if cval == math.inf else abs(total - cval)
-        if resid > max_resid or worst_eq is None:
-            max_resid = resid
-            worst_eq = p
+    blocks = marginal_blocks(g.coords, g.dims)
+    on_gamma = [u.values_at(x) for u, x in zip(tup.potentials, blocks)]
+    undefined = np.argwhere(np.isinf(np.column_stack(on_gamma)))
+    if len(undefined):
+        r, i = undefined[0]
+        raise UndefinedOnGamma(
+            f"potential u_{i + 1} is +inf at {g.points[r][i]!r}, a point of projection {i + 1}"
+        )
+    resid = np.abs(sum(on_gamma) - spec.total_many(g.coords))
+    w = int(resid.argmax())
+    max_resid, worst_eq = float(resid[w]), g.points[w]
 
     if test_points is None:
-        pts: Sequence[Point] = sample_test_points(g, n_samples=n_samples, seed=seed)
+        pts = sample_test_points(g, n_samples=n_samples, seed=seed)
         used_seed: int | None = seed
     else:
-        pts = [as_point(p) for p in test_points]
+        checked = [spec.validate_point(as_point(p)) for p in test_points]
+        pts = np.array([[c for x in p for c in x] for p in checked]).reshape(
+            len(checked), sum(spec.dims)
+        )
         used_seed = None
 
+    # u_1 + ... + u_N in order; a row stops at its first +inf (vacuous).
+    total = np.zeros(len(pts))
+    blocks = marginal_blocks(pts, spec.dims)
+    for u, x in zip(tup.potentials, blocks):
+        live = np.flatnonzero(total != math.inf)
+        total[live] += u.values_at(x[live])
+    covered = np.flatnonzero(total != math.inf)
+    vacuous = len(pts) - len(covered)
     max_viol = -math.inf
     worst_ineq: Point | None = None
-    vacuous = 0
-    for p in pts:
-        total = tup.sum_at(p)
-        if total == math.inf:
-            vacuous += 1
-            continue
-        viol = spec.total(p) - total
-        if viol > max_viol:
-            max_viol = viol
-            worst_ineq = p
+    if covered.size:
+        viol = spec.total_many(pts[covered]) - total[covered]
+        w = int(viol.argmax())
+        max_viol = float(viol[w])
+        worst_ineq = tuple(tuple(x[covered[w]].tolist()) for x in blocks)
 
     passed = max_viol <= ineq_tol and max_resid <= eq_tol
     return SplittingCertificate(

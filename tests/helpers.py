@@ -2,8 +2,9 @@
 
 Oracles here deliberately avoid the library's own algorithms: the chain
 enumerator walks every simple chain explicitly, the coupling oracle
-enumerates assignments without any library verifier, and the comonotone
-generator builds monotone structure by construction rather than by
+enumerates assignments without any library verifier, the scalar
+certificate loops over points with the one-point evaluators, and the
+generators build monotone structure by construction rather than by
 checking it.
 """
 
@@ -53,6 +54,22 @@ def make_random_pairs(rng: np.random.Generator, m: int = 4,
         xs.sort()
         ys.sort()
     return [(as_vec(x), as_vec(y)) for x, y in zip(xs, ys)]
+
+
+def make_bilinear_pairs(rng: np.random.Generator,
+                        m: int = 5) -> tuple[PairwiseCost, list[tuple[Vec, Vec]]]:
+    """A random SPD bilinear coupling <x, A y> on R^2 and m pairs
+    (x, A^-1 S x) with S symmetric positive definite, so that
+    <x', A y> = <x', S x> and the pairs are cyclically monotone."""
+    def spd():
+        b = rng.normal(size=(2, 2))
+        return b @ b.T + 0.5 * np.eye(2)
+
+    a, s = spd(), spd()
+    cost = PairwiseCost.bilinear(a.tolist())
+    xs = rng.uniform(-2.0, 2.0, size=(m, 2))
+    ys = np.linalg.solve(a, s @ xs.T).T
+    return cost, [(as_vec(x), as_vec(y)) for x, y in zip(xs.tolist(), ys.tolist())]
 
 
 def chain_enumeration_oracle(cost: PairwiseCost, pairs: list[tuple[Vec, Vec]],
@@ -115,3 +132,31 @@ def coupling_oracle_holds(g: GammaSet, spec: CostSpec, n: int,
         if not brute_force_optimal_coupling(columns, spec).diagonal_attains(tol):
             return False
     return True
+
+
+def scalar_certificate(tup, g: GammaSet, spec: CostSpec, points, tol: float = 1e-9) -> dict:
+    """The splitting certificate by a plain loop over points: sum_at and
+    total one point at a time, the first strict maximum winning each max.
+    Keys match the fields of SplittingCertificate."""
+    max_resid, worst_eq = -math.inf, None
+    for p in g.points:
+        resid = abs(tup.sum_at(p) - spec.total(p))
+        if resid > max_resid:
+            max_resid, worst_eq = resid, p
+    max_viol, worst_ineq, vacuous = -math.inf, None, 0
+    for p in points:
+        total = tup.sum_at(p)
+        if total == math.inf:
+            vacuous += 1
+        elif spec.total(p) - total > max_viol:
+            max_viol, worst_ineq = spec.total(p) - total, p
+    return {
+        "passed": max_viol <= tol and max_resid <= tol,
+        "max_inequality_violation": max_viol,
+        "max_equality_residual_on_gamma": max_resid,
+        "worst_inequality_point": worst_ineq,
+        "worst_equality_point": worst_eq,
+        "n_test_points": len(points),
+        "n_gamma_points": g.size,
+        "n_vacuous": vacuous,
+    }

@@ -4,9 +4,15 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
-from helpers import bruteforce_cycle_gain, chain_enumeration_oracle, make_random_pairs
+from helpers import (
+    bruteforce_cycle_gain,
+    chain_enumeration_oracle,
+    make_bilinear_pairs,
+    make_random_pairs,
+)
 from monosplit.antiderivative import (
     Potential,
     c_conjugate,
@@ -56,6 +62,21 @@ def test_matches_chain_enumeration_oracle(rng):
         for x in r.points:
             expect = chain_enumeration_oracle(INNER, pairs, base, x)
             assert r.value_at(x) == pytest.approx(expect, abs=1e-9)
+
+
+def test_tabulation_matches_chain_oracle_on_continuous_and_bilinear_pairs(rng):
+    for _ in range(8):
+        t = np.sort(rng.uniform(-2.0, 2.0, size=(6, 2)), axis=0)
+        scalar = [((x,), (y,)) for x, y in t.tolist()]
+        for cost, pairs in ((INNER, scalar), make_bilinear_pairs(rng, m=5)):
+            base = pairs[2][0]
+            d = len(base)
+            evals = [p[0] for p in pairs] + [(0.5,) * d, (-3.0,) * d]
+            r = rockafellar_potential(cost, pairs, base, evals)
+            assert r.value_at(base) == 0.0
+            for x in r.points:
+                expect = chain_enumeration_oracle(cost, pairs, base, x)
+                assert r.value_at(x) == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
 
 def test_oracle_agreement_under_squared_distance(rng):
@@ -116,6 +137,16 @@ def test_conjugate_breaks_ties_toward_lowest_index():
     conj = c_conjugate(f, INNER, [(0.0,)])
     assert conj.values == (0.0,)
     assert conj.argmax == (0,)
+
+
+def test_conjugate_ties_pick_the_lowest_finite_index():
+    # index 0 is +inf; at y = (1, 0) entries 1 and 3 tie, at y = (0, 0)
+    # entries 1 and 2 tie, and at y = (0, 1) entry 3 wins outright
+    f = Potential(((5.0, 5.0), (1.0, 0.0), (0.0, 1.0), (2.0, 7.0)),
+                  (math.inf, 0.0, 0.0, 1.0))
+    conj = c_conjugate(f, INNER, [(1.0, 0.0), (0.0, 0.0), (0.0, 1.0)])
+    assert conj.values == (1.0, 0.0, 6.0)
+    assert conj.argmax == (1, 1, 3)
 
 
 def test_conjugate_ignores_infinite_entries():

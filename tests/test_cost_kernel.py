@@ -1,0 +1,145 @@
+"""The array evaluators against their one-point counterparts.
+
+``PairwiseCost.matrix``/``paired``, ``CostSpec.total_many`` and
+``Potential.values_at`` must reproduce ``value``, ``total`` and
+``value_at`` bit for bit, signed zeros included, and raise the same errors.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from monosplit.antiderivative import Potential
+from monosplit.core import (
+    PAIRWISE_KINDS,
+    CostSpec,
+    LinearForm,
+    PairwiseCost,
+    QuadraticForm,
+    add_separable_shift,
+    classical_cost,
+)
+from monosplit.errors import DimensionMismatch, OffGrid
+
+FLOATS = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+def vecs(d: int, max_size: int = 6):
+    return st.lists(st.tuples(*[FLOATS] * d), min_size=1, max_size=max_size)
+
+
+def same_bits(a: float, b: float) -> bool:
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@st.composite
+def cost_and_points(draw):
+    kind = draw(st.sampled_from(PAIRWISE_KINDS))
+    sign = draw(st.sampled_from((1, -1)))
+    dx = draw(st.integers(1, 3))
+    dy = dx if kind in ("inner_product", "half_sq_dist") else draw(st.integers(1, 3))
+    xs, ys = draw(vecs(dx)), draw(vecs(dy))
+    if kind == "bilinear":
+        coef = draw(st.lists(st.lists(FLOATS, min_size=dy, max_size=dy), min_size=dx, max_size=dx))
+        return PairwiseCost.bilinear(coef, sign), xs, ys
+    if kind == "tabulated":
+        gx, gy = xs + draw(vecs(dx, 3)), ys + draw(vecs(dy, 3))
+        table = draw(st.lists(st.lists(FLOATS, min_size=len(gy), max_size=len(gy)),
+                              min_size=len(gx), max_size=len(gx)))
+        return PairwiseCost.tabulated(gx, gy, table, sign), xs, ys
+    return PairwiseCost(kind, sign), xs, ys
+
+
+@given(cost_and_points())
+def test_matrix_and_paired_reproduce_value_bit_for_bit(case):
+    cost, xs, ys = case
+    m = cost.matrix(xs, ys)
+    assert m.shape == (len(xs), len(ys))
+    for a, x in enumerate(xs):
+        for b, y in enumerate(ys):
+            assert same_bits(m[a, b], cost.value(x, y))
+    k = min(len(xs), len(ys))
+    row = cost.paired(xs[:k], ys[:k])
+    assert all(same_bits(row[r], cost.value(xs[r], ys[r])) for r in range(k))
+
+
+GRID = PairwiseCost.tabulated([0.0, 1.0], [(2.0, 3.0)], [[1.0], [2.0]])
+
+
+@pytest.mark.parametrize("cost, x, y, error", [
+    (PairwiseCost.inner_product(), (1.0,), (1.0, 2.0), DimensionMismatch),
+    (PairwiseCost.half_sq_dist(-1), (1.0, 2.0), (1.0,), DimensionMismatch),
+    (PairwiseCost.bilinear([[1.0, 2.0]]), (1.0,), (1.0,), DimensionMismatch),
+    (PairwiseCost.bilinear([[1.0, 2.0]]), (1.0, 0.0), (1.0, 2.0), DimensionMismatch),
+    (GRID, (0.5,), (2.0, 3.0), OffGrid),
+    (GRID, (1.0,), (2.0, 4.0), OffGrid),
+    (GRID, (1.0, 0.0), (2.0, 3.0), OffGrid),
+])
+def test_kernel_raises_what_value_raises(cost, x, y, error):
+    with pytest.raises(error):
+        cost.value(x, y)
+    with pytest.raises(error):
+        cost.matrix([x], [y])
+    with pytest.raises(error):
+        cost.paired([x], [y])
+
+
+@given(
+    st.sampled_from(("c1", "c2", "c3")),
+    st.integers(2, 4),
+    st.integers(1, 2),
+    st.booleans(),
+    st.data(),
+)
+def test_total_many_reproduces_total(which, n, d, shifted, data):
+    spec = classical_cost(which, n, d)
+    if shifted:
+        spec = add_separable_shift(
+            spec, [LinearForm((1.5,) * d, -2.0)] + [QuadraticForm.identity(d, -0.5)] * (n - 1)
+        )
+    rows = data.draw(st.lists(st.tuples(*[FLOATS] * (n * d)), min_size=1, max_size=8))
+    got = spec.total_many(np.array(rows))
+    for r, flat in enumerate(rows):
+        point = tuple(flat[k * d:(k + 1) * d] for k in range(n))
+        assert same_bits(got[r], spec.total(point))
+
+
+def test_total_many_covers_tabulated_and_bilinear_pairs():
+    spec = CostSpec((1, 2, 1), {
+        (1, 2): PairwiseCost.bilinear([[1.0, -2.0]]),
+        (1, 3): PairwiseCost.tabulated([0.0, 1.0], [5.0], [[3.0], [4.0]], sign=-1),
+        (2, 3): PairwiseCost.bilinear([[0.5], [2.0]]),
+    })
+    rows = [(1.0, 2.0, 3.0, 5.0), (-0.0, 1.0, 1.0, 5.0)]
+    got = spec.total_many(np.array(rows))
+    for r, (a, b, c, e) in enumerate(rows):
+        assert same_bits(got[r], spec.total(((a,), (b, c), (e,))))
+    with pytest.raises(OffGrid):
+        spec.total_many(np.array([(0.5, 2.0, 3.0, 5.0)]))
+    with pytest.raises(DimensionMismatch):
+        spec.total_many(np.array([(0.0, 2.0, 3.0)]))
+
+
+@given(st.integers(1, 3), st.booleans(), st.data())
+def test_values_at_reproduces_value_at(d, with_form, data):
+    table = data.draw(st.lists(st.tuples(*[st.sampled_from((-1.0, 0.0, 0.5, 2.0))] * d),
+                               min_size=1, max_size=8, unique=True))
+    values = data.draw(st.lists(st.one_of(FLOATS, st.just(math.inf)),
+                                min_size=len(table), max_size=len(table)))
+    form = None
+    if with_form:
+        form = LinearForm((1.0,) * d, 0.0)
+        values = [form.value(p) for p in table]
+    pot = Potential(tuple(table), tuple(values), closed_form=form)
+    # queries: table points, their -0.0 twins, and points off the table
+    queries = table + [tuple(-v if v == 0.0 else v for v in p) for p in table]
+    queries += data.draw(st.lists(st.tuples(*[st.sampled_from((-0.0, 0.0, 0.5, 3.0))] * d),
+                                  max_size=6))
+    got = pot.values_at(np.array(queries).reshape(len(queries), d))
+    for q, v in zip(queries, got):
+        assert same_bits(v, pot.value_at(q))

@@ -5,17 +5,21 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
 import pytest
 
+from helpers import make_comonotone_gamma, scalar_certificate
 from monosplit.core import GammaSet, QuadraticForm, classical_cost, gamma_1d
 from monosplit.errors import (
     BasePointNotInGamma,
     BudgetExceeded,
+    DimensionMismatch,
     InputValidationError,
     InternalInconsistency,
     ProjectionNotMonotone,
     UndefinedOnGamma,
 )
+from monosplit.onedim import knott_smith_alphas, knott_smith_forms
 from monosplit.splitting import (
     SplittingTuple,
     assemble_splitting_tuple,
@@ -111,11 +115,19 @@ def test_zero_tuple_fails_with_exact_numbers():
 def test_sampler_is_deterministic_and_leads_with_the_set():
     a = sample_test_points(DIAGONAL, n_samples=100, seed=7)
     b = sample_test_points(DIAGONAL, n_samples=100, seed=7)
-    assert a == b
-    assert a[: DIAGONAL.size] == DIAGONAL.points
+    assert np.array_equal(a, b)
+    assert np.array_equal(a[: DIAGONAL.size], [[x[0] for x in p] for p in DIAGONAL.points])
     assert len(a) > 100  # lattice plus draws on top of the set
     c = sample_test_points(DIAGONAL, n_samples=100, seed=8)
-    assert c != a
+    assert not np.array_equal(c, a)
+
+
+def test_sampler_drops_lattice_points_already_in_the_set():
+    g = gamma_1d([[-1.0] * 3, [-0.0] * 3, [1.0] * 3])  # all on the 5^3 lattice
+    a = sample_test_points(g, n_samples=100, seed=7)
+    assert len(a) == 3 + (5**3 - 3) + 100
+    assert len({tuple(row) for row in a.tolist()}) == len(a)
+    assert np.signbit(a[1]).all()  # the set's -0.0 is kept, the lattice's 0.0 dropped
 
 
 def test_vacuous_points_are_counted_not_failed():
@@ -126,6 +138,51 @@ def test_vacuous_points_are_counted_not_failed():
     assert cert.passed
     assert cert.n_vacuous == 1
     assert cert.n_test_points == 28
+
+
+def test_misshapen_test_point_is_rejected_not_vacuous():
+    tup = assemble_splitting_tuple(DIAGONAL, C1)
+    for bad in (((0.0, 5.0), (0.0,), (0.0,)), ((0.0,), (0.0,))):
+        with pytest.raises(DimensionMismatch):
+            certify_splitting(tup, DIAGONAL, C1, test_points=CUBE + [bad])
+
+
+def _assert_matches_scalar_loop(cert, tup, g, spec, pts):
+    expected = scalar_certificate(tup, g, spec, pts)
+    assert {key: getattr(cert, key) for key in expected} == expected
+
+
+def _sampled_points(g, n_samples, seed):
+    rows = sample_test_points(g, n_samples=n_samples, seed=seed).tolist()
+    return [tuple((v,) for v in row) for row in rows]
+
+
+@pytest.mark.parametrize("which", ["c1", "-c2", "c3"])
+def test_certificate_matches_the_scalar_loop_on_tables(rng, which):
+    spec = classical_cost(which.lstrip("-"), 3, 1)
+    spec = spec.negated() if which.startswith("-") else spec
+    for _ in range(3):
+        g = make_comonotone_gamma(rng, size=6)
+        tup = assemble_splitting_tuple(g, spec, eval_grids=[[0.0, -3.0]] * 3)
+        # every table holds 0.0, so the -0.0 coordinates must find it
+        pts = list(itertools.product(*(u.points for u in tup.potentials)))
+        pts += [((-0.0,), (-0.0,), (-0.0,)), ((-0.0,), (9.0,), (0.0,))]
+        cert = certify_splitting(tup, g, spec, test_points=pts)
+        _assert_matches_scalar_loop(cert, tup, g, spec, pts)
+        assert cert.n_vacuous == 1
+        cert = certify_splitting(tup, g, spec, n_samples=300, seed=3)
+        _assert_matches_scalar_loop(cert, tup, g, spec, _sampled_points(g, 300, 3))
+
+
+def test_certificate_matches_the_scalar_loop_on_closed_forms():
+    alphas = knott_smith_alphas()
+    g = GammaSet.from_points([[a(t / 4) for a in alphas] for t in range(-4, 5)])
+    forms, starred = knott_smith_forms()
+    for tup, spec in ((SplittingTuple.from_closed_forms(forms), C1),
+                      (SplittingTuple.from_closed_forms(starred), C3)):
+        cert = certify_splitting(tup, g, spec, n_samples=400, seed=5)
+        assert cert.n_vacuous == 0
+        _assert_matches_scalar_loop(cert, tup, g, spec, _sampled_points(g, 400, 5))
 
 
 def test_undefined_on_gamma_is_an_error():
