@@ -28,7 +28,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ClosedForm, PairwiseCost, Vec, _rows, as_vec, dedup_pairs, form_from_json
+from .core import (
+    ClosedForm,
+    PairwiseCost,
+    Vec,
+    _rows,
+    as_vec,
+    dedup_pairs,
+    dedup_vecs,
+    form_from_json,
+)
 from .errors import (
     BasePointNotInProjection,
     ImproperInput,
@@ -87,18 +96,16 @@ class Potential:
                 raise InputValidationError("domain points mix dimensions")
         if self.argmax is not None and len(self.argmax) != len(pts):
             raise InputValidationError("argmax must align with the domain points")
-        if self.closed_form is not None:
-            for p, v in table.items():
-                w = self.closed_form.value(p)
-                if v == math.inf or w == math.inf:
-                    if v != w:
-                        raise InputValidationError(
-                            f"closed form disagrees with table at {p!r}: {w!r} vs {v!r}"
-                        )
-                elif abs(w - v) > FORM_AGREEMENT_TOL:
-                    raise InputValidationError(
-                        f"closed form disagrees with table at {p!r}: {w!r} vs {v!r}"
-                    )
+        if self.closed_form is not None and pts:
+            w = self.closed_form.values(pts)
+            # isclose treats equal infinities as close and any other +inf as not.
+            bad = np.flatnonzero(~np.isclose(w, vals, rtol=0.0, atol=FORM_AGREEMENT_TOL))
+            if bad.size:
+                k = bad[0]
+                raise InputValidationError(
+                    f"closed form disagrees with table at {pts[k]!r}: "
+                    f"{float(w[k])!r} vs {vals[k]!r}"
+                )
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "_table", table)
@@ -138,7 +145,7 @@ class Potential:
 
     def values_at(self, xs: np.ndarray) -> np.ndarray:
         """value_at for each row of a (k, d) array: the table by exact match,
-        else the closed form (row by row), else +inf."""
+        else the closed form, else +inf."""
         rows, vals, keys, order = self._arrays
         out = np.full(len(xs), math.inf)
         miss = np.ones(len(xs), dtype=bool)
@@ -147,9 +154,8 @@ class Potential:
             pos = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
             miss = keys[pos] != q
             out[~miss] = vals[order[pos[~miss]]]
-        if self.closed_form is not None:
-            for r in np.flatnonzero(miss):
-                out[r] = self.closed_form.value(tuple(xs[r].tolist()))
+        if self.closed_form is not None and miss.any():
+            out[miss] = self.closed_form.values(xs[miss])
         return out
 
     def to_json(self) -> dict:
@@ -179,15 +185,6 @@ class Potential:
             closed_form=form_from_json(form) if form is not None else None,
             argmax=tuple(int(a) for a in argmax) if argmax is not None else None,
         )
-
-
-def _dedup_vecs(points: Sequence[float | Sequence[float]]) -> tuple[Vec, ...]:
-    seen: dict[Vec, None] = {}
-    for p in points:
-        seen.setdefault(as_vec(p), None)
-    if not seen:
-        raise InputValidationError("need at least one evaluation point")
-    return tuple(seen)
 
 
 def rockafellar_potential(
@@ -228,7 +225,7 @@ def rockafellar_potential(
             full.cycle_gain,
         )
     scan = scan_gain_digraph(xs, ys, cost, tol=tol, source_mask=source)
-    pts = _dedup_vecs(eval_points)
+    pts = dedup_vecs(eval_points)
     gains = (scan.longest + cost.matrix(pts, ys)) - cost.paired(xs, ys)
     best = gains[np.arange(len(pts)), gains.argmax(axis=1)]
     values = np.where((_rows(pts) == base).all(axis=1), 0.0, best)
@@ -250,7 +247,7 @@ def c_conjugate(
     finite = np.flatnonzero(vals != math.inf)
     if not finite.size:
         raise ImproperInput("cannot conjugate a potential with no finite values")
-    pts = _dedup_vecs(eval_points)
+    pts = dedup_vecs(eval_points)
     gains = cost.matrix(rows[finite], pts) - vals[finite, None]
     arg = gains.argmax(axis=0)  # first maximum: the lowest domain index
     best = gains[arg, np.arange(len(pts))]

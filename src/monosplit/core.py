@@ -112,8 +112,13 @@ class ClosedForm(abc.ABC):
     """
 
     @abc.abstractmethod
+    def values(self, rows) -> np.ndarray:
+        """Evaluate at each row of a (k, d) array of marginal points; entries
+        may be ``math.inf``."""
+
     def value(self, x: Vec) -> float:
-        """Evaluate at a marginal point; may return ``math.inf``."""
+        """Evaluate at one marginal point; may return ``math.inf``."""
+        return float(self.values([x])[0])
 
     def __call__(self, x: float | Sequence[float]) -> float:
         return self.value(as_vec(x))
@@ -124,6 +129,14 @@ class ClosedForm(abc.ABC):
     @abc.abstractmethod
     def to_json(self) -> dict:
         """Schema object with a ``form`` tag; inverse of :func:`form_from_json`."""
+
+
+def _columns(rows, dim: int, what: str) -> np.ndarray:
+    """The dim coordinate columns of an array of marginal points."""
+    x = _rows(rows)
+    if x.shape[1] != dim:
+        raise DimensionMismatch(f"{what} of size {dim} applied to length {x.shape[1]}")
+    return x.T
 
 
 def _matrix_tuple(matrix: Sequence[Sequence[float]]) -> tuple[tuple[float, ...], ...]:
@@ -159,15 +172,9 @@ class QuadraticForm(ClosedForm):
         )
         return cls(rows)
 
-    def value(self, x: Vec) -> float:
-        if len(x) != len(self.matrix):
-            raise DimensionMismatch(
-                f"quadratic form of size {len(self.matrix)} applied to length {len(x)}"
-            )
-        return 0.5 * sum(
-            x[i] * sum(self.matrix[i][j] * x[j] for j in range(len(x)))
-            for i in range(len(x))
-        )
+    def values(self, rows) -> np.ndarray:
+        x = _columns(rows, len(self.matrix), "quadratic form")
+        return 0.5 * sum(x[i] * _dot(row, x) for i, row in enumerate(self.matrix))
 
     def negated(self) -> "QuadraticForm":
         return QuadraticForm(tuple(tuple(-v for v in row) for row in self.matrix))
@@ -188,9 +195,8 @@ class LinearForm(ClosedForm):
         if not math.isfinite(self.constant):
             raise InputValidationError("constant must be finite")
 
-    def value(self, x: Vec) -> float:
-        if len(x) != len(self.vector):
-            raise DimensionMismatch("linear form dimension mismatch")
+    def values(self, rows) -> np.ndarray:
+        x = _columns(rows, len(self.vector), "linear form")
         return _dot(self.vector, x) + self.constant
 
     def negated(self) -> "LinearForm":
@@ -218,11 +224,11 @@ class EvenPowerForm(ClosedForm):
                 raise InputValidationError("even-power terms need finite coef and power > 0")
         object.__setattr__(self, "terms", terms)
 
-    def value(self, x: Vec) -> float:
-        if len(x) != 1:
-            raise DimensionMismatch("even-power form is one-dimensional")
-        t = abs(x[0])
-        return sum(c * t**p for c, p in self.terms)
+    def values(self, rows) -> np.ndarray:
+        t = np.abs(_columns(rows, 1, "even-power form")[0])
+        # float_power calls libm pow on each entry, so one row agrees bit for
+        # bit with Python's float ** (np.power may take a SIMD path).
+        return sum((c * np.float_power(t, p) for c, p in self.terms), np.zeros_like(t))
 
     def negated(self) -> "EvenPowerForm":
         return EvenPowerForm(tuple((-c, p) for c, p in self.terms))
@@ -251,17 +257,10 @@ class IndicatorQuadraticForm(ClosedForm):
         object.__setattr__(self, "quad", QuadraticForm(self.matrix))
         object.__setattr__(self, "matrix", getattr(self, "quad").matrix)
 
-    def _member(self, x: Vec) -> bool:
-        if self.subspace == "first_axis":
-            return all(v == 0.0 for v in x[1:])
-        return all(v == x[0] for v in x[1:])
-
-    def value(self, x: Vec) -> float:
-        if len(x) != len(self.matrix):
-            raise DimensionMismatch("indicator form dimension mismatch")
-        if not self._member(x):
-            return math.inf
-        return self.quad.value(x)  # type: ignore[attr-defined]
+    def values(self, rows) -> np.ndarray:
+        x = _columns(rows, len(self.matrix), "indicator form")
+        member = (x[1:] == (0.0 if self.subspace == "first_axis" else x[0])).all(axis=0)
+        return np.where(member, self.quad.values(x.T), math.inf)  # type: ignore[attr-defined]
 
     def to_json(self) -> dict:
         return {
@@ -538,11 +537,12 @@ class CostSpec:
                 raise DimensionMismatch("marginal dimension mismatch")
         return p
 
-    def shift_value(self, i: int, x: Vec) -> float:
-        """Separable shift contribution of marginal i (1-based) at x."""
-        if self.shift is None:
-            return 0.0
-        return sum(h.value(x) for h in self.shift[i - 1])
+    def shift_values(self, i: int, rows) -> np.ndarray:
+        """Separable shift contribution of marginal i (1-based) at each row
+        of an array of its points."""
+        x = _rows(rows)
+        forms = self.shift[i - 1] if self.shift is not None else ()
+        return sum((h.values(x) for h in forms), np.zeros(len(x)))
 
     def total(self, p: Point) -> float:
         self.validate_point(p)
@@ -550,20 +550,20 @@ class CostSpec:
         for (i, j), c in self.pairs.items():
             out += c.value(p[i - 1], p[j - 1])
         if self.shift is not None:
-            for i in range(1, self.n_marginals + 1):
-                out += self.shift_value(i, p[i - 1])
+            for i, x in enumerate(p, start=1):
+                out += float(self.shift_values(i, [x])[0])
         return out
 
     def total_many(self, rows: np.ndarray) -> np.ndarray:
         """total() of each row of a (k, sum(dims)) array, in the same order:
-        couplings pair by pair, then the shifts (evaluated row by row)."""
+        couplings pair by pair, then the shifts."""
         cols = marginal_blocks(rows, self.dims)
         out = np.zeros(len(rows))
         for (i, j), c in self.pairs.items():
             out = out + c.paired(cols[i - 1], cols[j - 1])
         if self.shift is not None:
             for i, col in enumerate(cols, start=1):
-                out = out + [self.shift_value(i, x) for x in map(tuple, col.tolist())]
+                out = out + self.shift_values(i, col)
         return out
 
     def negated(self) -> "CostSpec":
@@ -779,6 +779,16 @@ def project_pair(g: GammaSet, i: int, j: int) -> tuple[tuple[Vec, Vec], ...]:
     seen: dict[tuple[Vec, Vec], None] = {}
     for p in g.points:
         seen.setdefault((p[i - 1], p[j - 1]), None)
+    return tuple(seen)
+
+
+def dedup_vecs(points: Sequence[float | Sequence[float]]) -> tuple[Vec, ...]:
+    """Validated marginal points with duplicates dropped, in first-seen order."""
+    seen: dict[Vec, None] = {}
+    for p in points:
+        seen.setdefault(as_vec(p), None)
+    if not seen:
+        raise InputValidationError("need at least one evaluation point")
     return tuple(seen)
 
 

@@ -47,6 +47,7 @@ from .core import (
     as_vec,
     classical_cost,
     dedup_pairs,
+    marginal_blocks,
     project_pair,
 )
 from .errors import (
@@ -302,13 +303,6 @@ def _full_pair_matrices(g: GammaSet, spec: CostSpec) -> dict[tuple[int, int], np
     return mats
 
 
-def _shift_vectors(g: GammaSet, spec: CostSpec) -> list[np.ndarray]:
-    out = []
-    for i in range(1, g.n_marginals + 1):
-        out.append(np.array([spec.shift_value(i, p[i - 1]) for p in g.points]))
-    return out
-
-
 def is_n_c_monotone_bruteforce(
     g: GammaSet,
     spec: CostSpec,
@@ -344,7 +338,10 @@ def is_n_c_monotone_bruteforce(
         )
 
     mats = _full_pair_matrices(g, spec)
-    shifts = _shift_vectors(g, spec)
+    shifts = [
+        spec.shift_values(i, x)
+        for i, x in enumerate(marginal_blocks(g.coords, g.dims), start=1)
+    ]
     perms = _perm_array(n)
     rows = np.arange(n)
     # Axis k of the sum array indexes the permutation of marginal k + 2; a

@@ -31,6 +31,8 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from .antiderivative import Potential, rockafellar_potential, verify_antiderivative
 from .core import EvenPowerForm, GammaSet, classical_cost, project, project_pair
 from .errors import (
@@ -64,16 +66,18 @@ MAX_BRACKET_STEPS = 200
 class MonotoneBijection:
     """A declared strictly increasing bijection of the line with fn(0) = 0.
 
-    The declaration is spot-checked on a probe grid at construction.  The
+    fn and inverse_fn act elementwise: they receive NumPy arrays (0-d for a
+    scalar query) and return arrays of the same shape.  The declaration is
+    spot-checked on a probe grid at construction, one float at a time.  The
     inverse uses the analytic inverse_fn when one is supplied (the built-in
     constructors do) and otherwise bisection on a geometrically grown
     bracket.
     """
 
-    fn: Callable[[float], float]
+    fn: Callable[[np.ndarray], np.ndarray]
     label: str = "g"
     probe: tuple[float, ...] = (-8.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 8.0)
-    inverse_fn: Callable[[float], float] | None = None
+    inverse_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if abs(self.fn(0.0)) > ZERO_TOL:
@@ -93,7 +97,7 @@ class MonotoneBijection:
                         f"declared inverse of {self.label} fails at {t!r}"
                     )
 
-    def __call__(self, t: float) -> float:
+    def __call__(self, t):
         return self.fn(t)
 
     @classmethod
@@ -111,101 +115,108 @@ class MonotoneBijection:
             inverse_fn=lambda t: signed_power(t, 1.0 / p),
         )
 
-    def inverse(self, y: float, tol: float = INVERSE_TOL) -> float:
-        """Solve fn(x) = y; analytic when declared, else bisection; exact 0
-        at y = 0."""
-        if y == 0.0:
-            return 0.0
-        if self.inverse_fn is not None:
-            return self.inverse_fn(y)
-        lo, hi = -1.0, 1.0
-        steps = 0
-        while self.fn(hi) < y:
-            lo, hi = hi, hi * BRACKET_GROWTH
-            steps += 1
-            if steps > MAX_BRACKET_STEPS:
-                raise InversionFailure(f"no upper bracket for {self.label} = {y!r}")
-        while self.fn(lo) > y:
-            lo, hi = lo * BRACKET_GROWTH, lo
-            steps += 1
-            if steps > MAX_BRACKET_STEPS:
-                raise InversionFailure(f"no lower bracket for {self.label} = {y!r}")
-        while hi - lo > tol:
+    def inverse(self, y, tol: float = INVERSE_TOL):
+        """Solve fn(x) = y elementwise for a float or an array; analytic when
+        declared, else bisection; exact 0 at y = 0."""
+        y = np.asarray(y, dtype=float)
+        x = self.inverse_fn(y) if self.inverse_fn is not None else self._bisect(y, tol)
+        return _float_or_array(np.where(y == 0.0, 0.0, x))
+
+    def _bisect(self, y: np.ndarray, tol: float) -> np.ndarray:
+        """Grow [-1, 1] geometrically until it brackets each entry of y, then
+        halve each bracket until it is within tol or stops shrinking."""
+        lo, hi = np.full(y.shape, -1.0), np.full(y.shape, 1.0)
+        # An entry grows its bracket either upward or downward, never both.
+        for side in ("upper", "lower"):
+            for step in range(MAX_BRACKET_STEPS + 1):
+                grow = self.fn(hi) < y if side == "upper" else self.fn(lo) > y
+                if not grow.any():
+                    break
+                if step == MAX_BRACKET_STEPS:
+                    raise InversionFailure(
+                        f"no {side} bracket for {self.label} = {float(y[grow][0])!r}"
+                    )
+                if side == "upper":
+                    lo, hi = np.where(grow, hi, lo), np.where(grow, hi * BRACKET_GROWTH, hi)
+                else:
+                    lo, hi = np.where(grow, lo * BRACKET_GROWTH, lo), np.where(grow, lo, hi)
+        while True:
             mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if self.fn(mid) < y:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+            live = (hi - lo > tol) & (mid != lo) & (mid != hi)
+            if not live.any():
+                return 0.5 * (lo + hi)
+            below = self.fn(mid) < y
+            lo, hi = np.where(live & below, mid, lo), np.where(live & ~below, mid, hi)
 
 
-def signed_power(t: float, p: float) -> float:
-    """Odd extension of the power map: sign(t) |t|^p."""
-    if t == 0.0:
-        return 0.0
-    return math.copysign(abs(t) ** p, t)
+def _float_or_array(out: np.ndarray):
+    """A 0-d result as a Python float, any other as the array itself."""
+    return float(out) if out.ndim == 0 else out
 
 
-def _simpson_fixed(fn, a: float, b: float, panels: int) -> tuple[float, float]:
-    """Composite Simpson with a fixed even panel count; signed.
+def signed_power(t, p: float):
+    """Odd extension of the power map, sign(t) |t|^p, elementwise on arrays."""
+    t = np.asarray(t, dtype=float)
+    # float_power calls libm pow on each entry, as Python's float ** does.
+    odd = np.copysign(np.float_power(np.abs(t), p), t)
+    return _float_or_array(np.where(t == 0.0, 0.0, odd))
 
-    The second return value is the Riemann bracket |h| |fn(b) - fn(a)|,
-    a rigorous error bound when fn is monotone on [a, b].
+
+def _add_in_order(terms: np.ndarray) -> np.ndarray:
+    """Sum along the last axis strictly left to right, as a float loop
+    would; np.sum's pairwise summation rounds differently."""
+    return np.cumsum(terms, axis=-1)[..., -1]
+
+
+def _simpson(fn, a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Simpson with n (even) panels on each interval [a[r], b[r]];
+    signed, with one call of fn on every node of every interval.
+
+    The second array holds the Riemann brackets |h| |fn(b) - fn(a)|,
+    rigorous error bounds where fn is monotone on [a, b].
     """
-    if a == b:
-        return 0.0, 0.0
-    n = panels + (panels % 2)
     h = (b - a) / n
-    fa, fb = fn(a), fn(b)
-    total = fa + fb
-    for k in range(1, n):
-        total += (4.0 if k % 2 else 2.0) * fn(a + k * h)
-    return total * h / 3.0, abs(h) * abs(fb - fa)
-
-
-def _simpson_per_unit(fn, a: float, b: float) -> tuple[float, float]:
-    n = max(2, 2 * math.ceil(abs(b - a) * PANELS_PER_UNIT / 2))
-    return _simpson_fixed(fn, a, b, n)
+    k = np.arange(n + 1)
+    nodes = a[:, None] + k * h[:, None]
+    nodes[:, -1] = b  # a + n h can miss b in the last bit
+    f = fn(nodes)
+    fa, fb = f[:, 0], f[:, -1]
+    weighted = np.where(k[1:-1] % 2, 4.0, 2.0) * f[:, 1:-1]
+    total = _add_in_order(np.column_stack([fa + fb, weighted]))
+    return total * h / 3.0, np.abs(h) * np.abs(fb - fa)
 
 
 def _graded_from_zero(fn, x: float) -> tuple[float, float]:
     """integral_0^x fn with geometric refinement into 0; |x| <= GRADE_LIMIT.
 
-    Piece edges are x 2^{-j}; the innermost sliver [0, x 2^{-J}] is closed
-    by a trapezoid whose bracket is included in the returned bound.
+    Piece edges are x 2^{-j}, and all pieces go through fn in one call;
+    the innermost sliver [0, x 2^{-J}] is closed by a trapezoid whose
+    bracket is included in the returned bound.
     """
     if x == 0.0:
         return 0.0, 0.0
-    value = 0.0
-    bound = 0.0
-    inner = x * 2.0**-GRADE_PIECES
-    f0, fi = fn(0.0), fn(inner)
-    value += 0.5 * inner * (f0 + fi)
-    bound += 0.5 * abs(inner) * abs(fi - f0)
-    for j in range(GRADE_PIECES, 0, -1):
-        lo = x * 2.0**-j
-        hi = x * 2.0 ** -(j - 1)
-        v, e = _simpson_fixed(fn, lo, hi, GRADE_PANELS)
-        value += v
-        bound += e
-    return value, bound
+    edges = np.ldexp(x, -np.arange(GRADE_PIECES, -1, -1))  # x 2^-J, ..., x
+    inner = edges[0]
+    f0, fi = fn(np.array([0.0, inner]))
+    v, e = _simpson(fn, edges[:-1], edges[1:], GRADE_PANELS)
+    value = _add_in_order(np.concatenate([[0.0, 0.5 * inner * (f0 + fi)], v]))
+    bound = _add_in_order(np.concatenate([[0.0, 0.5 * abs(inner) * abs(fi - f0)], e]))
+    return float(value), float(bound)
 
 
 def integral_from_zero(fn, x: float) -> tuple[float, float]:
     """integral_0^x fn for fn continuous, with grading near 0.
 
-    Returns (value, bound); the bound is rigorous when fn is monotone.
+    fn is called on arrays of nodes.  Returns (value, bound); the bound is
+    rigorous when fn is monotone.
     """
-    if x == 0.0:
-        return 0.0, 0.0
-    s = math.copysign(1.0, x)
     if abs(x) <= GRADE_LIMIT:
         return _graded_from_zero(fn, x)
-    v1, e1 = _graded_from_zero(fn, s * GRADE_LIMIT)
-    v2, e2 = _simpson_per_unit(fn, s * GRADE_LIMIT, x)
-    return v1 + v2, e1 + e2
+    s = math.copysign(GRADE_LIMIT, x)
+    v1, e1 = _graded_from_zero(fn, s)
+    n = max(2, 2 * math.ceil(abs(x - s) * PANELS_PER_UNIT / 2))
+    v2, e2 = _simpson(fn, np.array([s]), np.array([x]), n)
+    return v1 + float(v2[0]), e1 + float(e2[0])
 
 
 @dataclass(frozen=True)
@@ -240,18 +251,13 @@ def curve_potentials(
         others = [alphas[k] for k in range(n) if k != i]
         inv = alphas[i].inverse
 
-        def integrand(t: float, _others=others, _inv=inv) -> float:
+        def integrand(t: np.ndarray, _others=others, _inv=inv) -> np.ndarray:
             s = _inv(t)
             return sum(a(s) for a in _others)
 
-        values = []
-        worst = 0.0
-        for t in knots:
-            v, e = integral_from_zero(integrand, t)
-            values.append(v)
-            worst = max(worst, e)
-        pots.append(Potential(tuple((t,) for t in knots), tuple(values)))
-        bounds.append(worst)
+        values, brackets = zip(*(integral_from_zero(integrand, t) for t in knots))
+        pots.append(Potential(tuple((t,) for t in knots), values))
+        bounds.append(max((0.0, *brackets)))
     return CurvePotentials(tuple(pots), tuple(bounds))
 
 

@@ -243,9 +243,11 @@ class Counterexample:
     def domain_point(self, a1: float, a2: float, a3: float, b3: float) -> Point:
         return ((a1, 0.0), (a2, a2), (a3, b3))
 
-    def reduced_slack(self, a1: float, a2: float, a3: float, b3: float) -> float:
-        x = np.array([a1, a2, a3, b3])
-        return float(x @ self.sym_m.as_array() @ x)
+    def reduced_slack(self, rows) -> np.ndarray:
+        """The quadratic form of sym_m at each row (a1, a2, a3, b3) of a
+        (k, 4) array of reduced coordinates."""
+        x = np.asarray(rows, dtype=float)
+        return np.einsum("ki,ij,kj->k", x, self.sym_m.as_array(), x)
 
 
 def counterexample_construct() -> Counterexample:
@@ -364,31 +366,22 @@ def counterexample_verify(
     nz_prod = float(np.prod(nonzero)) if nonzero else 0.0
 
     if span_coeffs is None:
-        rng = np.random.default_rng(seed)
-        coeffs = rng.uniform(-3.0, 3.0, size=(n_span, 2))
-        span_coeffs = [(float(a), float(b)) for a, b in coeffs]
-    eq_max = 0.0
-    for lam, mu in span_coeffs:
-        p = ce.span_point(lam, mu)
-        total = u1.value(p[0]) + u2.value(p[1]) + u3.value(p[2])
-        if total == math.inf:
-            eq_max = math.inf
-            break
-        eq_max = max(eq_max, abs(total - spec.total(p)))
+        coeffs = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(n_span, 2))
+    else:
+        coeffs = np.array(span_coeffs, dtype=float).reshape(-1, 2)
+    # lam v1 + mu v2 marginal by marginal, coordinatewise as in span_point.
+    lam, mu = coeffs[:, :1], coeffs[:, 1:]
+    span = [lam * np.array(x) + mu * np.array(y) for x, y in zip(ce.v1, ce.v2)]
+    total = u1.values(span[0]) + u2.values(span[1]) + u3.values(span[2])
+    eq_max = float(np.abs(total - spec.total_many(np.hstack(span))).max(initial=0.0))
 
-    rng = np.random.default_rng(seed + 1)
-    draws = rng.uniform(-5.0, 5.0, size=(n_random, 4))
-    slack_min = math.inf
-    algebra_max = 0.0
-    for a1v, a2v, a3v, b3v in draws:
-        p = ce.domain_point(float(a1v), float(a2v), float(a3v), float(b3v))
-        total = u1.value(p[0]) + u2.value(p[1]) + u3.value(p[2])
-        slack = total - spec.total(p)
-        slack_min = min(slack_min, slack)
-        algebra_max = max(
-            algebra_max,
-            abs(slack - ce.reduced_slack(float(a1v), float(a2v), float(a3v), float(b3v))),
-        )
+    draws = np.random.default_rng(seed + 1).uniform(-5.0, 5.0, size=(n_random, 4))
+    a1, a2, a3, b3 = draws.T
+    domain = [np.column_stack(c) for c in ((a1, np.zeros_like(a1)), (a2, a2), (a3, b3))]
+    total = u1.values(domain[0]) + u2.values(domain[1]) + u3.values(domain[2])
+    slack = total - spec.total_many(np.hstack(domain))
+    slack_min = float(slack.min(initial=math.inf))
+    algebra_max = float(np.abs(slack - ce.reduced_slack(draws)).max(initial=0.0))
 
     witnesses = []
     witness_ok = True
@@ -420,9 +413,9 @@ def counterexample_verify(
         nonzero_eigen_sum=nz_sum,
         nonzero_eigen_product=nz_prod,
         equality_max_residual=eq_max,
-        n_span_samples=len(span_coeffs),
-        slack_min=float(slack_min),
-        algebra_max_residual=float(algebra_max),
+        n_span_samples=len(coeffs),
+        slack_min=slack_min,
+        algebra_max_residual=algebra_max,
         n_random_points=n_random,
         seed=seed,
         pair_witnesses=tuple(witnesses),

@@ -40,10 +40,9 @@ from .core import (
     CostSpec,
     GammaSet,
     Point,
-    Vec,
     _enc,
     as_point,
-    as_vec,
+    dedup_vecs,
     marginal_blocks,
     project,
     project_pair,
@@ -156,15 +155,10 @@ def assemble_splitting_tuple(
     if eval_grids is not None and len(eval_grids) != n:
         raise InputValidationError("eval_grids must supply one list per marginal")
 
-    grids: list[tuple[Vec, ...]] = []
-    for i in range(1, n + 1):
-        seen: dict[Vec, None] = {}
-        for v in project(g, i):
-            seen.setdefault(v, None)
-        if eval_grids is not None:
-            for v in eval_grids[i - 1]:
-                seen.setdefault(as_vec(v), None)
-        grids.append(tuple(seen))
+    grids = [
+        dedup_vecs([*project(g, i), *(eval_grids[i - 1] if eval_grids is not None else ())])
+        for i in range(1, n + 1)
+    ]
 
     pair_pots: dict[tuple[int, int], Potential] = {}
     pair_conjs: dict[tuple[int, int], Potential] = {}
@@ -191,9 +185,7 @@ def assemble_splitting_tuple(
     for i in range(1, n + 1):
         terms = [pair_pots[(i, k)] for k in range(i + 1, n + 1)]
         terms += [pair_conjs[(k, i)] for k in range(1, i)]
-        total = sum(np.asarray(u.values) for u in terms)
-        if spec.shift is not None:
-            total = total + [spec.shift_value(i, x) for x in grids[i - 1]]
+        total = sum(np.asarray(u.values) for u in terms) + spec.shift_values(i, grids[i - 1])
         potentials.append(Potential(grids[i - 1], tuple(total.tolist())))
     return SplittingTuple(tuple(potentials), pair_pots, pair_conjs, base)
 
@@ -219,10 +211,9 @@ def shift_splitting_tuple(
             raise InputValidationError(
                 "shift_splitting_tuple only supports table-backed potentials"
             )
-        vals = tuple(
-            v if v == math.inf else v + h.value(p) for p, v in zip(u.points, u.values)
-        )
-        pots.append(Potential(u.points, vals, argmax=u.argmax))
+        vals = np.array(u.values)
+        shifted = np.where(vals == math.inf, vals, vals + h.values(u.points))
+        pots.append(Potential(u.points, tuple(shifted.tolist()), argmax=u.argmax))
     return SplittingTuple(
         tuple(pots), tup.pair_potentials, tup.pair_conjugates, tup.base_point
     )
@@ -232,14 +223,13 @@ def sample_test_points(
     g: GammaSet,
     n_samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
-    per_axis: int = LATTICE_PER_AXIS,
 ) -> np.ndarray:
     """Deterministic certification sample: G, a lattice, and uniform draws.
 
     The lattice covers the bounding box of G's marginals expanded by 50
-    percent on each side, with the per-axis count reduced until the lattice
-    stays under LATTICE_CAP points (dropped entirely if even 2 per axis
-    overflows).  Uniform draws use numpy's default generator with the given
+    percent on each side, with the per-axis count (LATTICE_PER_AXIS) reduced
+    until the lattice stays under LATTICE_CAP points (dropped entirely if
+    even 2 per axis overflows).  Uniform draws use numpy's default generator with the given
     seed.  Returns a (k, sum(dims)) array of distinct flattened points in
     first-seen order; points of G come first, so equality points are always
     present.
@@ -249,7 +239,7 @@ def sample_test_points(
     lows, highs = lo - pad, hi + pad
     total_dim = len(lows)
     blocks = [g.coords]
-    k = per_axis
+    k = LATTICE_PER_AXIS
     while k >= 2 and k**total_dim > LATTICE_CAP:
         k -= 1
     if k >= 2:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -94,6 +95,15 @@ def test_indicator_quadratic_form_membership_exact():
     u2 = IndicatorQuadraticForm("diagonal", ((2.0, 0.0), (0.0, 2.0)))
     assert u2.value((1.5, 1.5)) == 4.5
     assert u2.value((1.5, 1.4)) == math.inf
+    # rows on and off both subspaces, signed zeros included
+    mixed = [(3.0, 0.0), (3.0, -0.0), (-0.0, -0.0), (-0.0, 0.0), (1.5, 1.5), (1.5, 1.4),
+             (3.0, 1e-300), (-2.0, -2.0)]
+    inf = math.inf
+    expected = {u1: [9.0, 9.0, 0.0, 0.0, inf, inf, inf, inf],
+                u2: [inf, inf, 0.0, 0.0, 4.5, inf, inf, 8.0]}
+    for form, want in expected.items():
+        got = form.values(np.array(mixed)).tolist()
+        assert got == want == [form.value(x) for x in mixed]
     with pytest.raises(InputValidationError):
         IndicatorQuadraticForm("bogus", ((1.0,),))
 

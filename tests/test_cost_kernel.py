@@ -3,6 +3,7 @@
 ``PairwiseCost.matrix``/``paired``, ``CostSpec.total_many`` and
 ``Potential.values_at`` must reproduce ``value``, ``total`` and
 ``value_at`` bit for bit, signed zeros included, and raise the same errors.
+``ClosedForm.values`` must reproduce the plain float formulas of each form.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from monosplit.antiderivative import Potential
 from monosplit.core import (
     PAIRWISE_KINDS,
     CostSpec,
+    EvenPowerForm,
     LinearForm,
     PairwiseCost,
     QuadraticForm,
@@ -99,8 +101,10 @@ def test_kernel_raises_what_value_raises(cost, x, y, error):
 def test_total_many_reproduces_total(which, n, d, shifted, data):
     spec = classical_cost(which, n, d)
     if shifted:
+        # the last marginal gets no shift term: an empty tuple
         spec = add_separable_shift(
-            spec, [LinearForm((1.5,) * d, -2.0)] + [QuadraticForm.identity(d, -0.5)] * (n - 1)
+            spec,
+            [LinearForm((1.5,) * d, -2.0)] + [QuadraticForm.identity(d, -0.5)] * (n - 2) + [None],
         )
     rows = data.draw(st.lists(st.tuples(*[FLOATS] * (n * d)), min_size=1, max_size=8))
     got = spec.total_many(np.array(rows))
@@ -123,6 +127,29 @@ def test_total_many_covers_tabulated_and_bilinear_pairs():
         spec.total_many(np.array([(0.5, 2.0, 3.0, 5.0)]))
     with pytest.raises(DimensionMismatch):
         spec.total_many(np.array([(0.0, 2.0, 3.0)]))
+
+
+@given(st.integers(1, 3), st.data())
+def test_closed_form_values_reproduce_float_formulas(d, data):
+    """One formula per form serves arrays and single points; on floats it
+    must give what the textbook loop gives, Python's ** included."""
+    matrix = data.draw(st.lists(st.lists(FLOATS, min_size=d, max_size=d), min_size=d, max_size=d))
+    vector = data.draw(st.lists(FLOATS, min_size=d, max_size=d))
+    terms = data.draw(st.lists(st.tuples(FLOATS, st.sampled_from((4 / 3, 2.0, 8 / 5, 6.0))),
+                               max_size=3))
+    rows = data.draw(vecs(d))
+    oracles = [
+        (QuadraticForm(matrix),
+         lambda x: 0.5 * sum(x[i] * sum(matrix[i][j] * x[j] for j in range(d)) for i in range(d))),
+        (LinearForm(vector, 0.25), lambda x: sum(a * b for a, b in zip(vector, x)) + 0.25),
+    ]
+    if d == 1:
+        oracles.append((EvenPowerForm(terms), lambda x: sum(c * abs(x[0]) ** p for c, p in terms)))
+    for form, oracle in oracles:
+        got = form.values(np.array(rows))
+        for r, x in enumerate(rows):
+            assert same_bits(got[r], oracle(x))
+            assert type(form.value(x)) is float and same_bits(form.value(x), got[r])
 
 
 @given(st.integers(1, 3), st.booleans(), st.data())

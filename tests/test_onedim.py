@@ -36,6 +36,7 @@ def test_integral_oracles():
     v, e = integral_from_zero(lambda t: signed_power(t, 1.0 / 3.0), 1.0)
     assert v == pytest.approx(0.75, abs=1e-9)  # cube-root antiderivative
     assert e >= 0.0
+    assert type(v) is float and type(e) is float
     v, e = integral_from_zero(lambda t: t**3, 2.0)
     assert v == pytest.approx(4.0, abs=1e-12)  # Simpson is exact on cubics
     v, _ = integral_from_zero(lambda t: t * t, -1.0)
@@ -59,6 +60,7 @@ def test_builtin_bijections_have_analytic_inverses():
     cube = MonotoneBijection.odd_power(3.0)
     assert ident.inverse(0.7) == 0.7
     assert cube.inverse(0.0) == 0.0
+    assert type(cube.inverse(2.0)) is float
     for x in (-1.7, -0.3, 0.4, 2.2):
         assert cube.inverse(cube(x)) == pytest.approx(x, abs=1e-12)
         assert cube(-x) == -cube(x)
@@ -74,6 +76,8 @@ def test_bounded_map_cannot_be_inverted_beyond_its_range():
     g = MonotoneBijection(math.tanh, label="tanh")
     with pytest.raises(InversionFailure):
         g.inverse(2.0)
+    with pytest.raises(InversionFailure, match="lower bracket"):
+        MonotoneBijection(np.tanh, label="tanh").inverse(np.array([0.5, 0.0, -2.0]))
 
 
 def test_bijection_validation():
@@ -91,6 +95,10 @@ def test_signed_power_conventions():
     assert signed_power(-8.0, 1.0 / 3.0) == pytest.approx(-2.0, abs=1e-15)
     assert signed_power(0.0, 0.5) == 0.0
     assert signed_power(-1.5, 2.0) == -2.25  # odd extension, not the square
+    assert type(signed_power(2.0, 3.0)) is float
+    ts = [-8.0, -0.0, 0.0, 0.3, 2.0]
+    got = signed_power(np.array(ts), 1.0 / 3.0).tolist()
+    assert got == [signed_power(t, 1.0 / 3.0) for t in ts]
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +117,7 @@ def test_young_strict_case_for_the_cubic():
 def test_young_equality_on_the_graph():
     g = MonotoneBijection.odd_power(3.0)
     res = young_check(g, 1.3, g(1.3))
-    assert res.equality
+    assert res.equality is True
     assert abs(res.gap) <= 1e-9
 
 
@@ -195,6 +203,23 @@ def test_quadrature_matches_closed_forms_on_a_grid():
         for p in pot.points:
             assert pot.value_at(p) == pytest.approx(form.value(p), abs=1e-8)
     assert all(b >= 0.0 for b in cp.error_bounds)
+
+
+def test_curve_potentials_invert_a_custom_bijection_by_bisection():
+    # alpha = (t, g) with g(t) = t + t^3 and no declared inverse:
+    # u_1 = x^2/2 + x^4/4, and by the complement-area identity
+    # u_2 = x s - s^2/2 - s^4/4 with s = g^{-1}(x).
+    g = MonotoneBijection(lambda t: t + t**3, label="t+t^3")
+    grid = [-2.5, -1.0, -0.3, 0.0, 0.4, 1.0, 2.0, 3.0]
+    ys = np.array(grid + [1e6, -1e6])
+    inv = g.inverse(ys)
+    assert inv.tolist() == [g.inverse(y) for y in ys.tolist()]
+    cp = curve_potentials((MonotoneBijection.identity(), g), grid)
+    x, s = ys[:len(grid)], inv[:len(grid)]
+    exact = (x**2 / 2 + x**4 / 4, x * s - s**2 / 2 - s**4 / 4)
+    for pot, want, bound in zip(cp.potentials, exact, cp.error_bounds):
+        got = np.array([pot.value_at((t,)) for t in grid])
+        assert np.abs(got - want).max() <= bound + 1e-9
 
 
 def test_curve_potentials_validation():
