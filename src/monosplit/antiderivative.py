@@ -198,8 +198,9 @@ def rockafellar_potential(
 
     Chains live inside the given pairs and start at a pair whose first
     coordinate equals s1 exactly; the final increment steps to the query
-    point.  Longest chain gains are computed by the shared digraph scan, so
-    a positive cycle (beyond tol) aborts with NotCyclicallyMonotone and the
+    point.  One digraph scan, seeded at those pairs, yields the longest
+    chain gains and decides properness: a positive cycle (beyond tol)
+    anywhere in the pairs aborts with NotCyclicallyMonotone and the
     offending cycle.  R(s1) = 0 exactly.
 
     Values depend on the pairs actually supplied: refining a sampled graph
@@ -215,16 +216,16 @@ def rockafellar_potential(
         raise BasePointNotInProjection(
             f"base point {base!r} is not a first coordinate of any pair"
         )
-    # Global cycle scan first: properness must fail for any positive cycle,
-    # including ones no chain from s1 can reach.
-    full = scan_gain_digraph(xs, ys, cost, tol=tol)
-    if full.cycle is not None:
-        raise NotCyclicallyMonotone(
-            f"pairs contain a cycle with gain {full.cycle_gain:.6g}",
-            full.cycle,
-            full.cycle_gain,
-        )
+    # The scan refuses non-finite edge gains c(x_v, y_u) - c(x_u, y_u), so the
+    # gain digraph is complete: each pair is one step from a source, and the
+    # seeded scan meets every cycle that an unseeded one would.
     scan = scan_gain_digraph(xs, ys, cost, tol=tol, source_mask=source)
+    if scan.cycle is not None:
+        raise NotCyclicallyMonotone(
+            f"pairs contain a cycle with gain {scan.cycle_gain:.6g}",
+            scan.cycle,
+            scan.cycle_gain,
+        )
     pts = dedup_vecs(eval_points)
     gains = (scan.longest + cost.matrix(pts, ys)) - cost.paired(xs, ys)
     best = gains[np.arange(len(pts)), gains.argmax(axis=1)]

@@ -19,9 +19,10 @@ positive-gain cycle in the digraph on pairs with edge weight
     w(p -> q) = c(x_q, y_p) - c(x_p, y_p),
 
 which this module detects by Bellman-Ford relaxation on negated weights.
-The same scan powers the Rockafellar construction in
-:mod:`monosplit.antiderivative`; properness there fails exactly when a
-positive cycle exists here.
+The same scan, seeded at the pairs over a base point, powers the
+Rockafellar construction in :mod:`monosplit.antiderivative`: one pass gives
+both the chain values and properness, which fails exactly when a positive
+cycle exists here.
 
 All inequality checks use an absolute tolerance (default 1e-9): violations
 not exceeding it count as holding.  Verifiers are deterministic; ties in
@@ -157,15 +158,13 @@ class GainScan:
     """Result of scanning the two-marginal gain digraph.
 
     Attributes:
-        gains: gains[u, v] = c(x_v, y_u) - c(x_u, y_u).
-        longest: best chain gain into each vertex (from the configured
-            sources, or from anywhere when sources is None).
+        longest: best chain gain into each vertex (from the pairs in
+            source_mask, or from anywhere when source_mask is None).
         cycle: vertex indices of a positive cycle, lowest index first, or
             None when every cycle gain is within tolerance.
         cycle_gain: net gain of that cycle (0.0 when cycle is None).
     """
 
-    gains: np.ndarray
     longest: np.ndarray
     cycle: tuple[int, ...] | None
     cycle_gain: float
@@ -185,14 +184,15 @@ def scan_gain_digraph(
     vertices are scanned in ascending index, each extracted cycle is rotated
     to start at its lowest index, and the first one whose recomputed gain
     exceeds tol is reported.  Cycles with gain within tol are ignored, so
-    the verdict matches the tolerance convention of the verifiers.
+    the verdict matches the tolerance convention of the verifiers.  A gain
+    that is not finite raises InputValidationError: relaxation would stall.
     """
     m = len(xs)
     cm = cost.matrix(xs, ys)  # cm[a, b] = c(x_a, y_b)
-    diag = np.diag(cm).copy()
-    gains = cm.T - diag[:, None]  # gains[u, v] = c(x_v, y_u) - c(x_u, y_u)
+    gains = cm.T - np.diag(cm)[:, None]  # gains[u, v] = c(x_v, y_u) - c(x_u, y_u)
+    if not np.isfinite(gains).all():
+        raise InputValidationError("an edge gain is not finite: the costs on the pairs overflow")
     np.fill_diagonal(gains, 0.0)
-    weights = -gains
     if source_mask is None:
         dist = np.zeros(m)
     else:
@@ -200,7 +200,7 @@ def scan_gain_digraph(
     pred = np.full(m, -1, dtype=int)
     improved = np.zeros(m, dtype=bool)
     for _ in range(m):
-        cand = dist[:, None] + weights
+        cand = dist[:, None] - gains
         best = cand.min(axis=0)
         arg = cand.argmin(axis=0)
         improved = best < dist
@@ -238,7 +238,7 @@ def scan_gain_digraph(
                 cycle = cyc
                 cycle_gain = gain
                 break
-    return GainScan(gains=gains, longest=-dist, cycle=cycle, cycle_gain=cycle_gain)
+    return GainScan(longest=-dist, cycle=cycle, cycle_gain=cycle_gain)
 
 
 def is_two_marginal_cyclically_monotone(

@@ -33,13 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .antiderivative import Potential, rockafellar_potential, verify_antiderivative
+from .antiderivative import Potential, verify_antiderivative
 from .core import EvenPowerForm, GammaSet, classical_cost, project, project_pair
 from .errors import (
     InputValidationError,
     InternalInconsistency,
     InversionFailure,
-    NotCyclicallyMonotone,
     NotOneDimensional,
     ProjectionNotMonotone,
 )
@@ -389,7 +388,8 @@ class OneDimReport:
     criterion, (iii) cyclic monotonicity of every pair projection,
     (iv) classical monotonicity of every pair projection, (v) an
     assembled tuple certifies on the product grid of projections,
-    (vi) every projection admits a chain antiderivative.
+    (vi) every projection admits a chain antiderivative.  Items (v) and
+    (vi) read one tabulation: the pair antiderivatives of that assembly.
     """
 
     verdict: bool
@@ -471,7 +471,6 @@ def characterize_1d(
     inner = classical_cost("c1", 2, 1).pair_cost(1, 2)
     item_iii = True
     item_iv = True
-    item_vi = True
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             pairs = project_pair(g, i, j)
@@ -479,23 +478,22 @@ def characterize_1d(
                 item_iii = False
             if not is_pair_monotone_classical(pairs).holds:
                 item_iv = False
-            try:
-                f = rockafellar_potential(
-                    spec.pair_cost(i, j), pairs, pairs[0][0], [p[0] for p in pairs], tol=tol
-                )
-                if not verify_antiderivative(f, pairs, spec.pair_cost(i, j), tol=tol).holds:
-                    item_vi = False
-            except NotCyclicallyMonotone:
-                item_vi = False
 
+    # Assembly's f_{i,j} is the antiderivative (vi) checks (same base, same
+    # grid); a positive cycle refuses assembly and fails (v) and (vi) together.
     try:
         tup = assemble_splitting_tuple(g, spec, tol=tol)
+    except ProjectionNotMonotone:
+        item_v = item_vi = False
+    else:
         prod_grid = list(itertools.product(*[project(g, i) for i in range(1, n + 1)]))
         item_v = certify_splitting(
             tup, g, spec, test_points=prod_grid, ineq_tol=tol, eq_tol=tol
         ).passed
-    except ProjectionNotMonotone:
-        item_v = False
+        item_vi = all(
+            verify_antiderivative(f, project_pair(g, i, j), spec.pair_cost(i, j), tol=tol).holds
+            for (i, j), f in tup.pair_potentials.items()
+        )
 
     items = (item_i, item_ii, item_iii, item_iv, item_v, item_vi)
     if len(set(items)) != 1:

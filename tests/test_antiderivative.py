@@ -102,20 +102,42 @@ def test_refuses_positive_cycle_with_diagnostics():
     assert sorted(exc.value.cycle) == [0, 1]
 
 
+def test_refuses_positive_cycle_that_avoids_every_source():
+    # pair 0 is the only source; the cycle 1 -> 2 -> 1 gains 2 - 1 = 1
+    pairs = [((0.0,), (0.0,)), ((1.0,), (2.0,)), ((2.0,), (1.0,))]
+    with pytest.raises(NotCyclicallyMonotone) as exc:
+        rockafellar_potential(INNER, pairs, (0.0,), [(0.0,)])
+    assert sorted(exc.value.cycle) == [1, 2]
+    assert exc.value.gain == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("cost, pairs", [
+    (INNER, [((1e155,), (1e155,)), ((1.0,), (2.0,)), ((2.0,), (1.0,))]),
+    (HALF_SQ, [((1e154,), (-1e154,)), ((1.0,), (1.0,)), ((2.0,), (2.0,))]),
+])
+def test_refuses_pairs_whose_costs_overflow(cost, pairs):
+    # c(x_0, y_0) overflows, so no finite gain leaves the source pair and a
+    # seeded scan would never reach the positive cycle 1 -> 2 -> 1
+    assert bruteforce_cycle_gain(cost, pairs[1:]) == pytest.approx(1.0)
+    with pytest.warns(RuntimeWarning), pytest.raises(InputValidationError, match="overflow"):
+        rockafellar_potential(cost, pairs, pairs[0][0], [pairs[0][0]])
+
+
 def test_properness_failure_iff_positive_cycle(rng):
-    raised_count = 0
-    for _ in range(50):
-        pairs = make_random_pairs(rng, m=4)
-        gain = bruteforce_cycle_gain(INNER, pairs)
-        base = pairs[0][0]
-        try:
-            rockafellar_potential(INNER, pairs, base, [base])
-            raised = False
-        except NotCyclicallyMonotone:
-            raised = True
-        assert raised == (gain > 1e-9)
-        raised_count += raised
-    assert 0 < raised_count < 50  # both branches exercised
+    for cost in (INNER, PairwiseCost.half_sq_dist(-1), HALF_SQ):
+        raised_count = 0
+        for trial in range(50):
+            pairs = make_random_pairs(rng, m=2 + trial % 5)
+            gain = bruteforce_cycle_gain(cost, pairs)
+            base = pairs[0][0]
+            try:
+                rockafellar_potential(cost, pairs, base, [base])
+                raised = False
+            except NotCyclicallyMonotone:
+                raised = True
+            assert raised == (gain > 1e-9)
+            raised_count += raised
+        assert 0 < raised_count < 50  # both branches exercised
 
 
 def test_base_must_appear_in_first_projection():

@@ -286,6 +286,16 @@ def test_rockafellar_refuses_cycles(capsys, tmp_path):
     assert "not cyclically monotone" in err and "gain" in err
 
 
+def test_rockafellar_rejects_overflowing_costs(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"pairs": [[1e155, 1e155], [1, 2], [2, 1]]}))
+    with pytest.warns(RuntimeWarning):
+        code, out, err = _run(capsys, ["rockafellar", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "overflow" in err
+
+
 def test_rockafellar_rejects_the_shifted_selector(capsys, pairs_file):
     code, _, err = _run(capsys, ["rockafellar", pairs_file, "--cost", "c3"])
     assert code == 2

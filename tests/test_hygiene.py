@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports at top level is used there.
+"""Source hygiene: every name a module imports at top level is used there,
+and every function the benchmark tracer wraps still exists.
 
 The scan reads each module of the package (not ``__init__.py``, whose
 imports are its public re-exports) with :mod:`ast`.  A name counts as used
@@ -9,11 +10,13 @@ string annotations such as ``-> "Potential"``.
 from __future__ import annotations
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "monosplit"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "monosplit"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -79,3 +82,20 @@ def test_package_scan_covers_every_module():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert _unused_imports((PACKAGE / module).read_text()) == []
+
+
+def test_traced_functions_exist():
+    # A deleted or renamed target would otherwise fail only when the
+    # benchmark runs with tracing on.
+    spec = importlib.util.spec_from_file_location(
+        "bench_trace", ROOT / "perfbench" / "bench_trace.py"
+    )
+    bench_trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_trace)
+    missing = [
+        f"{short}.{name}"
+        for short, funcs in bench_trace.TARGETS.items()
+        for name in funcs
+        if not callable(getattr(importlib.import_module(f"monosplit.{short}"), name, None))
+    ]
+    assert missing == []

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from monosplit.core import GammaSet, gamma_1d
+from monosplit import antiderivative, onedim, splitting
+from monosplit.core import GammaSet, PairwiseCost, gamma_1d
 from monosplit.errors import (
     InputValidationError,
     InversionFailure,
@@ -258,6 +259,30 @@ def test_battery_on_curve_samples():
     g = gamma_1d([[t, t**3, t**5] for t in ts])
     for which in ("c1", "c2", "c3"):
         assert characterize_1d(g, which_cost=which, n_max=3).verdict
+
+
+def test_one_scan_per_antiderivative_and_one_antiderivative_per_projection(monkeypatch):
+    calls = {"scan": 0, "rockafellar": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    scan = counting("scan", antiderivative.scan_gain_digraph)
+    monkeypatch.setattr(antiderivative, "scan_gain_digraph", scan)
+    antiderivative.rockafellar_potential(
+        PairwiseCost.inner_product(), [((0.0,), (0.0,)), ((1.0,), (1.0,))], (0.0,), [(1.0,)]
+    )
+    assert calls["scan"] == 1
+
+    rock = counting("rockafellar", antiderivative.rockafellar_potential)
+    for module in (splitting, onedim):
+        monkeypatch.setattr(module, "rockafellar_potential", rock, raising=False)
+    g = gamma_1d([[-1.0, -2.0, 0.0], [0.0, 0.0, 0.5], [2.0, 1.0, 3.0]])
+    assert characterize_1d(g, which_cost="c1", n_max=3).verdict
+    assert calls["rockafellar"] == 3  # one per projection (1,2), (1,3), (2,3)
 
 
 def test_battery_input_validation():
