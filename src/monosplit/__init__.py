@@ -71,10 +71,8 @@ from .errors import (
 )
 from .monotone import (
     MonotonicityVerdict,
-    OptimalCoupling,
     ProjectionReport,
     Witness,
-    brute_force_optimal_coupling,
     check_projection_condition,
     is_c_monotone,
     is_n_c_monotone_bruteforce,
@@ -121,7 +119,6 @@ from .splitting import (
     check_exactness_condition,
     sample_test_points,
     shift_splitting_tuple,
-    splitting_implies_monotone_check,
 )
 
 __version__ = "0.1.0"

@@ -11,7 +11,10 @@ enumerating multisets instead of ordered tuples loses none either, so the
 brute-force verifier walks multisets in lexicographic index order and
 permutation tuples in lexicographic order, reporting the first violation it
 meets.  It handles any number N of marginals.  c-monotone means
-2-c-monotone, and :func:`is_c_monotone` is order 2 of the same verifier.
+2-c-monotone: :func:`is_c_monotone` computes order 2 as array sums over the
+masks of marginals to swap between two points, in row blocks of point
+pairs, and equals the enumerator's verdict, witness and count bit for bit.
+The 1-D sign criterion and the classical pair test scan pairs the same way.
 
 For two marginals, cyclic monotonicity is equivalent to the absence of a
 positive-gain cycle in the digraph on pairs with edge weight
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,14 +48,12 @@ from .core import (
     PairwiseCost,
     Point,
     Vec,
-    as_vec,
     classical_cost,
     dedup_pairs,
     marginal_blocks,
     project_pair,
 )
 from .errors import (
-    BudgetExceeded,
     DimensionMismatch,
     InputValidationError,
     NotOneDimensional,
@@ -61,7 +62,7 @@ from .errors import (
 
 DEFAULT_TOL = 1e-9
 BRUTE_FORCE_BUDGET = 50_000_000
-COUPLING_BUDGET = 2_000_000
+PAIR_BLOCK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,7 @@ def recheck_witness(witness: Witness, spec: CostSpec) -> tuple[float, float]:
     """Re-evaluate both sides of a witness straight through the cost.
 
     Independent of every verifier: builds the permuted tuples explicitly and
-    sums eval_total_cost.  Returns (permuted_sum, diagonal_sum).
+    sums spec.total.  Returns (permuted_sum, diagonal_sum).
     """
     n = len(witness.points)
     if len(witness.permutations) != spec.n_marginals:
@@ -383,15 +384,79 @@ def is_n_c_monotone_bruteforce(
     return MonotonicityVerdict(True, None, checked, tol)
 
 
+def _scan_pairs(m: int, slabs: int, strict: bool, hit: Callable) -> tuple:
+    """First pair a <= b (a < b when strict) of range(m) in row-major order
+    where hit(rows, cols) is true, and the number of pairs scanned through
+    it; (None, all pairs) when there is none.  hit gets slices, a block of
+    rows and the columns from its first row on, and returns a boolean array
+    of that shape; it holds about `slabs` such arrays, whose cells a block
+    keeps near PAIR_BLOCK_CELLS."""
+    k = m - int(strict)  # a < b over range(m) is a <= b - 1 over range(m - 1)
+    step = max(1, PAIR_BLOCK_CELLS // (slabs * m))
+    for r0 in range(0, m, step):
+        rows = min(step, m - r0)
+        upper = np.less_equal.outer(np.arange(strict, rows + strict), np.arange(m - r0))
+        found = hit(slice(r0, r0 + rows), slice(r0, m)) & upper
+        first = int(found.argmax())
+        if found.flat[first]:
+            a, b = divmod(first, m - r0)
+            a, b = r0 + a, r0 + b
+            return (a, b), a * k - a * (a - 1) // 2 + (b - int(strict) - a) + 1
+    return None, k * (k + 1) // 2
+
+
 def is_c_monotone(g: GammaSet, spec: CostSpec, tol: float = DEFAULT_TOL) -> MonotonicityVerdict:
     """2-c-monotonicity: no coordinate swap between two points pays off.
 
-    This is order 2 of :func:`is_n_c_monotone_bruteforce` with no budget: the
-    order-2 permutation tuples are exactly the swaps of a set of marginals
-    between two points, so every pair of points and every such set is
-    compared, C(|g| + 1, 2) * 2^(N-1) comparisons in all.
+    Order 2 of :func:`is_n_c_monotone_bruteforce` with no budget, by swap
+    masks: its permutation tuples are the 2^(N-1) sets of marginals 2..N to
+    swap between points a <= b.  Pair (i, j) adds M_ij[a,a] + M_ij[b,b] when
+    i and j are both swapped or both fixed, M_ij[a,b] + M_ij[b,a] otherwise.
+    Sums add in the enumerator's order (h_1(a) + h_1(b), then the pairs
+    sorted, h_j(a) + h_j(b) joining pair (1, j)), so verdict, witness, sums
+    and count equal the enumerator's bit for bit.
     """
-    return is_n_c_monotone_bruteforce(g, spec, 2, tol=tol, budget=math.inf)
+    _check_gamma_against_spec(g, spec)
+    mats = sorted(_full_pair_matrices(g, spec).items())
+    diags = [np.diagonal(mat) for _, mat in mats]
+    blocks = marginal_blocks(g.coords, g.dims)
+    shifts = [spec.shift_values(i, x) for i, x in enumerate(blocks, start=1)]
+    # Entry i of a mask: whether marginal i + 1 moves; marginal 1 never does.
+    masks = [(False, *s) for s in itertools.product((False, True), repeat=g.n_marginals - 1)]
+
+    def swap_sums(rows: slice, cols: slice) -> np.ndarray:
+        h = [v[rows, None] + v[None, cols] for v in shifts]
+        same = [d[rows, None] + d[None, cols] for d in diags]
+        cross = [mat[rows, cols] + mat[cols, rows].T for _, mat in mats]
+        out = np.empty((len(masks),) + h[0].shape)
+        for s, mask in enumerate(masks):
+            vals = h[0]
+            for k, ((i, j), _) in enumerate(mats):
+                term = same[k] if mask[i - 1] == mask[j - 1] else cross[k]
+                vals = vals + (term + h[j - 1] if i == 1 else term)
+            out[s] = vals
+        return out
+
+    def violated(rows: slice, cols: slice) -> np.ndarray:
+        vals = swap_sums(rows, cols)
+        return (vals > vals[0] + tol).any(axis=0)
+
+    slabs = len(shifts) + 2 * len(mats) + 2 * len(masks)
+    pair, n_pairs = _scan_pairs(g.size, slabs, False, violated)
+    checked = n_pairs * len(masks)
+    if pair is None:
+        return MonotonicityVerdict(True, None, checked, tol)
+    a, b = pair
+    vals = swap_sums(slice(a, a + 1), slice(b, b + 1))[:, 0, 0]
+    s = int(np.flatnonzero(vals > vals[0] + tol)[0])
+    witness = Witness(
+        kind="permutation",
+        points=(g.points[a], g.points[b]),
+        permutations=tuple((1, 0) if moved else (0, 1) for moved in masks[s]),
+        permuted_sum=float(vals[s]),
+        diagonal_sum=float(vals[0]),
+    )
+    return MonotonicityVerdict(False, witness, checked, tol)
 
 
 def is_pair_monotone_classical(
@@ -402,29 +467,33 @@ def is_pair_monotone_classical(
 
     The failing inner product is stored as the witness value; swapping the
     second coordinates of the two pairs realises it as a cost violation for
-    the inner-product coupling.
+    the inner-product coupling.  Pairs are scanned in (a, b) order, a < b,
+    the inner product summed coordinate by coordinate from the left.
     """
     deduped = dedup_pairs(pairs)
+    x = np.array([p[0] for p in deduped])
+    y = np.array([p[1] for p in deduped])
+
+    def negative(rows: slice, cols: slice) -> np.ndarray:
+        v = 0.0
+        for xs, ys in zip(x.T, y.T):
+            v = v + (xs[rows, None] - xs[None, cols]) * (ys[rows, None] - ys[None, cols])
+        return v < -tol
+
+    pair, checked = _scan_pairs(len(deduped), 4, True, negative)
+    if pair is None:
+        return MonotonicityVerdict(True, None, checked, tol)
+    (xa, ya), (xb, yb) = deduped[pair[0]], deduped[pair[1]]
     inner = PairwiseCost.inner_product()
-    checked = 0
-    for a in range(len(deduped)):
-        for b in range(a + 1, len(deduped)):
-            (xa, ya), (xb, yb) = deduped[a], deduped[b]
-            checked += 1
-            v = sum((p - q) * (r - s) for p, q, r, s in zip(xa, xb, ya, yb))
-            if v < -tol:
-                diagonal = inner.value(xa, ya) + inner.value(xb, yb)
-                permuted = inner.value(xa, yb) + inner.value(xb, ya)
-                witness = Witness(
-                    kind="pair",
-                    points=((xa, ya), (xb, yb)),
-                    permutations=((0, 1), (1, 0)),
-                    permuted_sum=permuted,
-                    diagonal_sum=diagonal,
-                    value=v,
-                )
-                return MonotonicityVerdict(False, witness, checked, tol)
-    return MonotonicityVerdict(True, None, checked, tol)
+    witness = Witness(
+        kind="pair",
+        points=((xa, ya), (xb, yb)),
+        permutations=((0, 1), (1, 0)),
+        permuted_sum=inner.value(xa, yb) + inner.value(xb, ya),
+        diagonal_sum=inner.value(xa, ya) + inner.value(xb, yb),
+        value=sum((p - q) * (r - s) for p, q, r, s in zip(xa, xb, ya, yb)),
+    )
+    return MonotonicityVerdict(False, witness, checked, tol)
 
 
 def sign_criterion_1d(g: GammaSet, tol: float = DEFAULT_TOL) -> MonotonicityVerdict:
@@ -434,45 +503,45 @@ def sign_criterion_1d(g: GammaSet, tol: float = DEFAULT_TOL) -> MonotonicityVerd
     share one sign (entries within tol of zero count as both).  Equivalent
     to c-monotonicity for the classical costs; a mixed-sign pair yields an
     explicit violation by swapping the negative-difference coordinates.
+    Pairs are scanned in (a, b) order, a < b; the positive and negative
+    differences are each summed from the left, and their product is the
+    witness value.
     """
     if any(d != 1 for d in g.dims):
         raise NotOneDimensional("the sign criterion needs scalar marginals")
+    x = g.coords
+
+    def mixed(rows: slice, cols: slice) -> np.ndarray:
+        # Sums run from the left like the witness's Python sums, so signs agree.
+        t = x[rows, None, :] - x[None, cols, :]
+        pos = np.where(t > tol, t, 0.0).cumsum(axis=-1)[..., -1]
+        neg = np.where(t < -tol, t, 0.0).cumsum(axis=-1)[..., -1]
+        return (pos > 0.0) & (neg < 0.0)
+
+    pair, checked = _scan_pairs(g.size, 4 * g.n_marginals, True, mixed)
+    if pair is None:
+        return MonotonicityVerdict(True, None, checked, tol)
+    p, q = g.points[pair[0]], g.points[pair[1]]
+    t = [p[i][0] - q[i][0] for i in range(g.n_marginals)]
+    pos = sum(v for v in t if v > tol)
+    neg = sum(v for v in t if v < -tol)
+    moved = [v < -tol for v in t]
+    mix_pq = tuple(qi if s else pi for pi, qi, s in zip(p, q, moved))
+    mix_qp = tuple(pi if s else qi for pi, qi, s in zip(p, q, moved))
     spec = classical_cost("c1", g.n_marginals, 1)
-    checked = 0
-    for a in range(g.size):
-        for b in range(a + 1, g.size):
-            p, q = g.points[a], g.points[b]
-            t = [p[i][0] - q[i][0] for i in range(g.n_marginals)]
-            checked += 1
-            pos = sum(v for v in t if v > tol)
-            neg = sum(v for v in t if v < -tol)
-            if pos > 0.0 and neg < 0.0:
-                swapped = {i + 1 for i, v in enumerate(t) if v < -tol}
-                mix_pq = tuple(
-                    q[i - 1] if i in swapped else p[i - 1]
-                    for i in range(1, g.n_marginals + 1)
-                )
-                mix_qp = tuple(
-                    p[i - 1] if i in swapped else q[i - 1]
-                    for i in range(1, g.n_marginals + 1)
-                )
-                witness = Witness(
-                    kind="signs",
-                    points=(p, q),
-                    permutations=tuple(
-                        (1, 0) if i in swapped else (0, 1)
-                        for i in range(1, g.n_marginals + 1)
-                    ),
-                    permuted_sum=spec.total(mix_pq) + spec.total(mix_qp),
-                    diagonal_sum=spec.total(p) + spec.total(q),
-                    value=pos * neg,
-                )
-                return MonotonicityVerdict(False, witness, checked, tol)
-    return MonotonicityVerdict(True, None, checked, tol)
+    witness = Witness(
+        kind="signs",
+        points=(p, q),
+        permutations=tuple((1, 0) if s else (0, 1) for s in moved),
+        permuted_sum=spec.total(mix_pq) + spec.total(mix_qp),
+        diagonal_sum=spec.total(p) + spec.total(q),
+        value=pos * neg,
+    )
+    return MonotonicityVerdict(False, witness, checked, tol)
 
 
 # ---------------------------------------------------------------------------
-# Projection condition and the coupling oracle
+# Projection condition
 # ---------------------------------------------------------------------------
 
 
@@ -507,70 +576,3 @@ def check_projection_condition(
             project_pair(g, i, j), cost, tol=tol
         )
     return ProjectionReport(verdicts, all(v.holds for v in verdicts.values()))
-
-
-@dataclass(frozen=True)
-class OptimalCoupling:
-    """Exhaustive multi-marginal assignment optimum over permutations.
-
-    Attributes:
-        value: the maximal total cost over all (s_2, ..., s_N).
-        sigmas: the first lexicographic maximiser, one 0-based permutation
-            per marginal after the first.
-        diagonal_value: total cost of the identity assignment.
-        checked: number of permutation tuples evaluated.
-    """
-
-    value: float
-    sigmas: tuple[tuple[int, ...], ...]
-    diagonal_value: float
-    checked: int
-
-    def diagonal_attains(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.value <= self.diagonal_value + tol
-
-
-def brute_force_optimal_coupling(
-    marginal_lists: Sequence[Sequence[float | Sequence[float]]],
-    spec: CostSpec,
-    budget: int = COUPLING_BUDGET,
-) -> OptimalCoupling:
-    """Maximise the assignment cost by plain enumeration.
-
-    Takes N columns of n marginal points and evaluates every way of
-    permuting columns 2..N against the first, each through eval_total_cost.
-    Serves as the independent oracle for the monotonicity verifiers: the
-    diagonal attains the maximum exactly when the diagonal set is
-    n-c-monotone.
-    """
-    nmarg = spec.n_marginals
-    if len(marginal_lists) != nmarg:
-        raise DimensionMismatch("need one column of points per marginal")
-    cols = [tuple(as_vec(x) for x in col) for col in marginal_lists]
-    n = len(cols[0])
-    if n == 0 or any(len(col) != n for col in cols):
-        raise InputValidationError("marginal columns must share one nonzero length")
-    total_tuples = math.factorial(n) ** (nmarg - 1)
-    if total_tuples > budget:
-        raise BudgetExceeded(
-            f"{total_tuples} permutation tuples exceed the budget of {budget}"
-        )
-    best = -math.inf
-    best_sigmas: tuple[tuple[int, ...], ...] | None = None
-    diagonal_value = 0.0
-    checked = 0
-    for sigmas in itertools.product(itertools.permutations(range(n)), repeat=nmarg - 1):
-        value = 0.0
-        for j in range(n):
-            point = (cols[0][j],) + tuple(
-                cols[k][sigmas[k - 1][j]] for k in range(1, nmarg)
-            )
-            value += spec.total(point)
-        if checked == 0:
-            diagonal_value = value
-        checked += 1
-        if value > best:
-            best = value
-            best_sigmas = sigmas
-    assert best_sigmas is not None
-    return OptimalCoupling(best, best_sigmas, diagonal_value, checked)

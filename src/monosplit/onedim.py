@@ -474,10 +474,8 @@ def characterize_1d(
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             pairs = project_pair(g, i, j)
-            if not is_two_marginal_cyclically_monotone(pairs, inner, tol=tol).holds:
-                item_iii = False
-            if not is_pair_monotone_classical(pairs).holds:
-                item_iv = False
+            item_iii = item_iii and is_two_marginal_cyclically_monotone(pairs, inner, tol).holds
+            item_iv = item_iv and is_pair_monotone_classical(pairs).holds
 
     # Assembly's f_{i,j} is the antiderivative (vi) checks (same base, same
     # grid); a positive cycle refuses assembly and fails (v) and (vi) together.

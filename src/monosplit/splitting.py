@@ -41,7 +41,9 @@ from .core import (
     GammaSet,
     Point,
     _enc,
+    _rows,
     as_point,
+    as_vec,
     dedup_vecs,
     marginal_blocks,
     project,
@@ -52,12 +54,11 @@ from .errors import (
     BudgetExceeded,
     DimensionMismatch,
     InputValidationError,
-    InternalInconsistency,
     NotCyclicallyMonotone,
     ProjectionNotMonotone,
     UndefinedOnGamma,
 )
-from .monotone import DEFAULT_TOL, MonotonicityVerdict, is_n_c_monotone_bruteforce
+from .monotone import DEFAULT_TOL
 
 DEFAULT_SAMPLES = 10_000
 DEFAULT_SEED = 0
@@ -299,6 +300,29 @@ class SplittingCertificate:
         }
 
 
+def _point_rows(points: Sequence, dims: Sequence[int]) -> np.ndarray:
+    """Caller-supplied product points as one (k, sum(dims)) array, checked a
+    marginal at a time with the errors of the one-point checks: a wrong
+    marginal count or dimension raises DimensionMismatch, a non-finite
+    coordinate InputValidationError.  Scalars stand for 1-D marginals."""
+    given = [tuple(p) for p in points]
+    if any(len(p) != len(dims) for p in given):
+        raise DimensionMismatch(f"a test point does not have {len(dims)} marginals")
+    cols = [np.empty((0, d)) for d in dims]
+    for i in range(len(dims)) if given else ():
+        column = [p[i] for p in given]
+        try:
+            cols[i] = _rows(column)
+        except DimensionMismatch:  # scalars mixed with sequences
+            cols[i] = _rows([as_vec(x) for x in column])
+    if any(c.shape[1:] != (d,) for c, d in zip(cols, dims)):
+        raise DimensionMismatch("a marginal of a test point has the wrong dimension")
+    rows = np.hstack(cols)
+    if not np.isfinite(rows).all():
+        raise InputValidationError("a test point has a non-finite coordinate")
+    return rows
+
+
 def certify_splitting(
     tup: SplittingTuple,
     g: GammaSet,
@@ -336,10 +360,7 @@ def certify_splitting(
         pts = sample_test_points(g, n_samples=n_samples, seed=seed)
         used_seed: int | None = seed
     else:
-        checked = [spec.validate_point(as_point(p)) for p in test_points]
-        pts = np.array([[c for x in p for c in x] for p in checked]).reshape(
-            len(checked), sum(spec.dims)
-        )
+        pts = _point_rows(test_points, spec.dims)
         used_seed = None
 
     # u_1 + ... + u_N in order; a row stops at its first +inf (vacuous).
@@ -481,26 +502,3 @@ def check_exactness_condition(
         n_test_points=len(pts),
         equality_tol=eq_tol,
     )
-
-
-def splitting_implies_monotone_check(
-    tup: SplittingTuple,
-    g: GammaSet,
-    spec: CostSpec,
-    n: int,
-    tol: float = DEFAULT_TOL,
-) -> MonotonicityVerdict:
-    """Consistency harness: a certified tuple forces n-monotonicity of g.
-
-    Runs the brute-force verifier and converts any failure into
-    InternalInconsistency, since a split set can never fail monotonicity
-    unless the implementation is wrong.
-    """
-    verdict = is_n_c_monotone_bruteforce(g, spec, n, tol=tol)
-    if not verdict.holds:
-        w = verdict.witness
-        raise InternalInconsistency(
-            "splitting certified but monotonicity failed: "
-            f"gain {w.gain:.6g} at permutations {w.permutations!r}"
-        )
-    return verdict

@@ -3,7 +3,8 @@
 Oracles here deliberately avoid the library's own algorithms: the chain
 enumerator walks every simple chain explicitly, the coupling oracle
 enumerates assignments without any library verifier, the scalar
-certificate loops over points with the one-point evaluators, and the
+certificate loops over points with the one-point evaluators, the pair and
+sign loops visit one pair of points at a time with Python sums, and the
 generators build monotone structure by construction rather than by
 checking it.
 """
@@ -12,12 +13,36 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from monosplit.core import CostSpec, GammaSet, PairwiseCost, Vec, as_vec
-from monosplit.monotone import brute_force_optimal_coupling
+from monosplit.core import (
+    CostSpec,
+    GammaSet,
+    PairwiseCost,
+    Vec,
+    as_vec,
+    classical_cost,
+    dedup_pairs,
+)
+from monosplit.errors import (
+    BudgetExceeded,
+    DimensionMismatch,
+    InputValidationError,
+    InternalInconsistency,
+    NotOneDimensional,
+)
+from monosplit.monotone import (
+    DEFAULT_TOL,
+    MonotonicityVerdict,
+    Witness,
+    is_n_c_monotone_bruteforce,
+)
+from monosplit.splitting import SplittingTuple
 
+COUPLING_BUDGET = 2_000_000
 COARSE_GRID = (-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0)
 
 
@@ -160,3 +185,163 @@ def scalar_certificate(tup, g: GammaSet, spec: CostSpec, points, tol: float = 1e
         "n_gamma_points": g.size,
         "n_vacuous": vacuous,
     }
+
+
+def pair_monotone_classical_loop(
+    pairs: Sequence[tuple],
+    tol: float = 1e-12,
+) -> MonotonicityVerdict:
+    """Reference for is_pair_monotone_classical: <x - x', y - y'> >= -tol
+    tested one pair at a time, the inner product a Python sum.  The failing
+    inner product is the witness value."""
+    deduped = dedup_pairs(pairs)
+    inner = PairwiseCost.inner_product()
+    checked = 0
+    for a in range(len(deduped)):
+        for b in range(a + 1, len(deduped)):
+            (xa, ya), (xb, yb) = deduped[a], deduped[b]
+            checked += 1
+            v = sum((p - q) * (r - s) for p, q, r, s in zip(xa, xb, ya, yb))
+            if v < -tol:
+                diagonal = inner.value(xa, ya) + inner.value(xb, yb)
+                permuted = inner.value(xa, yb) + inner.value(xb, ya)
+                witness = Witness(
+                    kind="pair",
+                    points=((xa, ya), (xb, yb)),
+                    permutations=((0, 1), (1, 0)),
+                    permuted_sum=permuted,
+                    diagonal_sum=diagonal,
+                    value=v,
+                )
+                return MonotonicityVerdict(False, witness, checked, tol)
+    return MonotonicityVerdict(True, None, checked, tol)
+
+
+def sign_criterion_loop(g: GammaSet, tol: float = DEFAULT_TOL) -> MonotonicityVerdict:
+    """Reference for sign_criterion_1d: the differences of every two points
+    tested one pair at a time, positive and negative parts Python sums; a
+    mixed-sign pair is swapped on its negative-difference coordinates."""
+    if any(d != 1 for d in g.dims):
+        raise NotOneDimensional("the sign criterion needs scalar marginals")
+    spec = classical_cost("c1", g.n_marginals, 1)
+    checked = 0
+    for a in range(g.size):
+        for b in range(a + 1, g.size):
+            p, q = g.points[a], g.points[b]
+            t = [p[i][0] - q[i][0] for i in range(g.n_marginals)]
+            checked += 1
+            pos = sum(v for v in t if v > tol)
+            neg = sum(v for v in t if v < -tol)
+            if pos > 0.0 and neg < 0.0:
+                swapped = {i + 1 for i, v in enumerate(t) if v < -tol}
+                mix_pq = tuple(
+                    q[i - 1] if i in swapped else p[i - 1]
+                    for i in range(1, g.n_marginals + 1)
+                )
+                mix_qp = tuple(
+                    p[i - 1] if i in swapped else q[i - 1]
+                    for i in range(1, g.n_marginals + 1)
+                )
+                witness = Witness(
+                    kind="signs",
+                    points=(p, q),
+                    permutations=tuple(
+                        (1, 0) if i in swapped else (0, 1)
+                        for i in range(1, g.n_marginals + 1)
+                    ),
+                    permuted_sum=spec.total(mix_pq) + spec.total(mix_qp),
+                    diagonal_sum=spec.total(p) + spec.total(q),
+                    value=pos * neg,
+                )
+                return MonotonicityVerdict(False, witness, checked, tol)
+    return MonotonicityVerdict(True, None, checked, tol)
+
+
+def splitting_implies_monotone_check(
+    tup: SplittingTuple,
+    g: GammaSet,
+    spec: CostSpec,
+    n: int,
+    tol: float = DEFAULT_TOL,
+) -> MonotonicityVerdict:
+    """Consistency harness: a certified tuple forces n-monotonicity of g.
+
+    Runs the brute-force verifier and converts any failure into
+    InternalInconsistency, since a split set can never fail monotonicity
+    unless the implementation is wrong.
+    """
+    verdict = is_n_c_monotone_bruteforce(g, spec, n, tol=tol)
+    if not verdict.holds:
+        w = verdict.witness
+        raise InternalInconsistency(
+            "splitting certified but monotonicity failed: "
+            f"gain {w.gain:.6g} at permutations {w.permutations!r}"
+        )
+    return verdict
+
+
+@dataclass(frozen=True)
+class OptimalCoupling:
+    """Exhaustive multi-marginal assignment optimum over permutations.
+
+    Attributes:
+        value: the maximal total cost over all (s_2, ..., s_N).
+        sigmas: the first lexicographic maximiser, one 0-based permutation
+            per marginal after the first.
+        diagonal_value: total cost of the identity assignment.
+        checked: number of permutation tuples evaluated.
+    """
+
+    value: float
+    sigmas: tuple[tuple[int, ...], ...]
+    diagonal_value: float
+    checked: int
+
+    def diagonal_attains(self, tol: float = DEFAULT_TOL) -> bool:
+        return self.value <= self.diagonal_value + tol
+
+
+def brute_force_optimal_coupling(
+    marginal_lists: Sequence[Sequence[float | Sequence[float]]],
+    spec: CostSpec,
+    budget: int = COUPLING_BUDGET,
+) -> OptimalCoupling:
+    """Maximise the assignment cost by plain enumeration.
+
+    Takes N columns of n marginal points and evaluates every way of
+    permuting columns 2..N against the first, each through spec.total.
+    Serves as the independent oracle for the monotonicity verifiers: the
+    diagonal attains the maximum exactly when the diagonal set is
+    n-c-monotone.
+    """
+    nmarg = spec.n_marginals
+    if len(marginal_lists) != nmarg:
+        raise DimensionMismatch("need one column of points per marginal")
+    cols = [tuple(as_vec(x) for x in col) for col in marginal_lists]
+    n = len(cols[0])
+    if n == 0 or any(len(col) != n for col in cols):
+        raise InputValidationError("marginal columns must share one nonzero length")
+    total_tuples = math.factorial(n) ** (nmarg - 1)
+    if total_tuples > budget:
+        raise BudgetExceeded(
+            f"{total_tuples} permutation tuples exceed the budget of {budget}"
+        )
+    best = -math.inf
+    best_sigmas: tuple[tuple[int, ...], ...] | None = None
+    diagonal_value = 0.0
+    checked = 0
+    for sigmas in itertools.product(itertools.permutations(range(n)), repeat=nmarg - 1):
+        value = 0.0
+        for j in range(n):
+            point = (cols[0][j],) + tuple(
+                cols[k][sigmas[k - 1][j]] for k in range(1, nmarg)
+            )
+            value += spec.total(point)
+        if checked == 0:
+            diagonal_value = value
+        checked += 1
+        if value > best:
+            best = value
+            best_sigmas = sigmas
+    assert best_sigmas is not None
+    return OptimalCoupling(best, best_sigmas, diagonal_value, checked)

@@ -13,7 +13,7 @@ import pytest
 import monosplit
 from monosplit.antiderivative import Potential
 from monosplit.cli import main
-from monosplit.core import classical_cost, gamma_1d, loads_json
+from monosplit.core import GammaSet, classical_cost, gamma_1d, loads_json
 from monosplit.splitting import SplittingTuple, certify_splitting
 
 DIAGONAL_DOC = gamma_1d([[t, t, t] for t in (-1.0, 0.0, 1.0)]).to_json()
@@ -43,6 +43,25 @@ def _run(capsys, argv):
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
+
+
+# A 2-D, N = 3 set whose projections (1, 3) and (2, 3) have positive cycles
+# and which fails order 2 at the pair (0, 3) by swapping marginal 3.
+FAILING_2D_POINTS = [
+    [[-1.17, 0.52], [-0.87, 0.62], [-0.57, 0.32]],
+    [[-0.81, 0.97], [-0.51, 1.07], [-0.21, 0.77]],
+    [[-0.5, -1.64], [-0.2, -1.54], [0.1, -1.84]],
+    [[0.64, 1.73], [0.94, 1.83], [-1.53, -1.24]],
+    [[0.89, -1.13], [1.19, -1.03], [1.49, -1.33]],
+]
+
+
+def test_verify_failing_2d_report_is_pinned(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("gamma.json").write_text(json.dumps(GammaSet.from_points(FAILING_2D_POINTS).to_json()))
+    code, out, _ = _run(capsys, ["verify", "gamma.json", "--cost", "c3", "--brute", "3"])
+    assert code == 1
+    assert out == (Path(__file__).parent / "data" / "verify_failing_2d.json").read_text()
 
 
 def test_verify_monotone_set(capsys, gamma_file):

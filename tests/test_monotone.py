@@ -2,19 +2,26 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from helpers import (
+    COARSE_GRID,
+    brute_force_optimal_coupling,
     bruteforce_cycle_gain,
     coupling_oracle_holds,
     make_comonotone_gamma,
     make_random_gamma,
     make_random_pairs,
+    pair_monotone_classical_loop,
+    sign_criterion_loop,
 )
+from monosplit import monotone
 from monosplit.core import (
+    CostSpec,
     GammaSet,
     PairwiseCost,
     classical_cost,
@@ -22,7 +29,6 @@ from monosplit.core import (
 )
 from monosplit.errors import OrderTooLarge
 from monosplit.monotone import (
-    brute_force_optimal_coupling,
     check_projection_condition,
     is_c_monotone,
     is_n_c_monotone_bruteforce,
@@ -127,6 +133,121 @@ def test_is_c_monotone_matches_coupling_oracle(rng):
                 assert permuted == pytest.approx(verdict.witness.permuted_sum, abs=1e-9)
                 assert diagonal == pytest.approx(verdict.witness.diagonal_sum, abs=1e-9)
                 assert permuted > diagonal + verdict.tolerance
+
+
+def _json(verdict) -> str:
+    # json.dumps tells -0.0 from 0.0, which == on the dicts does not.
+    return json.dumps(verdict.to_json())
+
+
+def _grid_rows(rng, shape):
+    """Coarse-grid coordinates with random signs, so 0.0 and -0.0 both occur."""
+    return rng.choice(COARSE_GRID, size=shape) * rng.choice((-1.0, 1.0), size=shape)
+
+
+def _mixed_costs(rng) -> list[CostSpec]:
+    """Cost files with linear, quadratic and empty shifts and bilinear,
+    tabulated and negated pairs; the tabulated one needs coarse-grid points."""
+    grid = [[v] for v in COARSE_GRID]
+    docs = [
+        {
+            "dims": [1, 1, 1],
+            "pairs": {
+                "1,2": {"kind": "bilinear", "matrix": [[1.5]]},
+                "1,3": {"kind": "tabulated", "grid_x": grid, "grid_y": grid,
+                        "table": rng.normal(size=(9, 9)).tolist()},
+                "2,3": {"kind": "half_sq_dist", "sign": -1},
+            },
+            "shift": [[], [{"form": "linear", "vector": [0.7], "constant": 0.25}],
+                      [{"form": "quadratic", "matrix": [[2.0]]}]],
+        },
+        {
+            "dims": [2, 2, 2],
+            "pairs": {
+                "1,2": {"kind": "bilinear", "matrix": [[2.0, 0.5], [-0.25, 1.0]]},
+                "1,3": {"kind": "inner_product", "sign": -1},
+                "2,3": {"kind": "half_sq_dist"},
+            },
+            "shift": [[{"form": "quadratic", "matrix": [[1.0, 0.3], [0.3, 2.0]]}], [],
+                      [{"form": "linear", "vector": [-0.5, 1.25], "constant": 0.0}]],
+        },
+    ]
+    return [CostSpec.from_json(doc) for doc in docs]
+
+
+def _order_two_corpus(rng):
+    """(set, cost) pairs: N = 2..5, d = 1, 2; comonotone, coarse-grid and
+    Gaussian points; c1, c2, c3 and, for N = 3, the mixed cost files."""
+    mixed = {spec.dims[0]: spec for spec in _mixed_costs(rng)}
+    for nmarg in (2, 3, 4, 5):
+        for dim in (1, 2):
+            for size in (1, 3, 6):
+                shape = (size, nmarg, dim)
+                for rows in (np.cumsum(rng.uniform(0.0, 1.0, shape), axis=0),
+                             _grid_rows(rng, shape), rng.normal(size=shape)):
+                    g = GammaSet.from_points(rows.tolist())
+                    for which in ("c1", "c2", "c3"):
+                        yield g, classical_cost(which, nmarg, dim)
+                    if nmarg == 3:
+                        yield GammaSet.from_points(_grid_rows(rng, shape).tolist()), mixed[dim]
+
+
+def test_is_c_monotone_equals_the_order_two_enumerator(rng):
+    outcomes = set()
+    for g, spec in _order_two_corpus(rng):
+        for tol in (1e-9, 0.0, 0.5):
+            fast = is_c_monotone(g, spec, tol=tol)
+            assert _json(fast) == _json(is_n_c_monotone_bruteforce(g, spec, 2, tol, math.inf))
+            outcomes.add((g.n_marginals, fast.holds))
+    assert outcomes == {(n, h) for n in (2, 3, 4, 5) for h in (True, False)}
+
+
+def test_pair_scans_agree_across_row_blocks(rng, monkeypatch):
+    # One-row blocks: a violation past the first row is found in a later block.
+    monkeypatch.setattr(monotone, "PAIR_BLOCK_CELLS", 1)
+    specs = [_mixed_costs(rng)[1], classical_cost("c3", 3, 2)]
+    late = 0
+    for _ in range(6):
+        # Comonotone but for marginal 3 of points 8 and 9, swapped.
+        rows = np.cumsum(rng.uniform(0.0, 1.0, (12, 3, 2)), axis=0)
+        rows[[8, 9], 2] = rows[[9, 8], 2]
+        for g in map(GammaSet.from_points, (rows.tolist(), _grid_rows(rng, (12, 3, 2)).tolist())):
+            for spec in specs:
+                fast = is_c_monotone(g, spec)
+                slow = is_n_c_monotone_bruteforce(g, spec, 2, budget=math.inf)
+                assert _json(fast) == _json(slow)
+                late += fast.witness is not None and fast.witness.points[0] != g.points[0]
+        g1 = gamma_1d(_grid_rows(rng, (12, 4)).tolist())
+        assert _json(sign_criterion_1d(g1)) == _json(sign_criterion_loop(g1))
+        pairs = [(x, y) for x, y in zip(_grid_rows(rng, (12, 2)), _grid_rows(rng, (12, 2)))]
+        fast = is_pair_monotone_classical(pairs)
+        assert _json(fast) == _json(pair_monotone_classical_loop(pairs))
+    assert late
+
+
+def test_sign_tests_equal_their_reference_loops(rng):
+    # Grid points with tol 0.5 or 0.25 make ties (differences equal to tol);
+    # Gaussian ones make sums that round differently in another order.
+    draws = (_grid_rows,) * 2 + (lambda r, shape: r.normal(size=shape),) * 6
+    outcomes = set()
+    for nmarg in (2, 3, 4, 5):
+        for size in (1, 2, 5, 9):
+            for draw in draws:
+                g = gamma_1d(draw(rng, (size, nmarg)).tolist())
+                for tol in (1e-9, 0.0, 0.5):
+                    fast = sign_criterion_1d(g, tol=tol)
+                    assert _json(fast) == _json(sign_criterion_loop(g, tol=tol))
+                    outcomes.add(("signs", fast.holds))
+    for dim in (1, 2, 3):
+        for size in (1, 2, 5, 9):
+            for draw in draws:
+                pairs = [(x, y) for x, y in zip(draw(rng, (size, dim)).tolist(),
+                                                draw(rng, (size, dim)).tolist())]
+                for tol in (1e-12, 0.0, 0.25):
+                    fast = is_pair_monotone_classical(pairs, tol=tol)
+                    assert _json(fast) == _json(pair_monotone_classical_loop(pairs, tol=tol))
+                    outcomes.add(("pairs", fast.holds))
+    assert outcomes == {(k, h) for k in ("signs", "pairs") for h in (True, False)}
 
 
 def test_cycle_scan_matches_exhaustive_cycles(rng):

@@ -285,6 +285,19 @@ def test_one_scan_per_antiderivative_and_one_antiderivative_per_projection(monke
     assert calls["rockafellar"] == 3  # one per projection (1,2), (1,3), (2,3)
 
 
+def test_battery_stops_testing_projections_once_their_item_fails(monkeypatch):
+    calls = []
+    for name in ("is_two_marginal_cyclically_monotone", "is_pair_monotone_classical"):
+        def counted(*args, _fn=getattr(onedim, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(onedim, name, counted)
+    # Projection (1, 2) is antitone, so items (iii) and (iv) fail on it.
+    report = characterize_1d(gamma_1d([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]]), n_max=2)
+    assert not any(report.items())
+    assert calls == ["is_two_marginal_cyclically_monotone", "is_pair_monotone_classical"]
+
+
 def test_battery_input_validation():
     flat = GammaSet.from_points([[(0.0, 0.0), (0.0, 0.0)]])
     with pytest.raises(NotOneDimensional):

@@ -8,8 +8,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import make_comonotone_gamma, scalar_certificate
-from monosplit.core import GammaSet, QuadraticForm, classical_cost, gamma_1d
+from helpers import (
+    make_comonotone_gamma,
+    scalar_certificate,
+    splitting_implies_monotone_check,
+)
+from monosplit.core import GammaSet, QuadraticForm, as_point, classical_cost, gamma_1d
 from monosplit.errors import (
     BasePointNotInGamma,
     BudgetExceeded,
@@ -27,7 +31,6 @@ from monosplit.splitting import (
     check_exactness_condition,
     sample_test_points,
     shift_splitting_tuple,
-    splitting_implies_monotone_check,
 )
 
 C1 = classical_cost("c1", 3, 1)
@@ -145,6 +148,27 @@ def test_misshapen_test_point_is_rejected_not_vacuous():
     for bad in (((0.0, 5.0), (0.0,), (0.0,)), ((0.0,), (0.0,))):
         with pytest.raises(DimensionMismatch):
             certify_splitting(tup, DIAGONAL, C1, test_points=CUBE + [bad])
+
+
+def test_test_points_fail_with_the_one_point_checks_errors():
+    tup = assemble_splitting_tuple(DIAGONAL, C1)
+    for bad in (((0.0, 5.0), (0.0,), (0.0,)), ((0.0,), (0.0,), (0.0,), (0.0,)),
+                ((0.0,), (1.0, 2.0), 0.0), ((math.nan,), (0.0,), (0.0,)),
+                (0.0, -math.inf, 1.0), ((0.0,), (0.0,), (1.0, math.inf))):
+        with pytest.raises(InputValidationError) as expected:
+            C1.validate_point(as_point(bad))
+        with pytest.raises(InputValidationError) as got:
+            certify_splitting(tup, DIAGONAL, C1, test_points=CUBE + [bad])
+        assert type(got.value) is type(expected.value)
+
+
+def test_scalar_marginals_are_accepted_as_test_points():
+    tup = assemble_splitting_tuple(DIAGONAL, C1)
+    scalars = [tuple(x[0] for x in p) for p in CUBE]
+    want = certify_splitting(tup, DIAGONAL, C1, test_points=CUBE)
+    for pts in (scalars, scalars[:13] + CUBE[13:], np.array(scalars)):
+        assert certify_splitting(tup, DIAGONAL, C1, test_points=pts) == want
+    assert certify_splitting(tup, DIAGONAL, C1, test_points=[]).n_test_points == 0
 
 
 def _assert_matches_scalar_loop(cert, tup, g, spec, pts):
