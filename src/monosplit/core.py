@@ -61,22 +61,6 @@ def as_point(parts: Sequence[float | Sequence[float]]) -> Point:
     return tuple(as_vec(p) for p in parts)
 
 
-def vec_add(x: Vec, y: Vec) -> Vec:
-    if len(x) != len(y):
-        raise DimensionMismatch(f"cannot add vectors of length {len(x)} and {len(y)}")
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def vec_scale(s: float, x: Vec) -> Vec:
-    return tuple(s * a for a in x)
-
-
-def point_add(p: Point, q: Point) -> Point:
-    if len(p) != len(q):
-        raise DimensionMismatch("points have different numbers of marginals")
-    return tuple(vec_add(a, b) for a, b in zip(p, q))
-
-
 def _dot(x: Vec, y: Vec) -> float:
     return sum(a * b for a, b in zip(x, y))
 
@@ -200,7 +184,7 @@ class LinearForm(ClosedForm):
         return _dot(self.vector, x) + self.constant
 
     def negated(self) -> "LinearForm":
-        return LinearForm(vec_scale(-1.0, self.vector), -self.constant)
+        return LinearForm(-np.array(self.vector), -self.constant)
 
     def to_json(self) -> dict:
         return {"form": "linear", "vector": list(self.vector), "constant": self.constant}
@@ -732,7 +716,11 @@ class GammaSet:
 
     def translated(self, z: Sequence[float | Sequence[float]] | Point) -> "GammaSet":
         zp = as_point(z)
-        return GammaSet(self.dims, tuple(point_add(p, zp) for p in self.points))
+        dims = tuple(map(len, zp))
+        if dims != self.dims:
+            raise DimensionMismatch(f"cannot translate a set of dims {self.dims} by dims {dims}")
+        moved = marginal_blocks(self.coords + np.concatenate(zp), self.dims)
+        return GammaSet(self.dims, tuple(zip(*(map(tuple, b.tolist()) for b in moved))))
 
     def to_json(self) -> dict:
         return {

@@ -21,7 +21,8 @@ positive-gain cycle in the digraph on pairs with edge weight
 
     w(p -> q) = c(x_q, y_p) - c(x_p, y_p),
 
-which this module detects by Bellman-Ford relaxation on negated weights.
+which this module detects by Bellman-Ford relaxation on negated weights,
+or, for co-ordered scalar pairs (Carlier 2003), by a sort and prefix sums.
 The same scan, seeded at the pairs over a base point, powers the
 Rockafellar construction in :mod:`monosplit.antiderivative`: one pass gives
 both the chain values and properness, which fails exactly when a positive
@@ -48,6 +49,7 @@ from .core import (
     PairwiseCost,
     Point,
     Vec,
+    _rows,
     classical_cost,
     dedup_pairs,
     marginal_blocks,
@@ -159,35 +161,57 @@ class GainScan:
     """Result of scanning the two-marginal gain digraph.
 
     Attributes:
-        longest: best chain gain into each vertex (from the pairs in
-            source_mask, or from anywhere when source_mask is None).
+        longest: best chain gain into each vertex from the pairs in
+            source_mask; None for an unseeded scan.
         cycle: vertex indices of a positive cycle, lowest index first, or
             None when every cycle gain is within tolerance.
         cycle_gain: net gain of that cycle (0.0 when cycle is None).
     """
 
-    longest: np.ndarray
+    longest: np.ndarray | None
     cycle: tuple[int, ...] | None
     cycle_gain: float
 
 
-def scan_gain_digraph(
-    xs: Sequence[Vec],
-    ys: Sequence[Vec],
-    cost: PairwiseCost,
-    tol: float = DEFAULT_TOL,
-    source_mask: Sequence[bool] | None = None,
-) -> GainScan:
-    """Longest chain gains and positive-cycle detection in one pass.
+def _sorted_scan(x: np.ndarray, y: np.ndarray, cost: PairwiseCost, source_mask) -> GainScan | None:
+    """scan_gain_digraph's sorted path on (m, d) arrays, or None when it does
+    not apply.  The corner bound covers every cost: rounding is monotone."""
+    if cost.kind == "bilinear":  # s: the sign of the constant mixed partial, or 0
+        s = cost.sign * int(np.sign(cost.coef[0][0])) if np.shape(cost.coef) == (1, 1) else 0
+    else:
+        s = cost.sign * {"inner_product": 1, "half_sq_dist": -1}.get(cost.kind, 0)
+    if s == 0 or x.shape[1] != 1 or y.shape[1] != 1 or not x.size:
+        return None
+    x, sy = x[:, 0], s * y[:, 0]
+    order = np.lexsort((sy, x))
+    sy = sy[order]
+    if (sy[1:] < sy[:-1]).any():
+        return None
+    x, y = x[order], y[order, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        corners = cost.paired(x[[0, 0, -1, -1]], y[[0, -1, 0, -1]])
+        if not np.isfinite(2.0 * np.abs(corners).max()):
+            return None
+    if source_mask is None:
+        return GainScan(None, None, 0.0)
+    src = np.flatnonzero(np.asarray(source_mask, dtype=bool)[order])
+    if not src.size or x[src[0]] != x[src[-1]]:
+        return None
+    lo, hi = src[0], src[-1]
+    diag = cost.paired(x, y)
+    up = cost.paired(x[hi + 1:], y[hi:-1]) - diag[hi:-1]
+    down = cost.paired(x[:lo], y[1:lo + 1]) - diag[1:lo + 1]
+    # 0.0 minus the prefix sums is relaxation's 0.0 - g1 - g2 ..., signed zeros too.
+    dist = np.zeros(len(x))
+    dist[hi + 1:] = 0.0 - np.cumsum(up)
+    dist[:lo] = (0.0 - np.cumsum(down[::-1]))[::-1]
+    longest = np.empty(len(x))
+    longest[order] = -dist
+    return GainScan(longest, None, 0.0)
 
-    Runs m rounds of Bellman-Ford relaxation on negated gains (m = number of
-    pairs).  An improvement in the final round signals a cycle; candidate
-    vertices are scanned in ascending index, each extracted cycle is rotated
-    to start at its lowest index, and the first one whose recomputed gain
-    exceeds tol is reported.  Cycles with gain within tol are ignored, so
-    the verdict matches the tolerance convention of the verifiers.  A gain
-    that is not finite raises InputValidationError: relaxation would stall.
-    """
+
+def _relaxation_scan(xs, ys, cost: PairwiseCost, tol: float, source_mask) -> GainScan:
+    """m rounds of dense Bellman-Ford relaxation on negated gains."""
     m = len(xs)
     cm = cost.matrix(xs, ys)  # cm[a, b] = c(x_a, y_b)
     gains = cm.T - np.diag(cm)[:, None]  # gains[u, v] = c(x_v, y_u) - c(x_u, y_u)
@@ -239,7 +263,38 @@ def scan_gain_digraph(
                 cycle = cyc
                 cycle_gain = gain
                 break
-    return GainScan(longest=-dist, cycle=cycle, cycle_gain=cycle_gain)
+    longest = None if source_mask is None else -dist
+    return GainScan(longest=longest, cycle=cycle, cycle_gain=cycle_gain)
+
+
+def scan_gain_digraph(
+    xs: Sequence[Vec],
+    ys: Sequence[Vec],
+    cost: PairwiseCost,
+    tol: float = DEFAULT_TOL,
+    source_mask: Sequence[bool] | None = None,
+) -> GainScan:
+    """Longest chain gains and positive-cycle detection in one pass.
+
+    Scalar pairs under a cost with a mixed partial of constant sign s
+    (inner_product, half_sq_dist, 1x1 bilinear with coef != 0) that are
+    co-ordered (sorted by (x, s*y), s*y nondecreasing) and whose gains cannot
+    overflow hold no positive cycle.  For them a seeded scan whose sources
+    share one x sums consecutive gains outward from the sources, in
+    O(m log m) with no m x m array: relaxation's values bit for bit where
+    the arithmetic is exact, within rounding where a tie (equal y) lets
+    relaxation keep another walk.  Every other input runs m rounds of
+    Bellman-Ford relaxation on negated gains (m = number of pairs).  An
+    improvement in the final round signals a cycle; candidate vertices are
+    scanned in ascending index, each extracted cycle is rotated to start at
+    its lowest index, and the first one whose recomputed gain exceeds tol is
+    reported.  Cycles with gain within tol are ignored, so the verdict
+    matches the tolerance convention of the verifiers.  A gain that is not
+    finite raises InputValidationError: relaxation would stall.
+    """
+    x, y = _rows(xs), _rows(ys)
+    scan = _sorted_scan(x, y, cost, source_mask)
+    return scan if scan is not None else _relaxation_scan(x, y, cost, tol, source_mask)
 
 
 def is_two_marginal_cyclically_monotone(
@@ -473,6 +528,8 @@ def is_pair_monotone_classical(
     deduped = dedup_pairs(pairs)
     x = np.array([p[0] for p in deduped])
     y = np.array([p[1] for p in deduped])
+    if x.shape != y.shape:
+        raise DimensionMismatch(f"x of dimension {x.shape[1]} paired with y of {y.shape[1]}")
 
     def negative(rows: slice, cols: slice) -> np.ndarray:
         v = 0.0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -80,6 +81,9 @@ def test_linear_form():
     f = LinearForm((2.0, -1.0), constant=0.5)
     assert f.value((1.0, 1.0)) == 1.5
     assert f.negated().value((1.0, 1.0)) == -1.5
+    assert json.dumps(LinearForm((0.0, 1.5), -0.0).negated().to_json()) == (
+        '{"form": "linear", "vector": [-0.0, -1.5], "constant": 0.0}'
+    )
 
 
 def test_even_power_form_is_even():
@@ -217,6 +221,13 @@ def test_gamma_translation():
     g = gamma_1d([[0.0, 1.0], [1.0, 2.0]])
     t = g.translated([10.0, -1.0])
     assert t.points == (((10.0,), (0.0,)), ((11.0,), (1.0,)))
+    # -0.0 + -0.0 stays -0.0 in the report; a shift of other dims is refused.
+    zero = GammaSet.from_points([[-0.0, [-0.0, 1.0]]]).translated([-0.0, [-0.0, 0.0]])
+    assert json.dumps(zero.to_json()["points"]) == "[[[-0.0], [-0.0, 1.0]]]"
+    with pytest.raises(DimensionMismatch):
+        g.translated([1.0, [1.0, 2.0]])
+    with pytest.raises(DimensionMismatch):
+        g.translated([1.0, 2.0, 3.0])
 
 
 def test_gamma_json_round_trip():

@@ -27,7 +27,7 @@ from monosplit.core import (
     classical_cost,
     gamma_1d,
 )
-from monosplit.errors import OrderTooLarge
+from monosplit.errors import DimensionMismatch, OrderTooLarge
 from monosplit.monotone import (
     check_projection_condition,
     is_c_monotone,
@@ -280,6 +280,14 @@ def test_pair_monotone_classical_witness_value():
     assert not verdict.holds
     assert verdict.witness.value == -1.0
     assert is_pair_monotone_classical([((0.0,), (0.0,)), ((1.0,), (2.0,))]).holds
+
+
+def test_pair_monotone_classical_rejects_mismatched_dimensions():
+    # zip would pair x's first coordinate with y's only one and drop the rest.
+    for pairs in ([((0.0, 1.0), (0.0,)), ((1.0, 0.0), (1.0,))],
+                  [((0.0,), (0.0, 1.0)), ((1.0,), (1.0, 0.0))]):
+        with pytest.raises(DimensionMismatch):
+            is_pair_monotone_classical(pairs)
 
 
 def test_sign_criterion_matches_bruteforce(rng):
