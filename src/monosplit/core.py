@@ -308,6 +308,9 @@ class PairwiseCost:
     _iy: Mapping[Vec, int] = field(
         init=False, repr=False, compare=False, default=None  # type: ignore[assignment]
     )
+    _tab: np.ndarray = field(
+        init=False, repr=False, compare=False, default=None  # type: ignore[assignment]
+    )
 
     def __post_init__(self):
         if self.kind not in PAIRWISE_KINDS:
@@ -335,6 +338,7 @@ class PairwiseCost:
             object.__setattr__(self, "table", tab)
             object.__setattr__(self, "_ix", {v: i for i, v in enumerate(gx)})
             object.__setattr__(self, "_iy", {v: i for i, v in enumerate(gy)})
+            object.__setattr__(self, "_tab", np.array(tab).reshape(len(gx), len(gy)))
 
     @classmethod
     def inner_product(cls, sign: int = 1) -> "PairwiseCost":
@@ -406,7 +410,7 @@ class PairwiseCost:
         x, y = _rows(xs), _rows(ys)
         if self.kind == "tabulated":
             ix, iy = np.ix_(self._grid_index(x, "x"), self._grid_index(y, "y"))
-            return self.sign * np.asarray(self.table)[ix, iy]
+            return self.sign * self._tab[ix, iy]
         return self._couple(x.T[:, :, None], y.T[:, None, :])
 
     def paired(self, xs, ys) -> np.ndarray:
@@ -414,7 +418,7 @@ class PairwiseCost:
         x, y = _rows(xs), _rows(ys)
         if self.kind == "tabulated":
             ix, iy = self._grid_index(x, "x"), self._grid_index(y, "y")
-            return self.sign * np.asarray(self.table)[ix, iy]
+            return self.sign * self._tab[ix, iy]
         return self._couple(x.T, y.T)
 
     def negated(self) -> "PairwiseCost":
@@ -612,11 +616,6 @@ def classical_cost(which: str, n_marginals: int, dim: int) -> CostSpec:
         q = QuadraticForm.identity(dim)
         shift = tuple((q,) for _ in range(n_marginals))
     return CostSpec(dims, pairs, shift)
-
-
-def eval_total_cost(spec: CostSpec, p: Sequence[float | Sequence[float]] | Point) -> float:
-    """Total cost at a product point, pairwise couplings plus shifts."""
-    return spec.total(as_point(p))
 
 
 def add_separable_shift(

@@ -10,11 +10,14 @@ Fixing s_1 to the identity loses no generality (relabel j by s_1^{-1}), and
 enumerating multisets instead of ordered tuples loses none either, so the
 brute-force verifier walks multisets in lexicographic index order and
 permutation tuples in lexicographic order, reporting the first violation it
-meets.  It handles any number N of marginals.  c-monotone means
-2-c-monotone: :func:`is_c_monotone` computes order 2 as array sums over the
-masks of marginals to swap between two points, in row blocks of point
-pairs, and equals the enumerator's verdict, witness and count bit for bit.
-The 1-D sign criterion and the classical pair test scan pairs the same way.
+meets.  It takes the multisets in blocks that grow geometrically, and sums
+the costs of every permutation tuple of a block as one array.  It handles
+any number N of marginals.  c-monotone means 2-c-monotone:
+:func:`is_c_monotone` computes order 2 as array sums over the masks of
+marginals to swap between two points, in row blocks of point pairs whose
+pair-cost entries each block evaluates for itself, and equals the
+enumerator's verdict, witness and count bit for bit.  The 1-D sign
+criterion and the classical pair test scan pairs the same way.
 
 For two marginals, cyclic monotonicity is equivalent to the absence of a
 positive-gain cycle in the digraph on pairs with edge weight
@@ -351,12 +354,8 @@ def _check_gamma_against_spec(g: GammaSet, spec: CostSpec) -> None:
 
 
 def _full_pair_matrices(g: GammaSet, spec: CostSpec) -> dict[tuple[int, int], np.ndarray]:
-    mats = {}
-    for (i, j), cost in spec.pairs.items():
-        xs = [p[i - 1] for p in g.points]
-        ys = [p[j - 1] for p in g.points]
-        mats[(i, j)] = cost.matrix(xs, ys)
-    return mats
+    blocks = marginal_blocks(g.coords, g.dims)
+    return {(i, j): cost.matrix(blocks[i - 1], blocks[j - 1]) for (i, j), cost in spec.pairs.items()}
 
 
 def is_n_c_monotone_bruteforce(
@@ -370,11 +369,17 @@ def is_n_c_monotone_bruteforce(
 
     Walks every size-n multiset of points (repetition allowed; a tuple may
     use the same point twice) and every permutation tuple with the first
-    marginal fixed to the identity.  Cost sums are assembled from
-    precomputed pairwise matrices into one array with an axis per marginal
-    2..N, which caches evaluations but enumerates every comparison exactly.
-    The first violation in (multiset, permutation) lexicographic order
-    becomes the witness.  Any number of marginals is supported.
+    marginal fixed to the identity.  Multisets come in blocks of b, as a
+    (b, n) index array whose cost sums are gathered from precomputed
+    pairwise matrices into one array with an axis for the multiset and one
+    per marginal 2..N; this caches evaluations but enumerates every
+    comparison exactly.  Blocks start at two multisets (the first, one
+    point n times, cannot violate) and double up to PAIR_BLOCK_CELLS / 32
+    gathered cells, so an early violation costs one small block.  Each term
+    sums over a trailing axis of length n, as it would for one multiset
+    alone, so no sum depends on the block size.  The first violation in
+    (multiset, permutation) lexicographic order becomes the witness.  Any
+    number of marginals is supported.
 
     Raises OrderTooLarge when n > 7, or when multisets * permutation tuples
     would exceed the budget.
@@ -399,43 +404,58 @@ def is_n_c_monotone_bruteforce(
         for i, x in enumerate(marginal_blocks(g.coords, g.dims), start=1)
     ]
     perms = _perm_array(n)
-    rows = np.arange(n)
-    # Axis k of the sum array indexes the permutation of marginal k + 2; a
-    # pair's term broadcasts along the axes of its permuted marginals.
+    # Axis 0 of a block's sum array indexes its multisets, axis k + 1 the
+    # permutation of marginal k + 2; a pair's term broadcasts along the axes
+    # of its permuted marginals.
     ndim = nmarg - 1
     layout = [
-        (i, j, tuple(len(perms) if k + 2 in (i, j) else 1 for k in range(ndim)))
+        (i, j, (-1,) + tuple(len(perms) if k + 2 in (i, j) else 1 for k in range(ndim)))
         for i, j in sorted(mats)
     ]
+    # Column a * n + b of a block's flattened pair submatrices holds
+    # M_ij[idx[a], idx[b]].  Pair (1, j) meets row k with column perms[p, k];
+    # pair (i, j), i > 1, meets row perms[p, k] with column perms[q, k].
+    fixed_first = np.arange(n) * n + perms
+    both_moved = perms[:, None, :] * n + perms[None, :, :]
+    # A gathered term has at most per_multiset * n cells a multiset; capping
+    # it at PAIR_BLOCK_CELLS / 32 keeps a block's arrays near half a megabyte.
+    cap = max(1, PAIR_BLOCK_CELLS // (32 * per_multiset * n))
+    stream = itertools.combinations_with_replacement(range(g.size), n)
     checked = 0
-
-    for combo in itertools.combinations_with_replacement(range(g.size), n):
-        idx = np.array(combo)
-        vals = np.full((len(perms),) * ndim, float(shifts[0][idx].sum()))
+    size = min(2, cap)
+    while combos := list(itertools.islice(stream, size)):
+        idx = np.array(combos)
+        vals = np.empty((len(combos),) + (len(perms),) * ndim)
+        vals[...] = shifts[0][idx].sum(axis=-1).reshape((-1,) + (1,) * ndim)
         for i, j, shape in layout:
-            sub = mats[(i, j)][np.ix_(idx, idx)]
+            sub = mats[(i, j)][idx[:, :, None], idx[:, None, :]].reshape(len(combos), n * n)
             if i == 1:
                 # pair (1, j) plus the shift of marginal j
-                term = sub[rows, perms].sum(axis=1) + shifts[j - 1][idx][perms].sum(axis=1)
+                term = (sub.take(fixed_first, axis=1).sum(axis=-1)
+                        + shifts[j - 1][idx].take(perms, axis=1).sum(axis=-1))
             else:
-                term = sub[perms[:, None, :], perms[None, :, :]].sum(axis=2)
+                term = sub.take(both_moved, axis=1).sum(axis=-1)
             vals += term.reshape(shape)
-        diagonal = float(vals[(0,) * ndim])
-        checked += per_multiset
-        viol = vals > diagonal + tol
-        if viol.any():
-            first = np.argwhere(viol)[0]
-            sigmas = (tuple(range(n)),) + tuple(
-                tuple(int(v) for v in perms[pi]) for pi in first
-            )
-            witness = Witness(
-                kind="permutation",
-                points=tuple(g.points[a] for a in combo),
-                permutations=sigmas,
-                permuted_sum=float(vals[tuple(first)]),
-                diagonal_sum=diagonal,
-            )
-            return MonotonicityVerdict(False, witness, checked, tol)
+        flat = vals.reshape(len(combos), -1)
+        viol = flat > flat[:, :1] + tol
+        hit = viol.any(axis=1)
+        t = int(hit.argmax())
+        if not hit[t]:
+            checked += len(combos) * per_multiset
+            size = min(2 * size, cap)
+            continue
+        first = int(viol[t].argmax())
+        sigmas = (tuple(range(n)),) + tuple(
+            tuple(int(v) for v in perms[pi]) for pi in np.unravel_index(first, vals.shape[1:])
+        )
+        witness = Witness(
+            kind="permutation",
+            points=tuple(g.points[a] for a in combos[t]),
+            permutations=sigmas,
+            permuted_sum=float(flat[t, first]),
+            diagonal_sum=float(flat[t, 0]),
+        )
+        return MonotonicityVerdict(False, witness, checked + (t + 1) * per_multiset, tol)
     return MonotonicityVerdict(True, None, checked, tol)
 
 
@@ -472,9 +492,9 @@ def is_c_monotone(g: GammaSet, spec: CostSpec, tol: float = DEFAULT_TOL) -> Mono
     and count equal the enumerator's bit for bit.
     """
     _check_gamma_against_spec(g, spec)
-    mats = sorted(_full_pair_matrices(g, spec).items())
-    diags = [np.diagonal(mat) for _, mat in mats]
     blocks = marginal_blocks(g.coords, g.dims)
+    pairs = sorted(spec.pairs.items())
+    diags = [cost.paired(blocks[i - 1], blocks[j - 1]) for (i, j), cost in pairs]
     shifts = [spec.shift_values(i, x) for i, x in enumerate(blocks, start=1)]
     # Entry i of a mask: whether marginal i + 1 moves; marginal 1 never does.
     masks = [(False, *s) for s in itertools.product((False, True), repeat=g.n_marginals - 1)]
@@ -482,11 +502,18 @@ def is_c_monotone(g: GammaSet, spec: CostSpec, tol: float = DEFAULT_TOL) -> Mono
     def swap_sums(rows: slice, cols: slice) -> np.ndarray:
         h = [v[rows, None] + v[None, cols] for v in shifts]
         same = [d[rows, None] + d[None, cols] for d in diags]
-        cross = [mat[rows, cols] + mat[cols, rows].T for _, mat in mats]
+        cross = []
+        for (i, j), cost in pairs:
+            # M_ij[rows, cols] and M_ij[cols, rows], evaluated for this block
+            # only, entry by entry as in the full matrix; one block of all
+            # rows needs the one matrix.
+            mat = cost.matrix(blocks[i - 1][rows], blocks[j - 1][cols])
+            back = mat if rows == cols else cost.matrix(blocks[i - 1][cols], blocks[j - 1][rows])
+            cross.append(mat + back.T)
         out = np.empty((len(masks),) + h[0].shape)
         for s, mask in enumerate(masks):
             vals = h[0]
-            for k, ((i, j), _) in enumerate(mats):
+            for k, ((i, j), _) in enumerate(pairs):
                 term = same[k] if mask[i - 1] == mask[j - 1] else cross[k]
                 vals = vals + (term + h[j - 1] if i == 1 else term)
             out[s] = vals
@@ -496,7 +523,7 @@ def is_c_monotone(g: GammaSet, spec: CostSpec, tol: float = DEFAULT_TOL) -> Mono
         vals = swap_sums(rows, cols)
         return (vals > vals[0] + tol).any(axis=0)
 
-    slabs = len(shifts) + 2 * len(mats) + 2 * len(masks)
+    slabs = len(shifts) + 2 * len(pairs) + 2 * len(masks)
     pair, n_pairs = _scan_pairs(g.size, slabs, False, violated)
     checked = n_pairs * len(masks)
     if pair is None:

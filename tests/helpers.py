@@ -4,7 +4,8 @@ Oracles here deliberately avoid the library's own algorithms: the chain
 enumerator walks every simple chain explicitly, the coupling oracle
 enumerates assignments without any library verifier, the scalar
 certificate loops over points with the one-point evaluators, the pair and
-sign loops visit one pair of points at a time with Python sums, and the
+sign loops visit one pair of points at a time with Python sums, the
+brute-force loop one multiset at a time, and the
 generators build monotone structure by construction rather than by
 checking it.
 """
@@ -26,6 +27,7 @@ from monosplit.core import (
     as_vec,
     classical_cost,
     dedup_pairs,
+    marginal_blocks,
 )
 from monosplit.errors import (
     BudgetExceeded,
@@ -33,11 +35,16 @@ from monosplit.errors import (
     InputValidationError,
     InternalInconsistency,
     NotOneDimensional,
+    OrderTooLarge,
 )
 from monosplit.monotone import (
+    BRUTE_FORCE_BUDGET,
     DEFAULT_TOL,
     MonotonicityVerdict,
     Witness,
+    _check_gamma_against_spec,
+    _full_pair_matrices,
+    _perm_array,
     is_n_c_monotone_bruteforce,
 )
 from monosplit.splitting import SplittingTuple
@@ -254,6 +261,77 @@ def sign_criterion_loop(g: GammaSet, tol: float = DEFAULT_TOL) -> MonotonicityVe
                     value=pos * neg,
                 )
                 return MonotonicityVerdict(False, witness, checked, tol)
+    return MonotonicityVerdict(True, None, checked, tol)
+
+
+def bruteforce_loop(
+    g: GammaSet,
+    spec: CostSpec,
+    n: int,
+    tol: float = DEFAULT_TOL,
+    budget: float = BRUTE_FORCE_BUDGET,
+) -> MonotonicityVerdict:
+    """Reference for is_n_c_monotone_bruteforce: one multiset per Python
+    iteration, its sums assembled from the pair matrices into one array with
+    an axis per marginal 2..N; the first violation in (multiset,
+    permutation) lexicographic order becomes the witness."""
+    _check_gamma_against_spec(g, spec)
+    if n < 1:
+        raise InputValidationError("order n must be at least 1")
+    if n > 7:
+        raise OrderTooLarge(f"order {n} is beyond the factorial guard of 7")
+    nmarg = g.n_marginals
+    n_multisets = math.comb(g.size + n - 1, n)
+    per_multiset = math.factorial(n) ** (nmarg - 1)
+    if n_multisets * per_multiset > budget:
+        raise OrderTooLarge(
+            f"{n_multisets} multisets x {per_multiset} permutation tuples "
+            f"exceeds the budget of {budget}"
+        )
+
+    mats = _full_pair_matrices(g, spec)
+    shifts = [
+        spec.shift_values(i, x)
+        for i, x in enumerate(marginal_blocks(g.coords, g.dims), start=1)
+    ]
+    perms = _perm_array(n)
+    rows = np.arange(n)
+    # Axis k of the sum array indexes the permutation of marginal k + 2; a
+    # pair's term broadcasts along the axes of its permuted marginals.
+    ndim = nmarg - 1
+    layout = [
+        (i, j, tuple(len(perms) if k + 2 in (i, j) else 1 for k in range(ndim)))
+        for i, j in sorted(mats)
+    ]
+    checked = 0
+
+    for combo in itertools.combinations_with_replacement(range(g.size), n):
+        idx = np.array(combo)
+        vals = np.full((len(perms),) * ndim, float(shifts[0][idx].sum()))
+        for i, j, shape in layout:
+            sub = mats[(i, j)][np.ix_(idx, idx)]
+            if i == 1:
+                # pair (1, j) plus the shift of marginal j
+                term = sub[rows, perms].sum(axis=1) + shifts[j - 1][idx][perms].sum(axis=1)
+            else:
+                term = sub[perms[:, None, :], perms[None, :, :]].sum(axis=2)
+            vals += term.reshape(shape)
+        diagonal = float(vals[(0,) * ndim])
+        checked += per_multiset
+        viol = vals > diagonal + tol
+        if viol.any():
+            first = np.argwhere(viol)[0]
+            sigmas = (tuple(range(n)),) + tuple(
+                tuple(int(v) for v in perms[pi]) for pi in first
+            )
+            witness = Witness(
+                kind="permutation",
+                points=tuple(g.points[a] for a in combo),
+                permutations=sigmas,
+                permuted_sum=float(vals[tuple(first)]),
+                diagonal_sum=diagonal,
+            )
+            return MonotonicityVerdict(False, witness, checked, tol)
     return MonotonicityVerdict(True, None, checked, tol)
 
 

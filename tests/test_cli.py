@@ -18,6 +18,7 @@ from monosplit.splitting import SplittingTuple, certify_splitting
 
 DIAGONAL_DOC = gamma_1d([[t, t, t] for t in (-1.0, 0.0, 1.0)]).to_json()
 ANTITONE_DOC = gamma_1d([[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]).to_json()
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -61,7 +62,31 @@ def test_verify_failing_2d_report_is_pinned(capsys, tmp_path, monkeypatch):
     Path("gamma.json").write_text(json.dumps(GammaSet.from_points(FAILING_2D_POINTS).to_json()))
     code, out, _ = _run(capsys, ["verify", "gamma.json", "--cost", "c3", "--brute", "3"])
     assert code == 1
-    assert out == (Path(__file__).parent / "data" / "verify_failing_2d.json").read_text()
+    assert out == (DATA / "verify_failing_2d.json").read_text()
+
+
+# A 1-D, N = 3 comonotone set but for marginal 3 of its last two points: every
+# order first fails on a multiset holding both, well past the first multiset.
+FAILING_1D_POINTS = [
+    [-1.53, -1.27, -2.11], [-0.97, -0.71, -1.43], [-0.49, 0.07, -0.93],
+    [0.13, 0.29, -0.41], [0.61, 1.03, 1.17], [1.31, 1.57, 0.59],
+]
+
+
+@pytest.mark.parametrize("doc, argv, exit_code, pinned", [
+    # 2-D, N = 3 commuting-SPD set: orders 2 and 3 hold.
+    (json.loads((DATA / "verify_passing_2d_gamma.json").read_text()),
+     ["--cost", "c3", "--brute", "3"], 0, "verify_passing_2d.json"),
+    (gamma_1d(FAILING_1D_POINTS).to_json(),
+     ["--brute", "4", "--sign-criterion"], 1, "verify_failing_1d.json"),
+])
+def test_verify_brute_reports_are_pinned(capsys, tmp_path, monkeypatch, doc, argv,
+                                         exit_code, pinned):
+    monkeypatch.chdir(tmp_path)
+    Path("gamma.json").write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["verify", "gamma.json", *argv])
+    assert (code, err) == (exit_code, "")
+    assert out == (DATA / pinned).read_text()
 
 
 def test_verify_monotone_set(capsys, gamma_file):

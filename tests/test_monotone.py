@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import (
     COARSE_GRID,
     brute_force_optimal_coupling,
     bruteforce_cycle_gain,
+    bruteforce_loop,
     coupling_oracle_holds,
     make_comonotone_gamma,
     make_random_gamma,
@@ -38,6 +43,7 @@ from monosplit.monotone import (
     scan_gain_digraph,
     sign_criterion_1d,
 )
+from monosplit.quadratic import commuting_spd_gamma, random_commuting_spds
 
 INNER = PairwiseCost.inner_product()
 
@@ -198,8 +204,144 @@ def test_is_c_monotone_equals_the_order_two_enumerator(rng):
         for tol in (1e-9, 0.0, 0.5):
             fast = is_c_monotone(g, spec, tol=tol)
             assert _json(fast) == _json(is_n_c_monotone_bruteforce(g, spec, 2, tol, math.inf))
+            assert _json(fast) == _json(bruteforce_loop(g, spec, 2, tol, math.inf))
             outcomes.add((g.n_marginals, fast.holds))
     assert outcomes == {(n, h) for n in (2, 3, 4, 5) for h in (True, False)}
+
+
+ENUMERATOR_WORK = 100_000  # multisets x permutation tuples per Hypothesis example
+GRID_JSON = [[v] for v in COARSE_GRID]
+
+
+def _enumerator_cost(kind: str, nmarg: int, dim: int, rng) -> CostSpec:
+    """c1, c2, c3; c1 or c2 plus linear and quadratic shifts; or, on the
+    coarse grid, bilinear pairs (1, j) and tabulated pairs (i, j), i > 1."""
+    if kind in ("c1", "c2", "c3"):
+        return classical_cost(kind, nmarg, dim)
+    doc = {"dims": [dim] * nmarg, "pairs": {}, "shift": []}
+    for i, j in itertools.combinations(range(1, nmarg + 1), 2):
+        if kind == "shifted":
+            pair = {"kind": ("inner_product", "half_sq_dist")[(i + j) % 2]}
+        elif i == 1:
+            pair = {"kind": "bilinear", "matrix": [[float(rng.normal())]]}
+        else:
+            pair = {"kind": "tabulated", "grid_x": GRID_JSON, "grid_y": GRID_JSON,
+                    "table": rng.normal(size=(9, 9)).tolist()}
+        doc["pairs"][f"{i},{j}"] = pair
+    for _ in range(nmarg):
+        a = rng.normal(size=(dim, dim))
+        doc["shift"].append([
+            {"form": "linear", "vector": rng.normal(size=dim).tolist(),
+             "constant": float(rng.normal())},
+            {"form": "quadratic", "matrix": (a + a.T).tolist()},
+        ][:int(rng.integers(0, 3))])
+    return CostSpec.from_json(doc)
+
+
+@st.composite
+def enumerator_cases(draw):
+    """(set, cost, order): comonotone sets (passing under c1 and c3), the same
+    with marginals of two late points swapped, and coarse-grid sets."""
+    nmarg = draw(st.sampled_from([3, 2, 4, 5]))
+
+    def work(n: int, size: int) -> int:
+        return math.comb(size + n - 1, n) * math.factorial(n) ** (nmarg - 1)
+
+    n = draw(st.sampled_from([o for o in (2, 3, 4, 1) if work(o, 1) <= ENUMERATOR_WORK]))
+    size = draw(st.sampled_from([k for k in range(1, 7) if work(n, k) <= ENUMERATOR_WORK]))
+    kind = draw(st.sampled_from(["c1", "c2", "c3", "shifted", "bilinear+tabulated"]))
+    dim = 1 if kind == "bilinear+tabulated" else draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["comonotone", "swapped", "grid"]))
+    if layout == "grid" or kind == "bilinear+tabulated":
+        rows = _grid_rows(rng, (size, nmarg, dim))
+    else:
+        rows = np.cumsum(rng.normal(size=(size, nmarg, dim)) ** 2, axis=0)
+        if layout == "swapped" and size > 1:
+            k = int(rng.integers(1, nmarg))
+            rows[[-2, -1], k] = rows[[-1, -2], k]
+    g = GammaSet.from_points(rows.tolist())
+    return g, _enumerator_cost(kind, nmarg, dim, rng), n
+
+
+@pytest.mark.parametrize("cells", [monotone.PAIR_BLOCK_CELLS, 1 << 12, 1])
+@given(enumerator_cases(), st.sampled_from([1e-9, 0.0, 0.5]))
+def test_block_enumerator_equals_the_per_multiset_loop(cells, case, tol):
+    g, spec, n = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monotone, "PAIR_BLOCK_CELLS", cells)
+        fast = is_n_c_monotone_bruteforce(g, spec, n, tol)
+    assert _json(fast) == _json(bruteforce_loop(g, spec, n, tol))
+
+
+def test_block_enumerator_finds_witnesses_past_block_boundaries(rng, monkeypatch):
+    # Blocks of two multisets, then one: a late violation lies many blocks on.
+    monkeypatch.setattr(monotone, "PAIR_BLOCK_CELLS", 1)
+    outcomes = set()
+    for nmarg in (2, 3, 4, 5):
+        for n in (2, 3, 4) if nmarg <= 3 else (2, 3):
+            for which in ("c1", "c3"):
+                rows = np.cumsum(rng.uniform(0.0, 1.0, (5, nmarg, 1)), axis=0)
+                spec = classical_cost(which, nmarg, 1)
+                passing = GammaSet.from_points(rows.tolist())
+                rows[[3, 4], nmarg - 1] = rows[[4, 3], nmarg - 1]
+                failing = GammaSet.from_points(rows.tolist())
+                for g in (passing, failing):
+                    fast = is_n_c_monotone_bruteforce(g, spec, n)
+                    assert _json(fast) == _json(bruteforce_loop(g, spec, n))
+                    multisets = fast.checked // math.factorial(n) ** (nmarg - 1)
+                    assert fast.holds or multisets > 3
+                    outcomes.add((nmarg, fast.holds))
+    assert outcomes == {(k, h) for k in (2, 3, 4, 5) for h in (True, False)}
+
+
+def test_block_enumerator_memory_is_bounded(rng):
+    g = make_comonotone_gamma(rng, n_marginals=3, size=10)
+    spec = classical_cost("c1", 3, 1)
+    tracemalloc.start()
+    try:
+        for n in (2, 3, 4):
+            assert is_n_c_monotone_bruteforce(g, spec, n).holds
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_block_enumerator_exits_on_an_early_violation(monkeypatch):
+    # The first multiset (one point n times) never violates; the second,
+    # which holds the antitone point, does.
+    g = gamma_1d([[0.0, 0.0], [1.0, -1.0]] + [[float(k), float(k)] for k in range(2, 8)])
+    spec = classical_cost("c1", 2, 1)
+    combinations = itertools.combinations_with_replacement
+    drawn = []
+
+    def counting(*args):
+        for combo in combinations(*args):
+            drawn.append(combo)
+            yield combo
+
+    monkeypatch.setattr(itertools, "combinations_with_replacement", counting)
+    for n in (2, 3, 4):
+        drawn.clear()
+        verdict = is_n_c_monotone_bruteforce(g, spec, n)
+        assert not verdict.holds and verdict.checked == 2 * math.factorial(n)
+        assert len(drawn) <= 2
+
+
+def test_is_c_monotone_memory_does_not_grow_with_full_pair_matrices():
+    # Three 2000 x 2000 pair matrices alone would take 96 MB.
+    rng = np.random.default_rng(4)
+    g = commuting_spd_gamma(random_commuting_spds(3, 2, seed=2),
+                            rng.uniform(-2.0, 2.0, (2000, 2)).tolist())
+    tracemalloc.start()
+    try:
+        verdict = is_c_monotone(g, classical_cost("c3", 3, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.holds and verdict.checked == 2001 * 1000 * 4
+    assert peak < 40 * 2**20
 
 
 def test_pair_scans_agree_across_row_blocks(rng, monkeypatch):
