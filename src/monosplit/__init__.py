@@ -20,9 +20,7 @@ that produced it.
 from .antiderivative import (
     AntiderivativeCheck,
     Potential,
-    SubdiffGraph,
     c_conjugate,
-    c_subdifferential_graph,
     rockafellar_potential,
     verify_antiderivative,
 )

@@ -256,46 +256,6 @@ def c_conjugate(
 
 
 @dataclass(frozen=True)
-class SubdiffGraph:
-    """Candidate pairs achieving Young-Fenchel equality, with residuals."""
-
-    pairs: tuple[tuple[Vec, Vec], ...]
-    residuals: tuple[float, ...]
-    tolerance: float
-
-    def to_json(self) -> dict:
-        return {
-            "pairs": [[list(x), list(y)] for x, y in self.pairs],
-            "residuals": list(self.residuals),
-            "tolerance": self.tolerance,
-        }
-
-
-def c_subdifferential_graph(
-    f: Potential,
-    cost: PairwiseCost,
-    candidates: Sequence[tuple],
-    tol: float = DEFAULT_TOL,
-) -> SubdiffGraph:
-    """Filter candidate pairs down to the c-subdifferential graph of f.
-
-    A pair (x, y) is retained when |f(x) + f^c(y) - c(x, y)| <= tol, with
-    f^c the discrete conjugate over f's table.  Candidates where f is +inf
-    are never retained.
-    """
-    cand = dedup_pairs(candidates)
-    conj = c_conjugate(f, cost, [y for _, y in cand])
-    x, y = _rows([p[0] for p in cand]), _rows([p[1] for p in cand])
-    fx = f.values_at(x)
-    live = np.flatnonzero(fx != math.inf)
-    resid = (fx[live] + conj.values_at(y[live])) - cost.paired(x[live], y[live])
-    keep = np.abs(resid) <= tol
-    return SubdiffGraph(
-        tuple(cand[k] for k in live[keep]), tuple(resid[keep].tolist()), tol
-    )
-
-
-@dataclass(frozen=True)
 class AntiderivativeCheck:
     """Outcome of the antiderivative test: max over pairs and domain probes
     of f(x1) + c(x1', x2) - f(x1') - c(x1, x2)."""

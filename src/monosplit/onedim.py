@@ -13,10 +13,12 @@ potentials
 
     u_i(x) = integral_0^x  sum_{k != i} a_k(a_i^{-1}(t)) dt
 
-are tabulated by composite Simpson quadrature with geometric grading into
-t = 0, where compositions like t^(1/3) have unbounded derivatives; each
-integrand is increasing, so a rigorous Riemann bracket accompanies every
-tabulated value.  Young's inequality is evaluated through the exact
+are tabulated by one cumulative sweep of composite Simpson pieces per
+sign, graded geometrically into t = 0, where compositions like t^(1/3)
+have unbounded derivatives.  Each integrand is increasing, so every
+tabulated value carries a Riemann bracket |h| |f(b) - f(a)| summed over
+its pieces; the bracket is rigorous but overstates the Simpson error by
+many orders of magnitude.  Young's inequality is evaluated through the exact
 complement-area identity
 
     integral_0^b g^{-1} = b g^{-1}(b) - integral_0^{g^{-1}(b)} g,
@@ -51,10 +53,10 @@ from .monotone import (
 )
 from .splitting import assemble_splitting_tuple, certify_splitting
 
-PANELS_PER_UNIT = 1024  # 2**10 Simpson subintervals per unit length
+PANELS_PER_UNIT = 1024  # 2**10 Simpson subintervals per unit length beyond GRADE_LIMIT
 GRADE_PIECES = 48  # geometric halvings toward 0
-GRADE_PANELS = 64  # Simpson panels per geometric piece
-GRADE_LIMIT = 1.0  # grade [0, 1], integrate plainly beyond
+GRADE_PANELS = 64  # Simpson panels per piece
+GRADE_LIMIT = 1.0  # pieces grade geometrically up to it, sit on a fixed grid beyond
 INVERSE_TOL = 1e-12
 ZERO_TOL = 1e-12
 BRACKET_GROWTH = 2.0
@@ -167,60 +169,96 @@ def _add_in_order(terms: np.ndarray) -> np.ndarray:
     return np.cumsum(terms, axis=-1)[..., -1]
 
 
-def _simpson(fn, a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Simpson with n (even) panels on each interval [a[r], b[r]];
-    signed, with one call of fn on every node of every interval.
+def _simpson(f: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Simpson on each row of f, the integrand on GRADE_PANELS + 1
+    equally spaced nodes of signed spacing h[r].
 
-    The second array holds the Riemann brackets |h| |fn(b) - fn(a)|,
-    rigorous error bounds where fn is monotone on [a, b].
+    The second array holds the Riemann brackets |h| |f(b) - f(a)|: the gap
+    between the left and right sums, which enclose both the Simpson value
+    and the integral where f is monotone on [a, b].
     """
-    h = (b - a) / n
-    k = np.arange(n + 1)
-    nodes = a[:, None] + k * h[:, None]
-    nodes[:, -1] = b  # a + n h can miss b in the last bit
-    f = fn(nodes)
     fa, fb = f[:, 0], f[:, -1]
-    weighted = np.where(k[1:-1] % 2, 4.0, 2.0) * f[:, 1:-1]
+    weighted = np.where(np.arange(1, GRADE_PANELS) % 2, 4.0, 2.0) * f[:, 1:-1]
     total = _add_in_order(np.column_stack([fa + fb, weighted]))
     return total * h / 3.0, np.abs(h) * np.abs(fb - fa)
 
 
-def _graded_from_zero(fn, x: float) -> tuple[float, float]:
-    """integral_0^x fn with geometric refinement into 0; |x| <= GRADE_LIMIT.
+def _sweep_edges(ys: np.ndarray) -> np.ndarray:
+    """Piece edges over sorted magnitudes 0 < y_1 < ... < y_K.
 
-    Piece edges are x 2^{-j}, and all pieces go through fn in one call;
-    the innermost sliver [0, x 2^{-J}] is closed by a trapezoid whose
-    bracket is included in the returned bound.
+    Below lo = min(y_1, GRADE_LIMIT) the edges halve GRADE_PIECES times
+    into 0.  Up to GRADE_LIMIT they double from each knot and stop at the
+    next one; beyond it they sit on the grid GRADE_LIMIT + j GRADE_PANELS /
+    PANELS_PER_UNIT.  Every knot is an edge, and every piece [a, b] has
+    b <= 2a, so no panel is coarse next to its distance from 0, where
+    compositions like t^(1/3) have unbounded derivatives.
     """
-    if x == 0.0:
-        return 0.0, 0.0
-    edges = np.ldexp(x, -np.arange(GRADE_PIECES, -1, -1))  # x 2^-J, ..., x
-    inner = edges[0]
-    f0, fi = fn(np.array([0.0, inner]))
-    v, e = _simpson(fn, edges[:-1], edges[1:], GRADE_PANELS)
-    value = _add_in_order(np.concatenate([[0.0, 0.5 * inner * (f0 + fi)], v]))
-    bound = _add_in_order(np.concatenate([[0.0, 0.5 * abs(inner) * abs(fi - f0)], e]))
-    return float(value), float(bound)
+    top = min(ys[-1], GRADE_LIMIT)
+    stops = np.append(ys[ys < top], top)
+    edges = list(np.ldexp(stops[0], -np.arange(GRADE_PIECES, 0, -1)))
+    for s, t in zip(stops[:-1], stops[1:]):
+        while s < t:
+            edges.append(s)
+            s *= 2.0
+    edges.append(top)
+    if ys[-1] > GRADE_LIMIT:
+        step = GRADE_PANELS / PANELS_PER_UNIT
+        grid = GRADE_LIMIT + step * np.arange(1, math.ceil((ys[-1] - GRADE_LIMIT) / step))
+        edges.extend(np.union1d(grid, ys[ys > GRADE_LIMIT]))
+    return np.array(edges)
+
+
+def _sweep(fn, knots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """integral_0^x fn and its Riemann bracket at every x in knots.
+
+    One cumulative sweep per sign: the pieces of both signs (see
+    _sweep_edges), GRADE_PANELS Simpson panels each, go through fn in one
+    call together with 0, for the trapezoid over the sliver between 0 and
+    the innermost edge.  A knot reads the in-order prefix sums of the piece
+    values and brackets below it; a knot at 0 reads exactly 0.
+    """
+    if not np.isfinite(knots).all():
+        raise InputValidationError("integration limits must be finite")
+    values, brackets = np.zeros(knots.shape), np.zeros(knots.shape)
+    sides = [(s, np.flatnonzero(s * knots > 0)) for s in (1.0, -1.0)]
+    sides = [(s, idx, _sweep_edges(np.unique(s * knots[idx]))) for s, idx in sides if idx.size]
+    if not sides:
+        return values, brackets
+    a = np.concatenate([s * edges[:-1] for s, _, edges in sides])
+    b = np.concatenate([s * edges[1:] for s, _, edges in sides])
+    h = (b - a) / GRADE_PANELS
+    nodes = a[:, None] + np.arange(GRADE_PANELS + 1) * h[:, None]
+    nodes[:, -1] = b  # a + n h can miss b in the last bit
+    f = fn(np.append(nodes, 0.0))
+    f0, f = f[-1], f[:-1].reshape(nodes.shape)
+    v, e = _simpson(f, h)
+    row = 0
+    for s, idx, edges in sides:
+        inner, fi, stop = s * edges[0], f[row, 0], row + len(edges) - 1
+        sliver = [[0.0, 0.5 * inner * (f0 + fi)], [0.0, 0.5 * abs(inner) * abs(fi - f0)]]
+        sums = np.cumsum(np.hstack([sliver, [v[row:stop], e[row:stop]]]), axis=1)
+        values[idx], brackets[idx] = sums[:, np.searchsorted(edges, s * knots[idx]) + 1]
+        row = stop
+    return values, brackets
 
 
 def integral_from_zero(fn, x: float) -> tuple[float, float]:
-    """integral_0^x fn for fn continuous, with grading near 0.
+    """integral_0^x fn for fn continuous: the one-knot case of the sweep
+    that tabulates curve potentials.
 
-    fn is called on arrays of nodes.  Returns (value, bound); the bound is
-    rigorous when fn is monotone.
+    fn is called at most once, on an array of nodes.  Returns (value, bracket);
+    the bracket is the Riemann bracket summed over the pieces, rigorous
+    when fn is monotone but many orders larger than the Simpson error.
     """
-    if abs(x) <= GRADE_LIMIT:
-        return _graded_from_zero(fn, x)
-    s = math.copysign(GRADE_LIMIT, x)
-    v1, e1 = _graded_from_zero(fn, s)
-    n = max(2, 2 * math.ceil(abs(x - s) * PANELS_PER_UNIT / 2))
-    v2, e2 = _simpson(fn, np.array([s]), np.array([x]), n)
-    return v1 + float(v2[0]), e1 + float(e2[0])
+    v, e = _sweep(fn, np.array([float(x)]))
+    return float(v[0]), float(e[0])
 
 
 @dataclass(frozen=True)
 class CurvePotentials:
-    """Tabulated curve potentials with per-marginal quadrature brackets."""
+    """Tabulated curve potentials; error_bounds[i] is the largest Riemann
+    bracket of marginal i over the grid, a rigorous but loose bound (many
+    orders above the Simpson error) since the integrands are increasing."""
 
     potentials: tuple[Potential, ...]
     error_bounds: tuple[float, ...]
@@ -231,17 +269,19 @@ def curve_potentials(
 ) -> CurvePotentials:
     """Tabulate u_i(x) = integral_0^x sum_{k != i} a_k(a_i^{-1}(t)) dt.
 
-    Every knot is integrated independently from 0 with the graded scheme,
-    so fractional-power behaviour at the origin never meets a coarse
-    panel, no matter how the knots cluster.  u_i(0) = 0 exactly.  The
-    reported bound for each marginal is the largest Riemann bracket over
-    the grid; the integrands are increasing, so the bracket is rigorous.
+    Each marginal integrates all knots in one sweep per sign, piece by
+    piece from 0 outward, and its integrand is called once; the piece rule
+    b <= 2a keeps fractional-power behaviour at the origin off coarse
+    panels however the knots cluster.  u_i(0) = 0 exactly.  The reported
+    bound for each marginal is the largest Riemann bracket over the grid:
+    rigorous, since the integrands are increasing, but it overstates the
+    Simpson error by many orders of magnitude.
     """
     n = len(alphas)
     if n < 2:
         raise InputValidationError("need at least two curve components")
-    knots = sorted({float(t) for t in grid})
-    if not knots:
+    knots = np.array(sorted({float(t) for t in grid}))
+    if not knots.size:
         raise InputValidationError("the grid must be nonempty")
 
     pots = []
@@ -254,9 +294,9 @@ def curve_potentials(
             s = _inv(t)
             return sum(a(s) for a in _others)
 
-        values, brackets = zip(*(integral_from_zero(integrand, t) for t in knots))
-        pots.append(Potential(tuple((t,) for t in knots), values))
-        bounds.append(max((0.0, *brackets)))
+        values, brackets = _sweep(integrand, knots)
+        pots.append(Potential(tuple((t,) for t in knots.tolist()), tuple(values.tolist())))
+        bounds.append(float(brackets.max()))
     return CurvePotentials(tuple(pots), tuple(bounds))
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from monosplit.antiderivative import Potential
 from monosplit.core import (
     CostSpec,
     GammaSet,
@@ -46,6 +47,14 @@ from monosplit.monotone import (
     _full_pair_matrices,
     _perm_array,
     is_n_c_monotone_bruteforce,
+)
+from monosplit.onedim import (
+    GRADE_LIMIT,
+    GRADE_PANELS,
+    GRADE_PIECES,
+    PANELS_PER_UNIT,
+    CurvePotentials,
+    MonotoneBijection,
 )
 from monosplit.splitting import SplittingTuple
 
@@ -423,3 +432,77 @@ def brute_force_optimal_coupling(
             best_sigmas = sigmas
     assert best_sigmas is not None
     return OptimalCoupling(best, best_sigmas, diagonal_value, checked)
+
+
+def _add_in_order(terms: np.ndarray) -> np.ndarray:
+    return np.cumsum(terms, axis=-1)[..., -1]
+
+
+def _simpson_per_interval(fn, a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Simpson with n (even) panels on each interval [a[r], b[r]];
+    signed, with one call of fn on every node of every interval, and the
+    Riemann brackets |h| |fn(b) - fn(a)|."""
+    h = (b - a) / n
+    k = np.arange(n + 1)
+    nodes = a[:, None] + k * h[:, None]
+    nodes[:, -1] = b  # a + n h can miss b in the last bit
+    f = fn(nodes)
+    fa, fb = f[:, 0], f[:, -1]
+    weighted = np.where(k[1:-1] % 2, 4.0, 2.0) * f[:, 1:-1]
+    total = _add_in_order(np.column_stack([fa + fb, weighted]))
+    return total * h / 3.0, np.abs(h) * np.abs(fb - fa)
+
+
+def _graded_from_zero(fn, x: float) -> tuple[float, float]:
+    """integral_0^x fn with geometric refinement into 0; |x| <= GRADE_LIMIT.
+
+    Piece edges are x 2^{-j}, and all pieces go through fn in one call;
+    the innermost sliver [0, x 2^{-J}] is closed by a trapezoid whose
+    bracket is included in the returned bound.
+    """
+    if x == 0.0:
+        return 0.0, 0.0
+    edges = np.ldexp(x, -np.arange(GRADE_PIECES, -1, -1))  # x 2^-J, ..., x
+    inner = edges[0]
+    f0, fi = fn(np.array([0.0, inner]))
+    v, e = _simpson_per_interval(fn, edges[:-1], edges[1:], GRADE_PANELS)
+    value = _add_in_order(np.concatenate([[0.0, 0.5 * inner * (f0 + fi)], v]))
+    bound = _add_in_order(np.concatenate([[0.0, 0.5 * abs(inner) * abs(fi - f0)], e]))
+    return float(value), float(bound)
+
+
+def integral_per_knot(fn, x: float) -> tuple[float, float]:
+    """Reference for onedim.integral_from_zero: graded pieces up to
+    GRADE_LIMIT, then one plain Simpson rule at PANELS_PER_UNIT panels per
+    unit length.  Returns (value, Riemann bracket)."""
+    if abs(x) <= GRADE_LIMIT:
+        return _graded_from_zero(fn, x)
+    s = math.copysign(GRADE_LIMIT, x)
+    v1, e1 = _graded_from_zero(fn, s)
+    n = max(2, 2 * math.ceil(abs(x - s) * PANELS_PER_UNIT / 2))
+    v2, e2 = _simpson_per_interval(fn, np.array([s]), np.array([x]), n)
+    return v1 + float(v2[0]), e1 + float(e2[0])
+
+
+def curve_potentials_per_knot(
+    alphas: Sequence[MonotoneBijection], grid: Sequence[float]
+) -> CurvePotentials:
+    """Reference for onedim.curve_potentials: every knot is integrated
+    independently from 0 by integral_per_knot; the bound of a marginal is
+    its largest bracket over the grid."""
+    n = len(alphas)
+    knots = sorted({float(t) for t in grid})
+    pots = []
+    bounds = []
+    for i in range(n):
+        others = [alphas[k] for k in range(n) if k != i]
+        inv = alphas[i].inverse
+
+        def integrand(t: np.ndarray, _others=others, _inv=inv) -> np.ndarray:
+            s = _inv(t)
+            return sum(a(s) for a in _others)
+
+        values, brackets = zip(*(integral_per_knot(integrand, t) for t in knots))
+        pots.append(Potential(tuple((t,) for t in knots), values))
+        bounds.append(max((0.0, *brackets)))
+    return CurvePotentials(tuple(pots), tuple(bounds))

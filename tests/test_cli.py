@@ -287,6 +287,14 @@ def test_example_knott_smith(capsys):
     assert doc["figure_csv"].startswith("t,x1,x2,x3,")
 
 
+def test_example_knott_smith_quadrature_meets_the_closed_forms(capsys):
+    code, out, _ = _run(
+        capsys, ["example", "knott-smith", "--tmax", "1.0", "--samples", "50"]
+    )
+    assert code == 0
+    assert json.loads(out)["quadrature_max_deviation"] <= 1e-10
+
+
 def test_example_determinism(capsys):
     argv = ["example", "counterexample", "--samples", "200"]
     _, first, _ = _run(capsys, argv)

@@ -6,7 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from helpers import curve_potentials_per_knot, integral_per_knot
 from monosplit import antiderivative, onedim, splitting
 from monosplit.core import GammaSet, PairwiseCost, gamma_1d
 from monosplit.errors import (
@@ -15,6 +18,10 @@ from monosplit.errors import (
     NotOneDimensional,
 )
 from monosplit.onedim import (
+    GRADE_LIMIT,
+    GRADE_PANELS,
+    GRADE_PIECES,
+    PANELS_PER_UNIT,
     MonotoneBijection,
     characterize_1d,
     curve_potentials,
@@ -49,6 +56,115 @@ def test_riemann_bracket_is_rigorous_for_monotone_integrands():
     for x, exact in ((0.5, (0.5) ** (4 / 3) * 0.75), (1.0, 0.75), (2.0, 2 ** (4 / 3) * 0.75)):
         v, e = integral_from_zero(lambda t: signed_power(t, 1.0 / 3.0), x)
         assert abs(v - exact) <= e
+
+
+# Knot sets for the sweep: clustered near 0, straddling +-GRADE_LIMIT by a
+# hair, one-signed, a lone knot on either side of GRADE_LIMIT, and {0}.
+SWEEP_GRIDS = {
+    "clustered": [1e-6, 1.5e-6, 2e-6, 1e-5, 1e-3, 1e-3 + 1e-6, 0.3, -1e-6, -2e-6, -0.2],
+    "straddling": [
+        -GRADE_LIMIT - 0.3, -GRADE_LIMIT - 1e-9, -GRADE_LIMIT, -GRADE_LIMIT + 1e-9, -0.5,
+        GRADE_LIMIT - 1e-9, GRADE_LIMIT, GRADE_LIMIT + 1e-9, GRADE_LIMIT + 1 / 16, 3.7,
+    ],
+    "positive": [0.1, 0.25, 0.9, 1.7, 3.0],
+    "negative": [-2.2, -1.0, -0.4, -0.01, 0.0],
+    "lone": [0.7],
+    "lone beyond the limit": [-2.5],
+    "origin": [0.0],
+}
+
+
+def _assert_sweep_agrees_with_per_knot(alphas, grid):
+    sweep = curve_potentials(alphas, grid)
+    oracle = curve_potentials_per_knot(alphas, grid)
+    for pot, ref, e_sweep, e_ref in zip(
+        sweep.potentials, oracle.potentials, sweep.error_bounds, oracle.error_bounds
+    ):
+        assert pot.points == ref.points
+        # Both values lie within their own bracket of the integral.
+        assert np.abs(np.subtract(pot.values, ref.values)).max() <= e_sweep + e_ref
+        if (0.0,) in pot.points:
+            assert pot.value_at((0.0,)) == 0.0
+
+
+@pytest.mark.parametrize("grid", SWEEP_GRIDS.values(), ids=SWEEP_GRIDS)
+def test_sweep_agrees_with_per_knot_quadrature(grid):
+    _assert_sweep_agrees_with_per_knot(knott_smith_alphas(), grid)
+
+
+@given(st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.builds(lambda s, y: s * y, st.sampled_from([-1.0, 1.0]), st.floats(1e-8, 4.0)),
+    ),
+    min_size=1, max_size=12,
+))
+def test_sweep_agrees_with_per_knot_quadrature_on_random_knots(grid):
+    _assert_sweep_agrees_with_per_knot(knott_smith_alphas(), grid)
+
+
+INTEGRANDS = {
+    "cube root": lambda t: signed_power(t, 1.0 / 3.0),
+    "curve (t^1/3 + t^5/3)": lambda t: signed_power(t, 1.0 / 3.0) + signed_power(t, 5.0 / 3.0),
+    "nonzero at 0": lambda t: t**3 + 1.0,
+}
+
+
+@given(st.floats(-GRADE_LIMIT, GRADE_LIMIT), st.sampled_from(sorted(INTEGRANDS)))
+@example(GRADE_LIMIT, "cube root")
+@example(-GRADE_LIMIT, "nonzero at 0")
+@example(1e-7, "curve (t^1/3 + t^5/3)")
+@example(0.0, "nonzero at 0")
+def test_integral_from_zero_within_the_limit_equals_the_per_knot_rule_bitwise(x, name):
+    assert integral_from_zero(INTEGRANDS[name], x) == integral_per_knot(INTEGRANDS[name], x)
+
+
+class _NodeCounter:
+    """Counts the calls of a wrapped function and the nodes it receives."""
+
+    def __init__(self):
+        self.calls = 0
+        self.nodes = 0
+
+    def wrap(self, fn):
+        def counted(t):
+            self.calls += 1
+            self.nodes += np.size(t)
+            return fn(t)
+
+        return counted
+
+
+def _counted_knott_smith():
+    """The curve (t, t^3, t^5) with counted inverses: marginal i's integrand
+    calls the inverse of component i exactly once per call."""
+    alphas, counters = [], []
+    for a in knott_smith_alphas():
+        counter = _NodeCounter()
+        alphas.append(MonotoneBijection(a.fn, a.label, inverse_fn=counter.wrap(a.inverse_fn)))
+        counter.calls = counter.nodes = 0  # construction probes the inverse
+        counters.append(counter)
+    return alphas, counters
+
+
+def _node_bound(ys: np.ndarray) -> float:
+    """Nodes the sweep may spend on the magnitudes ys of one sign: a graded
+    start, one piece per knot and per doubling, the grid beyond the limit."""
+    span = max(0.0, ys.max() - GRADE_LIMIT)
+    doublings = math.ceil(math.log2(ys.max() / ys.min()))
+    pieces = GRADE_PIECES + len(ys) + doublings + PANELS_PER_UNIT / GRADE_PANELS * span + 2
+    return pieces * (GRADE_PANELS + 1)
+
+
+@pytest.mark.parametrize("k", [1, 4, 32, 256])
+def test_curve_potentials_call_each_integrand_once_on_bounded_nodes(k):
+    knots = np.concatenate([np.geomspace(1e-4, 3.0, k), -np.geomspace(1e-3, 1.5, k), [0.0]])
+    alphas, counters = _counted_knott_smith()
+    curve_potentials(alphas, knots)
+    bound = _node_bound(knots[knots > 0]) + _node_bound(-knots[knots < 0])
+    for counter in counters:
+        assert counter.calls == 1
+        assert counter.nodes <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +344,10 @@ def test_curve_potentials_validation():
         curve_potentials(knott_smith_alphas()[:1], [0.0, 1.0])
     with pytest.raises(InputValidationError):
         curve_potentials(knott_smith_alphas(), [])
+    with pytest.raises(InputValidationError):
+        curve_potentials(knott_smith_alphas(), [0.5, math.inf])
+    with pytest.raises(InputValidationError):
+        integral_from_zero(lambda t: t, math.nan)
 
 
 # ---------------------------------------------------------------------------
