@@ -193,6 +193,69 @@ def test_split_grid_extends_tables(capsys, gamma_file):
     assert doc["certificate"]["passed"]
 
 
+# A 1-D, N = 3 comonotone set holding both -0.0 and 0.0 in marginals 1 and 3.
+SIGNED_ZERO_1D = [[-1.0, -1.5, -0.5], [-0.0, -0.0, 0.0], [0.0, 0.5, -0.0], [1.0, 1.5, 0.75]]
+# A cost mixing bilinear, tabulated and negated pairs with shifts; its
+# y-grid holds -0.0 where the set holds 0.0.
+TAB_GRID_X, TAB_GRID_Y = [-1.0, 0.0, 0.5, 1.0, 2.0], [-1.0, -0.0, 2.0, 2.5]
+MIXED_COST = {
+    "dims": [1, 1, 1],
+    "pairs": {
+        "1,2": {"kind": "bilinear", "matrix": [[2.0]]},
+        "1,3": {"kind": "tabulated", "grid_x": [[x] for x in TAB_GRID_X],
+                "grid_y": [[y] for y in TAB_GRID_Y],
+                "table": [[x * y + 0.5 * x for y in TAB_GRID_Y] for x in TAB_GRID_X]},
+        "2,3": {"kind": "half_sq_dist", "sign": -1},
+    },
+    "shift": [[{"form": "linear", "vector": [1.0], "constant": 0.5}], [],
+              [{"form": "quadratic", "matrix": [[0.25]]}]],
+}
+TAB_GAMMA = [[-1.0, -2.0, -1.0], [0.0, 0.5, 0.0], [0.5, 1.0, 2.0], [1.0, 1.5, 2.5]]
+# Pairs with a (-0.0, 0.0) and a (0.0, 0.0) that dedups onto it, and a
+# tabulated pairwise cost whose x-grid holds 0.0.
+SIGNED_PAIRS = {"pairs": [[-1.0, -2.0], [-0.0, 0.0], [0.5, 1.0], [1.0, 1.5], [0.0, 0.0]]}
+TAB_PAIR_COST = {
+    "kind": "tabulated",
+    "grid_x": [[-1.0], [0.0], [0.5], [1.0]],
+    "grid_y": [[-2.0], [0.0], [1.0], [1.5]],
+    "table": [[x * y for y in (-2.0, 0.0, 1.0, 1.5)] for x in (-1.0, 0.0, 0.5, 1.0)],
+}
+PASSING_2D_DOC = json.loads((DATA / "verify_passing_2d_gamma.json").read_text())
+
+
+@pytest.mark.parametrize("files, argv, exit_code, pinned", [
+    ({"gamma.json": gamma_1d(SIGNED_ZERO_1D).to_json()},
+     ["split", "gamma.json", "--grid=-2:2:0.25", "--samples", "500"], 0, "split_signed_zero_1d.json"),
+    ({"gamma.json": PASSING_2D_DOC},
+     ["split", "gamma.json", "--cost", "c3", "--samples", "500"], 0, "split_2d_c3.json"),
+    ({"gamma.json": gamma_1d(TAB_GAMMA).to_json(), "cost.json": MIXED_COST},
+     ["split", "gamma.json", "--cost", "cost.json", "--samples", "500"], 0,
+     "split_mixed_cost.json"),
+    ({"pairs.json": SIGNED_PAIRS},
+     ["rockafellar", "pairs.json", "--grid=-1.5:1.5:0.5"], 0, "rockafellar_grid.json"),
+    ({"pairs.json": SIGNED_PAIRS, "cost.json": TAB_PAIR_COST},
+     ["rockafellar", "pairs.json", "--cost", "cost.json", "--base", "0"], 0,
+     "rockafellar_tabulated.json"),
+])
+def test_construction_reports_are_pinned(capsys, tmp_path, monkeypatch, files, argv,
+                                         exit_code, pinned):
+    monkeypatch.chdir(tmp_path)
+    for name, doc in files.items():
+        Path(name).write_text(json.dumps(doc))
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (exit_code, "")
+    assert out == (DATA / pinned).read_text()
+
+
+def test_off_grid_refusal_is_pinned(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("gamma.json").write_text(json.dumps(gamma_1d(TAB_GAMMA + [[0.25, 0.75, 1.0]]).to_json()))
+    Path("cost.json").write_text(json.dumps(MIXED_COST))
+    code, out, err = _run(capsys, ["verify", "gamma.json", "--cost", "cost.json"])
+    assert (code, out) == (1, "")
+    assert err == "error: 'point (0.25,) not on the tabulated x-grid'\n"
+
+
 def test_split_refuses_non_monotone_projection(capsys, bad_gamma_file):
     code, out, err = _run(capsys, ["split", bad_gamma_file])
     assert code == 1
