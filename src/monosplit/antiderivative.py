@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -32,14 +31,17 @@ from .core import (
     ClosedForm,
     PairwiseCost,
     Vec,
-    _rows,
+    _vec_rows,
     as_vec,
     dedup_pairs,
     dedup_vecs,
+    find_rows,
     form_from_json,
+    unique_rows,
 )
 from .errors import (
     BasePointNotInProjection,
+    DimensionMismatch,
     ImproperInput,
     InputValidationError,
     NotCyclicallyMonotone,
@@ -48,15 +50,6 @@ from .errors import (
 from .monotone import DEFAULT_TOL, scan_gain_digraph
 
 FORM_AGREEMENT_TOL = 1e-9
-
-
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One sortable key per row of a (k, d) array: the coordinate itself when
-    d = 1, else a record compared field by field (so -0.0 equals 0.0)."""
-    rows = np.ascontiguousarray(rows, dtype=float)
-    if rows.shape[1] == 1:
-        return rows[:, 0]
-    return rows.view([(f"f{k}", float) for k in range(rows.shape[1])])[:, 0]
 
 
 @dataclass(frozen=True)
@@ -77,38 +70,41 @@ class Potential:
     values: tuple[float, ...]
     closed_form: ClosedForm | None = None
     argmax: tuple[int, ...] | None = None
-    _table: dict = field(init=False, repr=False, compare=False, default=None)  # type: ignore[assignment]
+    # points and values as arrays, for lookups and tabulation
+    _rows: np.ndarray = field(init=False, repr=False, compare=False, default=None)  # type: ignore[assignment]
+    _vals: np.ndarray = field(init=False, repr=False, compare=False, default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        pts = tuple(as_vec(p) for p in self.points)
-        vals = tuple(float(v) for v in self.values)
-        if len(pts) != len(vals):
+        try:
+            rows = _vec_rows(self.points)
+        except DimensionMismatch:
+            raise InputValidationError("domain points mix dimensions") from None
+        vals = np.array(self.values, dtype=float)
+        if len(rows) != len(vals):
             raise InputValidationError("points and values must have equal length")
-        table: dict[Vec, float] = {}
-        for p, v in zip(pts, vals):
-            if math.isnan(v) or v == -math.inf:
+        bad = np.isnan(vals) | (vals == -math.inf)
+        first = np.flatnonzero(bad | ~unique_rows(rows))
+        if first.size:
+            k = first[0]
+            if bad[k]:
                 raise InputValidationError("potential values must be finite or +inf")
-            if p in table:
-                raise InputValidationError(f"duplicate domain point {p!r}")
-            table[p] = v
-        for p in pts[1:]:
-            if len(p) != len(pts[0]):
-                raise InputValidationError("domain points mix dimensions")
-        if self.argmax is not None and len(self.argmax) != len(pts):
+            raise InputValidationError(f"duplicate domain point {tuple(rows[k].tolist())!r}")
+        if self.argmax is not None and len(self.argmax) != len(rows):
             raise InputValidationError("argmax must align with the domain points")
-        if self.closed_form is not None and pts:
-            w = self.closed_form.values(pts)
+        if self.closed_form is not None and len(rows):
+            w = self.closed_form.values(rows)
             # isclose treats equal infinities as close and any other +inf as not.
             bad = np.flatnonzero(~np.isclose(w, vals, rtol=0.0, atol=FORM_AGREEMENT_TOL))
             if bad.size:
                 k = bad[0]
                 raise InputValidationError(
-                    f"closed form disagrees with table at {pts[k]!r}: "
-                    f"{float(w[k])!r} vs {vals[k]!r}"
+                    f"closed form disagrees with table at {tuple(rows[k].tolist())!r}: "
+                    f"{float(w[k])!r} vs {float(vals[k])!r}"
                 )
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "points", tuple(map(tuple, rows.tolist())))
+        object.__setattr__(self, "values", tuple(vals.tolist()))
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_vals", vals)
 
     @classmethod
     def from_closed_form(cls, form: ClosedForm) -> "Potential":
@@ -123,39 +119,21 @@ class Potential:
         return self.closed_form is not None and not self.points
 
     def value_at(self, x: float | Sequence[float]) -> float:
-        """Table value, else closed form, else +inf."""
-        key = as_vec(x)
-        hit = self._table.get(key)
-        if hit is not None:
-            return hit
-        if self.closed_form is not None:
-            return self.closed_form.value(key)
-        return math.inf
+        """Table value, else closed form, else +inf: values_at on one row."""
+        return float(self.values_at(_vec_rows([x]))[0])
 
     def __call__(self, x: float | Sequence[float]) -> float:
         return self.value_at(x)
 
-    @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Table points (n, d), values, sorted point keys, table index of each."""
-        rows = np.array(self.points, dtype=float) if self.points else np.empty((0, 1))
-        keys = _row_keys(rows)
-        order = np.argsort(keys, kind="stable")
-        return rows, np.array(self.values), keys[order], order
-
     def values_at(self, xs: np.ndarray) -> np.ndarray:
-        """value_at for each row of a (k, d) array: the table by exact match,
+        """The table value of each row of a (k, d) array by exact match,
         else the closed form, else +inf."""
-        rows, vals, keys, order = self._arrays
+        index = find_rows(self._rows, xs)
+        hit = index >= 0
         out = np.full(len(xs), math.inf)
-        miss = np.ones(len(xs), dtype=bool)
-        if len(keys) and xs.shape[1] == rows.shape[1]:
-            q = _row_keys(xs)
-            pos = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
-            miss = keys[pos] != q
-            out[~miss] = vals[order[pos[~miss]]]
-        if self.closed_form is not None and miss.any():
-            out[miss] = self.closed_form.values(xs[miss])
+        out[hit] = self._vals[index[hit]]
+        if self.closed_form is not None and not hit.all():
+            out[~hit] = self.closed_form.values(xs[~hit])
         return out
 
     def to_json(self) -> dict:
@@ -207,12 +185,10 @@ def rockafellar_potential(
     can only raise R, so tabulated values certify the sampled set, not any
     continuum limit.
     """
-    deduped = dedup_pairs(pairs)
-    xs = [p[0] for p in deduped]
-    ys = [p[1] for p in deduped]
+    xs, ys = dedup_pairs(pairs)
     base = as_vec(s1)
-    source = [x == base for x in xs]
-    if not any(source):
+    source = find_rows(np.array([base]), xs) == 0
+    if not source.any():
         raise BasePointNotInProjection(
             f"base point {base!r} is not a first coordinate of any pair"
         )
@@ -229,8 +205,7 @@ def rockafellar_potential(
     pts = dedup_vecs(eval_points)
     gains = (scan.longest + cost.matrix(pts, ys)) - cost.paired(xs, ys)
     best = gains[np.arange(len(pts)), gains.argmax(axis=1)]
-    values = np.where((_rows(pts) == base).all(axis=1), 0.0, best)
-    return Potential(pts, tuple(values.tolist()))
+    return Potential(pts, np.where(find_rows(np.array([base]), pts) == 0, 0.0, best))
 
 
 def c_conjugate(
@@ -244,15 +219,14 @@ def c_conjugate(
     indices are recorded on the result for reproducibility.  Raises
     ImproperInput when f has no finite tabulated value to maximise over.
     """
-    rows, vals = f._arrays[:2]
-    finite = np.flatnonzero(vals != math.inf)
+    finite = np.flatnonzero(f._vals != math.inf)
     if not finite.size:
         raise ImproperInput("cannot conjugate a potential with no finite values")
     pts = dedup_vecs(eval_points)
-    gains = cost.matrix(rows[finite], pts) - vals[finite, None]
+    gains = cost.matrix(f._rows[finite], pts) - f._vals[finite, None]
     arg = gains.argmax(axis=0)  # first maximum: the lowest domain index
     best = gains[arg, np.arange(len(pts))]
-    return Potential(pts, tuple(best.tolist()), argmax=tuple(finite[arg].tolist()))
+    return Potential(pts, best, argmax=tuple(finite[arg].tolist()))
 
 
 @dataclass(frozen=True)
@@ -277,15 +251,13 @@ def verify_antiderivative(
     must hold within tol.  Returns the worst residual; a pair where f is
     +inf fails outright.
     """
-    cand = dedup_pairs(pairs)
-    x1, x2 = _rows([p[0] for p in cand]), _rows([p[1] for p in cand])
+    x1, x2 = dedup_pairs(pairs)
     fx = f.values_at(x1)
     if (fx == math.inf).any():
         return AntiderivativeCheck(False, math.inf)
-    rows, vals = f._arrays[:2]
-    probes = np.flatnonzero(vals != math.inf)
+    probes = np.flatnonzero(f._vals != math.inf)
     worst = -math.inf
     if probes.size:
-        resid = ((fx + cost.matrix(rows[probes], x2)) - vals[probes, None]) - cost.paired(x1, x2)
+        resid = ((fx + cost.matrix(f._rows[probes], x2)) - f._vals[probes, None]) - cost.paired(x1, x2)
         worst = float(resid.max())
     return AntiderivativeCheck(worst <= tol, worst)

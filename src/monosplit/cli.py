@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -72,6 +73,7 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 EXAMPLE_NAMES = ("quadratic", "counterexample", "curves", "knott-smith", "young")
+GRID_CAP = 100_000  # most points a lo:hi:step grid may hold
 
 
 @dataclass(frozen=True)
@@ -154,10 +156,14 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ParseError(f"bad grid numbers in {text!r}") from exc
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ParseError(f"grid numbers must be finite, got {text!r}")
     if step <= 0.0 or hi < lo:
         raise ParseError("grid needs step > 0 and hi >= lo")
-    count = int(round((hi - lo) / step))
-    pts = [lo + k * step for k in range(count + 1)]
+    count = (hi - lo) / step
+    if not (math.isfinite(count) and round(count) < GRID_CAP):
+        raise ParseError(f"grid {text!r} would hold more than {GRID_CAP} points")
+    pts = [lo + k * step for k in range(round(count) + 1)]
     if pts[-1] > hi + 0.5 * step:
         pts.pop()
     return tuple(pts)
@@ -323,10 +329,7 @@ def _example_curves(args: argparse.Namespace, config: RunConfig) -> tuple[dict, 
     cp = curve_potentials(alphas, knots)
     tup = SplittingTuple(cp.potentials, {}, {})
     g = GammaSet.from_points([[a(t) for a in alphas] for t in ts])
-    prod = [
-        pt
-        for pt in itertools.product(*(project(g, i + 1) for i in range(3)))
-    ]
+    prod = list(itertools.product(*(project(g, i + 1) for i in range(3))))
     spec = classical_cost("c1", 3, 1)
     quad_tol = max(args.tol, 1e-8)
     cert = certify_splitting(

@@ -75,6 +75,57 @@ def _rows(points) -> np.ndarray:
     return a[:, None] if a.ndim == 1 else a
 
 
+def _vec_rows(points) -> np.ndarray:
+    """Marginal points as a (k, d) array, checked as :func:`as_vec` checks
+    each point and with its errors; points of mixed dimension raise
+    DimensionMismatch."""
+    try:
+        a = _rows(points)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        a = None
+    if a is None or a.ndim != 2 or not a.shape[1] or not np.isfinite(a).all():
+        # as_vec raises for the first bad point; scalars mixed with 1-tuples pass
+        a = _rows([as_vec(p) for p in points])
+    return a
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One sortable key per row of a (k, d) array: the coordinate itself when
+    d = 1, else a record compared field by field (so -0.0 equals 0.0)."""
+    rows = np.ascontiguousarray(rows, dtype=float)
+    if rows.shape[1] == 1:
+        return rows[:, 0]
+    return rows.view([(f"f{k}", float) for k in range(rows.shape[1])])[:, 0]
+
+
+def unique_rows(rows: np.ndarray) -> np.ndarray:
+    """Mask of the first-seen row of each distinct row of a (k, d) array,
+    -0.0 equal to 0.0: the rows dict.fromkeys keeps of the rows as tuples."""
+    # A stable sort puts equal rows together, first seen first.
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[order[1:]] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return first
+
+
+def find_rows(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Index in table of each row of queries, or -1 where none is equal
+    (-0.0 equals 0.0; a width unlike the table's matches nothing).  A row
+    repeated in table finds its last copy, as a dict of the rows as tuples
+    to their indices would."""
+    out = np.full(len(queries), -1)
+    if not len(table) or table.shape[1] != queries.shape[1]:
+        return out
+    keys = _row_keys(table)
+    order = np.argsort(keys, kind="stable")
+    keys, q = keys[order], _row_keys(queries)
+    pos = np.searchsorted(keys, q, side="right") - 1
+    hit = (pos >= 0) & (keys[pos] == q)
+    out[hit] = order[pos[hit]]
+    return out
+
+
 def marginal_blocks(rows: np.ndarray, dims: Sequence[int]) -> list[np.ndarray]:
     """Split (k, sum(dims)) flattened product points into one (k, d_i)
     array per marginal."""
@@ -302,15 +353,10 @@ class PairwiseCost:
     grid_x: tuple[Vec, ...] | None = None
     grid_y: tuple[Vec, ...] | None = None
     table: tuple[tuple[float, ...], ...] | None = None
-    _ix: Mapping[Vec, int] = field(
-        init=False, repr=False, compare=False, default=None  # type: ignore[assignment]
-    )
-    _iy: Mapping[Vec, int] = field(
-        init=False, repr=False, compare=False, default=None  # type: ignore[assignment]
-    )
-    _tab: np.ndarray = field(
-        init=False, repr=False, compare=False, default=None  # type: ignore[assignment]
-    )
+    # grid_x, grid_y and table as arrays, for lookups
+    _gx: np.ndarray = field(init=False, repr=False, compare=False, default=None)  # type: ignore[assignment]
+    _gy: np.ndarray = field(init=False, repr=False, compare=False, default=None)  # type: ignore[assignment]
+    _tab: np.ndarray = field(init=False, repr=False, compare=False, default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.kind not in PAIRWISE_KINDS:
@@ -324,21 +370,19 @@ class PairwiseCost:
         if self.kind == "tabulated":
             if self.grid_x is None or self.grid_y is None or self.table is None:
                 raise InputValidationError("tabulated cost needs grid_x, grid_y, table")
-            gx = tuple(as_vec(v) for v in self.grid_x)
-            gy = tuple(as_vec(v) for v in self.grid_y)
+            gx, gy = _vec_rows(self.grid_x), _vec_rows(self.grid_y)
             tab = tuple(tuple(float(v) for v in row) for row in self.table)
             if len(tab) != len(gx) or any(len(r) != len(gy) for r in tab):
                 raise DimensionMismatch("table shape must be len(grid_x) x len(grid_y)")
-            for row in tab:
-                for v in row:
-                    if not math.isfinite(v):
-                        raise InputValidationError("table entries must be finite")
-            object.__setattr__(self, "grid_x", gx)
-            object.__setattr__(self, "grid_y", gy)
+            arr = np.array(tab).reshape(len(gx), len(gy))
+            if not np.isfinite(arr).all():
+                raise InputValidationError("table entries must be finite")
+            object.__setattr__(self, "grid_x", tuple(map(tuple, gx.tolist())))
+            object.__setattr__(self, "grid_y", tuple(map(tuple, gy.tolist())))
             object.__setattr__(self, "table", tab)
-            object.__setattr__(self, "_ix", {v: i for i, v in enumerate(gx)})
-            object.__setattr__(self, "_iy", {v: i for i, v in enumerate(gy)})
-            object.__setattr__(self, "_tab", np.array(tab).reshape(len(gx), len(gy)))
+            object.__setattr__(self, "_gx", gx)
+            object.__setattr__(self, "_gy", gy)
+            object.__setattr__(self, "_tab", arr)
 
     @classmethod
     def inner_product(cls, sign: int = 1) -> "PairwiseCost":
@@ -360,13 +404,7 @@ class PairwiseCost:
         table: Sequence[Sequence[float]],
         sign: int = 1,
     ) -> "PairwiseCost":
-        return cls(
-            "tabulated",
-            sign,
-            grid_x=tuple(as_vec(v) for v in grid_x),
-            grid_y=tuple(as_vec(v) for v in grid_y),
-            table=tuple(tuple(float(v) for v in row) for row in table),
-        )
+        return cls("tabulated", sign, grid_x=tuple(grid_x), grid_y=tuple(grid_y), table=tuple(table))
 
     def _couple(self, x, y):
         """The closed-form kinds on coordinate sequences: floats for one pair
@@ -385,25 +423,17 @@ class PairwiseCost:
         return s if self.sign > 0 else -s
 
     def _grid_index(self, pts: np.ndarray, axis: str) -> np.ndarray:
-        index = self._ix if axis == "x" else self._iy
-        out = []
-        for p in map(tuple, pts.tolist()):
-            if p not in index:
-                raise OffGrid(f"point {p!r} not on the tabulated {axis}-grid")
-            out.append(index[p])
-        return np.array(out, dtype=int)
+        index = find_rows(self._gx if axis == "x" else self._gy, pts)
+        if (index < 0).any():
+            p = tuple(pts[int((index < 0).argmax())].tolist())
+            raise OffGrid(f"point {p!r} not on the tabulated {axis}-grid")
+        return index
 
     def value(self, x: Vec, y: Vec) -> float:
+        """c(x, y) for one pair of points; for a table, paired on one row."""
         if self.kind != "tabulated":
             return self._couple(x, y)
-        ix = self._ix.get(x)
-        iy = self._iy.get(y)
-        if ix is None:
-            raise OffGrid(f"point {x!r} not on the tabulated x-grid")
-        if iy is None:
-            raise OffGrid(f"point {y!r} not on the tabulated y-grid")
-        assert self.table is not None
-        return self.sign * self.table[ix][iy]
+        return float(self.paired([x], [y])[0])
 
     def matrix(self, xs, ys) -> np.ndarray:
         """M[a, b] = value(xs[a], ys[b]), bit for bit, as one array."""
@@ -664,7 +694,6 @@ class GammaSet:
         dims = tuple(int(d) for d in self.dims)
         if len(dims) < 2 or any(d < 1 for d in dims):
             raise InputValidationError("need at least two marginals of dimension >= 1")
-        seen: dict[Point, None] = {}
         for p in self.points:
             if len(p) != len(dims):
                 raise DimensionMismatch("point has the wrong number of marginals")
@@ -674,7 +703,7 @@ class GammaSet:
                 for v in x:
                     if not math.isfinite(v):
                         raise InputValidationError("coordinates must be finite")
-            seen.setdefault(p, None)
+        seen = dict.fromkeys(self.points)
         if not seen:
             raise InputValidationError("the point set must be nonempty")
         object.__setattr__(self, "dims", dims)
@@ -751,10 +780,7 @@ def project(g: GammaSet, i: int) -> tuple[Vec, ...]:
     """Distinct i-th marginal values of g, in first-seen order (1-based i)."""
     if not (1 <= i <= g.n_marginals):
         raise IndexOutOfRange(f"marginal index {i} outside 1..{g.n_marginals}")
-    seen: dict[Vec, None] = {}
-    for p in g.points:
-        seen.setdefault(p[i - 1], None)
-    return tuple(seen)
+    return tuple(dict.fromkeys(p[i - 1] for p in g.points))
 
 
 def project_pair(g: GammaSet, i: int, j: int) -> tuple[tuple[Vec, Vec], ...]:
@@ -763,36 +789,32 @@ def project_pair(g: GammaSet, i: int, j: int) -> tuple[tuple[Vec, Vec], ...]:
         raise IndexOutOfRange(f"pair ({i},{j}) outside 1..{g.n_marginals}")
     if i >= j:
         raise IndexOutOfRange("project_pair requires i < j")
-    seen: dict[tuple[Vec, Vec], None] = {}
-    for p in g.points:
-        seen.setdefault((p[i - 1], p[j - 1]), None)
-    return tuple(seen)
+    return tuple(dict.fromkeys((p[i - 1], p[j - 1]) for p in g.points))
 
 
-def dedup_vecs(points: Sequence[float | Sequence[float]]) -> tuple[Vec, ...]:
-    """Validated marginal points with duplicates dropped, in first-seen order."""
-    seen: dict[Vec, None] = {}
-    for p in points:
-        seen.setdefault(as_vec(p), None)
-    if not seen:
+def dedup_vecs(points: Sequence[float | Sequence[float]]) -> np.ndarray:
+    """Validated marginal points as a (k, d) array, duplicates dropped, in
+    first-seen order."""
+    rows = _vec_rows(points)
+    if not len(rows):
         raise InputValidationError("need at least one evaluation point")
-    return tuple(seen)
+    return rows[unique_rows(rows)]
 
 
-def dedup_pairs(pairs: Sequence[tuple]) -> list[tuple[Vec, Vec]]:
-    """Validated (x, y) pairs with duplicates dropped, in first-seen order."""
-    seen: dict[tuple[Vec, Vec], None] = {}
-    for x, y in pairs:
-        seen.setdefault((as_vec(x), as_vec(y)), None)
-    if not seen:
+def dedup_pairs(pairs: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """Validated (x, y) pairs as x and y row arrays, duplicate pairs dropped,
+    in first-seen order."""
+    try:
+        x, y = _vec_rows([x for x, _ in pairs]), _vec_rows([y for _, y in pairs])
+    except InputValidationError:
+        for x, y in pairs:  # the first bad coordinate in pair order
+            as_vec(x), as_vec(y)
+        raise DimensionMismatch("pairs mix marginal dimensions") from None
+    if not len(x):
         raise InputValidationError("the pair list must be nonempty")
-    out = list(seen)
-    dx = len(out[0][0])
-    dy = len(out[0][1])
-    for x, y in out:
-        if len(x) != dx or len(y) != dy:
-            raise DimensionMismatch("pairs mix marginal dimensions")
-    return out
+    xy = np.concatenate([x, y], axis=1)
+    xy = xy[unique_rows(xy)]
+    return xy[:, :x.shape[1]], xy[:, x.shape[1]:]
 
 
 # ---------------------------------------------------------------------------

@@ -311,16 +311,14 @@ def is_two_marginal_cyclically_monotone(
     permutation decomposes into cycles, and a cyclic shift along any
     positive cycle is itself a violation.
     """
-    deduped = dedup_pairs(pairs)
-    m = len(deduped)
-    xs = [p[0] for p in deduped]
-    ys = [p[1] for p in deduped]
+    xs, ys = dedup_pairs(pairs)
+    m = len(xs)
     scan = scan_gain_digraph(xs, ys, cost, tol=tol)
     if scan.cycle is None:
         return MonotonicityVerdict(True, None, checked=m * m, tolerance=tol)
     cyc = scan.cycle
     k = len(cyc)
-    points = tuple((xs[c], ys[c]) for c in cyc)
+    points = tuple((tuple(xs[c].tolist()), tuple(ys[c].tolist())) for c in cyc)
     forward = tuple((j + 1) % k for j in range(k))
     identity = tuple(range(k))
     permuted = sum(cost.value(points[(j + 1) % k][0], points[j][1]) for j in range(k))
@@ -552,9 +550,7 @@ def is_pair_monotone_classical(
     the inner-product coupling.  Pairs are scanned in (a, b) order, a < b,
     the inner product summed coordinate by coordinate from the left.
     """
-    deduped = dedup_pairs(pairs)
-    x = np.array([p[0] for p in deduped])
-    y = np.array([p[1] for p in deduped])
+    x, y = dedup_pairs(pairs)
     if x.shape != y.shape:
         raise DimensionMismatch(f"x of dimension {x.shape[1]} paired with y of {y.shape[1]}")
 
@@ -564,10 +560,10 @@ def is_pair_monotone_classical(
             v = v + (xs[rows, None] - xs[None, cols]) * (ys[rows, None] - ys[None, cols])
         return v < -tol
 
-    pair, checked = _scan_pairs(len(deduped), 4, True, negative)
+    pair, checked = _scan_pairs(len(x), 4, True, negative)
     if pair is None:
         return MonotonicityVerdict(True, None, checked, tol)
-    (xa, ya), (xb, yb) = deduped[pair[0]], deduped[pair[1]]
+    (xa, ya), (xb, yb) = ((tuple(x[k].tolist()), tuple(y[k].tolist())) for k in pair)
     inner = PairwiseCost.inner_product()
     witness = Witness(
         kind="pair",

@@ -38,6 +38,7 @@ import numpy as np
 from .antiderivative import Potential, verify_antiderivative
 from .core import EvenPowerForm, GammaSet, classical_cost, project, project_pair
 from .errors import (
+    BudgetExceeded,
     InputValidationError,
     InternalInconsistency,
     InversionFailure,
@@ -61,6 +62,7 @@ INVERSE_TOL = 1e-12
 ZERO_TOL = 1e-12
 BRACKET_GROWTH = 2.0
 MAX_BRACKET_STEPS = 200
+SWEEP_NODE_BUDGET = 1 << 22  # quadrature nodes one sign of a sweep may take
 
 
 @dataclass(frozen=True)
@@ -191,7 +193,9 @@ def _sweep_edges(ys: np.ndarray) -> np.ndarray:
     next one; beyond it they sit on the grid GRADE_LIMIT + j GRADE_PANELS /
     PANELS_PER_UNIT.  Every knot is an edge, and every piece [a, b] has
     b <= 2a, so no panel is coarse next to its distance from 0, where
-    compositions like t^(1/3) have unbounded derivatives.
+    compositions like t^(1/3) have unbounded derivatives.  Raises
+    BudgetExceeded before allocating the grid when the pieces would take
+    more than SWEEP_NODE_BUDGET nodes.
     """
     top = min(ys[-1], GRADE_LIMIT)
     stops = np.append(ys[ys < top], top)
@@ -201,9 +205,16 @@ def _sweep_edges(ys: np.ndarray) -> np.ndarray:
             edges.append(s)
             s *= 2.0
     edges.append(top)
-    if ys[-1] > GRADE_LIMIT:
-        step = GRADE_PANELS / PANELS_PER_UNIT
-        grid = GRADE_LIMIT + step * np.arange(1, math.ceil((ys[-1] - GRADE_LIMIT) / step))
+    step = GRADE_PANELS / PANELS_PER_UNIT
+    beyond = max(0.0, (float(ys[-1]) - GRADE_LIMIT) / step)  # grid pieces; inf on overflow
+    nodes = (len(edges) + beyond + len(ys)) * (GRADE_PANELS + 1)  # an upper bound
+    if nodes > SWEEP_NODE_BUDGET:
+        raise BudgetExceeded(
+            f"quadrature to {float(ys[-1])!r} needs about {nodes:.3g} nodes, "
+            f"over the budget of {SWEEP_NODE_BUDGET}"
+        )
+    if beyond:
+        grid = GRADE_LIMIT + step * np.arange(1, math.ceil(beyond))
         edges.extend(np.union1d(grid, ys[ys > GRADE_LIMIT]))
     return np.array(edges)
 
@@ -295,7 +306,7 @@ def curve_potentials(
             return sum(a(s) for a in _others)
 
         values, brackets = _sweep(integrand, knots)
-        pots.append(Potential(tuple((t,) for t in knots.tolist()), tuple(values.tolist())))
+        pots.append(Potential(knots[:, None], values))
         bounds.append(float(brackets.max()))
     return CurvePotentials(tuple(pots), tuple(bounds))
 

@@ -48,6 +48,7 @@ from .core import (
     marginal_blocks,
     project,
     project_pair,
+    unique_rows,
 )
 from .errors import (
     BasePointNotInGamma,
@@ -99,13 +100,11 @@ class SplittingTuple:
         return len(self.potentials)
 
     def sum_at(self, p: Point) -> float:
-        """u_1(p_1) + ... + u_N(p_N) in extended-real arithmetic."""
+        """u_1(p_1) + ... + u_N(p_N) in extended-real arithmetic: values are
+        finite or +inf, so +inf absorbs."""
         total = 0.0
         for u, x in zip(self.potentials, p):
-            v = u.value_at(x)
-            if v == math.inf:
-                return math.inf
-            total += v
+            total += u.value_at(x)
         return total
 
     def to_json(self) -> dict:
@@ -187,7 +186,7 @@ def assemble_splitting_tuple(
         terms = [pair_pots[(i, k)] for k in range(i + 1, n + 1)]
         terms += [pair_conjs[(k, i)] for k in range(1, i)]
         total = sum(np.asarray(u.values) for u in terms) + spec.shift_values(i, grids[i - 1])
-        potentials.append(Potential(grids[i - 1], tuple(total.tolist())))
+        potentials.append(Potential(grids[i - 1], total))
     return SplittingTuple(tuple(potentials), pair_pots, pair_conjs, base)
 
 
@@ -214,7 +213,7 @@ def shift_splitting_tuple(
             )
         vals = np.array(u.values)
         shifted = np.where(vals == math.inf, vals, vals + h.values(u.points))
-        pots.append(Potential(u.points, tuple(shifted.tolist()), argmax=u.argmax))
+        pots.append(Potential(u.points, shifted, argmax=u.argmax))
     return SplittingTuple(
         tuple(pots), tup.pair_potentials, tup.pair_conjugates, tup.base_point
     )
@@ -249,11 +248,7 @@ def sample_test_points(
     rng = np.random.default_rng(seed)
     blocks.append(rng.uniform(low=lows, high=highs, size=(n_samples, total_dim)))
     pts = np.concatenate(blocks)
-    # A stable sort puts equal rows (-0.0 equals 0.0) together, first seen first.
-    order = np.lexsort(pts.T[::-1])
-    first = np.ones(len(pts), dtype=bool)
-    first[order[1:]] = (pts[order[1:]] != pts[order[:-1]]).any(axis=1)
-    return pts[first]
+    return pts[unique_rows(pts)]
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from monosplit.core import (
     Vec,
     as_vec,
     classical_cost,
-    dedup_pairs,
     marginal_blocks,
 )
 from monosplit.errors import (
@@ -210,7 +209,7 @@ def pair_monotone_classical_loop(
     """Reference for is_pair_monotone_classical: <x - x', y - y'> >= -tol
     tested one pair at a time, the inner product a Python sum.  The failing
     inner product is the witness value."""
-    deduped = dedup_pairs(pairs)
+    deduped = list(dict.fromkeys((as_vec(x), as_vec(y)) for x, y in pairs))
     inner = PairwiseCost.inner_product()
     checked = 0
     for a in range(len(deduped)):

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import monosplit
+from monosplit import onedim
 from monosplit.antiderivative import Potential
 from monosplit.cli import main
 from monosplit.core import GammaSet, classical_cost, gamma_1d, loads_json
@@ -435,6 +436,34 @@ def test_parse_errors(capsys, tmp_path, gamma_file):
     assert _run(capsys, ["verify", str(broken)])[0] == 2
     assert _run(capsys, ["verify", str(tmp_path / "missing.json")])[0] == 2
     assert _run(capsys, ["split", gamma_file, "--grid", "1:2"])[0] == 2
+    # non-finite numbers and grids over GRID_CAP are refused before any is built
+    for argv, reason in ((["example", "curves", "--grid=0:nan:1"], "numbers must be finite"),
+                         (["example", "knott-smith", "--tmax", "nan"], "numbers must be finite"),
+                         (["example", "curves", "--grid=0:1:inf"], "numbers must be finite"),
+                         (["example", "curves", "--grid=-1e300:1e300:1e-300"], "would hold more"),
+                         (["split", gamma_file, "--grid=0:1e9:1e-3"], "would hold more")):
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "") and err.startswith("error: grid") and reason in err
+
+
+@pytest.mark.parametrize("a", ["1e6", "1e300"])
+def test_example_young_refuses_quadrature_over_the_node_budget(capsys, a):
+    code, out, err = _run(capsys, ["example", "young", "--a", a])
+    assert (code, out) == (1, "")
+    assert err.startswith("budget exceeded: quadrature to ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["example", "curves", "--grid=-1.5:1.5:0.2"],
+    ["example", "curves", "--grid=-1:1:0.5"],
+    ["example", "knott-smith", "--tmax", "1.0", "--samples", "50"],
+    ["example", "knott-smith", "--tmax", "0.5", "--samples", "50"],
+    ["example", "young"],
+    ["example", "young", "--g", "cube", "--a", "1.1", "--b", str(1.1**3)],
+])
+def test_examples_at_their_test_and_benchmark_flags_keep_a_node_margin(capsys, monkeypatch, argv):
+    monkeypatch.setattr(onedim, "SWEEP_NODE_BUDGET", onedim.SWEEP_NODE_BUDGET // 100)
+    assert _run(capsys, argv)[0] == 0
 
 
 def test_module_entry_point_subprocess():

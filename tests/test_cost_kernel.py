@@ -1,9 +1,12 @@
-"""The array evaluators against their one-point counterparts.
+"""The array evaluators against independent one-point references.
 
-``PairwiseCost.matrix``/``paired``, ``CostSpec.total_many`` and
-``Potential.values_at`` must reproduce ``value``, ``total`` and
-``value_at`` bit for bit, signed zeros included, and raise the same errors.
-``ClosedForm.values`` must reproduce the plain float formulas of each form.
+``PairwiseCost.matrix``/``paired`` must reproduce ``value`` for the closed
+form kinds, and a dict of the grid points for tables; ``CostSpec.total_many``
+must reproduce ``total``; ``Potential.values_at`` and ``value_at`` must
+reproduce a dict of the table.  All bit for bit, signed zeros included, with
+the same errors.  ``ClosedForm.values`` must reproduce the plain float
+formulas of each form, and the row helpers ``unique_rows``/``find_rows``
+what ``dict.fromkeys`` and a dict lookup give on the rows as tuples.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from monosplit.core import (
     QuadraticForm,
     add_separable_shift,
     classical_cost,
+    find_rows,
+    unique_rows,
 )
 from monosplit.errors import DimensionMismatch, OffGrid
 
@@ -48,26 +53,33 @@ def cost_and_points(draw):
     xs, ys = draw(vecs(dx)), draw(vecs(dy))
     if kind == "bilinear":
         coef = draw(st.lists(st.lists(FLOATS, min_size=dy, max_size=dy), min_size=dx, max_size=dx))
-        return PairwiseCost.bilinear(coef, sign), xs, ys
+        cost = PairwiseCost.bilinear(coef, sign)
+        return cost, xs, ys, cost.value
     if kind == "tabulated":
+        # grid points may repeat, and -0.0 stands for 0.0
         gx, gy = xs + draw(vecs(dx, 3)), ys + draw(vecs(dy, 3))
         table = draw(st.lists(st.lists(FLOATS, min_size=len(gy), max_size=len(gy)),
                               min_size=len(gx), max_size=len(gx)))
-        return PairwiseCost.tabulated(gx, gy, table, sign), xs, ys
-    return PairwiseCost(kind, sign), xs, ys
+        ix = {p: i for i, p in enumerate(gx)}
+        iy = {p: i for i, p in enumerate(gy)}
+        cost = PairwiseCost.tabulated(gx, gy, table, sign)
+        return cost, xs, ys, lambda x, y: sign * table[ix[x]][iy[y]]
+    cost = PairwiseCost(kind, sign)
+    return cost, xs, ys, cost.value
 
 
 @given(cost_and_points())
 def test_matrix_and_paired_reproduce_value_bit_for_bit(case):
-    cost, xs, ys = case
+    cost, xs, ys, reference = case
     m = cost.matrix(xs, ys)
     assert m.shape == (len(xs), len(ys))
     for a, x in enumerate(xs):
         for b, y in enumerate(ys):
-            assert same_bits(m[a, b], cost.value(x, y))
+            assert same_bits(m[a, b], reference(x, y))
+            assert same_bits(cost.value(x, y), reference(x, y))
     k = min(len(xs), len(ys))
     row = cost.paired(xs[:k], ys[:k])
-    assert all(same_bits(row[r], cost.value(xs[r], ys[r])) for r in range(k))
+    assert all(same_bits(row[r], reference(xs[r], ys[r])) for r in range(k))
 
 
 GRID = PairwiseCost.tabulated([0.0, 1.0], [(2.0, 3.0)], [[1.0], [2.0]])
@@ -167,6 +179,38 @@ def test_values_at_reproduces_value_at(d, with_form, data):
     queries = table + [tuple(-v if v == 0.0 else v for v in p) for p in table]
     queries += data.draw(st.lists(st.tuples(*[st.sampled_from((-0.0, 0.0, 0.5, 3.0))] * d),
                                   max_size=6))
+    lookup = dict(zip(table, values))
     got = pot.values_at(np.array(queries).reshape(len(queries), d))
     for q, v in zip(queries, got):
-        assert same_bits(v, pot.value_at(q))
+        want = lookup[q] if q in lookup else form.value(q) if form else math.inf
+        assert same_bits(v, want)
+        assert same_bits(pot.value_at(q), want)
+
+
+ROW_VALUES = st.sampled_from((-1.0, -0.0, 0.0, 0.5, 2.0))
+
+
+def rows(d: int, min_size: int = 0):
+    return st.lists(st.tuples(*[ROW_VALUES] * d), min_size=min_size, max_size=10)
+
+
+def as_array(points: list, d: int) -> np.ndarray:
+    return np.array(points, dtype=float).reshape(len(points), d)
+
+
+@given(st.integers(1, 3), st.data())
+def test_unique_rows_keeps_what_dict_fromkeys_keeps(d, data):
+    points = data.draw(rows(d))
+    kept = as_array(points, d)[unique_rows(as_array(points, d))]
+    want = list(dict.fromkeys(points))  # first seen, -0.0 equal to 0.0
+    assert [tuple(r) for r in kept.tolist()] == want
+    assert all(same_bits(a, b) for r, w in zip(kept.tolist(), want) for a, b in zip(r, w))
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_find_rows_answers_what_a_dict_lookup_answers(d, dq, data):
+    table = data.draw(rows(d))
+    queries = data.draw(rows(dq)) + (table if dq == d else [])
+    index = {p: i for i, p in enumerate(table)}  # a repeated row: its last copy
+    got = find_rows(as_array(table, d), as_array(queries, dq))
+    assert got.tolist() == [index.get(q, -1) for q in queries]

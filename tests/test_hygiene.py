@@ -1,5 +1,6 @@
 """Source hygiene: every name a module imports at top level is used there,
-and every function the benchmark tracer wraps still exists.
+the package imports nothing at run time but the standard library, NumPy and
+itself, and every function the benchmark tracer wraps still exists.
 
 The scan reads each module of the package (not ``__init__.py``, whose
 imports are its public re-exports) with :mod:`ast`.  A name counts as used
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,6 +84,37 @@ def test_package_scan_covers_every_module():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert _unused_imports((PACKAGE / module).read_text()) == []
+
+
+RUNTIME_DEPENDENCIES = set(sys.stdlib_module_names) | {"numpy", "monosplit"}
+
+
+def _imported_packages(source: str) -> set[str]:
+    """Top-level package of every import anywhere in a module; a relative
+    import is the package itself."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            out.add("monosplit" if node.level else node.module.split(".")[0])
+    return out
+
+
+def test_the_dependency_scan_sees_nested_and_relative_imports():
+    source = (
+        "import os.path\n"
+        "from .core import Vec\n"
+        "def f():\n"
+        "    import scipy.linalg\n"
+        "    from numpy import linalg\n"
+    )
+    assert _imported_packages(source) == {"os", "monosplit", "scipy", "numpy"}
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_runtime_imports_are_the_standard_library_numpy_or_the_package(module):
+    assert _imported_packages((PACKAGE / module).read_text()) - RUNTIME_DEPENDENCIES == set()
 
 
 def test_traced_functions_exist():
