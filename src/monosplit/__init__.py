@@ -39,7 +39,6 @@ from .core import (
     classical_cost,
     dumps_json,
     form_from_json,
-    gamma_1d,
     loads_json,
     project,
     project_pair,

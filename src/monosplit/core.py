@@ -771,11 +771,6 @@ class GammaSet:
         return cls(dims, points)
 
 
-def gamma_1d(rows: Sequence[Sequence[float]]) -> GammaSet:
-    """Build a GammaSet with scalar marginals from rows of coordinates."""
-    return GammaSet.from_points([[float(v) for v in row] for row in rows])
-
-
 def project(g: GammaSet, i: int) -> tuple[Vec, ...]:
     """Distinct i-th marginal values of g, in first-seen order (1-based i)."""
     if not (1 <= i <= g.n_marginals):

@@ -11,8 +11,9 @@ enumerating multisets instead of ordered tuples loses none either, so the
 brute-force verifier walks multisets in lexicographic index order and
 permutation tuples in lexicographic order, reporting the first violation it
 meets.  It takes the multisets in blocks that grow geometrically, and sums
-the costs of every permutation tuple of a block as one array.  It handles
-any number N of marginals.  c-monotone means 2-c-monotone:
+the costs of every permutation tuple of a block as one array, adding each
+pair term one tuple position at a time.  It handles any number N of
+marginals.  c-monotone means 2-c-monotone:
 :func:`is_c_monotone` computes order 2 as array sums over the masks of
 marginals to swap between two points, in row blocks of point pairs whose
 pair-cost entries each block evaluates for itself, and equals the
@@ -356,6 +357,23 @@ def _full_pair_matrices(g: GammaSet, spec: CostSpec) -> dict[tuple[int, int], np
     return {(i, j): cost.matrix(blocks[i - 1], blocks[j - 1]) for (i, j), cost in spec.pairs.items()}
 
 
+def _positions(index: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The slices index[..., k] along the trailing axis, each contiguous."""
+    return tuple(np.ascontiguousarray(index[..., k]) for k in range(index.shape[-1]))
+
+
+def _add_positions(rows: np.ndarray, positions: tuple[np.ndarray, ...]) -> np.ndarray:
+    """+0.0 + rows.take(positions[0], axis=1) + ... + rows.take(positions[-1],
+    axis=1), added left to right.  NumPy sums a short trailing axis in that
+    order, so this is the sum over the last axis of rows gathered at the
+    stacked positions, bit for bit and -0.0 included, without that gather."""
+    total = rows.take(positions[0], axis=1)
+    total += 0.0
+    for cols in positions[1:]:
+        total += rows.take(cols, axis=1)
+    return total
+
+
 def is_n_c_monotone_bruteforce(
     g: GammaSet,
     spec: CostSpec,
@@ -368,16 +386,16 @@ def is_n_c_monotone_bruteforce(
     Walks every size-n multiset of points (repetition allowed; a tuple may
     use the same point twice) and every permutation tuple with the first
     marginal fixed to the identity.  Multisets come in blocks of b, as a
-    (b, n) index array whose cost sums are gathered from precomputed
-    pairwise matrices into one array with an axis for the multiset and one
-    per marginal 2..N; this caches evaluations but enumerates every
-    comparison exactly.  Blocks start at two multisets (the first, one
-    point n times, cannot violate) and double up to PAIR_BLOCK_CELLS / 32
-    gathered cells, so an early violation costs one small block.  Each term
-    sums over a trailing axis of length n, as it would for one multiset
-    alone, so no sum depends on the block size.  The first violation in
-    (multiset, permutation) lexicographic order becomes the witness.  Any
-    number of marginals is supported.
+    (b, n) index array whose cost sums are taken from precomputed pairwise
+    matrices into one array with an axis for the multiset and one per
+    marginal 2..N; this caches evaluations but enumerates every comparison
+    exactly.  Blocks start at two multisets (the first, one point n times,
+    cannot violate) and double up to PAIR_BLOCK_CELLS / 32 cells over the n
+    positions of a term, so an early violation costs one small block.  Each
+    term adds its n positions one by one from +0.0, the order in which NumPy
+    sums a multiset's term over a short axis, so no sum depends on the block
+    size.  The first violation in (multiset, permutation) lexicographic
+    order becomes the witness.  Any number of marginals is supported.
 
     Raises OrderTooLarge when n > 7, or when multisets * permutation tuples
     would exceed the budget.
@@ -413,10 +431,13 @@ def is_n_c_monotone_bruteforce(
     # Column a * n + b of a block's flattened pair submatrices holds
     # M_ij[idx[a], idx[b]].  Pair (1, j) meets row k with column perms[p, k];
     # pair (i, j), i > 1, meets row perms[p, k] with column perms[q, k].
-    fixed_first = np.arange(n) * n + perms
-    both_moved = perms[:, None, :] * n + perms[None, :, :]
-    # A gathered term has at most per_multiset * n cells a multiset; capping
-    # it at PAIR_BLOCK_CELLS / 32 keeps a block's arrays near half a megabyte.
+    # Each is kept as n contiguous position slices, one per k.
+    fixed_first = _positions(np.arange(n) * n + perms)
+    both_moved = _positions(perms[:, None, :] * n + perms[None, :, :])
+    by_position = _positions(perms)
+    # A term has per_multiset cells a multiset, added up from n takes of that
+    # size; capping the n of them at PAIR_BLOCK_CELLS / 32 cells a block keeps
+    # each of a block's arrays within a quarter megabyte.
     cap = max(1, PAIR_BLOCK_CELLS // (32 * per_multiset * n))
     stream = itertools.combinations_with_replacement(range(g.size), n)
     checked = 0
@@ -429,10 +450,10 @@ def is_n_c_monotone_bruteforce(
             sub = mats[(i, j)][idx[:, :, None], idx[:, None, :]].reshape(len(combos), n * n)
             if i == 1:
                 # pair (1, j) plus the shift of marginal j
-                term = (sub.take(fixed_first, axis=1).sum(axis=-1)
-                        + shifts[j - 1][idx].take(perms, axis=1).sum(axis=-1))
+                term = (_add_positions(sub, fixed_first)
+                        + _add_positions(shifts[j - 1][idx], by_position))
             else:
-                term = sub.take(both_moved, axis=1).sum(axis=-1)
+                term = _add_positions(sub, both_moved)
             vals += term.reshape(shape)
         flat = vals.reshape(len(combos), -1)
         viol = flat > flat[:, :1] + tol

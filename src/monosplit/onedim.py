@@ -522,9 +522,10 @@ def characterize_1d(
     inner = classical_cost("c1", 2, 1).pair_cost(1, 2)
     item_iii = True
     item_iv = True
+    projections = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            pairs = project_pair(g, i, j)
+            pairs = projections[(i, j)] = project_pair(g, i, j)
             item_iii = item_iii and is_two_marginal_cyclically_monotone(pairs, inner, tol).holds
             item_iv = item_iv and is_pair_monotone_classical(pairs).holds
 
@@ -540,7 +541,7 @@ def characterize_1d(
             tup, g, spec, test_points=prod_grid, ineq_tol=tol, eq_tol=tol
         ).passed
         item_vi = all(
-            verify_antiderivative(f, project_pair(g, i, j), spec.pair_cost(i, j), tol=tol).holds
+            verify_antiderivative(f, projections[(i, j)], spec.pair_cost(i, j), tol=tol).holds
             for (i, j), f in tup.pair_potentials.items()
         )
 

@@ -61,6 +61,11 @@ COUPLING_BUDGET = 2_000_000
 COARSE_GRID = (-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0)
 
 
+def gamma_1d(rows: Sequence[Sequence[float]]) -> GammaSet:
+    """Build a GammaSet with scalar marginals from rows of coordinates."""
+    return GammaSet.from_points([[float(v) for v in row] for row in rows])
+
+
 def make_comonotone_gamma(rng: np.random.Generator, n_marginals: int = 3,
                           size: int = 4) -> GammaSet:
     """1-D set whose coordinates move together: x_i^(k) nondecreasing in k

@@ -11,10 +11,11 @@ from pathlib import Path
 import pytest
 
 import monosplit
+from helpers import gamma_1d
 from monosplit import onedim
 from monosplit.antiderivative import Potential
 from monosplit.cli import main
-from monosplit.core import GammaSet, classical_cost, gamma_1d, loads_json
+from monosplit.core import GammaSet, classical_cost, loads_json
 from monosplit.splitting import SplittingTuple, certify_splitting
 
 DIAGONAL_DOC = gamma_1d([[t, t, t] for t in (-1.0, 0.0, 1.0)]).to_json()
@@ -73,6 +74,14 @@ FAILING_1D_POINTS = [
     [0.13, 0.29, -0.41], [0.61, 1.03, 1.17], [1.31, 1.57, 0.59],
 ]
 
+# Ten points, likewise comonotone but for marginal 3 of the last two: order 4
+# first fails on multiset 54 of 715, several enumerator blocks in.
+LATE_1D_POINTS = [
+    [-2.13, -1.87, -2.41], [-1.71, -1.52, -1.96], [-1.26, -0.93, -1.38],
+    [-0.82, -0.61, -0.77], [-0.35, -0.18, -0.29], [0.17, 0.26, 0.21],
+    [0.58, 0.73, 0.66], [1.04, 1.19, 1.27], [1.49, 1.62, 2.35], [1.97, 2.11, 1.83],
+]
+
 
 @pytest.mark.parametrize("doc, argv, exit_code, pinned", [
     # 2-D, N = 3 commuting-SPD set: orders 2 and 3 hold.
@@ -80,6 +89,8 @@ FAILING_1D_POINTS = [
      ["--cost", "c3", "--brute", "3"], 0, "verify_passing_2d.json"),
     (gamma_1d(FAILING_1D_POINTS).to_json(),
      ["--brute", "4", "--sign-criterion"], 1, "verify_failing_1d.json"),
+    (gamma_1d(LATE_1D_POINTS).to_json(),
+     ["--cost", "c3", "--brute", "4"], 1, "verify_brute4_late_c3.json"),
 ])
 def test_verify_brute_reports_are_pinned(capsys, tmp_path, monkeypatch, doc, argv,
                                          exit_code, pinned):

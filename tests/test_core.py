@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import gamma_1d
 from monosplit.core import (
     CostSpec,
     EvenPowerForm,
@@ -24,7 +25,6 @@ from monosplit.core import (
     classical_cost,
     dumps_json,
     form_from_json,
-    gamma_1d,
     loads_json,
     project,
     project_pair,

@@ -18,6 +18,7 @@ from helpers import (
     bruteforce_cycle_gain,
     bruteforce_loop,
     coupling_oracle_holds,
+    gamma_1d,
     make_comonotone_gamma,
     make_random_gamma,
     make_random_pairs,
@@ -30,7 +31,6 @@ from monosplit.core import (
     GammaSet,
     PairwiseCost,
     classical_cost,
-    gamma_1d,
 )
 from monosplit.errors import DimensionMismatch, OrderTooLarge
 from monosplit.monotone import (
@@ -209,6 +209,22 @@ def test_is_c_monotone_equals_the_order_two_enumerator(rng):
     assert outcomes == {(n, h) for n in (2, 3, 4, 5) for h in (True, False)}
 
 
+@pytest.mark.parametrize("outer", [(), (5,), (3, 4)])
+def test_numpy_sums_a_short_trailing_axis_left_to_right(rng, outer):
+    # The enumerator adds a term's n positions one by one from +0.0, while
+    # bruteforce_loop sums them over a trailing axis: the two agree bit for
+    # bit only while NumPy adds such an axis in that order.
+    for n in range(1, 8):
+        rows = rng.normal(size=outer + (n,)) * 10.0 ** rng.integers(-8, 9, size=n)
+        rows[rng.random(rows.shape) < 0.2] = -0.0
+        expected = np.zeros(outer)
+        for k in range(n):
+            expected = expected + rows[..., k]
+        assert np.add.reduce(rows, axis=-1).tobytes() == expected.tobytes()
+    for row, total in (([1e16, 1.0, 1.0], 1e16), ([-0.0], 0.0)):
+        assert np.add.reduce(np.array([[row]]), axis=-1).tobytes() == np.array([[total]]).tobytes()
+
+
 ENUMERATOR_WORK = 100_000  # multisets x permutation tuples per Hypothesis example
 GRID_JSON = [[v] for v in COARSE_GRID]
 
@@ -241,7 +257,10 @@ def _enumerator_cost(kind: str, nmarg: int, dim: int, rng) -> CostSpec:
 @st.composite
 def enumerator_cases(draw):
     """(set, cost, order): comonotone sets (passing under c1 and c3), the same
-    with marginals of two late points swapped, and coarse-grid sets."""
+    with marginals of two late points swapped, coarse-grid sets, and two
+    layouts whose sums depend on the order of addition: coordinates near
+    1e8 mixed with ones near 1e-8, and coarse-grid sets holding both -0.0
+    and 0.0."""
     nmarg = draw(st.sampled_from([3, 2, 4, 5]))
 
     def work(n: int, size: int) -> int:
@@ -252,9 +271,17 @@ def enumerator_cases(draw):
     kind = draw(st.sampled_from(["c1", "c2", "c3", "shifted", "bilinear+tabulated"]))
     dim = 1 if kind == "bilinear+tabulated" else draw(st.integers(1, 2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    layout = draw(st.sampled_from(["comonotone", "swapped", "grid"]))
-    if layout == "grid" or kind == "bilinear+tabulated":
+    layout = draw(st.sampled_from(["comonotone", "swapped", "grid", "magnitudes", "zeros"]))
+    if layout == "zeros":
         rows = _grid_rows(rng, (size, nmarg, dim))
+        zero = rng.random(rows.shape) < 0.5
+        rows[zero] = rng.choice((0.0, -0.0), size=int(zero.sum()))
+        rows.flat[0], rows.flat[-1] = 0.0, -0.0
+    elif layout == "grid" or kind == "bilinear+tabulated":
+        rows = _grid_rows(rng, (size, nmarg, dim))
+    elif layout == "magnitudes":
+        scale = rng.choice((1e8, 1e-8), size=(size, nmarg, dim))
+        rows = rng.normal(size=(size, nmarg, dim)) * scale
     else:
         rows = np.cumsum(rng.normal(size=(size, nmarg, dim)) ** 2, axis=0)
         if layout == "swapped" and size > 1:

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import curve_potentials_per_knot, integral_per_knot
+from helpers import curve_potentials_per_knot, gamma_1d, integral_per_knot
 from monosplit import antiderivative, onedim, splitting
-from monosplit.core import GammaSet, PairwiseCost, gamma_1d
+from monosplit.core import GammaSet, PairwiseCost
 from monosplit.errors import (
     InputValidationError,
     InversionFailure,

@@ -20,10 +20,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import bruteforce_cycle_gain, chain_enumeration_oracle
+from helpers import bruteforce_cycle_gain, chain_enumeration_oracle, gamma_1d
 from monosplit import monotone
 from monosplit.cli import main
-from monosplit.core import CostSpec, PairwiseCost, classical_cost, gamma_1d
+from monosplit.core import CostSpec, PairwiseCost, classical_cost
 from monosplit.errors import InputValidationError
 from monosplit.monotone import (
     DEFAULT_TOL,

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from helpers import (
+    gamma_1d,
     make_comonotone_gamma,
     scalar_certificate,
     splitting_implies_monotone_check,
 )
-from monosplit.core import GammaSet, QuadraticForm, as_point, classical_cost, gamma_1d
+from monosplit.core import GammaSet, QuadraticForm, as_point, classical_cost
 from monosplit.errors import (
     BasePointNotInGamma,
     BudgetExceeded,
