@@ -115,7 +115,6 @@ from .splitting import (
     certify_splitting,
     check_exactness_condition,
     sample_test_points,
-    shift_splitting_tuple,
 )
 
 __version__ = "0.1.0"

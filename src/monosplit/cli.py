@@ -11,12 +11,14 @@ Reports are JSON with floats written as their shortest round-trip repr and
 keys in a fixed order, so identical inputs and seed produce byte-identical
 output.  Exit codes: 0 when every requested property holds, 1 when a
 property is violated (the report carries the witness), 2 for usage or parse
-errors.
+errors.  :func:`main` builds its argument parser on the first call and
+reuses it for every later call in the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import sys
@@ -509,7 +511,10 @@ def _add_common(p: argparse.ArgumentParser, samples_default: int) -> None:
                    help="output format where both are meaningful")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use: parsing leaves
+    it unchanged, so every :func:`main` call can reuse it."""
     parser = argparse.ArgumentParser(
         prog="monosplit",
         description="Verify multi-marginal monotonicity and build splitting potentials.",

@@ -807,6 +807,13 @@ def dedup_pairs(pairs: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatch("pairs mix marginal dimensions") from None
     if not len(x):
         raise InputValidationError("the pair list must be nonempty")
+    return unique_pairs(x, y)
+
+
+def unique_pairs(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of x and y side by side, first seen first (-0.0
+    equal to 0.0, the first-seen sign kept), split back into x and y rows:
+    the pairs dict.fromkeys keeps of the pairs as tuples."""
     xy = np.concatenate([x, y], axis=1)
     xy = xy[unique_rows(xy)]
     return xy[:, :x.shape[1]], xy[:, x.shape[1]:]

@@ -57,7 +57,7 @@ from .core import (
     classical_cost,
     dedup_pairs,
     marginal_blocks,
-    project_pair,
+    unique_pairs,
 )
 from .errors import (
     DimensionMismatch,
@@ -313,6 +313,14 @@ def is_two_marginal_cyclically_monotone(
     positive cycle is itself a violation.
     """
     xs, ys = dedup_pairs(pairs)
+    return _cycle_verdict(xs, ys, cost, tol)
+
+
+def _cycle_verdict(
+    xs: np.ndarray, ys: np.ndarray, cost: PairwiseCost, tol: float
+) -> MonotonicityVerdict:
+    """Cyclic monotonicity of the distinct pairs (xs[k], ys[k]), given as
+    (m, d) row arrays; a positive cycle of the gain digraph is the witness."""
     m = len(xs)
     scan = scan_gain_digraph(xs, ys, cost, tol=tol)
     if scan.cycle is None:
@@ -363,12 +371,14 @@ def _positions(index: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _add_positions(rows: np.ndarray, positions: tuple[np.ndarray, ...]) -> np.ndarray:
-    """+0.0 + rows.take(positions[0], axis=1) + ... + rows.take(positions[-1],
-    axis=1), added left to right.  NumPy sums a short trailing axis in that
-    order, so this is the sum over the last axis of rows gathered at the
-    stacked positions, bit for bit and -0.0 included, without that gather."""
+    """rows.take(positions[0], axis=1) + ... + rows.take(positions[-1],
+    axis=1), added left to right: the sum over the last axis of rows
+    gathered at the stacked positions, in the order NumPy sums a short
+    trailing axis, without that gather.  NumPy starts from +0.0, so where
+    every term is -0.0 its sum is +0.0 and this one -0.0.  Callers add the
+    result to a running sum that is never -0.0, which either zero leaves
+    unchanged, so their sums are NumPy's bit for bit."""
     total = rows.take(positions[0], axis=1)
-    total += 0.0
     for cols in positions[1:]:
         total += rows.take(cols, axis=1)
     return total
@@ -392,10 +402,13 @@ def is_n_c_monotone_bruteforce(
     exactly.  Blocks start at two multisets (the first, one point n times,
     cannot violate) and double up to PAIR_BLOCK_CELLS / 32 cells over the n
     positions of a term, so an early violation costs one small block.  Each
-    term adds its n positions one by one from +0.0, the order in which NumPy
-    sums a multiset's term over a short axis, so no sum depends on the block
-    size.  The first violation in (multiset, permutation) lexicographic
-    order becomes the witness.  Any number of marginals is supported.
+    term adds its n positions one by one, the order in which NumPy sums a
+    multiset's term over a short axis, so no sum depends on the block size.
+    A term may come out -0.0 where NumPy, summing from +0.0, gives +0.0;
+    no sum changes, since the running sum starts from a NumPy sum, is
+    never -0.0, and is left as it is by either zero.  The first violation
+    in (multiset, permutation) lexicographic order becomes the witness.  Any
+    number of marginals is supported.
 
     Raises OrderTooLarge when n > 7, or when multisets * permutation tuples
     would exceed the budget.
@@ -669,11 +682,16 @@ def check_projection_condition(
     spec: CostSpec,
     tol: float = DEFAULT_TOL,
 ) -> ProjectionReport:
-    """Check every pair projection of g for c_ij-cyclic monotonicity."""
+    """Check every pair projection of g for c_ij-cyclic monotonicity.
+
+    Each projection is read from g.coords as the distinct (x_i, x_j) rows in
+    first-seen order, the pairs project_pair lists, and gets the verdict
+    :func:`is_two_marginal_cyclically_monotone` gives on those pairs.
+    """
     _check_gamma_against_spec(g, spec)
-    verdicts = {}
-    for (i, j), cost in sorted(spec.pairs.items()):
-        verdicts[(i, j)] = is_two_marginal_cyclically_monotone(
-            project_pair(g, i, j), cost, tol=tol
-        )
+    blocks = marginal_blocks(g.coords, g.dims)
+    verdicts = {
+        (i, j): _cycle_verdict(*unique_pairs(blocks[i - 1], blocks[j - 1]), cost, tol)
+        for (i, j), cost in sorted(spec.pairs.items())
+    }
     return ProjectionReport(verdicts, all(v.holds for v in verdicts.values()))

@@ -190,35 +190,6 @@ def assemble_splitting_tuple(
     return SplittingTuple(tuple(potentials), pair_pots, pair_conjs, base)
 
 
-def shift_splitting_tuple(
-    tup: SplittingTuple, forms: Sequence[ClosedForm | None]
-) -> SplittingTuple:
-    """Replace each u_i by u_i + h_i on its table (h_i = None leaves u_i).
-
-    Used for the shift-covariance law: the result splits the shifted cost
-    exactly when the input splits the unshifted one.  Only tabulated values
-    move; analytic extensions are dropped, so apply this to table-backed
-    tuples.
-    """
-    if len(forms) != tup.n_marginals:
-        raise InputValidationError("need one shift entry per marginal")
-    pots = []
-    for u, h in zip(tup.potentials, forms):
-        if h is None:
-            pots.append(u)
-            continue
-        if u.closed_form is not None:
-            raise InputValidationError(
-                "shift_splitting_tuple only supports table-backed potentials"
-            )
-        vals = np.array(u.values)
-        shifted = np.where(vals == math.inf, vals, vals + h.values(u.points))
-        pots.append(Potential(u.points, shifted, argmax=u.argmax))
-    return SplittingTuple(
-        tuple(pots), tup.pair_potentials, tup.pair_conjugates, tup.base_point
-    )
-
-
 def sample_test_points(
     g: GammaSet,
     n_samples: int = DEFAULT_SAMPLES,

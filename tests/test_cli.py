@@ -14,7 +14,7 @@ import monosplit
 from helpers import gamma_1d
 from monosplit import onedim
 from monosplit.antiderivative import Potential
-from monosplit.cli import main
+from monosplit.cli import build_parser, main
 from monosplit.core import GammaSet, classical_cost, loads_json
 from monosplit.splitting import SplittingTuple, certify_splitting
 
@@ -475,6 +475,42 @@ def test_example_young_refuses_quadrature_over_the_node_budget(capsys, a):
 def test_examples_at_their_test_and_benchmark_flags_keep_a_node_margin(capsys, monkeypatch, argv):
     monkeypatch.setattr(onedim, "SWEEP_NODE_BUDGET", onedim.SWEEP_NODE_BUDGET // 100)
     assert _run(capsys, argv)[0] == 0
+
+
+def test_the_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_the_cached_parser_serves_every_call_alike(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("gamma.json").write_text(json.dumps(GammaSet.from_points(FAILING_2D_POINTS).to_json()))
+    argv = ["verify", "gamma.json", "--cost", "c3", "--brute", "3"]
+    first = _run(capsys, argv)
+    assert first[0] == 1 and first[1] == (DATA / "verify_failing_2d.json").read_text()
+    code, out, err = _run(capsys, ["verify", "gamma.json", "--brute", "three"])
+    assert (code, out) == (2, "") and "invalid int value: 'three'" in err
+    helps = [_run(capsys, ["--help"]) for _ in range(2)]
+    assert helps[0] == helps[1]
+    assert helps[0][0] == 0 and helps[0][1].startswith("usage: monosplit")
+    # options of another call do not leak into a later one
+    assert json.loads(_run(capsys, ["verify", "gamma.json", "--tol", "0.5"])[1])["config"]["tol"] == 0.5
+    assert _run(capsys, argv) == first
+
+
+def test_module_entry_point_verify_equals_in_process_main(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("gamma.json").write_text(json.dumps(GammaSet.from_points(FAILING_2D_POINTS).to_json()))
+    argv = ["verify", "gamma.json", "--cost", "c3", "--brute", "3"]
+    src = str(Path(monosplit.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "monosplit.cli", *argv],
+        capture_output=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    code, out, err = _run(capsys, argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
 
 
 def test_module_entry_point_subprocess():

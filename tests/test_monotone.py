@@ -25,15 +25,17 @@ from helpers import (
     pair_monotone_classical_loop,
     sign_criterion_loop,
 )
-from monosplit import monotone
+from monosplit import core, monotone
 from monosplit.core import (
     CostSpec,
     GammaSet,
     PairwiseCost,
     classical_cost,
+    project_pair,
 )
-from monosplit.errors import DimensionMismatch, OrderTooLarge
+from monosplit.errors import DimensionMismatch, OffGrid, OrderTooLarge
 from monosplit.monotone import (
+    ProjectionReport,
     check_projection_condition,
     is_c_monotone,
     is_n_c_monotone_bruteforce,
@@ -487,6 +489,99 @@ def test_projection_condition_reports_failing_pair():
     assert not report.verdicts[(1, 3)].holds
     assert not report.verdicts[(2, 3)].holds
     assert report.verdicts[(1, 2)].holds
+
+
+def _projection_report_from_tuples(g: GammaSet, spec: CostSpec, tol: float) -> str:
+    """The projection report built pair by pair from project_pair's tuples."""
+    verdicts = {
+        (i, j): is_two_marginal_cyclically_monotone(project_pair(g, i, j), cost, tol)
+        for (i, j), cost in spec.pairs.items()
+    }
+    return json.dumps(ProjectionReport(verdicts, all(v.holds for v in verdicts.values())).to_json())
+
+
+def _projection_corpus(rng):
+    """(set, cost): comonotone sets whose first two points share all but the
+    last marginal, coarse-grid sets and sets of signed -1, 0 and 1, whose
+    projections repeat pairs and hold both -0.0 and 0.0, for N = 2, 3 and
+    d = 1, 2 under c1, c2 and c3, plus the N = 3 mixed cost files on the
+    last two kinds."""
+    mixed = {spec.dims[0]: spec for spec in _mixed_costs(rng)}
+    for nmarg in (2, 3):
+        for dim in (1, 2):
+            for size in (1, 6, 12):
+                shape = (size, nmarg, dim)
+                signs = rng.choice((-1.0, 1.0), size=shape)
+                few = rng.choice((-1.0, 0.0, 1.0), size=shape) * signs
+                comonotone = np.cumsum(rng.uniform(0.0, 1.0, shape), axis=0)
+                comonotone[1:2, :-1] = comonotone[0, :-1]
+                for rows in (comonotone, _grid_rows(rng, shape), few):
+                    g = GammaSet.from_points(rows.tolist())
+                    for which in ("c1", "c2", "c3"):
+                        yield g, classical_cost(which, nmarg, dim)
+                    if nmarg == 3 and rows is not comonotone:
+                        yield g, mixed[dim]
+
+
+def test_projections_from_coords_equal_the_tuple_projections(rng):
+    outcomes = set()
+    for g, spec in _projection_corpus(rng):
+        for tol in (1e-9, 0.0, 0.5):
+            report = check_projection_condition(g, spec, tol)
+            assert json.dumps(report.to_json()) == _projection_report_from_tuples(g, spec, tol)
+            for (i, j), verdict in report.verdicts.items():
+                repeated = len(project_pair(g, i, j)) < g.size
+                outcomes.add((g.dims[0], repeated, verdict.witness and verdict.witness.kind))
+    assert outcomes >= {(d, r, w) for d in (1, 2) for r in (True, False) for w in (None, "cycle")}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_projections_from_coords_keep_the_first_seen_signed_zero(dim):
+    # Points 0 and 1 share their (1, 2) pair but for the sign of a zero x,
+    # points 2 and 3 but for that of a zero y; the first of each is the
+    # signed one in the first set only, and the antitone point 4 puts the
+    # pairs on a positive cycle.
+    def vec(v):
+        return [v] * dim
+
+    signed = [[vec(-0.0), vec(1.0), vec(0.0)], [vec(1.0), vec(-0.0), vec(3.0)]]
+    plain = [[vec(0.0), vec(1.0), vec(2.0)], [vec(1.0), vec(0.0), vec(4.0)]]
+    antitone = [vec(1.0), vec(-1.0), vec(1.0)]
+    reports = []
+    for first, second in ((signed, plain), (plain, signed)):
+        g = GammaSet.from_points([first[0], second[0], first[1], second[1], antitone])
+        spec = classical_cost("c1", 3, dim)
+        report = check_projection_condition(g, spec)
+        assert not report.verdicts[(1, 2)].holds
+        assert report.verdicts[(1, 2)].witness.kind == "cycle"
+        reports.append(json.dumps(report.to_json()))
+        assert reports[-1] == _projection_report_from_tuples(g, spec, monotone.DEFAULT_TOL)
+    assert "-0.0" in reports[0] and "-0.0" not in reports[1]
+
+
+def test_projections_from_coords_refuse_an_off_grid_point_alike(rng):
+    spec = next(s for s in _mixed_costs(rng) if s.dims == (1, 1, 1))
+    g = GammaSet.from_points(_grid_rows(rng, (6, 3, 1)).tolist() + [[[0.25], [0.5], [1.0]]])
+    with pytest.raises(OffGrid) as fast:
+        check_projection_condition(g, spec)
+    with pytest.raises(OffGrid) as slow:
+        _projection_report_from_tuples(g, spec, monotone.DEFAULT_TOL)
+    assert (type(fast.value), str(fast.value)) == (type(slow.value), str(slow.value))
+
+
+def test_projection_condition_builds_no_tuple_projection(rng, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the projection check built a tuple projection")
+
+    for module, name in ((core, "project_pair"), (core, "dedup_pairs"),
+                         (monotone, "project_pair"), (monotone, "dedup_pairs")):
+        monkeypatch.setattr(module, name, forbidden, raising=False)
+    outcomes = set()
+    for g, spec in _projection_corpus(rng):
+        outcomes.add(check_projection_condition(g, spec).all_hold)
+    assert outcomes == {True, False}
+    with pytest.raises(AssertionError, match="tuple projection"):
+        is_two_marginal_cyclically_monotone([((0.0,), (0.0,))], INNER)
 
 
 def test_brute_force_optimal_coupling_identity_attains():

@@ -12,6 +12,7 @@ from helpers import (
     gamma_1d,
     make_comonotone_gamma,
     scalar_certificate,
+    shift_splitting_tuple,
     splitting_implies_monotone_check,
 )
 from monosplit.core import GammaSet, QuadraticForm, as_point, classical_cost
@@ -31,7 +32,6 @@ from monosplit.splitting import (
     certify_splitting,
     check_exactness_condition,
     sample_test_points,
-    shift_splitting_tuple,
 )
 
 C1 = classical_cost("c1", 3, 1)
