@@ -108,12 +108,10 @@ from .quadratic import (
     random_commuting_spds,
 )
 from .splitting import (
-    ExactnessReport,
     SplittingCertificate,
     SplittingTuple,
     assemble_splitting_tuple,
     certify_splitting,
-    check_exactness_condition,
     sample_test_points,
 )
 

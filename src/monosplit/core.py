@@ -98,14 +98,56 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view([(f"f{k}", float) for k in range(rows.shape[1])])[:, 0]
 
 
-def unique_rows(rows: np.ndarray) -> np.ndarray:
-    """Mask of the first-seen row of each distinct row of a (k, d) array,
-    -0.0 equal to 0.0: the rows dict.fromkeys keeps of the rows as tuples."""
+KEYED_ROWS = 256  # unique_rows sorts one key per row from this many rows up
+_FOLD_SHIFT, _FOLD_MULT = np.uint64(29), np.uint64(0x9E3779B97F4A7C15)
+
+
+def _row_hash(rows: np.ndarray) -> np.ndarray:
+    """One key per row of a (k, d) array, equal for equal rows (-0.0 equal
+    to 0.0): the column itself when d = 1, else the IEEE bits of the
+    columns folded by an xor-shift and an odd 64-bit multiply."""
+    if rows.shape[1] == 1:
+        return rows[:, 0]
+    bits = np.ascontiguousarray(rows + 0.0, dtype=float).view(np.uint64)  # -0.0 + 0.0 is 0.0
+    key = bits[:, 0]
+    for k in range(1, bits.shape[1]):
+        key = (key ^ key >> _FOLD_SHIFT) * _FOLD_MULT ^ bits[:, k]
+    return key
+
+
+def _first_seen_sorted(rows: np.ndarray) -> np.ndarray:
     # A stable sort puts equal rows together, first seen first.
     order = np.lexsort(rows.T[::-1])
     ranked = rows[order]
     first = np.ones(len(rows), dtype=bool)
     first[order[1:]] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return first
+
+
+def unique_rows(rows: np.ndarray) -> np.ndarray:
+    """Mask of the first-seen row of each distinct row of a (k, d) array,
+    -0.0 equal to 0.0: the rows dict.fromkeys keeps of the rows as tuples.
+
+    From KEYED_ROWS rows up, one key per row (:func:`_row_hash`) is sorted
+    instead of all d columns.  Equal rows have equal keys, so a row whose
+    key is unique is first seen; only the rows whose keys repeat (true
+    duplicates and hash collisions) go through the column-wise stable sort,
+    in index order, so a collision costs time and never changes the mask.
+    Below KEYED_ROWS rows hashing costs more than it saves, and every row
+    takes the column-wise sort.  The mask is the same on either path."""
+    if len(rows) < KEYED_ROWS:
+        return _first_seen_sorted(rows)
+    key = _row_hash(rows)
+    order = np.argsort(key)
+    ranked = key[order]
+    same = ranked[1:] == ranked[:-1]
+    tied = np.zeros(len(rows), dtype=bool)  # in sorted order
+    tied[1:] = same
+    tied[:-1] |= same
+    first = np.ones(len(rows), dtype=bool)
+    if tied.any():
+        ties = np.sort(order[tied])
+        first[ties] = _first_seen_sorted(rows[ties])
     return first
 
 

@@ -5,9 +5,10 @@ enumerator walks every simple chain explicitly, the coupling oracle
 enumerates assignments without any library verifier, the scalar
 certificate loops over points with the one-point evaluators, the pair and
 sign loops visit one pair of points at a time with Python sums, the
-brute-force loop one multiset at a time, and the
-generators build monotone structure by construction rather than by
-checking it.
+brute-force loop one multiset at a time, the row dedup sorts every row
+column by column, and the generators build monotone structure by
+construction rather than by checking it.  The exactness probe, which no
+command runs, lives here with its one-point evaluator ``sum_at``.
 """
 
 from __future__ import annotations
@@ -25,10 +26,14 @@ from monosplit.core import (
     CostSpec,
     GammaSet,
     PairwiseCost,
+    Point,
     Vec,
+    as_point,
     as_vec,
     classical_cost,
     marginal_blocks,
+    project,
+    project_pair,
 )
 from monosplit.errors import (
     BudgetExceeded,
@@ -186,12 +191,12 @@ def scalar_certificate(tup, g: GammaSet, spec: CostSpec, points, tol: float = 1e
     Keys match the fields of SplittingCertificate."""
     max_resid, worst_eq = -math.inf, None
     for p in g.points:
-        resid = abs(tup.sum_at(p) - spec.total(p))
+        resid = abs(sum_at(tup, p) - spec.total(p))
         if resid > max_resid:
             max_resid, worst_eq = resid, p
     max_viol, worst_ineq, vacuous = -math.inf, None, 0
     for p in points:
-        total = tup.sum_at(p)
+        total = sum_at(tup, p)
         if total == math.inf:
             vacuous += 1
         elif spec.total(p) - total > max_viol:
@@ -399,6 +404,138 @@ def splitting_implies_monotone_check(
             f"gain {w.gain:.6g} at permutations {w.permutations!r}"
         )
     return verdict
+
+
+def sum_at(tup: SplittingTuple, p: Point) -> float:
+    """u_1(p_1) + ... + u_N(p_N) in extended-real arithmetic: values are
+    finite or +inf, so +inf absorbs."""
+    total = 0.0
+    for u, x in zip(tup.potentials, p):
+        total += u.value_at(x)
+    return total
+
+
+EXACTNESS_BUDGET = 1_000_000
+
+
+@dataclass(frozen=True)
+class ExactnessReport:
+    """Whether the set equals the intersection of projection preimages and
+    whether test points on the candidate product with splitting equality
+    all lie in the set.
+
+    Equality off the set is not automatically a bug: the exactness
+    characterisation assumes the projections coincide with the
+    subdifferential graphs of the pair potentials, and chain-constructed
+    potentials may have strictly larger graphs.  The report describes the
+    instance; it never raises.
+    """
+
+    intersection_equals_gamma: bool
+    extra_intersection_points: tuple[Point, ...]
+    equality_outside_gamma: tuple[tuple[Point, float], ...]
+    candidates_checked: int
+    n_test_points: int
+    equality_tol: float
+
+    @property
+    def holds(self) -> bool:
+        return self.intersection_equals_gamma and not self.equality_outside_gamma
+
+    def to_json(self) -> dict:
+        return {
+            "holds": self.holds,
+            "intersection_equals_gamma": self.intersection_equals_gamma,
+            "extra_intersection_points": [
+                [list(v) for v in p] for p in self.extra_intersection_points
+            ],
+            "equality_outside_gamma": [
+                {"point": [list(v) for v in p], "residual": r}
+                for p, r in self.equality_outside_gamma
+            ],
+            "candidates_checked": self.candidates_checked,
+            "n_test_points": self.n_test_points,
+            "equality_tol": self.equality_tol,
+        }
+
+
+def check_exactness_condition(
+    g: GammaSet,
+    tup: SplittingTuple,
+    spec: CostSpec,
+    test_points: Sequence | None = None,
+    eq_tol: float = DEFAULT_TOL,
+    budget: int = EXACTNESS_BUDGET,
+) -> ExactnessReport:
+    """Probe the two halves of the exactness characterisation.
+
+    (a) Enumerate the product of the marginal projections and test whether
+    the points whose every (i, j) projection lies in the projected set are
+    exactly the points of g.  (b) Among the supplied test points, any
+    point lying on the candidate product (every coordinate an exact member
+    of its projection) with splitting equality residual <= eq_tol must
+    belong to g; offenders are reported with their residuals.
+    """
+    n = g.n_marginals
+    margs = [project(g, i) for i in range(1, n + 1)]
+    count = 1
+    for m in margs:
+        count *= len(m)
+        if count > budget:
+            raise BudgetExceeded(
+                f"candidate product exceeds budget ({count} > {budget})"
+            )
+    pair_sets = {
+        (i, j): set(project_pair(g, i, j))
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+    }
+    extras: list[Point] = []
+    checked = 0
+    for combo in itertools.product(*margs):
+        p: Point = tuple(combo)
+        checked += 1
+        if p in g:
+            continue
+        if all((p[i - 1], p[j - 1]) in pair_sets[(i, j)] for (i, j) in pair_sets):
+            extras.append(p)
+
+    marg_sets = [set(m) for m in margs]
+    eq_outside: list[tuple[Point, float]] = []
+    pts = [as_point(p) for p in test_points] if test_points is not None else []
+    for p in pts:
+        if p in g:
+            continue
+        if not all(x in marg_sets[i] for i, x in enumerate(p)):
+            continue
+        total = sum_at(tup, p)
+        if total == math.inf:
+            continue
+        cval = spec.total(p)
+        if cval == math.inf:
+            continue
+        resid = abs(total - cval)
+        if resid <= eq_tol:
+            eq_outside.append((p, resid))
+    return ExactnessReport(
+        intersection_equals_gamma=not extras,
+        extra_intersection_points=tuple(extras),
+        equality_outside_gamma=tuple(eq_outside),
+        candidates_checked=checked,
+        n_test_points=len(pts),
+        equality_tol=eq_tol,
+    )
+
+
+def unique_rows_lexsort(rows: np.ndarray) -> np.ndarray:
+    """core.unique_rows as one column-wise stable sort of every row, with
+    no row key: the reference for its keyed path."""
+    # A stable sort puts equal rows together, first seen first.
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[order[1:]] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return first
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from helpers import (
     COARSE_GRID,
     bruteforce_cycle_gain,
     chain_enumeration_oracle,
+    sum_at,
 )
 from monosplit.antiderivative import rockafellar_potential
 from monosplit.core import (
@@ -161,7 +162,7 @@ def test_criterion_3_commuting_spd_families(capfd):
             w = rng.uniform(0.5, 1.5, size=d) * rng.choice((-1.0, 1.0), size=d)
             p[i] = tuple(float(a + b) for a, b in zip(p[i], w))
             perturbed.append(tuple(p))
-            min_slack = min(min_slack, tup.sum_at(tuple(p)) - c1.total(tuple(p)))
+            min_slack = min(min_slack, sum_at(tup, tuple(p)) - c1.total(tuple(p)))
 
         cert = certify_splitting(tup, g, c1, test_points=graph_pts + perturbed)
         all_pass = all_pass and cert.passed and cert.max_equality_residual_on_gamma <= 1e-9

@@ -248,6 +248,11 @@ PASSING_2D_DOC = json.loads((DATA / "verify_passing_2d_gamma.json").read_text())
     ({"pairs.json": SIGNED_PAIRS, "cost.json": TAB_PAIR_COST},
      ["rockafellar", "pairs.json", "--cost", "cost.json", "--base", "0"], 0,
      "rockafellar_tabulated.json"),
+    # 15 931 distinct sample rows of width 6, the first columns tied almost
+    # everywhere; 333 sample rows once 3 repeated ones are dropped.
+    ({}, ["example", "quadratic", "--samples", "300"], 0, "example_quadratic.json"),
+    ({}, ["example", "knott-smith", "--tmax", "0.5", "--samples", "200"], 0,
+     "example_knott_smith.json"),
 ])
 def test_construction_reports_are_pinned(capsys, tmp_path, monkeypatch, files, argv,
                                          exit_code, pinned):

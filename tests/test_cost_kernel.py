@@ -18,6 +18,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import unique_rows_lexsort
+from monosplit import core
 from monosplit.antiderivative import Potential
 from monosplit.core import (
     PAIRWISE_KINDS,
@@ -198,13 +200,70 @@ def as_array(points: list, d: int) -> np.ndarray:
     return np.array(points, dtype=float).reshape(len(points), d)
 
 
-@given(st.integers(1, 3), st.data())
-def test_unique_rows_keeps_what_dict_fromkeys_keeps(d, data):
+def _one_key(rows: np.ndarray) -> np.ndarray:
+    return np.zeros(len(rows), dtype=np.uint64)
+
+
+# unique_rows at its row-count default (here, the column-wise sort), keyed
+# from one row up, and keyed with one key for every row, so that every row
+# goes through the tie sort.
+UNIQUE_ROWS_PATHS = {
+    "default": {},
+    "keyed": {"KEYED_ROWS": 0},
+    "all tied": {"KEYED_ROWS": 0, "_row_hash": _one_key},
+}
+
+
+@given(st.sampled_from(sorted(UNIQUE_ROWS_PATHS)), st.integers(1, 6), st.data())
+def test_unique_rows_keeps_what_dict_fromkeys_keeps(path, d, data):
     points = data.draw(rows(d))
-    kept = as_array(points, d)[unique_rows(as_array(points, d))]
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in UNIQUE_ROWS_PATHS[path].items():
+            mp.setattr(core, name, value)
+        kept = as_array(points, d)[unique_rows(as_array(points, d))]
     want = list(dict.fromkeys(points))  # first seen, -0.0 equal to 0.0
     assert [tuple(r) for r in kept.tolist()] == want
     assert all(same_bits(a, b) for r, w in zip(kept.tolist(), want) for a, b in zip(r, w))
+
+
+def lattice(values, d: int) -> np.ndarray:
+    return np.stack(np.meshgrid(*[values] * d, indexing="ij"), axis=-1).reshape(-1, d)
+
+
+def certification_samples() -> list[np.ndarray]:
+    """Rows shaped like the two certification samples the benchmark dedups:
+    a 120-point comonotone set, the 5^3 lattice and 10^4 draws, and 40
+    points, the 5^6 lattice and 2 000 draws.  Some points of each set are
+    lattice points with their zeros written -0.0, and some draws repeat."""
+    rng = np.random.default_rng(16)
+    out = []
+    for m, d, draws in ((120, 3, 10_000), (40, 6, 2_000)):
+        grid = lattice(np.linspace(-1.0, 1.0, 5), d)
+        on_grid = grid[rng.choice(len(grid), 10, replace=False)]
+        on_grid[on_grid == 0.0] = -0.0
+        gamma = np.vstack([np.sort(rng.uniform(-1.0, 1.0, (m - 10, d)), axis=0), on_grid])
+        uniform = rng.uniform(-1.5, 1.5, (draws, d))
+        repeats = uniform[rng.choice(draws, 50)]
+        out.append(np.vstack([gamma, grid, uniform, repeats, gamma[:5]]))
+    return out
+
+
+def test_unique_rows_on_certification_samples_matches_the_column_sort():
+    for pts in certification_samples():
+        assert len(pts) >= core.KEYED_ROWS
+        want = unique_rows_lexsort(pts)
+        assert want.sum() < len(pts) - 60  # the repeats, the -0.0 points, gamma[:5]
+        assert np.array_equal(unique_rows(pts), want)
+
+
+def test_row_hash_has_no_collision_on_samples_and_lattices():
+    # A collision costs the tie sort, never the mask; this guards the speed.
+    cases = certification_samples()
+    for d in range(1, 7):
+        cases += [lattice(np.linspace(-1.0, 1.0, 5), d), lattice(np.arange(-2.0, 3.0), d)]
+    for pts in cases:
+        distinct = len(set(map(tuple, pts.tolist())))
+        assert len(np.unique(core._row_hash(pts))) == distinct
 
 
 @given(st.integers(1, 3), st.integers(1, 3), st.data())

@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 from helpers import (
+    check_exactness_condition,
     gamma_1d,
     make_comonotone_gamma,
     scalar_certificate,
     shift_splitting_tuple,
     splitting_implies_monotone_check,
+    sum_at,
 )
 from monosplit.core import GammaSet, QuadraticForm, as_point, classical_cost
 from monosplit.errors import (
@@ -30,7 +32,6 @@ from monosplit.splitting import (
     SplittingTuple,
     assemble_splitting_tuple,
     certify_splitting,
-    check_exactness_condition,
     sample_test_points,
 )
 
@@ -137,7 +138,7 @@ def test_sampler_drops_lattice_points_already_in_the_set():
 def test_vacuous_points_are_counted_not_failed():
     tup = assemble_splitting_tuple(DIAGONAL, C1)
     pts = CUBE + [((5.0,), (0.0,), (0.0,))]
-    assert tup.sum_at(((5.0,), (0.0,), (0.0,))) == math.inf
+    assert sum_at(tup, ((5.0,), (0.0,), (0.0,))) == math.inf
     cert = certify_splitting(tup, DIAGONAL, C1, test_points=pts)
     assert cert.passed
     assert cert.n_vacuous == 1
