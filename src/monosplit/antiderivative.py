@@ -186,7 +186,12 @@ def rockafellar_potential(
     continuum limit.
     """
     xs, ys = dedup_pairs(pairs)
-    base = as_vec(s1)
+    return _chain_potential(cost, xs, ys, as_vec(s1), eval_points, tol)
+
+
+def _chain_potential(cost: PairwiseCost, xs, ys, base: Vec, eval_points, tol: float) -> Potential:
+    """rockafellar_potential on the distinct pairs (xs[k], ys[k]), given as
+    (m, d) row arrays, based at the validated point base."""
     source = find_rows(np.array([base]), xs) == 0
     if not source.any():
         raise BasePointNotInProjection(
@@ -252,6 +257,12 @@ def verify_antiderivative(
     +inf fails outright.
     """
     x1, x2 = dedup_pairs(pairs)
+    return _antiderivative_check(f, x1, x2, cost, tol)
+
+
+def _antiderivative_check(f: Potential, x1, x2, cost: PairwiseCost, tol: float) -> AntiderivativeCheck:
+    """verify_antiderivative on the distinct pairs (x1[k], x2[k]), given as
+    (m, d) row arrays."""
     fx = f.values_at(x1)
     if (fx == math.inf).any():
         return AntiderivativeCheck(False, math.inf)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -35,7 +34,6 @@ from .core import (
     classical_cost,
     dumps_json,
     loads_json,
-    project,
 )
 from .errors import (
     BudgetExceeded,
@@ -68,7 +66,13 @@ from .quadratic import (
     quadratic_splitting,
     random_commuting_spds,
 )
-from .splitting import SplittingTuple, assemble_splitting_tuple, certify_splitting
+from .splitting import (
+    SplittingCertificate,
+    SplittingTuple,
+    assemble_splitting_tuple,
+    certify_splitting,
+    projection_product,
+)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -190,6 +194,15 @@ def _emit_report(doc: dict, out: str | None) -> None:
     _emit(dumps_json(doc), out)
 
 
+def _certify(
+    args: argparse.Namespace, tup: SplittingTuple, g: GammaSet, spec: CostSpec
+) -> SplittingCertificate:
+    """certify_splitting on a seeded sample of args.samples points, at tolerance args.tol."""
+    return certify_splitting(
+        tup, g, spec, n_samples=args.samples, seed=args.seed, ineq_tol=args.tol, eq_tol=args.tol
+    )
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -257,10 +270,7 @@ def cmd_split(args: argparse.Namespace) -> int:
         )
         return EXIT_VIOLATION
 
-    cert = certify_splitting(
-        tup, g, spec, n_samples=args.samples, seed=args.seed,
-        ineq_tol=args.tol, eq_tol=args.tol,
-    )
+    cert = _certify(args, tup, g, spec)
     doc = {
         "config": config.to_json(),
         "potentials": [u.to_json() for u in tup.potentials],
@@ -289,14 +299,8 @@ def _example_quadratic(args: argparse.Namespace, config: RunConfig) -> tuple[dic
     rng = np.random.default_rng(args.seed + 1)
     vs = rng.uniform(-2.0, 2.0, size=(max(2, args.samples // 50), args.dim))
     g = commuting_spd_gamma(mats, vs)
-    cert1 = certify_splitting(
-        qs.potentials(), g, classical_cost("c1", args.n, args.dim),
-        n_samples=args.samples, seed=args.seed, ineq_tol=args.tol, eq_tol=args.tol,
-    )
-    cert3 = certify_splitting(
-        qs.shifted_potentials(), g, classical_cost("c3", args.n, args.dim),
-        n_samples=args.samples, seed=args.seed, ineq_tol=args.tol, eq_tol=args.tol,
-    )
+    cert1 = _certify(args, qs.potentials(), g, classical_cost("c1", args.n, args.dim))
+    cert3 = _certify(args, qs.shifted_potentials(), g, classical_cost("c3", args.n, args.dim))
     doc = {
         "config": config.to_json(),
         "Q": [m.to_json() for m in mats],
@@ -331,11 +335,10 @@ def _example_curves(args: argparse.Namespace, config: RunConfig) -> tuple[dict, 
     cp = curve_potentials(alphas, knots)
     tup = SplittingTuple(cp.potentials, {}, {})
     g = GammaSet.from_points([[a(t) for a in alphas] for t in ts])
-    prod = list(itertools.product(*(project(g, i + 1) for i in range(3))))
     spec = classical_cost("c1", 3, 1)
     quad_tol = max(args.tol, 1e-8)
     cert = certify_splitting(
-        tup, g, spec, test_points=prod, ineq_tol=quad_tol, eq_tol=quad_tol
+        tup, g, spec, test_points=projection_product(g), ineq_tol=quad_tol, eq_tol=quad_tol
     )
     doc = {
         "config": config.to_json(),
@@ -363,14 +366,8 @@ def _example_knott_smith(args: argparse.Namespace, config: RunConfig) -> tuple[d
     )
 
     g = GammaSet.from_points([[a(t) for a in alphas] for t in ts])
-    cert1 = certify_splitting(
-        SplittingTuple.from_closed_forms(forms), g, classical_cost("c1", 3, 1),
-        n_samples=args.samples, seed=args.seed, ineq_tol=args.tol, eq_tol=args.tol,
-    )
-    cert3 = certify_splitting(
-        SplittingTuple.from_closed_forms(starred), g, classical_cost("c3", 3, 1),
-        n_samples=args.samples, seed=args.seed, ineq_tol=args.tol, eq_tol=args.tol,
-    )
+    cert1 = _certify(args, SplittingTuple.from_closed_forms(forms), g, classical_cost("c1", 3, 1))
+    cert3 = _certify(args, SplittingTuple.from_closed_forms(starred), g, classical_cost("c3", 3, 1))
     spot = knott_smith_potentials(1.0, 1.0, 1.0)
     doc = {
         "config": config.to_json(),

@@ -8,8 +8,9 @@ A product point is an N-tuple of marginal points, one per factor space
 optionally plus a separable shift ``sum_i h_i(x_i)``.  This module holds the
 data model shared by every verifier and constructor in the package: marginal
 and product points, pairwise cost kernels, full cost specifications, finite
-point sets with projections, closed-form scalar fields used for shifts and
-potentials, and a deterministic JSON layer.
+point sets stored as one coordinate array from which every projection is
+read, closed-form scalar fields used for shifts and potentials, and a
+deterministic JSON layer.
 
 Marginal indices are 1-based throughout the public API, matching the usual
 mathematical labelling of the factors.
@@ -174,6 +175,40 @@ def marginal_blocks(rows: np.ndarray, dims: Sequence[int]) -> list[np.ndarray]:
     if rows.ndim != 2 or rows.shape[1] != sum(dims):
         raise DimensionMismatch(f"points need {sum(dims)} coordinates, got {rows.shape}")
     return np.split(rows, np.cumsum(dims)[:-1], axis=1)
+
+
+def _marginal_dims(dims: Sequence[int]) -> tuple[int, ...]:
+    dims = tuple(int(d) for d in dims)
+    if len(dims) < 2 or any(d < 1 for d in dims):
+        raise InputValidationError("need at least two marginals of dimension >= 1")
+    return dims
+
+
+def _point_rows(points, dims: Sequence[int]) -> np.ndarray:
+    """Product points as one (k, sum(dims)) array, checked a marginal at a
+    time with the errors of the one-point checks: a wrong marginal count or
+    dimension raises DimensionMismatch, a non-finite coordinate
+    InputValidationError.  Scalars stand for 1-D marginals, and a k x N
+    array of numbers for k points of N such marginals is read whole."""
+    n = len(dims)
+    numbers = isinstance(points, np.ndarray) and points.dtype.kind in "biuf"
+    if numbers and set(dims) == {1} and points.shape[1:] == (n,):
+        rows = points.astype(float)
+        if not np.isfinite(rows).all():
+            raise InputValidationError("coordinates must be finite")
+        return rows
+    given = [tuple(p) for p in points]
+    if any(len(p) != n for p in given):
+        raise DimensionMismatch("point has the wrong number of marginals")
+    if not given:
+        return np.empty((0, sum(dims)))
+    try:
+        cols = [_vec_rows([p[i] for p in given]) for i in range(n)]
+    except DimensionMismatch:  # a marginal holds points of two dimensions
+        cols = []
+    if len(cols) != n or any(c.shape[1] != d for c, d in zip(cols, dims)):
+        raise DimensionMismatch("marginal dimension mismatch")
+    return np.hstack(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -548,9 +583,7 @@ class CostSpec:
     shift: tuple[tuple[ClosedForm, ...], ...] | None = None
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) < 2 or any(d < 1 for d in dims):
-            raise InputValidationError("need at least two marginals of dimension >= 1")
+        dims = _marginal_dims(self.dims)
         object.__setattr__(self, "dims", dims)
         n = len(dims)
         pairs = dict(self.pairs)
@@ -690,80 +723,54 @@ def classical_cost(which: str, n_marginals: int, dim: int) -> CostSpec:
     return CostSpec(dims, pairs, shift)
 
 
-def add_separable_shift(
-    spec: CostSpec,
-    forms: Sequence[ClosedForm | Sequence[ClosedForm] | None],
-) -> CostSpec:
-    """Return the cost c + sum_i h_i with the given per-marginal terms.
-
-    Each entry may be a single form, a sequence of forms, or None.  Existing
-    shift terms are kept and the new ones appended.
-    """
-    if len(forms) != spec.n_marginals:
-        raise InputValidationError("need one shift entry per marginal")
-    merged: list[tuple[ClosedForm, ...]] = []
-    for i, entry in enumerate(forms):
-        if entry is None:
-            new: tuple[ClosedForm, ...] = ()
-        elif isinstance(entry, ClosedForm):
-            new = (entry,)
-        else:
-            new = tuple(entry)
-        old = spec.shift[i] if spec.shift is not None else ()
-        merged.append(tuple(old) + new)
-    return CostSpec(spec.dims, dict(spec.pairs), tuple(merged))
-
-
 # ---------------------------------------------------------------------------
 # Finite point sets
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GammaSet:
-    """A finite subset of the product space, deduplicated, order-preserving.
-
-    Attributes:
-        dims: marginal dimensions, consistent across all points.
-        points: the distinct product points in first-seen order.
+    """A finite subset of the product space: marginal dimensions dims and
+    the distinct points, first seen first, as one read-only (size,
+    sum(dims)) array coords with the marginals side by side (-0.0 equals
+    0.0; a point keeps the signs it was first seen with).  Every projection
+    is read from coords (:func:`marginal_blocks`); points, the same points
+    as marginal tuples, is built on first use for witnesses, base points
+    and messages.
     """
 
     dims: tuple[int, ...]
-    points: tuple[Point, ...]
-    _members: frozenset = field(init=False, repr=False, compare=False, default=None)  # type: ignore[assignment]
+    coords: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) < 2 or any(d < 1 for d in dims):
-            raise InputValidationError("need at least two marginals of dimension >= 1")
-        for p in self.points:
-            if len(p) != len(dims):
-                raise DimensionMismatch("point has the wrong number of marginals")
-            for x, d in zip(p, dims):
-                if len(x) != d:
-                    raise DimensionMismatch("marginal dimension mismatch")
-                for v in x:
-                    if not math.isfinite(v):
-                        raise InputValidationError("coordinates must be finite")
-        seen = dict.fromkeys(self.points)
-        if not seen:
+        dims = _marginal_dims(self.dims)
+        rows = np.asarray(self.coords, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != sum(dims):
+            raise DimensionMismatch(f"points need {sum(dims)} coordinates, got {rows.shape}")
+        if not len(rows):
             raise InputValidationError("the point set must be nonempty")
+        if not np.isfinite(rows).all():
+            raise InputValidationError("coordinates must be finite")
+        rows = rows[unique_rows(rows)]
+        rows.flags.writeable = False
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "points", tuple(seen))
-        object.__setattr__(self, "_members", frozenset(seen))
+        object.__setattr__(self, "coords", rows)
 
     @classmethod
-    def from_points(
-        cls,
-        points: Sequence[Sequence[float | Sequence[float]]],
-        dims: Sequence[int] | None = None,
-    ) -> "GammaSet":
-        pts = tuple(as_point(p) for p in points)
+    def from_points(cls, points: Sequence, dims: Sequence[int] | None = None) -> "GammaSet":
+        """The set of the given product points; scalars stand for 1-D
+        marginals, and dims default to those of the first point."""
+        pts = list(points)
         if dims is None:
             if not pts:
                 raise InputValidationError("cannot infer dims from an empty set")
-            dims = tuple(len(x) for x in pts[0])
-        return cls(tuple(dims), pts)
+            dims = tuple(map(len, as_point(pts[0])))
+        try:
+            return cls(dims, _point_rows(pts, _marginal_dims(dims)))
+        except (TypeError, ValueError):
+            for p in pts:  # a point as_point refuses raises its error first
+                as_point(p)
+            raise
 
     @property
     def n_marginals(self) -> int:
@@ -771,26 +778,36 @@ class GammaSet:
 
     @property
     def size(self) -> int:
-        return len(self.points)
+        return len(self.coords)
 
     @cached_property
-    def coords(self) -> np.ndarray:
-        """The points as a (size, sum(dims)) array, marginals side by side."""
-        return np.array([[c for x in p for c in x] for p in self.points])
+    def points(self) -> tuple[Point, ...]:
+        """The points as marginal tuples, in the order of coords."""
+        return tuple(zip(*(map(tuple, b.tolist()) for b in marginal_blocks(self.coords, self.dims))))
 
-    def __contains__(self, p: Point) -> bool:
-        return p in self._members
+    def __contains__(self, p) -> bool:
+        """Whether p, a product point as from_points takes one, is a point
+        of the set; anything from_points would refuse is not."""
+        try:
+            row = _point_rows([p], self.dims)
+        except (TypeError, ValueError):
+            return False
+        return bool(find_rows(self.coords, row)[0] >= 0)
 
-    def __iter__(self):
-        return iter(self.points)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GammaSet):
+            return NotImplemented
+        return self.dims == other.dims and np.array_equal(self.coords, other.coords)
+
+    def __hash__(self) -> int:
+        return hash((self.dims, self.size))
 
     def translated(self, z: Sequence[float | Sequence[float]] | Point) -> "GammaSet":
         zp = as_point(z)
         dims = tuple(map(len, zp))
         if dims != self.dims:
             raise DimensionMismatch(f"cannot translate a set of dims {self.dims} by dims {dims}")
-        moved = marginal_blocks(self.coords + np.concatenate(zp), self.dims)
-        return GammaSet(self.dims, tuple(zip(*(map(tuple, b.tolist()) for b in moved))))
+        return GammaSet(self.dims, self.coords + np.concatenate(zp))
 
     def to_json(self) -> dict:
         return {
@@ -802,31 +819,21 @@ class GammaSet:
     @classmethod
     def from_json(cls, obj: dict) -> "GammaSet":
         try:
-            dims = tuple(int(d) for d in obj["dims"])
-            if int(obj["N"]) != len(dims):
-                raise ParseError("N disagrees with dims length")
-            points = tuple(tuple(as_vec(x) for x in p) for p in obj["points"])
-        except ParseError:
-            raise
+            dims, n, points = tuple(int(d) for d in obj["dims"]), int(obj["N"]), list(obj["points"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad gamma set payload: {exc}") from exc
-        return cls(dims, points)
-
-
-def project(g: GammaSet, i: int) -> tuple[Vec, ...]:
-    """Distinct i-th marginal values of g, in first-seen order (1-based i)."""
-    if not (1 <= i <= g.n_marginals):
-        raise IndexOutOfRange(f"marginal index {i} outside 1..{g.n_marginals}")
-    return tuple(dict.fromkeys(p[i - 1] for p in g.points))
-
-
-def project_pair(g: GammaSet, i: int, j: int) -> tuple[tuple[Vec, Vec], ...]:
-    """Distinct (x_i, x_j) pairs of g, in first-seen order; requires i < j."""
-    if not (1 <= i <= g.n_marginals) or not (1 <= j <= g.n_marginals):
-        raise IndexOutOfRange(f"pair ({i},{j}) outside 1..{g.n_marginals}")
-    if i >= j:
-        raise IndexOutOfRange("project_pair requires i < j")
-    return tuple(dict.fromkeys((p[i - 1], p[j - 1]) for p in g.points))
+        if n != len(dims):
+            raise ParseError("N disagrees with dims length")
+        try:
+            return cls(dims, _point_rows(points, _marginal_dims(dims)))
+        except (TypeError, ValueError):
+            try:
+                for p in points:  # a bad coordinate is a parse error, reported first
+                    for x in p:
+                        as_vec(x)
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"bad gamma set payload: {exc}") from exc
+            raise
 
 
 def dedup_vecs(points: Sequence[float | Sequence[float]]) -> np.ndarray:

@@ -355,9 +355,7 @@ def _perm_array(n: int) -> np.ndarray:
 
 def _check_gamma_against_spec(g: GammaSet, spec: CostSpec) -> None:
     if g.dims != spec.dims:
-        raise DimensionMismatch(
-            f"point set dims {g.dims} do not match cost dims {spec.dims}"
-        )
+        raise DimensionMismatch(f"point set dims {g.dims} do not match cost dims {spec.dims}")
 
 
 def _full_pair_matrices(g: GammaSet, spec: CostSpec) -> dict[tuple[int, int], np.ndarray]:
@@ -587,6 +585,12 @@ def is_pair_monotone_classical(
     x, y = dedup_pairs(pairs)
     if x.shape != y.shape:
         raise DimensionMismatch(f"x of dimension {x.shape[1]} paired with y of {y.shape[1]}")
+    return _classical_verdict(x, y, tol)
+
+
+def _classical_verdict(x: np.ndarray, y: np.ndarray, tol: float = 1e-12) -> MonotonicityVerdict:
+    """is_pair_monotone_classical on the distinct pairs (x[k], y[k]), given
+    as (m, d) row arrays of one width."""
 
     def negative(rows: slice, cols: slice) -> np.ndarray:
         v = 0.0
@@ -685,7 +689,7 @@ def check_projection_condition(
     """Check every pair projection of g for c_ij-cyclic monotonicity.
 
     Each projection is read from g.coords as the distinct (x_i, x_j) rows in
-    first-seen order, the pairs project_pair lists, and gets the verdict
+    first-seen order (:func:`unique_pairs`), and gets the verdict
     :func:`is_two_marginal_cyclically_monotone` gives on those pairs.
     """
     _check_gamma_against_spec(g, spec)

@@ -28,15 +28,14 @@ so the possibly singular inverse is never integrated numerically.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .antiderivative import Potential, verify_antiderivative
-from .core import EvenPowerForm, GammaSet, classical_cost, project, project_pair
+from .antiderivative import Potential, _antiderivative_check
+from .core import CLASSICAL_COSTS, EvenPowerForm, GammaSet, classical_cost, marginal_blocks, unique_pairs
 from .errors import (
     BudgetExceeded,
     InputValidationError,
@@ -47,12 +46,12 @@ from .errors import (
 )
 from .monotone import (
     DEFAULT_TOL,
+    _classical_verdict,
+    _cycle_verdict,
     is_n_c_monotone_bruteforce,
-    is_pair_monotone_classical,
-    is_two_marginal_cyclically_monotone,
     sign_criterion_1d,
 )
-from .splitting import assemble_splitting_tuple, certify_splitting
+from .splitting import assemble_splitting_tuple, certify_splitting, projection_product
 
 PANELS_PER_UNIT = 1024  # 2**10 Simpson subintervals per unit length beyond GRADE_LIMIT
 GRADE_PIECES = 48  # geometric halvings toward 0
@@ -431,6 +430,12 @@ def knott_smith_potentials(x1: float, x2: float, x3: float) -> KnottSmithValues:
     )
 
 
+ITEM_NAMES = (
+    "cyclic_bruteforce", "sign_criterion", "projections_cyclic",
+    "projections_monotone", "splitting_certified", "antiderivatives_exist",
+)
+
+
 @dataclass(frozen=True)
 class OneDimReport:
     """Verdicts of the six equivalent monotonicity formulations.
@@ -455,26 +460,12 @@ class OneDimReport:
     witness: dict | None
 
     def items(self) -> tuple[bool, ...]:
-        return (
-            self.cyclic_bruteforce,
-            self.sign_criterion,
-            self.projections_cyclic,
-            self.projections_monotone,
-            self.splitting_certified,
-            self.antiderivatives_exist,
-        )
+        return tuple(getattr(self, name) for name in ITEM_NAMES)
 
     def to_json(self) -> dict:
         return {
             "verdict": self.verdict,
-            "items": {
-                "cyclic_bruteforce": self.cyclic_bruteforce,
-                "sign_criterion": self.sign_criterion,
-                "projections_cyclic": self.projections_cyclic,
-                "projections_monotone": self.projections_monotone,
-                "splitting_certified": self.splitting_certified,
-                "antiderivatives_exist": self.antiderivatives_exist,
-            },
+            "items": dict(zip(ITEM_NAMES, self.items())),
             "cost": self.cost_label,
             "n_max": self.n_max,
             "witness": self.witness,
@@ -498,36 +489,30 @@ def characterize_1d(
     if any(d != 1 for d in g.dims):
         raise NotOneDimensional("the battery requires one-dimensional marginals")
     n = g.n_marginals
-    if which_cost == "c1":
-        spec = classical_cost("c1", n, 1)
-        label = "c1"
-    elif which_cost == "c2":
-        spec = classical_cost("c2", n, 1).negated()
-        label = "-c2"
-    elif which_cost == "c3":
-        spec = classical_cost("c3", n, 1)
-        label = "c3"
-    else:
+    if which_cost not in CLASSICAL_COSTS:
         raise InputValidationError(f"unknown cost selector {which_cost!r}")
+    spec = classical_cost(which_cost, n, 1)
+    if which_cost == "c2":
+        spec, label = spec.negated(), "-c2"
+    else:
+        label = which_cost
 
-    item_i = True
-    for order in range(2, n_max + 1):
-        if not is_n_c_monotone_bruteforce(g, spec, order, tol=tol).holds:
-            item_i = False
-            break
-
+    item_i = all(
+        is_n_c_monotone_bruteforce(g, spec, order, tol=tol).holds for order in range(2, n_max + 1)
+    )
     sign_verdict = sign_criterion_1d(g, tol=tol)
     item_ii = sign_verdict.holds
 
+    # Items iii, iv and vi read each pair projection once, as row arrays.
     inner = classical_cost("c1", 2, 1).pair_cost(1, 2)
-    item_iii = True
-    item_iv = True
-    projections = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            pairs = projections[(i, j)] = project_pair(g, i, j)
-            item_iii = item_iii and is_two_marginal_cyclically_monotone(pairs, inner, tol).holds
-            item_iv = item_iv and is_pair_monotone_classical(pairs).holds
+    blocks = marginal_blocks(g.coords, g.dims)
+    projections = {
+        (i, j): unique_pairs(blocks[i - 1], blocks[j - 1])
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+    }
+    item_iii = all(_cycle_verdict(x, y, inner, tol).holds for x, y in projections.values())
+    item_iv = all(_classical_verdict(x, y).holds for x, y in projections.values())
 
     # Assembly's f_{i,j} is the antiderivative (vi) checks (same base, same
     # grid); a positive cycle refuses assembly and fails (v) and (vi) together.
@@ -536,12 +521,11 @@ def characterize_1d(
     except ProjectionNotMonotone:
         item_v = item_vi = False
     else:
-        prod_grid = list(itertools.product(*[project(g, i) for i in range(1, n + 1)]))
         item_v = certify_splitting(
-            tup, g, spec, test_points=prod_grid, ineq_tol=tol, eq_tol=tol
+            tup, g, spec, test_points=projection_product(g), ineq_tol=tol, eq_tol=tol
         ).passed
         item_vi = all(
-            verify_antiderivative(f, projections[(i, j)], spec.pair_cost(i, j), tol=tol).holds
+            _antiderivative_check(f, *projections[(i, j)], spec.pair_cost(i, j), tol).holds
             for (i, j), f in tup.pair_potentials.items()
         )
 
@@ -552,16 +536,8 @@ def characterize_1d(
             f"bruteforce={item_i} signs={item_ii} proj_cyclic={item_iii} "
             f"proj_mono={item_iv} splitting={item_v} antiderivatives={item_vi}"
         )
-    return OneDimReport(
-        verdict=items[0],
-        cyclic_bruteforce=item_i,
-        sign_criterion=item_ii,
-        projections_cyclic=item_iii,
-        projections_monotone=item_iv,
-        splitting_certified=item_v,
-        antiderivatives_exist=item_vi,
-        cost_label=label,
-        n_max=n_max,
+    return OneDimReport(  # the verdict, then the six items in field order
+        items[0], *items, cost_label=label, n_max=n_max,
         witness=None if sign_verdict.holds else sign_verdict.witness.to_json(),
     )
 

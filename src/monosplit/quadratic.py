@@ -180,11 +180,7 @@ def quadratic_splitting(q: Sequence[SymMatrix]) -> QuadraticSplitting:
 def commuting_spd_gamma(q: Sequence[SymMatrix], vs: Sequence) -> GammaSet:
     """Sample {(Q_1 v, ..., Q_N v)} at the given base vectors v."""
     arrays = [qi.as_array() for qi in q]
-    points = []
-    for v in vs:
-        vec = np.asarray(as_vec(v), dtype=float)
-        points.append(tuple(tuple(float(t) for t in a @ vec) for a in arrays))
-    return GammaSet.from_points(points)
+    return GammaSet.from_points([[a @ np.asarray(as_vec(v)) for a in arrays] for v in vs])
 
 
 def random_commuting_spds(n: int, d: int, seed: int = 0) -> tuple[SymMatrix, ...]:

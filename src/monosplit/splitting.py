@@ -33,20 +33,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .antiderivative import Potential, c_conjugate, rockafellar_potential
+from .antiderivative import Potential, _chain_potential, c_conjugate
 from .core import (
     ClosedForm,
     CostSpec,
     GammaSet,
     Point,
     _enc,
-    _rows,
+    _point_rows,
+    _vec_rows,
     as_point,
-    as_vec,
-    dedup_vecs,
     marginal_blocks,
-    project,
-    project_pair,
+    unique_pairs,
     unique_rows,
 )
 from .errors import (
@@ -57,7 +55,7 @@ from .errors import (
     ProjectionNotMonotone,
     UndefinedOnGamma,
 )
-from .monotone import DEFAULT_TOL
+from .monotone import DEFAULT_TOL, _check_gamma_against_spec
 
 DEFAULT_SAMPLES = 10_000
 DEFAULT_SEED = 0
@@ -85,12 +83,9 @@ class SplittingTuple:
             raise InputValidationError("a splitting tuple needs at least two potentials")
 
     @classmethod
-    def from_closed_forms(
-        cls, forms: Sequence[ClosedForm], base_point=None
-    ) -> "SplittingTuple":
+    def from_closed_forms(cls, forms: Sequence[ClosedForm]) -> "SplittingTuple":
         """Wrap user-supplied analytic potentials, one per marginal."""
-        pots = tuple(Potential.from_closed_form(f) for f in forms)
-        return cls(pots, {}, {}, as_point(base_point) if base_point is not None else None)
+        return cls(tuple(Potential.from_closed_form(f) for f in forms), {}, {})
 
     @property
     def n_marginals(self) -> int:
@@ -112,6 +107,18 @@ class SplittingTuple:
         }
 
 
+def _grid(projection: np.ndarray, extra: Sequence) -> np.ndarray:
+    """The distinct rows of a marginal's projection, then the distinct
+    extra points not among them, first seen first."""
+    rows = projection
+    if len(extra):
+        more = _vec_rows(extra)
+        if more.shape[1] != rows.shape[1]:
+            raise DimensionMismatch("points mix dimensions")
+        rows = np.concatenate([rows, more])
+    return rows[unique_rows(rows)]
+
+
 def assemble_splitting_tuple(
     g: GammaSet,
     spec: CostSpec,
@@ -122,18 +129,16 @@ def assemble_splitting_tuple(
     """Build the explicit splitting tuple from two-marginal projections.
 
     Each f_{i,j} is the chain antiderivative of the (i, j) projection of g
-    based at s_i, tabulated on grid_i = projection_i(g) union the optional
-    extra evaluation points for marginal i; conjugates are tabulated on
-    grid_j.  Shifted costs add their marginal shift onto u_i.
+    (its distinct pairs, read from g.coords) based at s_i, tabulated on
+    grid_i = projection_i(g) union the optional extra evaluation points for
+    marginal i; conjugates are tabulated on grid_j.  Shifted costs add their
+    marginal shift onto u_i.
 
     The base point defaults to the first point of g.  A projection with a
     positive-gain cycle aborts with ProjectionNotMonotone naming the pair
     and the cycle.
     """
-    if g.dims != spec.dims:
-        raise DimensionMismatch(
-            f"point set dims {g.dims} do not match cost dims {spec.dims}"
-        )
+    _check_gamma_against_spec(g, spec)
     n = g.n_marginals
     if s is None:
         base = g.points[0]
@@ -144,9 +149,9 @@ def assemble_splitting_tuple(
     if eval_grids is not None and len(eval_grids) != n:
         raise InputValidationError("eval_grids must supply one list per marginal")
 
+    blocks = marginal_blocks(g.coords, g.dims)
     grids = [
-        dedup_vecs([*project(g, i), *(eval_grids[i - 1] if eval_grids is not None else ())])
-        for i in range(1, n + 1)
+        _grid(x, eval_grids[i] if eval_grids is not None else ()) for i, x in enumerate(blocks)
     ]
 
     pair_pots: dict[tuple[int, int], Potential] = {}
@@ -154,11 +159,9 @@ def assemble_splitting_tuple(
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             cost_ij = spec.pair_cost(i, j)
-            pairs_ij = project_pair(g, i, j)
+            xs, ys = unique_pairs(blocks[i - 1], blocks[j - 1])
             try:
-                f = rockafellar_potential(
-                    cost_ij, pairs_ij, base[i - 1], grids[i - 1], tol=tol
-                )
+                f = _chain_potential(cost_ij, xs, ys, base[i - 1], grids[i - 1], tol)
             except NotCyclicallyMonotone as exc:
                 raise ProjectionNotMonotone(
                     f"projection ({i}, {j}) is not cyclically monotone: {exc}",
@@ -211,6 +214,15 @@ def sample_test_points(
     return pts[unique_rows(pts)]
 
 
+def projection_product(g: GammaSet) -> np.ndarray:
+    """The product of g's marginal projections, each marginal's distinct
+    points first seen first, as one (k, sum(dims)) array in the order of
+    itertools.product."""
+    margs = [x[unique_rows(x)] for x in marginal_blocks(g.coords, g.dims)]
+    index = np.indices([len(x) for x in margs]).reshape(len(margs), -1)
+    return np.hstack([x[k] for x, k in zip(margs, index)])
+
+
 @dataclass(frozen=True)
 class SplittingCertificate:
     """Sampled evidence that a tuple splits the cost on a point set.
@@ -253,29 +265,6 @@ class SplittingCertificate:
             "inequality_tol": self.inequality_tol,
             "equality_tol": self.equality_tol,
         }
-
-
-def _point_rows(points: Sequence, dims: Sequence[int]) -> np.ndarray:
-    """Caller-supplied product points as one (k, sum(dims)) array, checked a
-    marginal at a time with the errors of the one-point checks: a wrong
-    marginal count or dimension raises DimensionMismatch, a non-finite
-    coordinate InputValidationError.  Scalars stand for 1-D marginals."""
-    given = [tuple(p) for p in points]
-    if any(len(p) != len(dims) for p in given):
-        raise DimensionMismatch(f"a test point does not have {len(dims)} marginals")
-    cols = [np.empty((0, d)) for d in dims]
-    for i in range(len(dims)) if given else ():
-        column = [p[i] for p in given]
-        try:
-            cols[i] = _rows(column)
-        except DimensionMismatch:  # scalars mixed with sequences
-            cols[i] = _rows([as_vec(x) for x in column])
-    if any(c.shape[1:] != (d,) for c, d in zip(cols, dims)):
-        raise DimensionMismatch("a marginal of a test point has the wrong dimension")
-    rows = np.hstack(cols)
-    if not np.isfinite(rows).all():
-        raise InputValidationError("a test point has a non-finite coordinate")
-    return rows
 
 
 def certify_splitting(

@@ -6,9 +6,11 @@ enumerates assignments without any library verifier, the scalar
 certificate loops over points with the one-point evaluators, the pair and
 sign loops visit one pair of points at a time with Python sums, the
 brute-force loop one multiset at a time, the row dedup sorts every row
-column by column, and the generators build monotone structure by
-construction rather than by checking it.  The exactness probe, which no
-command runs, lives here with its one-point evaluator ``sum_at``.
+column by column, the projections dedup the points as tuples, and the
+generators build monotone structure by construction rather than by
+checking it.  The exactness probe, which no command runs, lives here with
+its one-point evaluator ``sum_at``, as does ``add_separable_shift``, which
+builds the shifted costs of the invariance tests.
 """
 
 from __future__ import annotations
@@ -32,12 +34,11 @@ from monosplit.core import (
     as_vec,
     classical_cost,
     marginal_blocks,
-    project,
-    project_pair,
 )
 from monosplit.errors import (
     BudgetExceeded,
     DimensionMismatch,
+    IndexOutOfRange,
     InputValidationError,
     InternalInconsistency,
     NotOneDimensional,
@@ -65,6 +66,46 @@ from monosplit.splitting import SplittingTuple
 
 COUPLING_BUDGET = 2_000_000
 COARSE_GRID = (-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0)
+
+
+def add_separable_shift(
+    spec: CostSpec,
+    forms: Sequence[ClosedForm | Sequence[ClosedForm] | None],
+) -> CostSpec:
+    """Return the cost c + sum_i h_i with the given per-marginal terms.
+
+    Each entry may be a single form, a sequence of forms, or None.  Existing
+    shift terms are kept and the new ones appended.
+    """
+    if len(forms) != spec.n_marginals:
+        raise InputValidationError("need one shift entry per marginal")
+    merged: list[tuple[ClosedForm, ...]] = []
+    for i, entry in enumerate(forms):
+        if entry is None:
+            new: tuple[ClosedForm, ...] = ()
+        elif isinstance(entry, ClosedForm):
+            new = (entry,)
+        else:
+            new = tuple(entry)
+        old = spec.shift[i] if spec.shift is not None else ()
+        merged.append(tuple(old) + new)
+    return CostSpec(spec.dims, dict(spec.pairs), tuple(merged))
+
+
+def project(g: GammaSet, i: int) -> tuple[Vec, ...]:
+    """Distinct i-th marginal values of g, in first-seen order (1-based i)."""
+    if not (1 <= i <= g.n_marginals):
+        raise IndexOutOfRange(f"marginal index {i} outside 1..{g.n_marginals}")
+    return tuple(dict.fromkeys(p[i - 1] for p in g.points))
+
+
+def project_pair(g: GammaSet, i: int, j: int) -> tuple[tuple[Vec, Vec], ...]:
+    """Distinct (x_i, x_j) pairs of g, in first-seen order; requires i < j."""
+    if not (1 <= i <= g.n_marginals) or not (1 <= j <= g.n_marginals):
+        raise IndexOutOfRange(f"pair ({i},{j}) outside 1..{g.n_marginals}")
+    if i >= j:
+        raise IndexOutOfRange("project_pair requires i < j")
+    return tuple(dict.fromkeys((p[i - 1], p[j - 1]) for p in g.points))
 
 
 def gamma_1d(rows: Sequence[Sequence[float]]) -> GammaSet:

@@ -14,8 +14,10 @@ import numpy as np
 
 from helpers import (
     COARSE_GRID,
+    add_separable_shift,
     bruteforce_cycle_gain,
     chain_enumeration_oracle,
+    project,
     sum_at,
 )
 from monosplit.antiderivative import rockafellar_potential
@@ -24,9 +26,7 @@ from monosplit.core import (
     LinearForm,
     PairwiseCost,
     QuadraticForm,
-    add_separable_shift,
     classical_cost,
-    project,
 )
 from monosplit.errors import NotCyclicallyMonotone
 from monosplit.monotone import (

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import gamma_1d
+from helpers import add_separable_shift, gamma_1d, project, project_pair
 from monosplit.core import (
     CostSpec,
     EvenPowerForm,
@@ -19,15 +19,12 @@ from monosplit.core import (
     LinearForm,
     PairwiseCost,
     QuadraticForm,
-    add_separable_shift,
     as_point,
     as_vec,
     classical_cost,
     dumps_json,
     form_from_json,
     loads_json,
-    project,
-    project_pair,
 )
 from monosplit.errors import (
     DimensionMismatch,

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import unique_rows_lexsort
+from helpers import add_separable_shift, unique_rows_lexsort
 from monosplit import core
 from monosplit.antiderivative import Potential
 from monosplit.core import (
@@ -28,7 +28,6 @@ from monosplit.core import (
     LinearForm,
     PairwiseCost,
     QuadraticForm,
-    add_separable_shift,
     classical_cost,
     find_rows,
     unique_rows,

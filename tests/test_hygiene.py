@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports at top level is used there,
 the package imports nothing at run time but the standard library, NumPy and
-itself, and every function the benchmark tracer wraps still exists.
+itself, every function the benchmark tracer wraps still exists, and the
+README's Library examples run on the package's top-level exports.
 
 The scan reads each module of the package (not ``__init__.py``, whose
 imports are its public re-exports) with :mod:`ast`.  A name counts as used
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -132,3 +134,18 @@ def test_traced_functions_exist():
         if not callable(getattr(importlib.import_module(f"monosplit.{short}"), name, None))
     ]
     assert missing == []
+
+
+def _readme_library_blocks() -> list[str]:
+    section = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"```python\n(.*?)```", section, flags=re.S)
+
+
+def test_readme_library_examples_run_on_the_top_level_exports():
+    blocks = _readme_library_blocks()
+    assert len(blocks) == 2
+    for block in blocks:
+        assert "from monosplit import" in block
+        exec(compile(block, "README.md", "exec"), {})
+    package = importlib.import_module("monosplit")
+    assert all(callable(getattr(package, name)) for name in package.__all__)

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,15 +24,16 @@ from helpers import (
     make_random_gamma,
     make_random_pairs,
     pair_monotone_classical_loop,
+    project_pair,
     sign_criterion_loop,
 )
-from monosplit import core, monotone
+from monosplit import monotone
+from monosplit.cli import main
 from monosplit.core import (
     CostSpec,
     GammaSet,
     PairwiseCost,
     classical_cost,
-    project_pair,
 )
 from monosplit.errors import DimensionMismatch, OffGrid, OrderTooLarge
 from monosplit.monotone import (
@@ -569,19 +571,23 @@ def test_projections_from_coords_refuse_an_off_grid_point_alike(rng):
     assert (type(fast.value), str(fast.value)) == (type(slow.value), str(slow.value))
 
 
-def test_projection_condition_builds_no_tuple_projection(rng, monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the projection check built a tuple projection")
+def test_projection_condition_builds_no_tuple_projection(capsys, tmp_path, monkeypatch):
+    # Loading, the projection check, is_c_monotone and the brute force of
+    # the pinned passing 2-D run read g.coords only.  A failing run builds
+    # the view for its witness, which shows that the patch bites.
+    def forbidden(self):
+        raise AssertionError("built the tuple view of a GammaSet")
 
-    for module, name in ((core, "project_pair"), (core, "dedup_pairs"),
-                         (monotone, "project_pair"), (monotone, "dedup_pairs")):
-        monkeypatch.setattr(module, name, forbidden, raising=False)
-    outcomes = set()
-    for g, spec in _projection_corpus(rng):
-        outcomes.add(check_projection_condition(g, spec).all_hold)
-    assert outcomes == {True, False}
-    with pytest.raises(AssertionError, match="tuple projection"):
-        is_two_marginal_cyclically_monotone([((0.0,), (0.0,))], INNER)
+    data = Path(__file__).parent / "data"
+    monkeypatch.chdir(tmp_path)
+    Path("gamma.json").write_text((data / "verify_passing_2d_gamma.json").read_text())
+    antitone = [[[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]]]
+    Path("failing.json").write_text(json.dumps(GammaSet.from_points(antitone).to_json()))
+    monkeypatch.setattr(GammaSet, "points", property(forbidden))
+    assert main(["verify", "gamma.json", "--cost", "c3", "--brute", "3"]) == 0
+    assert capsys.readouterr().out == (data / "verify_passing_2d.json").read_text()
+    with pytest.raises(AssertionError, match="tuple view"):
+        main(["verify", "failing.json"])
 
 
 def test_brute_force_optimal_coupling_identity_attains():

@@ -382,7 +382,7 @@ def test_battery_on_curve_samples():
 
 
 def test_one_scan_per_antiderivative_and_one_antiderivative_per_projection(monkeypatch):
-    calls = {"scan": 0, "rockafellar": 0}
+    calls = {"scan": 0, "chain": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -397,17 +397,20 @@ def test_one_scan_per_antiderivative_and_one_antiderivative_per_projection(monke
     )
     assert calls["scan"] == 1
 
-    rock = counting("rockafellar", antiderivative.rockafellar_potential)
-    for module in (splitting, onedim):
-        monkeypatch.setattr(module, "rockafellar_potential", rock, raising=False)
+    # Assembly tabulates each projection through the array body of
+    # rockafellar_potential.
+    chain = counting("chain", antiderivative._chain_potential)
+    monkeypatch.setattr(splitting, "_chain_potential", chain)
     g = gamma_1d([[-1.0, -2.0, 0.0], [0.0, 0.0, 0.5], [2.0, 1.0, 3.0]])
     assert characterize_1d(g, which_cost="c1", n_max=3).verdict
-    assert calls["rockafellar"] == 3  # one per projection (1,2), (1,3), (2,3)
+    assert calls["chain"] == 3  # one per projection (1,2), (1,3), (2,3)
 
 
 def test_battery_stops_testing_projections_once_their_item_fails(monkeypatch):
     calls = []
-    for name in ("is_two_marginal_cyclically_monotone", "is_pair_monotone_classical"):
+    # The battery reads its projections as arrays, through the array bodies
+    # of is_two_marginal_cyclically_monotone and is_pair_monotone_classical.
+    for name in ("_cycle_verdict", "_classical_verdict"):
         def counted(*args, _fn=getattr(onedim, name), _name=name, **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)
@@ -415,7 +418,7 @@ def test_battery_stops_testing_projections_once_their_item_fails(monkeypatch):
     # Projection (1, 2) is antitone, so items (iii) and (iv) fail on it.
     report = characterize_1d(gamma_1d([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]]), n_max=2)
     assert not any(report.items())
-    assert calls == ["is_two_marginal_cyclically_monotone", "is_pair_monotone_classical"]
+    assert calls == ["_cycle_verdict", "_classical_verdict"]
 
 
 def test_battery_input_validation():
