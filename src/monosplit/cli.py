@@ -470,6 +470,8 @@ def _pairwise_cost(selector: str) -> PairwiseCost:
 def cmd_rockafellar(args: argparse.Namespace) -> int:
     pairs = _load_pairs(args.pairs)
     cost = _pairwise_cost(args.cost)
+    if not pairs:  # rockafellar_potential's error, before pairs[0] is read
+        raise InputValidationError("the pair list must be nonempty")
     base = _parse_vec(args.base) if args.base is not None else pairs[0][0]
     if args.grid is not None:
         if len(base) != 1:

@@ -24,6 +24,8 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _escape
 
 import numpy as np
 
@@ -889,11 +891,67 @@ def dumps_json(obj) -> str:
     insertion order, so identical inputs produce byte-identical documents.
     Non-finite floats and values JSON cannot represent raise
     InputValidationError, so infinities are encoded upstream as strings.
+
+    The bytes are those of ``json.dumps(obj, indent=2, allow_nan=False)``,
+    which never uses the C encoder when it indents and spends a generator
+    frame per token.  This writer recurses once per container and writes
+    each of the two shapes that carry most of a report's bytes in one string
+    operation: finite floats (potential values) and equal-length rows of
+    finite floats (potential points, witness and worst points).
     """
     try:
-        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+        return _write(obj, "\n", set()) + "\n"
     except (TypeError, ValueError) as exc:
         raise InputValidationError(f"cannot serialize to JSON: {exc}") from exc
+
+
+def _write(o, nl: str, path: set) -> str:
+    """o as json.dumps writes it with indent=2, nl being a newline and the
+    indent of o's own line; path holds the ids of the enclosing containers."""
+    if isinstance(o, str):
+        return _escape(o)
+    if o is None or o is True or o is False:
+        return "null" if o is None else "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if math.isfinite(o):
+            return float.__repr__(o)
+        raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
+    is_dict = isinstance(o, dict)
+    if not is_dict and not isinstance(o, (list, tuple)):
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    if not o:
+        return "{}" if is_dict else "[]"
+    if id(o) in path:
+        raise ValueError("Circular reference detected")
+    path.add(id(o))
+    inner = nl + "  "
+    sep = "," + inner
+    if is_dict:
+        body = sep.join([f"{_key(k)}: {_write(v, inner, path)}" for k, v in o.items()])
+    elif _all_finite_floats(o):
+        body = sep.join(map(float.__repr__, o))
+    elif set(map(type, o)) == {list} and len(widths := set(map(len, o))) == 1 \
+            and _all_finite_floats(flat := list(chain.from_iterable(o))):
+        row = "[" + inner + "  " + (sep + "  ").join(["%r"] * widths.pop()) + inner + "]"
+        body = sep.join([row] * len(o)) % tuple(flat)
+    else:
+        body = sep.join([_write(v, inner, path) for v in o])
+    path.remove(id(o))
+    return ("{" if is_dict else "[") + inner + body + nl + ("}" if is_dict else "]")
+
+
+def _all_finite_floats(items: list) -> bool:
+    return set(map(type, items)) == {float} and all(map(math.isfinite, items))
+
+
+def _key(k) -> str:
+    """A dict key as json.dumps writes it: a string, or a scalar's JSON text
+    in quotes."""
+    if k is not None and not isinstance(k, (str, int, float)):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+    return _escape(k if isinstance(k, str) else _write(k, "", set()))
 
 
 def loads_json(text: str):

@@ -13,9 +13,10 @@ import pytest
 import monosplit
 from helpers import gamma_1d
 from monosplit import onedim
-from monosplit.antiderivative import Potential
+from monosplit.antiderivative import Potential, rockafellar_potential
 from monosplit.cli import build_parser, main
-from monosplit.core import GammaSet, classical_cost, loads_json
+from monosplit.core import GammaSet, PairwiseCost, classical_cost, loads_json
+from monosplit.errors import InputValidationError
 from monosplit.splitting import SplittingTuple, certify_splitting
 
 DIAGONAL_DOC = gamma_1d([[t, t, t] for t in (-1.0, 0.0, 1.0)]).to_json()
@@ -432,6 +433,17 @@ def test_rockafellar_rejects_the_shifted_selector(capsys, pairs_file):
     code, _, err = _run(capsys, ["rockafellar", pairs_file, "--cost", "c3"])
     assert code == 2
     assert "chains use c1" in err
+
+
+@pytest.mark.parametrize("flags", [[], ["--grid=-1:1:0.5"], ["--base", "0"]])
+def test_rockafellar_rejects_an_empty_pair_list(capsys, tmp_path, flags):
+    # The command reports the library's own error for an empty pair list.
+    with pytest.raises(InputValidationError) as lib:
+        rockafellar_potential(PairwiseCost.inner_product(), [], 0.0, [0.0])
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"pairs": []}))
+    code, out, err = _run(capsys, ["rockafellar", str(path), *flags])
+    assert (code, out, err) == (2, "", f"error: {lib.value}\n")
 
 
 # ---------------------------------------------------------------------------

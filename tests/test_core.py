@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,6 +255,91 @@ def test_dumps_json_rejects_non_finite():
         dumps_json({"bad": math.inf})
     with pytest.raises(InputValidationError):
         dumps_json({"bad": object()})
+
+
+# The writer's oracle: what json.dumps writes with the same settings.
+def _stdlib_json(doc) -> str:
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+json_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e-7, 0.1]),
+)
+json_scalars = st.one_of(
+    json_floats,
+    json_floats.map(np.float64),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(),  # non-ASCII and control characters included
+    st.sampled_from(["inf", "-inf", "\u00e9\u2211\U0001f600", "tab\tnul\x00\x7f\"q\\"]),
+)
+json_keys = st.one_of(st.text(), st.integers(), json_floats, st.booleans(), st.none())
+float_rows = st.integers(0, 3).flatmap(
+    lambda k: st.lists(st.lists(json_floats, min_size=k, max_size=k), max_size=5)
+)
+ragged_rows = st.lists(st.lists(json_floats, max_size=3), max_size=5)
+# A float list with one item of another JSON type spliced in.
+mixed_floats = st.tuples(
+    st.lists(json_floats, max_size=5), st.sampled_from([1, True, False, None, "inf"]),
+    st.integers(0, 5),
+).map(lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:])
+json_docs = st.recursive(
+    st.one_of(json_scalars, st.lists(json_floats), float_rows, ragged_rows, mixed_floats),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(json_keys, inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@given(json_docs)
+def test_dumps_json_writes_what_the_stdlib_writes(doc):
+    assert dumps_json(doc) == _stdlib_json(doc)
+
+
+def _self_list() -> list:
+    lst = [1.0]
+    lst.append(lst)
+    return lst
+
+
+@pytest.mark.parametrize("doc", [
+    *([bad] for bad in (math.inf, -math.inf, math.nan)),
+    *([[0.5], [bad]] for bad in (math.inf, -math.inf, math.nan)),
+    math.inf, -math.inf, math.nan, np.float64(math.inf),
+    {"k": [1.0, math.nan]}, {math.nan: 1}, {(1, 2): 1},
+    object(), [object()], np.int64(1), np.bool_(True),
+    _self_list(), {"a": {}, "b": [_self_list()]},
+], ids=repr)
+def test_dumps_json_raises_what_the_stdlib_raises(doc):
+    with pytest.raises((TypeError, ValueError)) as stdlib:
+        _stdlib_json(doc)
+    with pytest.raises(InputValidationError) as ours:
+        dumps_json(doc)
+    assert str(ours.value) == f"cannot serialize to JSON: {stdlib.value}"
+    assert type(ours.value.__cause__) is type(stdlib.value)
+
+
+DATA = Path(__file__).parent / "data"
+# Input files in the data directory are written compactly, not by dumps_json.
+DATA_INPUTS = {"verify_passing_2d_gamma.json"}
+
+
+def test_every_compact_data_file_is_a_listed_input():
+    compact = {p.name for p in DATA.glob("*.json") if p.read_text().count("\n") <= 1}
+    assert compact == DATA_INPUTS
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.name for p in DATA.glob("*.json") if p.name not in DATA_INPUTS)
+)
+def test_pinned_reports_are_rewritten_byte_for_byte(name):
+    text = (DATA / name).read_text()
+    assert dumps_json(loads_json(text)) == text
 
 
 def test_loads_json_raises_parse_error():

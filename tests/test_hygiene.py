@@ -1,7 +1,9 @@
 """Source hygiene: every name a module imports at top level is used there,
 the package imports nothing at run time but the standard library, NumPy and
-itself, every function the benchmark tracer wraps still exists, and the
-README's Library examples run on the package's top-level exports.
+itself, no module calls ``json.dump`` or ``json.dumps`` (``core.dumps_json``
+is the one JSON writer), every function the benchmark tracer wraps still
+exists, and the README's Library examples run on the package's top-level
+exports.
 
 The scan reads each module of the package (not ``__init__.py``, whose
 imports are its public re-exports) with :mod:`ast`.  A name counts as used
@@ -117,6 +119,35 @@ def test_the_dependency_scan_sees_nested_and_relative_imports():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_runtime_imports_are_the_standard_library_numpy_or_the_package(module):
     assert _imported_packages((PACKAGE / module).read_text()) - RUNTIME_DEPENDENCIES == set()
+
+
+def _json_writer_calls(source: str) -> list[int]:
+    """Lines that use json.dump or json.dumps, or import either by name."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps") \
+                and isinstance(node.value, ast.Name) and node.value.id == "json":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "json" \
+                and {a.name for a in node.names} & {"dump", "dumps"}:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_the_json_writer_scan_sees_calls_and_imports():
+    source = (
+        "import json\n"
+        "from json import dumps as d, loads\n"
+        "def f(x, out):\n"
+        "    json.dump(x, out)\n"
+        "    return json.loads(json.dumps(x))\n"
+    )
+    assert _json_writer_calls(source) == [2, 4, 5]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_dumps_json_is_the_one_json_writer(module):
+    assert _json_writer_calls((PACKAGE / module).read_text()) == []
 
 
 def test_traced_functions_exist():
