@@ -24,12 +24,14 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .core import (
     ClosedForm,
     PairwiseCost,
+    RowIndex,
     Vec,
     _vec_rows,
     as_vec,
@@ -128,13 +130,20 @@ class Potential:
     def values_at(self, xs: np.ndarray) -> np.ndarray:
         """The table value of each row of a (k, d) array by exact match,
         else the closed form, else +inf."""
-        index = find_rows(self._rows, xs)
-        hit = index >= 0
-        out = np.full(len(xs), math.inf)
-        out[hit] = self._vals[index[hit]]
-        if self.closed_form is not None and not hit.all():
-            out[~hit] = self.closed_form.values(xs[~hit])
+        index = self._index.find(xs)
+        out = self._padded[index]
+        if self.closed_form is not None and (index < 0).any():
+            out[index < 0] = self.closed_form.values(xs[index < 0])
         return out
+
+    @cached_property
+    def _index(self) -> RowIndex:
+        return RowIndex(self._rows)
+
+    @cached_property
+    def _padded(self) -> np.ndarray:
+        """The values and a last +inf, which index -1 reads."""
+        return np.append(self._vals, math.inf)
 
     def to_json(self) -> dict:
         out: dict = {

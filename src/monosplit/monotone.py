@@ -12,8 +12,10 @@ brute-force verifier walks multisets in lexicographic index order and
 permutation tuples in lexicographic order, reporting the first violation it
 meets.  It takes the multisets in blocks that grow geometrically, and sums
 the costs of every permutation tuple of a block as one array, adding each
-pair term one tuple position at a time.  It handles any number N of
-marginals.  c-monotone means 2-c-monotone:
+pair term one tuple position at a time.  Where a multiset's n!^(N-1)
+permutation tuples outnumber n! sums a pair, a bound from those sums, with
+a rounding margin, first clears the multisets that cannot violate.  It
+handles any number N of marginals.  c-monotone means 2-c-monotone:
 :func:`is_c_monotone` computes order 2 as array sums over the masks of
 marginals to swap between two points, in row blocks of point pairs whose
 pair-cost entries each block evaluates for itself, and equals the
@@ -368,18 +370,66 @@ def _positions(index: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(np.ascontiguousarray(index[..., k]) for k in range(index.shape[-1]))
 
 
-def _add_positions(rows: np.ndarray, positions: tuple[np.ndarray, ...]) -> np.ndarray:
-    """rows.take(positions[0], axis=1) + ... + rows.take(positions[-1],
-    axis=1), added left to right: the sum over the last axis of rows
-    gathered at the stacked positions, in the order NumPy sums a short
-    trailing axis, without that gather.  NumPy starts from +0.0, so where
-    every term is -0.0 its sum is +0.0 and this one -0.0.  Callers add the
-    result to a running sum that is never -0.0, which either zero leaves
-    unchanged, so their sums are NumPy's bit for bit."""
-    total = rows.take(positions[0], axis=1)
+def _add_positions(rows: np.ndarray, positions: tuple[np.ndarray, ...], axis: int = 1) -> np.ndarray:
+    """rows.take(positions[0], axis) + ... + rows.take(positions[-1], axis),
+    added left to right: the sum over a last axis of rows gathered at the
+    stacked positions, in the order NumPy sums a short trailing axis,
+    without that gather.  NumPy starts from +0.0, so where every term is
+    -0.0 its sum is +0.0 and this one -0.0.  Callers add the result to a
+    running sum that is never -0.0, which either zero leaves unchanged, so
+    their sums are NumPy's bit for bit."""
+    total = rows.take(positions[0], axis=axis)
     for cols in positions[1:]:
-        total += rows.take(cols, axis=1)
+        total += rows.take(cols, axis=axis)
     return total
+
+
+def _permuted_sums(idx: np.ndarray, mats: dict, shifts: np.ndarray, positions: tuple) -> np.ndarray:
+    """The cost sum of every permutation tuple of each multiset of a (b, n)
+    block, as a (b, n!^(N-1)) array whose column 0 is the diagonal: the
+    enumerator's dense body.  Axis k + 1 of the unflattened array indexes
+    the permutation of marginal k + 2; a pair's term broadcasts along the
+    axes of its permuted marginals."""
+    fixed_first, both_moved, by_position = positions
+    (b, n), nperm, ndim = idx.shape, len(by_position[0]), len(shifts) - 1
+    vals = np.empty((b,) + (nperm,) * ndim)
+    vals[...] = shifts[0][idx].sum(axis=-1).reshape((-1,) + (1,) * ndim)
+    for (i, j), mat in sorted(mats.items()):
+        # Column a * n + c of a row holds M_ij[idx[a], idx[c]] of its multiset.
+        sub = mat[idx[:, :, None], idx[:, None, :]].reshape(b, n * n)
+        if i == 1:
+            # pair (1, j) plus the shift of marginal j
+            term = (_add_positions(sub, fixed_first)
+                    + _add_positions(shifts[j - 1][idx], by_position))
+        else:
+            term = _add_positions(sub, both_moved)
+        vals += term.reshape((-1,) + tuple(nperm if k + 2 in (i, j) else 1 for k in range(ndim)))
+    return vals.reshape(b, -1)
+
+
+def _bound_clears(
+    idx: np.ndarray, mats: dict, shifts: np.ndarray, positions: tuple, tol: float
+) -> np.ndarray:
+    """Which multisets of a (b, n) block no permutation tuple can violate,
+    by the bound of :func:`is_n_c_monotone_bruteforce`: n! cells a pair
+    instead of n!^(N-1) a multiset.  Every pair goes in one array with the
+    tuple positions or permutations on axis 0, then the pairs, then the
+    multisets, so each reduction adds or compares whole rows."""
+    fixed_first, _, by_position = positions
+    (b, n), nmarg, m = idx.shape, len(shifts), shifts.shape[1]
+    flat = (idx[:, :, None] * m + idx[:, None, :]).reshape(b, n * n).T
+    sub = np.stack([mats[k].take(flat) for k in sorted(mats)], axis=1)
+    terms = _add_positions(sub, fixed_first, axis=0)
+    # Sorted pairs start with (1, 2), ..., (1, N), which add shifts 2..N.
+    h = shifts[:, idx.T].transpose(1, 0, 2)
+    terms[:, :nmarg - 1] += _add_positions(h[:, 1:], by_position, axis=0)
+    total = shifts[0][idx].sum(axis=-1)
+    # The diagonal accumulates its pieces in the full sums' order, from S on.
+    diag = np.cumsum(np.concatenate((total[None], terms[0])), axis=0)[-1]
+    bound = total + terms.max(axis=0).sum(axis=0)
+    scale = n * np.abs(sub).max(axis=0).sum(axis=0) + np.abs(h).sum(axis=(0, 1))
+    margin = 4 * n * (nmarg + len(mats)) * np.finfo(float).eps * scale
+    return (bound + margin <= diag + tol) & np.isfinite(scale + scale)
 
 
 def is_n_c_monotone_bruteforce(
@@ -396,17 +446,48 @@ def is_n_c_monotone_bruteforce(
     marginal fixed to the identity.  Multisets come in blocks of b, as a
     (b, n) index array whose cost sums are taken from precomputed pairwise
     matrices into one array with an axis for the multiset and one per
-    marginal 2..N; this caches evaluations but enumerates every comparison
-    exactly.  Blocks start at two multisets (the first, one point n times,
-    cannot violate) and double up to PAIR_BLOCK_CELLS / 32 cells over the n
-    positions of a term, so an early violation costs one small block.  Each
-    term adds its n positions one by one, the order in which NumPy sums a
-    multiset's term over a short axis, so no sum depends on the block size.
-    A term may come out -0.0 where NumPy, summing from +0.0, gives +0.0;
-    no sum changes, since the running sum starts from a NumPy sum, is
-    never -0.0, and is left as it is by either zero.  The first violation
-    in (multiset, permutation) lexicographic order becomes the witness.  Any
-    number of marginals is supported.
+    marginal 2..N (:func:`_permuted_sums`); this caches evaluations but
+    settles every comparison.  Blocks start at two multisets (the first,
+    one point n times, cannot violate) and double up to PAIR_BLOCK_CELLS /
+    32 cells over the n positions of a term, so an early violation costs
+    one small block.  Each term adds its n positions one by one, the order
+    in which NumPy sums a multiset's term over a short axis, so no sum
+    depends on the block size.  A term may come out -0.0 where NumPy,
+    summing from +0.0, gives +0.0; no sum changes, since the running sum
+    starts from a NumPy sum, is never -0.0, and is left as it is by either
+    zero.  The first violation in (multiset, permutation) lexicographic
+    order becomes the witness.  Any number of marginals is supported.
+
+    When a multiset has more permutation tuples than n! times the number P
+    of pairs (N >= 3 and n >= 3, or n = 2 and N >= 6), a cheap bound (:func:`_bound_clears`)
+    first clears the multisets of each block that cannot violate, and only
+    the others are summed in full, in order; so verdict, witness, sums and
+    checked are those of the full sums, while the work is not.  For a
+    multiset a_0 <= ... <= a_{n-1}, pair (1, j) adds T_1j[s] = sum_k
+    M_1j[a_k, a_s(k)] plus shift j over the tuple, and pair (i, j), i > 1,
+    adds sum_k M_ij[a_s(k), a_t(k)], which in exact arithmetic is
+    D_ij[t s^-1] with D_ij[p] = sum_k M_ij[a_k, a_p(k)].  So in exact
+    arithmetic no cell exceeds U = S + sum max T_1j + sum max D_ij, S the
+    shift-1 sum: n! cells a pair instead of n!^(N-1) a multiset.  The
+    diagonal comes out bit for bit as the full sums' first cell, from the
+    same pieces added in the same order.
+
+    Rounding (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 3-4; u = eps / 2, gamma_k = k u / (1 - k u)).  A cell adds K =
+    n (N + P) floats (n matrix entries a pair, n shift values a marginal)
+    in some order, whose magnitudes sum to at most W = n sum_pairs
+    max|submatrix| + the sum of |shift values| over the tuple; so the float
+    cell lies within gamma_K W of its exact sum.  The float T, D and S lie
+    within gamma_K W of their exact sums (together), and U's float sum
+    within gamma_K (1 + gamma_K) W of the exact sum of its float pieces.
+    So every float cell is at most U + (3 gamma_K + gamma_K^2) W, which
+    is below U + 4 K eps W.  Rounding is monotone, so fl(U + 4 K eps W) <=
+    fl(diagonal + tol) means no cell exceeds fl(diagonal + tol), the full
+    sums' test, and the multiset is cleared.  A multiset whose 2W is not
+    finite (NaN, infinities, or partial sums that could overflow) is never
+    cleared.  The bound's blocks take PAIR_BLOCK_CELLS / 32 cells over the
+    n positions of its n!-cell terms; the multisets it leaves go through
+    the full sums in blocks of at most the full sums' size.
 
     Raises OrderTooLarge when n > 7, or when multisets * permutation tuples
     would exceed the budget.
@@ -426,67 +507,60 @@ def is_n_c_monotone_bruteforce(
         )
 
     mats = _full_pair_matrices(g, spec)
-    shifts = [
+    shifts = np.array([
         spec.shift_values(i, x)
         for i, x in enumerate(marginal_blocks(g.coords, g.dims), start=1)
-    ]
+    ])
     perms = _perm_array(n)
-    # Axis 0 of a block's sum array indexes its multisets, axis k + 1 the
-    # permutation of marginal k + 2; a pair's term broadcasts along the axes
-    # of its permuted marginals.
-    ndim = nmarg - 1
-    layout = [
-        (i, j, (-1,) + tuple(len(perms) if k + 2 in (i, j) else 1 for k in range(ndim)))
-        for i, j in sorted(mats)
-    ]
-    # Column a * n + b of a block's flattened pair submatrices holds
-    # M_ij[idx[a], idx[b]].  Pair (1, j) meets row k with column perms[p, k];
-    # pair (i, j), i > 1, meets row perms[p, k] with column perms[q, k].
-    # Each is kept as n contiguous position slices, one per k.
-    fixed_first = _positions(np.arange(n) * n + perms)
-    both_moved = _positions(perms[:, None, :] * n + perms[None, :, :])
-    by_position = _positions(perms)
+    # Pair (1, j) meets row k with column perms[p, k]; pair (i, j), i > 1,
+    # meets row perms[p, k] with column perms[q, k].  Each is kept as n
+    # contiguous position slices, one per k.
+    positions = (
+        _positions(np.arange(n) * n + perms),
+        _positions(perms[:, None, :] * n + perms[None, :, :]),
+        _positions(perms),
+    )
     # A term has per_multiset cells a multiset, added up from n takes of that
     # size; capping the n of them at PAIR_BLOCK_CELLS / 32 cells a block keeps
-    # each of a block's arrays within a quarter megabyte.
-    cap = max(1, PAIR_BLOCK_CELLS // (32 * per_multiset * n))
+    # each of a block's arrays within a quarter megabyte.  The bound's terms
+    # have n! cells a multiset.
+    dense_cap = max(1, PAIR_BLOCK_CELLS // (32 * per_multiset * n))
+    bounded = per_multiset > len(perms) * len(mats)
+    cap = max(1, PAIR_BLOCK_CELLS // (32 * len(perms) * n)) if bounded else dense_cap
     stream = itertools.combinations_with_replacement(range(g.size), n)
-    checked = 0
+    done = 0
     size = min(2, cap)
     while combos := list(itertools.islice(stream, size)):
         idx = np.array(combos)
-        vals = np.empty((len(combos),) + (len(perms),) * ndim)
-        vals[...] = shifts[0][idx].sum(axis=-1).reshape((-1,) + (1,) * ndim)
-        for i, j, shape in layout:
-            sub = mats[(i, j)][idx[:, :, None], idx[:, None, :]].reshape(len(combos), n * n)
-            if i == 1:
-                # pair (1, j) plus the shift of marginal j
-                term = (_add_positions(sub, fixed_first)
-                        + _add_positions(shifts[j - 1][idx], by_position))
-            else:
-                term = _add_positions(sub, both_moved)
-            vals += term.reshape(shape)
-        flat = vals.reshape(len(combos), -1)
-        viol = flat > flat[:, :1] + tol
-        hit = viol.any(axis=1)
-        t = int(hit.argmax())
-        if not hit[t]:
-            checked += len(combos) * per_multiset
-            size = min(2 * size, cap)
-            continue
-        first = int(viol[t].argmax())
-        sigmas = (tuple(range(n)),) + tuple(
-            tuple(int(v) for v in perms[pi]) for pi in np.unravel_index(first, vals.shape[1:])
-        )
-        witness = Witness(
-            kind="permutation",
-            points=tuple(g.points[a] for a in combos[t]),
-            permutations=sigmas,
-            permuted_sum=float(flat[t, first]),
-            diagonal_sum=float(flat[t, 0]),
-        )
-        return MonotonicityVerdict(False, witness, checked + (t + 1) * per_multiset, tol)
-    return MonotonicityVerdict(True, None, checked, tol)
+        if bounded:
+            rows = np.flatnonzero(~_bound_clears(idx, mats, shifts, positions, tol))
+        else:
+            rows = np.arange(len(combos))
+        for start in range(0, len(rows), dense_cap):
+            part = rows[start:start + dense_cap]
+            flat = _permuted_sums(idx[part], mats, shifts, positions)
+            viol = flat > flat[:, :1] + tol
+            hit = viol.any(axis=1)
+            t = int(hit.argmax())
+            if not hit[t]:
+                continue
+            first = int(viol[t].argmax())
+            sigmas = (tuple(range(n)),) + tuple(
+                tuple(int(v) for v in perms[pi])
+                for pi in np.unravel_index(first, (len(perms),) * (nmarg - 1))
+            )
+            k = int(part[t])
+            witness = Witness(
+                kind="permutation",
+                points=tuple(g.points[a] for a in combos[k]),
+                permutations=sigmas,
+                permuted_sum=float(flat[t, first]),
+                diagonal_sum=float(flat[t, 0]),
+            )
+            return MonotonicityVerdict(False, witness, (done + k + 1) * per_multiset, tol)
+        done += len(combos)
+        size = min(2 * size, cap)
+    return MonotonicityVerdict(True, None, done * per_multiset, tol)
 
 
 def _scan_pairs(m: int, slabs: int, strict: bool, hit: Callable) -> tuple:

@@ -28,6 +28,7 @@ from monosplit.core import (
     LinearForm,
     PairwiseCost,
     QuadraticForm,
+    RowIndex,
     classical_cost,
     find_rows,
     unique_rows,
@@ -272,3 +273,22 @@ def test_find_rows_answers_what_a_dict_lookup_answers(d, dq, data):
     index = {p: i for i, p in enumerate(table)}  # a repeated row: its last copy
     got = find_rows(as_array(table, d), as_array(queries, dq))
     assert got.tolist() == [index.get(q, -1) for q in queries]
+
+
+@given(st.sampled_from([1, 2, 3, 64]), st.booleans(), st.data())
+def test_a_row_index_answers_every_batch_as_a_dict_lookup(d, distinct, data):
+    # One index answers several batches.  Sixty-four columns of two or more
+    # values take the radix past 2^62, so the key is re-ranked on the way.
+    values = FLOATS if distinct else ROW_VALUES
+    table = data.draw(st.lists(st.tuples(*[values] * d), max_size=12))
+    index = RowIndex(as_array(table, d))
+    lookup = {p: i for i, p in enumerate(table)}  # a repeated row: its last copy
+    for _ in range(3):
+        queries = data.draw(st.lists(st.tuples(*[values] * d), max_size=6))
+        if table:
+            # table rows, and table rows with one coordinate changed
+            picks = data.draw(st.lists(st.sampled_from(table), max_size=6))
+            queries += picks + [p[:-1] + (p[-1] + 1.0,) for p in picks]
+        got = index.find(as_array(queries, d))
+        assert got.tolist() == [lookup.get(q, -1) for q in queries]
+

@@ -360,6 +360,101 @@ def test_block_enumerator_exits_on_an_early_violation(monkeypatch):
         assert len(drawn) <= 2
 
 
+@st.composite
+def near_tie_cases(draw):
+    """(set, cost, order, tol) where many permutation tuples tie with the
+    diagonal: integer and dyadic coordinates, comonotone columns that repeat
+    values, and the same with two points' coordinates of one marginal
+    swapped, all scaled by 10^0 to 10^9; tol 0, 1e-9 or one ulp of the
+    largest diagonal."""
+    nmarg = draw(st.sampled_from([3, 4, 5]))
+
+    def work(n: int, size: int) -> int:
+        return math.comb(size + n - 1, n) * math.factorial(n) ** (nmarg - 1)
+
+    n = draw(st.sampled_from([o for o in (3, 4, 2) if work(o, 1) <= ENUMERATOR_WORK]))
+    size = draw(st.sampled_from([k for k in range(1, 8) if work(n, k) <= ENUMERATOR_WORK]))
+    dim = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (size, nmarg, dim)
+    layout = draw(st.sampled_from(["integers", "dyadic", "comonotone", "swapped"]))
+    if layout == "integers":
+        rows = rng.integers(-3, 4, size=shape).astype(float)
+    elif layout == "dyadic":
+        rows = rng.integers(-8, 9, size=shape) / 8.0
+    else:
+        rows = np.cumsum(rng.integers(0, 2, size=shape), axis=0).astype(float)
+        if layout == "swapped" and size > 1:
+            a, b = rng.choice(size, 2, replace=False)
+            rows[[a, b], nmarg - 1] = rows[[b, a], nmarg - 1]
+    rows *= 10.0 ** draw(st.integers(0, 9))
+    g = GammaSet.from_points(rows.tolist())
+    spec = _enumerator_cost(draw(st.sampled_from(["c1", "c2", "c3", "shifted"])), nmarg, dim, rng)
+    diagonal = n * max(abs(spec.total(p)) for p in g.points)
+    tol = draw(st.sampled_from([0.0, 1e-9, float(np.spacing(diagonal))]))
+    return g, spec, n, tol
+
+
+@pytest.mark.parametrize("cells", [monotone.PAIR_BLOCK_CELLS, 1 << 12, 1])
+@given(near_tie_cases())
+def test_bounded_enumerator_equals_the_per_multiset_loop_on_near_ties(cells, case):
+    g, spec, n, tol = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monotone, "PAIR_BLOCK_CELLS", cells)
+        fast = is_n_c_monotone_bruteforce(g, spec, n, tol)
+    assert _json(fast) == _json(bruteforce_loop(g, spec, n, tol))
+
+
+def test_bound_clears_comonotone_multisets_without_their_full_sums(rng, monkeypatch):
+    summed = []  # the multisets summed in full, in order
+    dense = monotone._permuted_sums
+
+    def counting(idx, *args):
+        summed.extend(map(tuple, idx.tolist()))
+        return dense(idx, *args)
+
+    monkeypatch.setattr(monotone, "_permuted_sums", counting)
+    g = make_comonotone_gamma(rng, n_marginals=3, size=10)
+    spec = classical_cost("c1", 3, 1)
+    verdict = is_n_c_monotone_bruteforce(g, spec, 4)
+    assert verdict.holds and verdict.checked == math.comb(13, 4) * 24**2
+    assert summed == []
+    # Points 4 and 5 trade their third coordinates: only a multiset holding
+    # both can violate, and only such multisets are summed in full.
+    rows = np.array(g.coords)
+    rows[[4, 5], 2] = rows[[5, 4], 2]
+    swapped = GammaSet(g.dims, rows)
+    verdict = is_n_c_monotone_bruteforce(swapped, spec, 4)
+    assert not verdict.holds
+    assert summed and all(4 in combo and 5 in combo for combo in summed)
+    assert summed[-1] == (0, 0, 4, 5)
+    assert _json(verdict) == _json(bruteforce_loop(swapped, spec, 4))
+
+
+def test_bound_leaves_a_rounding_tie_to_the_full_sums():
+    # The set is comonotone, so no tuple beats the diagonal in exact
+    # arithmetic, but at tol 0 one permuted float sum rounds 256 above it.
+    # Without its rounding margin the bound would clear that multiset.
+    g = GammaSet.from_points([[[280826945.0], [224493374.0], [280826945.0]],
+                              [[280826945.0], [789777576.0], [789777576.0]]])
+    spec = classical_cost("c1", 3, 1)
+    fast = is_n_c_monotone_bruteforce(g, spec, 3, 0.0)
+    assert not fast.holds and fast.witness.gain == 256.0
+    assert _json(fast) == _json(bruteforce_loop(g, spec, 3, 0.0))
+
+
+def test_per_multiset_loop_never_calls_the_bound(rng, monkeypatch):
+    g = make_comonotone_gamma(rng, n_marginals=3, size=5)
+    spec = classical_cost("c3", 3, 1)
+    fast = is_n_c_monotone_bruteforce(g, spec, 4)
+
+    def forbidden(*args):
+        raise AssertionError("the reference loop must not use the bound")
+
+    monkeypatch.setattr(monotone, "_bound_clears", forbidden)
+    assert _json(bruteforce_loop(g, spec, 4)) == _json(fast)
+
+
 def test_is_c_monotone_memory_does_not_grow_with_full_pair_matrices():
     # Three 2000 x 2000 pair matrices alone would take 96 MB.
     rng = np.random.default_rng(4)
