@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -33,6 +33,7 @@ from .core import (
     PairwiseCost,
     RowIndex,
     Vec,
+    _read_only,
     _vec_rows,
     as_vec,
     dedup_pairs,
@@ -54,27 +55,23 @@ from .monotone import DEFAULT_TOL, scan_gain_digraph
 FORM_AGREEMENT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Potential:
     """A scalar potential on one marginal space, tabulated and extended.
 
     Attributes:
-        points: distinct marginal points carrying explicit values.
-        values: matching values; +inf is allowed, -inf and NaN are not.
+        points: distinct marginal points carrying explicit values, as a
+            read-only (k, d) array.
+        values: matching values as a read-only (k,) array; +inf is allowed,
+            -inf and NaN are not.
         closed_form: optional analytic extension.  When present it must
             agree with the table within 1e-9 and answers queries off the
             table; otherwise off-table queries return +inf.
-        argmax: for conjugates, the index into the parent's domain that
-            attained each tabulated maximum (lowest index on ties).
     """
 
-    points: tuple[Vec, ...]
-    values: tuple[float, ...]
+    points: np.ndarray
+    values: np.ndarray
     closed_form: ClosedForm | None = None
-    argmax: tuple[int, ...] | None = None
-    # points and values as arrays, for lookups and tabulation
-    _rows: np.ndarray = field(init=False, repr=False, compare=False, default=None)  # type: ignore[assignment]
-    _vals: np.ndarray = field(init=False, repr=False, compare=False, default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         try:
@@ -91,8 +88,6 @@ class Potential:
             if bad[k]:
                 raise InputValidationError("potential values must be finite or +inf")
             raise InputValidationError(f"duplicate domain point {tuple(rows[k].tolist())!r}")
-        if self.argmax is not None and len(self.argmax) != len(rows):
-            raise InputValidationError("argmax must align with the domain points")
         if self.closed_form is not None and len(rows):
             w = self.closed_form.values(rows)
             # isclose treats equal infinities as close and any other +inf as not.
@@ -103,10 +98,8 @@ class Potential:
                     f"closed form disagrees with table at {tuple(rows[k].tolist())!r}: "
                     f"{float(w[k])!r} vs {float(vals[k])!r}"
                 )
-        object.__setattr__(self, "points", tuple(map(tuple, rows.tolist())))
-        object.__setattr__(self, "values", tuple(vals.tolist()))
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_vals", vals)
+        object.__setattr__(self, "points", _read_only(rows))
+        object.__setattr__(self, "values", _read_only(vals))
 
     @classmethod
     def from_closed_form(cls, form: ClosedForm) -> "Potential":
@@ -116,9 +109,9 @@ class Potential:
     @property
     def is_proper(self) -> bool:
         """True when some value is finite (closed forms count as proper)."""
-        if any(v != math.inf for v in self.values):
+        if (self.values != math.inf).any():
             return True
-        return self.closed_form is not None and not self.points
+        return self.closed_form is not None and not len(self.points)
 
     def value_at(self, x: float | Sequence[float]) -> float:
         """Table value, else closed form, else +inf: values_at on one row."""
@@ -138,22 +131,19 @@ class Potential:
 
     @cached_property
     def _index(self) -> RowIndex:
-        return RowIndex(self._rows)
+        return RowIndex(self.points)
 
     @cached_property
     def _padded(self) -> np.ndarray:
         """The values and a last +inf, which index -1 reads."""
-        return np.append(self._vals, math.inf)
+        return np.append(self.values, math.inf)
 
     def to_json(self) -> dict:
-        out: dict = {
-            "points": [list(p) for p in self.points],
-            "values": ["inf" if v == math.inf else v for v in self.values],
+        return {
+            "points": self.points.tolist(),
+            "values": ["inf" if v == math.inf else v for v in self.values.tolist()],
             "closed_form": self.closed_form.to_json() if self.closed_form else None,
         }
-        if self.argmax is not None:
-            out["argmax"] = list(self.argmax)
-        return out
 
     @classmethod
     def from_json(cls, obj: dict) -> "Potential":
@@ -163,15 +153,9 @@ class Potential:
                 math.inf if v == "inf" else float(v) for v in obj["values"]
             )
             form = obj.get("closed_form")
-            argmax = obj.get("argmax")
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad potential payload: {exc}") from exc
-        return cls(
-            points,
-            values,
-            closed_form=form_from_json(form) if form is not None else None,
-            argmax=tuple(int(a) for a in argmax) if argmax is not None else None,
-        )
+        return cls(points, values, closed_form=form_from_json(form) if form is not None else None)
 
 
 def rockafellar_potential(
@@ -229,18 +213,15 @@ def c_conjugate(
 ) -> Potential:
     """Discrete c-conjugate f^c(y) = max_x (c(x, y) - f(x)) over f's table.
 
-    Ties in the maximiser break toward the lowest domain index; the chosen
-    indices are recorded on the result for reproducibility.  Raises
+    Ties in the maximiser break toward the lowest domain index.  Raises
     ImproperInput when f has no finite tabulated value to maximise over.
     """
-    finite = np.flatnonzero(f._vals != math.inf)
+    finite = np.flatnonzero(f.values != math.inf)
     if not finite.size:
         raise ImproperInput("cannot conjugate a potential with no finite values")
     pts = dedup_vecs(eval_points)
-    gains = cost.matrix(f._rows[finite], pts) - f._vals[finite, None]
-    arg = gains.argmax(axis=0)  # first maximum: the lowest domain index
-    best = gains[arg, np.arange(len(pts))]
-    return Potential(pts, best, argmax=tuple(finite[arg].tolist()))
+    gains = cost.matrix(f.points[finite], pts) - f.values[finite, None]
+    return Potential(pts, gains[gains.argmax(axis=0), np.arange(len(pts))])
 
 
 @dataclass(frozen=True)
@@ -275,9 +256,9 @@ def _antiderivative_check(f: Potential, x1, x2, cost: PairwiseCost, tol: float) 
     fx = f.values_at(x1)
     if (fx == math.inf).any():
         return AntiderivativeCheck(False, math.inf)
-    probes = np.flatnonzero(f._vals != math.inf)
+    probes = np.flatnonzero(f.values != math.inf)
     worst = -math.inf
     if probes.size:
-        resid = ((fx + cost.matrix(f._rows[probes], x2)) - f._vals[probes, None]) - cost.paired(x1, x2)
+        resid = ((fx + cost.matrix(f.points[probes], x2)) - f.values[probes, None]) - cost.paired(x1, x2)
         worst = float(resid.max())
     return AntiderivativeCheck(worst <= tol, worst)

@@ -96,8 +96,8 @@ class RunConfig:
     fmt: str
 
     def __post_init__(self):
-        if self.tol <= 0.0:
-            raise InputValidationError("tolerance must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise InputValidationError("tolerance must be finite and positive")
         if self.samples < 0:
             raise InputValidationError("sample count must be nonnegative")
 
@@ -361,7 +361,7 @@ def _example_knott_smith(args: argparse.Namespace, config: RunConfig) -> tuple[d
     knots = sorted({a(t) for a in alphas for t in ts})
     cp = curve_potentials(alphas, knots)
     max_dev = max(
-        float(np.abs(np.subtract(pot.values, form.values(pot.points))).max())
+        float(np.abs(pot.values - form.values(pot.points)).max())
         for pot, form in zip(cp.potentials, forms)
     )
 

@@ -22,7 +22,7 @@ import abc
 import json
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
@@ -89,6 +89,13 @@ def _vec_rows(points) -> np.ndarray:
     if a is None or a.ndim != 2 or not a.shape[1] or not np.isfinite(a).all():
         # as_vec raises for the first bad point; scalars mixed with 1-tuples pass
         a = _rows([as_vec(p) for p in points])
+    return a
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of a, so no caller's array can change it later."""
+    a = a.copy()
+    a.flags.writeable = False
     return a
 
 
@@ -216,10 +223,7 @@ class RowIndex:
         if len(self._order) == 1 or queries.shape[1] != self.width:
             return np.full(len(queries), -1)
         q = self._keys(queries)
-        if self.width == 1:
-            pos = np.searchsorted(self._sorted, q, side="right") - 1
-        else:
-            pos = _search(self._sorted, q, side="right") - 1
+        pos = _search(self._sorted, q, side="right") - 1
         return np.where(self._sorted[pos] == q, self._order[pos], -1)
 
 
@@ -467,7 +471,7 @@ def form_from_json(obj: dict) -> ClosedForm:
 PAIRWISE_KINDS = ("inner_product", "half_sq_dist", "bilinear", "tabulated")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairwiseCost:
     """One two-marginal coupling c_ij, with an overall sign.
 
@@ -481,19 +485,17 @@ class PairwiseCost:
         kind: one of :data:`PAIRWISE_KINDS`.
         sign: +1 or -1 multiplier, so negated costs stay first-class values.
         coef: the matrix A, when kind == "bilinear".
-        grid_x, grid_y, table: lookup data, when kind == "tabulated".
+        grid_x, grid_y, table: lookup data, when kind == "tabulated": the
+            grids as read-only (k, d) arrays and the table as a read-only
+            (len(grid_x), len(grid_y)) array.
     """
 
     kind: str
     sign: int = 1
     coef: tuple[tuple[float, ...], ...] | None = None
-    grid_x: tuple[Vec, ...] | None = None
-    grid_y: tuple[Vec, ...] | None = None
-    table: tuple[tuple[float, ...], ...] | None = None
-    # grid_x, grid_y and table as arrays, for lookups
-    _gx: np.ndarray = field(init=False, repr=False, compare=False, default=None)  # type: ignore[assignment]
-    _gy: np.ndarray = field(init=False, repr=False, compare=False, default=None)  # type: ignore[assignment]
-    _tab: np.ndarray = field(init=False, repr=False, compare=False, default=None)  # type: ignore[assignment]
+    grid_x: np.ndarray | None = None
+    grid_y: np.ndarray | None = None
+    table: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in PAIRWISE_KINDS:
@@ -508,18 +510,14 @@ class PairwiseCost:
             if self.grid_x is None or self.grid_y is None or self.table is None:
                 raise InputValidationError("tabulated cost needs grid_x, grid_y, table")
             gx, gy = _vec_rows(self.grid_x), _vec_rows(self.grid_y)
-            tab = tuple(tuple(float(v) for v in row) for row in self.table)
-            if len(tab) != len(gx) or any(len(r) != len(gy) for r in tab):
+            if len(self.table) != len(gx) or any(len(r) != len(gy) for r in self.table):
                 raise DimensionMismatch("table shape must be len(grid_x) x len(grid_y)")
-            arr = np.array(tab).reshape(len(gx), len(gy))
-            if not np.isfinite(arr).all():
+            tab = np.array(self.table, dtype=float).reshape(len(gx), len(gy))
+            if not np.isfinite(tab).all():
                 raise InputValidationError("table entries must be finite")
-            object.__setattr__(self, "grid_x", tuple(map(tuple, gx.tolist())))
-            object.__setattr__(self, "grid_y", tuple(map(tuple, gy.tolist())))
-            object.__setattr__(self, "table", tab)
-            object.__setattr__(self, "_gx", gx)
-            object.__setattr__(self, "_gy", gy)
-            object.__setattr__(self, "_tab", arr)
+            object.__setattr__(self, "grid_x", _read_only(gx))
+            object.__setattr__(self, "grid_y", _read_only(gy))
+            object.__setattr__(self, "table", _read_only(tab))
 
     @classmethod
     def inner_product(cls, sign: int = 1) -> "PairwiseCost":
@@ -541,7 +539,7 @@ class PairwiseCost:
         table: Sequence[Sequence[float]],
         sign: int = 1,
     ) -> "PairwiseCost":
-        return cls("tabulated", sign, grid_x=tuple(grid_x), grid_y=tuple(grid_y), table=tuple(table))
+        return cls("tabulated", sign, grid_x=grid_x, grid_y=grid_y, table=table)
 
     def _couple(self, x, y):
         """The closed-form kinds on coordinate sequences: floats for one pair
@@ -568,11 +566,11 @@ class PairwiseCost:
 
     @cached_property
     def _x_index(self) -> RowIndex:
-        return RowIndex(self._gx)
+        return RowIndex(self.grid_x)
 
     @cached_property
     def _y_index(self) -> RowIndex:
-        return RowIndex(self._gy)
+        return RowIndex(self.grid_y)
 
     def value(self, x: Vec, y: Vec) -> float:
         """c(x, y) for one pair of points; for a table, paired on one row."""
@@ -585,7 +583,7 @@ class PairwiseCost:
         x, y = _rows(xs), _rows(ys)
         if self.kind == "tabulated":
             ix, iy = np.ix_(self._grid_index(x, "x"), self._grid_index(y, "y"))
-            return self.sign * self._tab[ix, iy]
+            return self.sign * self.table[ix, iy]
         return self._couple(x.T[:, :, None], y.T[:, None, :])
 
     def paired(self, xs, ys) -> np.ndarray:
@@ -593,7 +591,7 @@ class PairwiseCost:
         x, y = _rows(xs), _rows(ys)
         if self.kind == "tabulated":
             ix, iy = self._grid_index(x, "x"), self._grid_index(y, "y")
-            return self.sign * self._tab[ix, iy]
+            return self.sign * self.table[ix, iy]
         return self._couple(x.T, y.T)
 
     def negated(self) -> "PairwiseCost":
@@ -608,10 +606,10 @@ class PairwiseCost:
             assert self.coef is not None
             out["matrix"] = [list(r) for r in self.coef]
         if self.kind == "tabulated":
-            assert self.grid_x and self.grid_y and self.table
-            out["grid_x"] = [list(v) for v in self.grid_x]
-            out["grid_y"] = [list(v) for v in self.grid_y]
-            out["table"] = [list(r) for r in self.table]
+            assert self.grid_x is not None and self.grid_y is not None and self.table is not None
+            out["grid_x"] = self.grid_x.tolist()
+            out["grid_y"] = self.grid_y.tolist()
+            out["table"] = self.table.tolist()
         return out
 
     @classmethod

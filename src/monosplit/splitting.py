@@ -177,7 +177,7 @@ def assemble_splitting_tuple(
     for i in range(1, n + 1):
         terms = [pair_pots[(i, k)] for k in range(i + 1, n + 1)]
         terms += [pair_conjs[(k, i)] for k in range(1, i)]
-        total = sum(np.asarray(u.values) for u in terms) + spec.shift_values(i, grids[i - 1])
+        total = sum(u.values for u in terms) + spec.shift_values(i, grids[i - 1])
         potentials.append(Potential(grids[i - 1], total))
     return SplittingTuple(tuple(potentials), pair_pots, pair_conjs, base)
 

@@ -418,7 +418,7 @@ def shift_splitting_tuple(
             )
         vals = np.array(u.values)
         shifted = np.where(vals == math.inf, vals, vals + h.values(u.points))
-        pots.append(Potential(u.points, shifted, argmax=u.argmax))
+        pots.append(Potential(u.points, shifted))
     return SplittingTuple(
         tuple(pots), tup.pair_potentials, tup.pair_conjugates, tup.base_point
     )

@@ -39,7 +39,7 @@ def _identity_pairs():
 def test_identity_pairs_frozen_table():
     grid = [(-1.0,), (0.0,), (1.0,), (2.0,)]
     r = rockafellar_potential(INNER, _identity_pairs(), (0.0,), grid)
-    assert dict(zip(r.points, r.values)) == {
+    assert dict(zip(map(tuple, r.points.tolist()), r.values.tolist())) == {
         (-1.0,): 0.0,
         (0.0,): 0.0,
         (1.0,): 0.0,
@@ -73,7 +73,7 @@ def test_tabulation_matches_chain_oracle_on_continuous_and_bilinear_pairs(rng):
             evals = [p[0] for p in pairs] + [(0.5,) * d, (-3.0,) * d]
             r = rockafellar_potential(cost, pairs, base, evals)
             assert r.value_at(base) == 0.0
-            for x in r.points:
+            for x in r.points.tolist():
                 expect = chain_enumeration_oracle(cost, pairs, base, x)
                 assert r.value_at(x) == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
@@ -148,16 +148,14 @@ def test_conjugate_of_tabulated_quadratic():
     grid = [(-2.0 + 0.25 * k,) for k in range(17)]
     f = Potential(tuple(grid), tuple(0.5 * p[0] ** 2 for p in grid))
     conj = c_conjugate(f, INNER, grid)
-    for y, v, a in zip(conj.points, conj.values, conj.argmax):
+    for y, v in zip(conj.points.tolist(), conj.values.tolist()):
         assert v == pytest.approx(0.5 * y[0] ** 2, abs=1e-12)
-        assert f.points[a] == y  # maximiser sits at x = y on this grid
 
 
 def test_conjugate_breaks_ties_toward_lowest_index():
     f = Potential(((-1.0,), (1.0,)), (0.0, 0.0))
     conj = c_conjugate(f, INNER, [(0.0,)])
-    assert conj.values == (0.0,)
-    assert conj.argmax == (0,)
+    assert conj.values.tolist() == [0.0]
 
 
 def test_conjugate_ties_pick_the_lowest_finite_index():
@@ -166,15 +164,13 @@ def test_conjugate_ties_pick_the_lowest_finite_index():
     f = Potential(((5.0, 5.0), (1.0, 0.0), (0.0, 1.0), (2.0, 7.0)),
                   (math.inf, 0.0, 0.0, 1.0))
     conj = c_conjugate(f, INNER, [(1.0, 0.0), (0.0, 0.0), (0.0, 1.0)])
-    assert conj.values == (1.0, 0.0, 6.0)
-    assert conj.argmax == (1, 1, 3)
+    assert conj.values.tolist() == [1.0, 0.0, 6.0]
 
 
 def test_conjugate_ignores_infinite_entries():
     f = Potential(((0.0,), (1.0,)), (math.inf, 3.0))
     conj = c_conjugate(f, INNER, [(2.0,), (0.0,)])
-    assert conj.values == (-1.0, -3.0)
-    assert conj.argmax == (1, 1)
+    assert conj.values.tolist() == [-1.0, -3.0]
 
 
 def test_conjugate_requires_a_finite_value():
@@ -226,13 +222,42 @@ def test_verify_antiderivative_fails_on_missing_point():
 
 
 def test_potential_json_roundtrip_with_inf_and_argmax():
-    p = Potential(((0.0,), (1.0,)), (1.5, math.inf), argmax=(0, 1))
+    p = Potential(((0.0,), (1.0,)), (1.5, math.inf))
     q = Potential.from_json(p.to_json())
-    assert q.points == p.points
-    assert q.values == p.values
-    assert q.argmax == (0, 1)
+    assert q.points.tolist() == p.points.tolist()
+    assert q.values.tolist() == p.values.tolist()
+    # a document that carries the retired conjugate argmax key still loads
+    old = {**p.to_json(), "argmax": [0, 1]}
+    assert Potential.from_json(old).to_json() == p.to_json() == q.to_json()
     with pytest.raises(ParseError):
         Potential.from_json({"values": [0.0]})
+
+
+def _tabulated_cost():
+    return PairwiseCost.tabulated([0.0, 1.0], [0.0, 1.0], [[0.0, 1.0], [1.0, 2.0]])
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: Potential(((0.0,), (1.0,)), (0.0, 1.0)), "points"),
+    (lambda: Potential(((0.0,), (1.0,)), (0.0, 1.0)), "values"),
+    (_tabulated_cost, "grid_x"),
+    (_tabulated_cost, "grid_y"),
+    (_tabulated_cost, "table"),
+])
+def test_tables_are_read_only_arrays(make, name):
+    table = getattr(make(), name)
+    assert isinstance(table, np.ndarray)
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 5.0
+
+
+def test_a_potential_copies_the_arrays_it_is_given():
+    points, values = np.array([[0.0], [1.0]]), np.array([0.0, 1.0])
+    p = Potential(points, values)
+    points[0, 0] = values[0] = 7.0
+    assert p.points.tolist() == [[0.0], [1.0]]
+    assert p.values.tolist() == [0.0, 1.0]
+    assert points.flags.writeable
 
 
 def test_potential_closed_form_roundtrip_and_fallback():
@@ -252,8 +277,6 @@ def test_potential_validation_rules():
         Potential(((0.0,),), (-math.inf,))
     with pytest.raises(InputValidationError):
         Potential(((0.0,),), (float("nan"),))
-    with pytest.raises(InputValidationError):
-        Potential(((0.0,),), (0.0,), argmax=(0, 1))
     form = QuadraticForm(((2.0,),))
     with pytest.raises(InputValidationError):
         Potential(((1.0,),), (5.0,), closed_form=form)  # table disagrees

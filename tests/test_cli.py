@@ -455,7 +455,11 @@ def test_usage_errors(capsys, gamma_file):
     assert _run(capsys, [])[0] == 2
     assert _run(capsys, ["verify"])[0] == 2
     assert _run(capsys, ["--help"])[0] == 0
-    assert _run(capsys, ["verify", gamma_file, "--tol", "-1"])[0] == 2
+    # refused before any check runs, not at the JSON writer
+    for tol in ("-1", "nan", "inf"):
+        code, out, err = _run(capsys, ["verify", gamma_file, "--tol", tol])
+        assert (code, out) == (2, "")
+        assert "tolerance must be finite and positive" in err
 
 
 def test_parse_errors(capsys, tmp_path, gamma_file):

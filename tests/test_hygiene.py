@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports at top level is used there,
 the package imports nothing at run time but the standard library, NumPy and
 itself, no module calls ``json.dump`` or ``json.dumps`` (``core.dumps_json``
-is the one JSON writer), every function the benchmark tracer wraps still
+is the one JSON writer), no module reads an ``_``-prefixed attribute of an
+object other than ``self`` or ``cls``, every function the benchmark tracer wraps still
 exists, and the README's Library examples run on the package's top-level
 exports.
 
@@ -148,6 +149,36 @@ def test_the_json_writer_scan_sees_calls_and_imports():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_dumps_json_is_the_one_json_writer(module):
     assert _json_writer_calls((PACKAGE / module).read_text()) == []
+
+
+def _private_reads(source: str) -> list[str]:
+    """Each read of an _-prefixed, non-dunder attribute of an object other
+    than self or cls, as "line: expression", in source order."""
+    reads = [
+        node for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+        and not (node.attr.startswith("__") and node.attr.endswith("__"))
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    ]
+    reads.sort(key=lambda node: (node.lineno, node.col_offset))
+    return [f"{node.lineno}: {ast.unparse(node)}" for node in reads]
+
+
+def test_the_private_read_scan_sees_other_objects_only():
+    source = (
+        "class P:\n"
+        "    def f(self, other):\n"
+        "        return self._vals, other._vals, type(self).__name__\n"
+        "    @classmethod\n"
+        "    def g(cls, p):\n"
+        "        return cls._cache, p.table._index.find, np._core\n"
+    )
+    assert _private_reads(source) == ["3: other._vals", "6: p.table._index", "6: np._core"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_module_reads_another_objects_private_attributes(module):
+    assert _private_reads((PACKAGE / module).read_text()) == []
 
 
 def test_traced_functions_exist():

@@ -80,10 +80,10 @@ def _assert_sweep_agrees_with_per_knot(alphas, grid):
     for pot, ref, e_sweep, e_ref in zip(
         sweep.potentials, oracle.potentials, sweep.error_bounds, oracle.error_bounds
     ):
-        assert pot.points == ref.points
+        assert pot.points.tolist() == ref.points.tolist()
         # Both values lie within their own bracket of the integral.
         assert np.abs(np.subtract(pot.values, ref.values)).max() <= e_sweep + e_ref
-        if (0.0,) in pot.points:
+        if [0.0] in pot.points.tolist():
             assert pot.value_at((0.0,)) == 0.0
 
 

@@ -84,7 +84,7 @@ def test_shift_covariance_between_plain_and_shifted_costs():
     shifted = shift_splitting_tuple(plain, [HALF_SQUARE] * 3)
     direct = assemble_splitting_tuple(DIAGONAL, C3)
     for u, v in zip(shifted.potentials, direct.potentials):
-        assert u.points == v.points
+        assert u.points.tolist() == v.points.tolist()
         for a, b in zip(u.values, v.values):
             assert a == pytest.approx(b, abs=1e-12)
     cert = certify_splitting(shifted, DIAGONAL, C3, test_points=CUBE)
