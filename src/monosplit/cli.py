@@ -120,10 +120,10 @@ def _config(args: argparse.Namespace, inputs: tuple[str, ...]) -> RunConfig:
         inputs=inputs,
         cost=getattr(args, "cost", None),
         tol=args.tol,
-        seed=args.seed,
+        seed=getattr(args, "seed", 0),
         samples=getattr(args, "samples", 0),
         out=args.out,
-        fmt=args.format,
+        fmt=getattr(args, "format", "json"),
     )
 
 
@@ -198,9 +198,7 @@ def _certify(
     args: argparse.Namespace, tup: SplittingTuple, g: GammaSet, spec: CostSpec
 ) -> SplittingCertificate:
     """certify_splitting on a seeded sample of args.samples points, at tolerance args.tol."""
-    return certify_splitting(
-        tup, g, spec, n_samples=args.samples, seed=args.seed, ineq_tol=args.tol, eq_tol=args.tol
-    )
+    return certify_splitting(tup, g, spec, n_samples=args.samples, seed=args.seed, tol=args.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +335,7 @@ def _example_curves(args: argparse.Namespace, config: RunConfig) -> tuple[dict, 
     g = GammaSet.from_points([[a(t) for a in alphas] for t in ts])
     spec = classical_cost("c1", 3, 1)
     quad_tol = max(args.tol, 1e-8)
-    cert = certify_splitting(
-        tup, g, spec, test_points=projection_product(g), ineq_tol=quad_tol, eq_tol=quad_tol
-    )
+    cert = certify_splitting(tup, g, spec, test_points=projection_product(g), tol=quad_tol)
     doc = {
         "config": config.to_json(),
         "n_grid": len(ts),
@@ -500,14 +496,13 @@ def cmd_rockafellar(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, samples_default: int) -> None:
+def _add_common(p: argparse.ArgumentParser, sampled: bool = False) -> None:
+    """--tol and --out; with sampled, also --seed and --samples."""
     p.add_argument("--tol", type=float, default=1e-9, help="absolute tolerance")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed recorded in reports")
-    p.add_argument("--samples", type=int, default=samples_default,
-                   help="random test-point count")
+    if sampled:
+        p.add_argument("--seed", type=int, default=0, help="RNG seed recorded in reports")
+        p.add_argument("--samples", type=int, default=10_000, help="random test-point count")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--format", choices=("json", "csv"), default="json",
-                   help="output format where both are meaningful")
 
 
 @functools.cache
@@ -528,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also run the permutation oracle for orders 2..N")
     p.add_argument("--sign-criterion", action="store_true",
                    help="also run the 1-D difference-sign test")
-    _add_common(p, samples_default=0)
+    _add_common(p)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("split", help="build chain potentials and certify them")
@@ -539,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="index of the base point inside the set")
     p.add_argument("--grid", default=None, metavar="lo:hi:step",
                    help="extra scalar evaluation grid for every marginal")
-    _add_common(p, samples_default=10_000)
+    _add_common(p, sampled=True)
     p.set_defaults(fn=cmd_split)
 
     p = sub.add_parser("example", help="reproduce a built-in example end to end")
@@ -553,7 +548,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", default="cube", help="map for young: identity, cube, power:<p>")
     p.add_argument("--a", type=float, default=2.0, help="first argument (young)")
     p.add_argument("--b", type=float, default=1.0, help="second argument (young)")
-    _add_common(p, samples_default=10_000)
+    p.add_argument("--format", choices=("json", "csv"), default="json",
+                   help="output format (curves, knott-smith)")
+    _add_common(p, sampled=True)
     p.set_defaults(fn=cmd_example)
 
     p = sub.add_parser("rockafellar", help="tabulate a chain antiderivative")
@@ -564,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="base point as comma-separated floats (default: first x)")
     p.add_argument("--grid", default=None, metavar="lo:hi:step",
                    help="scalar evaluation grid (default: the pair sources)")
-    _add_common(p, samples_default=0)
+    _add_common(p)
     p.set_defaults(fn=cmd_rockafellar)
     return parser
 

@@ -168,62 +168,32 @@ class RowIndex:
     row repeated in the table finds its last copy, as a dict of the rows as
     tuples to their indices would.
 
-    A row's key is its coordinate when d = 1.  A wider row's key is the
-    mixed-radix number of its columns' ranks among the table's distinct
-    values of each column (-0.0 equal to 0.0), so equal rows, and only
-    they, share one integer key.  Where the radix would pass 2^62 the key
-    so far is first replaced by its rank among the table's distinct keys so
-    far.  A query takes the same ranks by search, and misses at the first
-    value or key the table lacks.  The table's keys are sorted once; each
-    lookup is a search."""
+    A scalar row's key is its value.  A wider row's key is its bytes, one
+    np.void item of 8*d bytes, after adding 0.0 turns -0.0 into 0.0, so two
+    finite rows have equal keys exactly when they are equal.  The table's
+    keys are sorted once, stably; each lookup is a search.  Values are
+    searched in sorted order (:func:`_search`); bytes as they come, since
+    sorting them first costs more than it saves."""
 
     def __init__(self, table: np.ndarray):
         table = np.asarray(table, dtype=float)
         self.width = table.shape[1]
-        # per column: the distinct keys so far that it first ranks the key
-        # among (or None), and the column's distinct values
-        self._steps: list[tuple[np.ndarray | None, np.ndarray]] = []
-        if self.width == 1:
-            keys = np.ascontiguousarray(table[:, 0])
-        else:
-            keys, radix = np.zeros(len(table), dtype=np.int64), 1
-            for col in table.T:
-                values, rank = np.unique(col, return_inverse=True)
-                distinct = None
-                if radix * len(values) > 1 << 62:
-                    distinct, keys = np.unique(keys, return_inverse=True)
-                    radix = len(distinct)
-                self._steps.append((distinct, values))
-                keys, radix = keys * len(values) + rank, radix * len(values)
-        # A sentinel key below every key (-inf; -1, the key of a missing
-        # row) leads the sorted keys and stands for index -1.
-        order = np.argsort(keys, kind="stable")
-        self._sorted = np.concatenate(([-np.inf if self.width == 1 else -1], keys[order]))
-        self._order = np.concatenate(([-1], order))
+        keys = self._keys(table)
+        self._order = np.argsort(keys, kind="stable")
+        self._sorted = keys[self._order]
 
     def _keys(self, rows: np.ndarray) -> np.ndarray:
-        """The key of each row of a (k, width) array, as the table's rows
-        are keyed; -1 for a row of several columns no table row equals."""
         if self.width == 1:
             return np.ascontiguousarray(rows[:, 0], dtype=float)
-        key = np.zeros(len(rows), dtype=np.int64)
-        hit = np.ones(len(rows), dtype=bool)
-        for (distinct, values), col in zip(self._steps, rows.T):
-            if distinct is not None:
-                at = np.minimum(_search(distinct, key), len(distinct) - 1)
-                hit &= distinct[at] == key
-                key = at
-            rank = np.minimum(_search(values, col), len(values) - 1)
-            hit &= values[rank] == col
-            key = key * len(values) + rank
-        return np.where(hit, key, -1)
+        rows = np.ascontiguousarray(rows, dtype=float) + 0.0  # -0.0 + 0.0 is 0.0
+        return rows.view(np.dtype((np.void, 8 * self.width)))[:, 0]
 
     def find(self, queries: np.ndarray) -> np.ndarray:
-        # An empty table holds the sentinel alone.
-        if len(self._order) == 1 or queries.shape[1] != self.width:
+        if not len(self._order) or queries.shape[1] != self.width:
             return np.full(len(queries), -1)
         q = self._keys(queries)
-        pos = _search(self._sorted, q, side="right") - 1
+        search = _search if self.width == 1 else np.searchsorted
+        pos = np.maximum(search(self._sorted, q, side="right") - 1, 0)
         return np.where(self._sorted[pos] == q, self._order[pos], -1)
 
 

@@ -521,9 +521,7 @@ def characterize_1d(
     except ProjectionNotMonotone:
         item_v = item_vi = False
     else:
-        item_v = certify_splitting(
-            tup, g, spec, test_points=projection_product(g), ineq_tol=tol, eq_tol=tol
-        ).passed
+        item_v = certify_splitting(tup, g, spec, test_points=projection_product(g), tol=tol).passed
         item_vi = all(
             _antiderivative_check(f, *projections[(i, j)], spec.pair_cost(i, j), tol).holds
             for (i, j), f in tup.pair_potentials.items()

@@ -186,6 +186,8 @@ def commuting_spd_gamma(q: Sequence[SymMatrix], vs: Sequence) -> GammaSet:
 def random_commuting_spds(n: int, d: int, seed: int = 0) -> tuple[SymMatrix, ...]:
     """Simultaneously diagonalizable SPDs: one orthogonal basis, positive
     diagonals.  Deterministic in the seed; commuting by construction."""
+    if d < 1:
+        raise InputValidationError("matrix dimension must be at least 1")
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(d, d))
     o, r = np.linalg.qr(raw)
@@ -326,7 +328,6 @@ def counterexample_verify(
     n_span: int = 200,
     n_random: int = 10_000,
     seed: int = 0,
-    span_coeffs: Sequence[tuple[float, float]] | None = None,
 ) -> CounterexampleReport:
     """Recompute every numeric claim about the plane example.
 
@@ -361,10 +362,7 @@ def counterexample_verify(
     nz_sum = float(sum(nonzero))
     nz_prod = float(np.prod(nonzero)) if nonzero else 0.0
 
-    if span_coeffs is None:
-        coeffs = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(n_span, 2))
-    else:
-        coeffs = np.array(span_coeffs, dtype=float).reshape(-1, 2)
+    coeffs = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(n_span, 2))
     # lam v1 + mu v2 marginal by marginal, coordinatewise as in span_point.
     lam, mu = coeffs[:, :1], coeffs[:, 1:]
     span = [lam * np.array(x) + mu * np.array(y) for x, y in zip(ce.v1, ce.v2)]

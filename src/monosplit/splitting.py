@@ -244,8 +244,7 @@ class SplittingCertificate:
     n_gamma_points: int
     n_vacuous: int
     seed: int | None
-    inequality_tol: float
-    equality_tol: float
+    tol: float
 
     def to_json(self) -> dict:
         return {
@@ -262,8 +261,8 @@ class SplittingCertificate:
             "n_gamma_points": self.n_gamma_points,
             "n_vacuous": self.n_vacuous,
             "seed": self.seed,
-            "inequality_tol": self.inequality_tol,
-            "equality_tol": self.equality_tol,
+            "inequality_tol": self.tol,
+            "equality_tol": self.tol,
         }
 
 
@@ -274,13 +273,12 @@ def certify_splitting(
     test_points: Sequence | None = None,
     n_samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
-    ineq_tol: float = DEFAULT_TOL,
-    eq_tol: float = DEFAULT_TOL,
+    tol: float = DEFAULT_TOL,
 ) -> SplittingCertificate:
     """Test the splitting inequality on a sample and equality on the set.
 
-    PASS means both: c(p) <= sum u_i(p_i) + ineq_tol at every non-vacuous
-    test point, and |c(p) - sum u_i(p_i)| <= eq_tol at every point of g.
+    PASS means both: c(p) <= sum u_i(p_i) + tol at every non-vacuous test
+    point, and |c(p) - sum u_i(p_i)| <= tol at every point of g.
     Raises UndefinedOnGamma when some u_i is +inf on its marginal of g;
     everywhere else +inf potentials satisfy the inequality vacuously.  A
     supplied test point of the wrong shape raises DimensionMismatch.
@@ -323,7 +321,7 @@ def certify_splitting(
         max_viol = float(viol[w])
         worst_ineq = tuple(tuple(x[covered[w]].tolist()) for x in blocks)
 
-    passed = max_viol <= ineq_tol and max_resid <= eq_tol
+    passed = max_viol <= tol and max_resid <= tol
     return SplittingCertificate(
         passed=passed,
         max_inequality_violation=max_viol,
@@ -334,6 +332,5 @@ def certify_splitting(
         n_gamma_points=g.size,
         n_vacuous=vacuous,
         seed=used_seed,
-        inequality_tol=ineq_tol,
-        equality_tol=eq_tol,
+        tol=tol,
     )

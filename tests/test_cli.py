@@ -460,6 +460,24 @@ def test_usage_errors(capsys, gamma_file):
         code, out, err = _run(capsys, ["verify", gamma_file, "--tol", tol])
         assert (code, out) == (2, "")
         assert "tolerance must be finite and positive" in err
+    # refused as input, with a message and no traceback
+    for argv in (["--dim", "-1"], ["--dim", "0"], ["--n", "0"]):
+        code, out, err = _run(capsys, ["example", "quadratic", *argv])
+        assert (code, out) == (2, "") and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("verify", "--seed"), ("verify", "--samples"), ("verify", "--format"),
+    ("rockafellar", "--seed"), ("rockafellar", "--samples"), ("rockafellar", "--format"),
+    ("split", "--format"),
+])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(
+    capsys, gamma_file, pairs_file, command, flag
+):
+    value = "csv" if flag == "--format" else "1"
+    path = pairs_file if command == "rockafellar" else gamma_file
+    code, out, err = _run(capsys, [command, path, flag, value])
+    assert (code, out) == (2, "") and f"unrecognized arguments: {flag} {value}" in err
 
 
 def test_parse_errors(capsys, tmp_path, gamma_file):

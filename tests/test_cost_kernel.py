@@ -31,6 +31,7 @@ from monosplit.core import (
     RowIndex,
     classical_cost,
     find_rows,
+    marginal_blocks,
     unique_rows,
 )
 from monosplit.errors import DimensionMismatch, OffGrid
@@ -275,13 +276,27 @@ def test_find_rows_answers_what_a_dict_lookup_answers(d, dq, data):
     assert got.tolist() == [index.get(q, -1) for q in queries]
 
 
-@given(st.sampled_from([1, 2, 3, 64]), st.booleans(), st.data())
-def test_a_row_index_answers_every_batch_as_a_dict_lookup(d, distinct, data):
-    # One index answers several batches.  Sixty-four columns of two or more
-    # values take the radix past 2^62, so the key is re-ranked on the way.
+def laid_out(points: list, d: int, layout: str) -> np.ndarray:
+    """as_array with its rows in one of three layouts: packed, column-major,
+    or a column slice of a wider array, as marginal_blocks hands values_at
+    a marginal's rows."""
+    a = as_array(points, d)
+    if layout == "column-major":
+        return np.asfortranarray(a)
+    if layout == "slice":
+        pad = np.full((len(a), 1), 7.0)
+        return marginal_blocks(np.hstack([pad, a, pad]), (1, d, 1))[1]
+    return a
+
+
+@given(st.sampled_from([1, 2, 3, 64]), st.booleans(),
+       st.sampled_from(["packed", "column-major", "slice"]), st.data())
+def test_a_row_index_answers_every_batch_as_a_dict_lookup(d, distinct, layout, data):
+    # One index answers several batches.  Sixty-four columns make the
+    # widest keys, 512 bytes a row.
     values = FLOATS if distinct else ROW_VALUES
     table = data.draw(st.lists(st.tuples(*[values] * d), max_size=12))
-    index = RowIndex(as_array(table, d))
+    index = RowIndex(laid_out(table, d, layout))
     lookup = {p: i for i, p in enumerate(table)}  # a repeated row: its last copy
     for _ in range(3):
         queries = data.draw(st.lists(st.tuples(*[values] * d), max_size=6))
@@ -289,6 +304,6 @@ def test_a_row_index_answers_every_batch_as_a_dict_lookup(d, distinct, data):
             # table rows, and table rows with one coordinate changed
             picks = data.draw(st.lists(st.sampled_from(table), max_size=6))
             queries += picks + [p[:-1] + (p[-1] + 1.0,) for p in picks]
-        got = index.find(as_array(queries, d))
+        got = index.find(laid_out(queries, d, layout))
         assert got.tolist() == [lookup.get(q, -1) for q in queries]
 
