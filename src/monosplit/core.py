@@ -103,13 +103,22 @@ KEYED_ROWS = 256  # unique_rows sorts one key per row from this many rows up
 _FOLD_SHIFT, _FOLD_MULT = np.uint64(29), np.uint64(0x9E3779B97F4A7C15)
 
 
+def _row_bytes(rows: np.ndarray) -> np.ndarray:
+    """Each row of a (k, d) array as one np.void item of its 8*d bytes,
+    after adding 0.0 turns -0.0 into 0.0: two finite rows have equal bytes
+    exactly when they are equal."""
+    rows = np.ascontiguousarray(rows, dtype=float) + 0.0  # -0.0 + 0.0 is 0.0
+    return rows.view(np.dtype((np.void, 8 * rows.shape[1])))[:, 0]
+
+
 def _row_hash(rows: np.ndarray) -> np.ndarray:
     """One key per row of a (k, d) array, equal for equal rows (-0.0 equal
     to 0.0): the column itself when d = 1, else the IEEE bits of the
-    columns folded by an xor-shift and an odd 64-bit multiply."""
+    columns (:func:`_row_bytes`) folded by an xor-shift and an odd 64-bit
+    multiply."""
     if rows.shape[1] == 1:
         return rows[:, 0]
-    bits = np.ascontiguousarray(rows + 0.0, dtype=float).view(np.uint64)  # -0.0 + 0.0 is 0.0
+    bits = _row_bytes(rows).view(np.uint64).reshape(rows.shape)
     key = bits[:, 0]
     for k in range(1, bits.shape[1]):
         key = (key ^ key >> _FOLD_SHIFT) * _FOLD_MULT ^ bits[:, k]
@@ -170,10 +179,9 @@ class RowIndex:
 
     A scalar row's key is its value.  A wider row's key is its bytes, one
     np.void item of 8*d bytes, after adding 0.0 turns -0.0 into 0.0, so two
-    finite rows have equal keys exactly when they are equal.  The table's
-    keys are sorted once, stably; each lookup is a search.  Values are
-    searched in sorted order (:func:`_search`); bytes as they come, since
-    sorting them first costs more than it saves."""
+    finite rows have equal keys exactly when they are equal
+    (:func:`_row_bytes`).  The table's keys are sorted once, stably; each
+    lookup searches the queries' keys in sorted order (:func:`_search`)."""
 
     def __init__(self, table: np.ndarray):
         table = np.asarray(table, dtype=float)
@@ -185,15 +193,13 @@ class RowIndex:
     def _keys(self, rows: np.ndarray) -> np.ndarray:
         if self.width == 1:
             return np.ascontiguousarray(rows[:, 0], dtype=float)
-        rows = np.ascontiguousarray(rows, dtype=float) + 0.0  # -0.0 + 0.0 is 0.0
-        return rows.view(np.dtype((np.void, 8 * self.width)))[:, 0]
+        return _row_bytes(rows)
 
     def find(self, queries: np.ndarray) -> np.ndarray:
         if not len(self._order) or queries.shape[1] != self.width:
             return np.full(len(queries), -1)
         q = self._keys(queries)
-        search = _search if self.width == 1 else np.searchsorted
-        pos = np.maximum(search(self._sorted, q, side="right") - 1, 0)
+        pos = np.maximum(_search(self._sorted, q, side="right") - 1, 0)
         return np.where(self._sorted[pos] == q, self._order[pos], -1)
 
 
