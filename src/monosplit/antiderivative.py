@@ -106,13 +106,6 @@ class Potential:
         """A potential defined everywhere by its analytic expression."""
         return cls((), (), closed_form=form)
 
-    @property
-    def is_proper(self) -> bool:
-        """True when some value is finite (closed forms count as proper)."""
-        if (self.values != math.inf).any():
-            return True
-        return self.closed_form is not None and not len(self.points)
-
     def value_at(self, x: float | Sequence[float]) -> float:
         """Table value, else closed form, else +inf: values_at on one row."""
         return float(self.values_at(_vec_rows([x]))[0])
@@ -123,6 +116,8 @@ class Potential:
     def values_at(self, xs: np.ndarray) -> np.ndarray:
         """The table value of each row of a (k, d) array by exact match,
         else the closed form, else +inf."""
+        if self.closed_form is not None and not len(self.points):
+            return np.asarray(self.closed_form.values(xs), dtype=float)
         index = self._index.find(xs)
         out = self._padded[index]
         if self.closed_form is not None and (index < 0).any():

@@ -21,7 +21,7 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +72,7 @@ from .splitting import (
     assemble_splitting_tuple,
     certify_splitting,
     projection_product,
+    sample_test_points,
 )
 
 EXIT_OK = 0
@@ -194,11 +195,12 @@ def _emit_report(doc: dict, out: str | None) -> None:
     _emit(dumps_json(doc), out)
 
 
-def _certify(
-    args: argparse.Namespace, tup: SplittingTuple, g: GammaSet, spec: CostSpec
-) -> SplittingCertificate:
-    """certify_splitting on a seeded sample of args.samples points, at tolerance args.tol."""
-    return certify_splitting(tup, g, spec, n_samples=args.samples, seed=args.seed, tol=args.tol)
+def _certify(args: argparse.Namespace, g: GammaSet, tups, costs) -> list[SplittingCertificate]:
+    """certify_splitting of each tuple under its cost at args.tol, all on one
+    sample of g drawn with args.samples and args.seed, reported as the seed."""
+    pts = sample_test_points(g, n_samples=args.samples, seed=args.seed)
+    certs = [certify_splitting(t, g, c, test_points=pts, tol=args.tol) for t, c in zip(tups, costs)]
+    return [replace(cert, seed=args.seed) for cert in certs]
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +270,7 @@ def cmd_split(args: argparse.Namespace) -> int:
         )
         return EXIT_VIOLATION
 
-    cert = _certify(args, tup, g, spec)
+    [cert] = _certify(args, g, [tup], [spec])
     doc = {
         "config": config.to_json(),
         "potentials": [u.to_json() for u in tup.potentials],
@@ -297,8 +299,8 @@ def _example_quadratic(args: argparse.Namespace, config: RunConfig) -> tuple[dic
     rng = np.random.default_rng(args.seed + 1)
     vs = rng.uniform(-2.0, 2.0, size=(max(2, args.samples // 50), args.dim))
     g = commuting_spd_gamma(mats, vs)
-    cert1 = _certify(args, qs.potentials(), g, classical_cost("c1", args.n, args.dim))
-    cert3 = _certify(args, qs.shifted_potentials(), g, classical_cost("c3", args.n, args.dim))
+    costs = [classical_cost(c, args.n, args.dim) for c in ("c1", "c3")]
+    cert1, cert3 = _certify(args, g, [qs.potentials(), qs.shifted_potentials()], costs)
     doc = {
         "config": config.to_json(),
         "Q": [m.to_json() for m in mats],
@@ -329,10 +331,10 @@ def _example_curves(args: argparse.Namespace, config: RunConfig) -> tuple[dict, 
         csv = emit_curve_figure_data(alphas, (ts[0], ts[-1]), len(ts))
         _emit(csv, args.out)
         return {}, True
-    knots = sorted({a(t) for a in alphas for t in ts})
-    cp = curve_potentials(alphas, knots)
+    cols = np.array([a(np.asarray(ts)) for a in alphas])
+    cp = curve_potentials(alphas, sorted(set(cols.ravel().tolist())))
     tup = SplittingTuple(cp.potentials, {}, {})
-    g = GammaSet.from_points([[a(t) for a in alphas] for t in ts])
+    g = GammaSet((1, 1, 1), cols.T)
     spec = classical_cost("c1", 3, 1)
     quad_tol = max(args.tol, 1e-8)
     cert = certify_splitting(tup, g, spec, test_points=projection_product(g), tol=quad_tol)
@@ -354,16 +356,16 @@ def _example_knott_smith(args: argparse.Namespace, config: RunConfig) -> tuple[d
         return {}, True
 
     forms, starred = knott_smith_forms()
-    knots = sorted({a(t) for a in alphas for t in ts})
-    cp = curve_potentials(alphas, knots)
+    cols = np.array([a(np.asarray(ts)) for a in alphas])
+    cp = curve_potentials(alphas, sorted(set(cols.ravel().tolist())))
     max_dev = max(
         float(np.abs(pot.values - form.values(pot.points)).max())
         for pot, form in zip(cp.potentials, forms)
     )
 
-    g = GammaSet.from_points([[a(t) for a in alphas] for t in ts])
-    cert1 = _certify(args, SplittingTuple.from_closed_forms(forms), g, classical_cost("c1", 3, 1))
-    cert3 = _certify(args, SplittingTuple.from_closed_forms(starred), g, classical_cost("c3", 3, 1))
+    g = GammaSet((1, 1, 1), cols.T)
+    tups = [SplittingTuple.from_closed_forms(f) for f in (forms, starred)]
+    cert1, cert3 = _certify(args, g, tups, [classical_cost(c, 3, 1) for c in ("c1", "c3")])
     spot = knott_smith_potentials(1.0, 1.0, 1.0)
     doc = {
         "config": config.to_json(),

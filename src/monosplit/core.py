@@ -228,12 +228,12 @@ def _point_rows(points, dims: Sequence[int]) -> np.ndarray:
     """Product points as one (k, sum(dims)) array, checked a marginal at a
     time with the errors of the one-point checks: a wrong marginal count or
     dimension raises DimensionMismatch, a non-finite coordinate
-    InputValidationError.  Scalars stand for 1-D marginals, and a k x N
-    array of numbers for k points of N such marginals is read whole."""
+    InputValidationError.  Scalars stand for 1-D marginals, and a
+    k x sum(dims) array of numbers holds k flattened points, read whole."""
     n = len(dims)
     numbers = isinstance(points, np.ndarray) and points.dtype.kind in "biuf"
-    if numbers and set(dims) == {1} and points.shape[1:] == (n,):
-        rows = points.astype(float)
+    if numbers and points.shape[1:] == (sum(dims),):
+        rows = np.asarray(points, dtype=float)
         if not np.isfinite(rows).all():
             raise InputValidationError("coordinates must be finite")
         return rows

@@ -17,12 +17,12 @@ with conjugates taken in the discrete sense of
 adding the shift of marginal i onto u_i.
 
 Certification is sample-based: the inequality is tested on a declared set
-of product points (a deterministic lattice over the 50 percent expanded
-bounding box of G's marginals plus seeded uniform draws, unless the caller
-supplies points), and equality is tested on all of G.  Points where some
-u_i is +inf satisfy the inequality vacuously and are counted separately.
-The certificate records its sample so every reported number is
-recomputable.
+of product points (G, a seeded lattice-and-uniform sample around it that
+the certificates of one command share, or the caller's points), and
+equality on all of G.  Points where some u_i is +inf satisfy the
+inequality vacuously and are counted separately; the sum over the u_i
+gathers live rows only once some row is vacuous.  The certificate records
+its sample so every reported number is recomputable.
 """
 
 from __future__ import annotations
@@ -63,6 +63,10 @@ LATTICE_PER_AXIS = 5
 LATTICE_CAP = 20_000
 
 
+def _point_json(p: Point | None) -> list | None:
+    return None if p is None else [list(v) for v in p]
+
+
 @dataclass(frozen=True)
 class SplittingTuple:
     """Potentials u_1, ..., u_N together with their provenance.
@@ -94,9 +98,7 @@ class SplittingTuple:
     def to_json(self) -> dict:
         return {
             "N": self.n_marginals,
-            "base_point": [list(v) for v in self.base_point]
-            if self.base_point is not None
-            else None,
+            "base_point": _point_json(self.base_point),
             "potentials": [u.to_json() for u in self.potentials],
             "pair_potentials": {
                 f"{i},{j}": f.to_json() for (i, j), f in sorted(self.pair_potentials.items())
@@ -251,12 +253,8 @@ class SplittingCertificate:
             "passed": self.passed,
             "max_inequality_violation": _enc(self.max_inequality_violation),
             "max_equality_residual_on_gamma": _enc(self.max_equality_residual_on_gamma),
-            "worst_inequality_point": [list(v) for v in self.worst_inequality_point]
-            if self.worst_inequality_point is not None
-            else None,
-            "worst_equality_point": [list(v) for v in self.worst_equality_point]
-            if self.worst_equality_point is not None
-            else None,
+            "worst_inequality_point": _point_json(self.worst_inequality_point),
+            "worst_equality_point": _point_json(self.worst_equality_point),
             "n_test_points": self.n_test_points,
             "n_gamma_points": self.n_gamma_points,
             "n_vacuous": self.n_vacuous,
@@ -280,8 +278,10 @@ def certify_splitting(
     PASS means both: c(p) <= sum u_i(p_i) + tol at every non-vacuous test
     point, and |c(p) - sum u_i(p_i)| <= tol at every point of g.
     Raises UndefinedOnGamma when some u_i is +inf on its marginal of g;
-    everywhere else +inf potentials satisfy the inequality vacuously.  A
-    supplied test point of the wrong shape raises DimensionMismatch.
+    everywhere else +inf potentials satisfy the inequality vacuously, and
+    the sum adds in place until some row is.  Certificates that share a
+    sample pass it as test_points; a wrongly shaped one raises
+    DimensionMismatch.
     """
     if tup.n_marginals != spec.n_marginals or g.dims != spec.dims:
         raise DimensionMismatch("tuple, set, and cost must agree on the marginals")
@@ -305,11 +305,12 @@ def certify_splitting(
         pts = _point_rows(test_points, spec.dims)
         used_seed = None
 
-    # u_1 + ... + u_N in order; a row stops at its first +inf (vacuous).
+    # u_1 + ... + u_N in order; a row stops at its first +inf (vacuous), so
+    # once one has, the later u_i are evaluated at the live rows alone.
     total = np.zeros(len(pts))
     blocks = marginal_blocks(pts, spec.dims)
     for u, x in zip(tup.potentials, blocks):
-        live = np.flatnonzero(total != math.inf)
+        live = np.flatnonzero(total != math.inf) if (total == math.inf).any() else slice(None)
         total[live] += u.values_at(x[live])
     covered = np.flatnonzero(total != math.inf)
     vacuous = len(pts) - len(covered)

@@ -10,7 +10,10 @@ column by column, the projections dedup the points as tuples, and the
 generators build monotone structure by construction rather than by
 checking it.  The exactness probe, which no command runs, lives here with
 its one-point evaluator ``sum_at``, as does ``add_separable_shift``, which
-builds the shifted costs of the invariance tests.
+builds the shifted costs of the invariance tests.  ``gathered_certificate``
+is a reference of another kind: the certificate's earlier vectorized sum,
+which gathers the live rows for every potential and reads every value
+through the table lookup, and which the library must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +32,9 @@ from monosplit.core import (
     GammaSet,
     PairwiseCost,
     Point,
+    RowIndex,
     Vec,
+    _point_rows,
     as_point,
     as_vec,
     classical_cost,
@@ -43,6 +48,7 @@ from monosplit.errors import (
     InternalInconsistency,
     NotOneDimensional,
     OrderTooLarge,
+    UndefinedOnGamma,
 )
 from monosplit.monotone import (
     BRUTE_FORCE_BUDGET,
@@ -62,7 +68,13 @@ from monosplit.onedim import (
     CurvePotentials,
     MonotoneBijection,
 )
-from monosplit.splitting import SplittingTuple
+from monosplit.splitting import (
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
+    SplittingCertificate,
+    SplittingTuple,
+    sample_test_points,
+)
 
 COUPLING_BUDGET = 2_000_000
 COARSE_GRID = (-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0)
@@ -454,6 +466,71 @@ def sum_at(tup: SplittingTuple, p: Point) -> float:
     for u, x in zip(tup.potentials, p):
         total += u.value_at(x)
     return total
+
+
+def table_values_at(u: Potential, xs: np.ndarray) -> np.ndarray:
+    """Potential.values_at by the table path alone, closed-form potentials
+    (whose tables are empty) included: an exact row lookup, the closed form
+    where it misses, else +inf."""
+    index = RowIndex(u.points).find(xs)
+    out = np.append(u.values, math.inf)[index]
+    if u.closed_form is not None and (index < 0).any():
+        out[index < 0] = u.closed_form.values(xs[index < 0])
+    return out
+
+
+def gathered_certificate(
+    tup: SplittingTuple,
+    g: GammaSet,
+    spec: CostSpec,
+    test_points=None,
+    n_samples: int = DEFAULT_SAMPLES,
+    seed: int = DEFAULT_SEED,
+    tol: float = DEFAULT_TOL,
+) -> SplittingCertificate:
+    """certify_splitting as it was before the sum learned to add in place:
+    every potential's values come from table_values_at on the rows still
+    live, gathered by index, and scattered back into the running sum."""
+    blocks = marginal_blocks(g.coords, g.dims)
+    on_gamma = [table_values_at(u, x) for u, x in zip(tup.potentials, blocks)]
+    undefined = np.argwhere(np.isinf(np.column_stack(on_gamma)))
+    if len(undefined):
+        raise UndefinedOnGamma("some potential is +inf on its marginal of g")
+    resid = np.abs(sum(on_gamma) - spec.total_many(g.coords))
+    w = int(resid.argmax())
+    max_resid, worst_eq = float(resid[w]), g.points[w]
+
+    if test_points is None:
+        pts = sample_test_points(g, n_samples=n_samples, seed=seed)
+        used_seed = seed
+    else:
+        pts = _point_rows(test_points, spec.dims)
+        used_seed = None
+
+    total = np.zeros(len(pts))
+    blocks = marginal_blocks(pts, spec.dims)
+    for u, x in zip(tup.potentials, blocks):
+        live = np.flatnonzero(total != math.inf)
+        total[live] += table_values_at(u, x[live])
+    covered = np.flatnonzero(total != math.inf)
+    max_viol, worst_ineq = -math.inf, None
+    if covered.size:
+        viol = spec.total_many(pts[covered]) - total[covered]
+        w = int(viol.argmax())
+        max_viol = float(viol[w])
+        worst_ineq = tuple(tuple(x[covered[w]].tolist()) for x in blocks)
+    return SplittingCertificate(
+        passed=max_viol <= tol and max_resid <= tol,
+        max_inequality_violation=max_viol,
+        max_equality_residual_on_gamma=max_resid,
+        worst_inequality_point=worst_ineq,
+        worst_equality_point=worst_eq,
+        n_test_points=len(pts),
+        n_gamma_points=g.size,
+        n_vacuous=len(pts) - len(covered),
+        seed=used_seed,
+        tol=tol,
+    )
 
 
 EXACTNESS_BUDGET = 1_000_000

@@ -12,7 +12,7 @@ import pytest
 
 import monosplit
 from helpers import gamma_1d
-from monosplit import onedim
+from monosplit import cli, onedim
 from monosplit.antiderivative import Potential, rockafellar_potential
 from monosplit.cli import build_parser, main
 from monosplit.core import GammaSet, PairwiseCost, classical_cost, loads_json
@@ -374,6 +374,35 @@ def test_example_knott_smith_quadrature_meets_the_closed_forms(capsys):
     )
     assert code == 0
     assert json.loads(out)["quadrature_max_deviation"] <= 1e-10
+
+
+@pytest.mark.parametrize("argv, certificates", [
+    (["example", "quadratic", "--samples", "200"], 2),
+    (["example", "knott-smith", "--tmax", "0.5", "--samples", "200"], 2),
+    (["split", None, "--samples", "200"], 1),
+])
+def test_a_command_draws_one_sample_for_all_its_certificates(
+    capsys, monkeypatch, gamma_file, argv, certificates
+):
+    calls = {"sample_test_points": [], "certify_splitting": []}
+    for name in calls:
+        original = getattr(cli, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            result = _original(*args, **kwargs)
+            calls[_name].append(result)
+            return result
+
+        monkeypatch.setattr(cli, name, counted)
+    argv = [gamma_file if a is None else a for a in argv]
+    code, out, _ = _run(capsys, [*argv, "--seed", "4"])
+    assert code == 0
+    [sample] = calls["sample_test_points"]
+    certs = calls["certify_splitting"]
+    assert len(certs) == certificates
+    assert all(c.n_test_points == len(sample) and c.seed is None for c in certs)
+    reported = [v for k, v in json.loads(out).items() if k.startswith("certificate")]
+    assert [c["seed"] for c in reported] == [4] * certificates
 
 
 def test_example_determinism(capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,13 +12,25 @@ import pytest
 from helpers import (
     check_exactness_condition,
     gamma_1d,
+    gathered_certificate,
     make_comonotone_gamma,
     scalar_certificate,
     shift_splitting_tuple,
     splitting_implies_monotone_check,
     sum_at,
+    table_values_at,
 )
-from monosplit.core import GammaSet, QuadraticForm, as_point, classical_cost
+from monosplit.antiderivative import Potential
+from monosplit.core import (
+    EvenPowerForm,
+    GammaSet,
+    IndicatorQuadraticForm,
+    LinearForm,
+    QuadraticForm,
+    as_point,
+    classical_cost,
+    dumps_json,
+)
 from monosplit.errors import (
     BasePointNotInGamma,
     BudgetExceeded,
@@ -28,6 +41,12 @@ from monosplit.errors import (
     UndefinedOnGamma,
 )
 from monosplit.onedim import knott_smith_alphas, knott_smith_forms
+from monosplit.quadratic import (
+    commuting_spd_gamma,
+    counterexample_construct,
+    quadratic_splitting,
+    random_commuting_spds,
+)
 from monosplit.splitting import (
     SplittingTuple,
     assemble_splitting_tuple,
@@ -270,3 +289,133 @@ def test_tuple_json_includes_provenance():
     assert set(doc["pair_potentials"]) == {"1,2", "1,3", "2,3"}
     assert doc["base_point"] == [[-1.0], [-1.0], [-1.0]]
     assert len(doc["potentials"]) == 3
+
+
+# ---------------------------------------------------------------------------
+# The in-place sum against the gathering reference
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_certificate(got, want):
+    assert got == want
+    assert dumps_json(got.to_json()) == dumps_json(want.to_json())  # signed zeros too
+
+
+def _knott_smith_gamma():
+    alphas = knott_smith_alphas()
+    return GammaSet.from_points([[a(t / 4) for a in alphas] for t in range(-4, 5)])
+
+
+def _quadratic_case(seed):
+    mats = random_commuting_spds(3, 2, seed=seed)
+    vs = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(12, 2))
+    return quadratic_splitting(mats), commuting_spd_gamma(mats, vs)
+
+
+def _counterexample_points(rng):
+    """Domain points, and points leaving the domain of u_1 or of u_2 only,
+    so that rows turn vacuous at the first potential and at the second."""
+    ce = counterexample_construct()
+    pts = []
+    for a1, a2, a3, b3 in rng.uniform(-3.0, 3.0, size=(40, 4)).tolist():
+        pts.append(ce.domain_point(a1, a2, a3, b3))
+        pts.append(((a1, 0.5), (a2, a2), (a3, b3)))
+        pts.append(((a1, 0.0), (a2, a2 + 1.0), (a3, b3)))
+    return pts
+
+
+def test_closed_form_certificates_equal_the_gathering_reference():
+    g = _knott_smith_gamma()
+    forms, starred = knott_smith_forms()
+    for tup, spec in ((SplittingTuple.from_closed_forms(forms), C1),
+                      (SplittingTuple.from_closed_forms(starred), C3)):
+        for kwargs in ({"n_samples": 500, "seed": 2}, {"test_points": CUBE}):
+            _assert_same_certificate(certify_splitting(tup, g, spec, **kwargs),
+                                     gathered_certificate(tup, g, spec, **kwargs))
+    for seed in (0, 7):
+        qs, g = _quadratic_case(seed)
+        for tup, which in ((qs.potentials(), "c1"), (qs.shifted_potentials(), "c3")):
+            spec = classical_cost(which, 3, 2)
+            _assert_same_certificate(certify_splitting(tup, g, spec, n_samples=300, seed=seed),
+                                     gathered_certificate(tup, g, spec, n_samples=300, seed=seed))
+
+
+def test_tabulated_certificates_equal_the_gathering_reference(rng):
+    for which in ("c1", "c3"):
+        spec = classical_cost(which, 3, 1)
+        g = make_comonotone_gamma(rng, size=8)
+        tup = assemble_splitting_tuple(g, spec, eval_grids=[[0.0, -3.0]] * 3)
+        pts = list(itertools.product(*(u.points for u in tup.potentials)))
+        pts += [((-0.0,), (-0.0,), (-0.0,)), ((-0.0,), (9.0,), (0.0,)), ((0.0,), (0.0,), (9.0,))]
+        for kwargs in ({"n_samples": 400, "seed": 4}, {"test_points": pts}):
+            cert = certify_splitting(tup, g, spec, **kwargs)
+            assert cert.n_vacuous > 0
+            _assert_same_certificate(cert, gathered_certificate(tup, g, spec, **kwargs))
+
+
+def test_tables_with_a_closed_form_extension_equal_the_gathering_reference():
+    g = _knott_smith_gamma()
+    forms, _ = knott_smith_forms()
+    marginals = [np.unique(g.coords[:, i])[:, None] for i in range(3)]
+    extended = Potential(marginals[0], forms[0].values(marginals[0]), closed_form=forms[0])
+    bare = Potential(marginals[1], forms[1].values(marginals[1]))  # +inf off its table
+    tup = SplittingTuple((extended, bare, Potential.from_closed_form(forms[2])), {}, {})
+    off_tables = ((0.3,), (0.3,), (0.3,))
+    for kwargs in ({"n_samples": 300, "seed": 1}, {"test_points": CUBE + [off_tables]}):
+        cert = certify_splitting(tup, g, C1, **kwargs)
+        assert 0 < cert.n_vacuous < cert.n_test_points
+        _assert_same_certificate(cert, gathered_certificate(tup, g, C1, **kwargs))
+
+
+def test_indicator_certificates_equal_the_gathering_reference(rng):
+    ce = counterexample_construct()
+    spec = ce.cost()
+    g = GammaSet.from_points([ce.span_point(lam, mu) for lam, mu in
+                              rng.uniform(-2.0, 2.0, size=(6, 2)).tolist()])
+    pts = _counterexample_points(rng)
+    for kwargs in ({"n_samples": 300, "seed": 3}, {"test_points": pts}):
+        cert = certify_splitting(ce.potentials(), g, spec, **kwargs)
+        assert cert.n_vacuous > 0
+        _assert_same_certificate(cert, gathered_certificate(ce.potentials(), g, spec, **kwargs))
+    cert = certify_splitting(ce.potentials(), g, spec, test_points=pts)
+    assert cert.n_vacuous == 80  # two thirds: one third at u_1, one at u_2
+
+
+def test_empty_test_points_equal_the_gathering_reference():
+    qs, g = _quadratic_case(3)
+    tup, spec = qs.potentials(), classical_cost("c1", 3, 2)
+    for pts in ([], np.empty((0, 6))):
+        cert = certify_splitting(tup, g, spec, test_points=pts)
+        assert (cert.n_test_points, cert.worst_inequality_point) == (0, None)
+        _assert_same_certificate(cert, gathered_certificate(tup, g, spec, test_points=pts))
+
+
+@pytest.mark.parametrize("form", [
+    QuadraticForm(((2.0, 0.5), (0.5, 1.0))),
+    LinearForm((1.5, -2.0), 0.25),
+    IndicatorQuadraticForm("diagonal", ((1.0, 0.0), (0.0, 3.0))),
+    EvenPowerForm(((0.75, 4.0 / 3.0), (0.5, 2.0))),
+])
+def test_closed_form_values_at_equals_the_table_path(rng, form):
+    u = Potential.from_closed_form(form)
+    rows = rng.uniform(-2.0, 2.0, size=(50, 1 if isinstance(form, EvenPowerForm) else 2))
+    rows[::5, -1] = rows[::5, 0]  # on the diagonal, where the indicator is finite
+    rows[1] = -0.0
+    for xs in (rows, rows[:0], rows[::3]):
+        got = u.values_at(xs)
+        assert got.dtype == np.float64 and got.shape == (len(xs),)
+        assert got.tobytes() == table_values_at(u, xs).tobytes()
+
+
+def test_flattened_array_test_points_on_2d_marginals():
+    qs, g = _quadratic_case(5)
+    spec = classical_cost("c1", 3, 2)
+    tup = qs.potentials()
+    rows = sample_test_points(g, n_samples=200, seed=5)
+    nested = [tuple(tuple(r[k:k + 2]) for k in (0, 2, 4)) for r in rows.tolist()]
+    want = certify_splitting(tup, g, spec, test_points=nested)
+    assert certify_splitting(tup, g, spec, test_points=rows) == want
+    assert certify_splitting(tup, g, spec, n_samples=200, seed=5) == replace(want, seed=5)
+    for bad in (rows[:, :5], rows[:, :3], np.hstack([rows, rows[:, :1]]), rows.reshape(-1, 2, 3)):
+        with pytest.raises(DimensionMismatch):
+            certify_splitting(tup, g, spec, test_points=bad)
