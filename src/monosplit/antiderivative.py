@@ -106,6 +106,13 @@ class Potential:
         """A potential defined everywhere by its analytic expression."""
         return cls((), (), closed_form=form)
 
+    @property
+    def is_proper(self) -> bool:
+        """True when some value is finite (closed forms count as proper)."""
+        if (self.values != math.inf).any():
+            return True
+        return self.closed_form is not None and not len(self.points)
+
     def value_at(self, x: float | Sequence[float]) -> float:
         """Table value, else closed form, else +inf: values_at on one row."""
         return float(self.values_at(_vec_rows([x]))[0])

@@ -63,10 +63,6 @@ LATTICE_PER_AXIS = 5
 LATTICE_CAP = 20_000
 
 
-def _point_json(p: Point | None) -> list | None:
-    return None if p is None else [list(v) for v in p]
-
-
 @dataclass(frozen=True)
 class SplittingTuple:
     """Potentials u_1, ..., u_N together with their provenance.
@@ -98,7 +94,9 @@ class SplittingTuple:
     def to_json(self) -> dict:
         return {
             "N": self.n_marginals,
-            "base_point": _point_json(self.base_point),
+            "base_point": [list(v) for v in self.base_point]
+            if self.base_point is not None
+            else None,
             "potentials": [u.to_json() for u in self.potentials],
             "pair_potentials": {
                 f"{i},{j}": f.to_json() for (i, j), f in sorted(self.pair_potentials.items())
@@ -253,8 +251,12 @@ class SplittingCertificate:
             "passed": self.passed,
             "max_inequality_violation": _enc(self.max_inequality_violation),
             "max_equality_residual_on_gamma": _enc(self.max_equality_residual_on_gamma),
-            "worst_inequality_point": _point_json(self.worst_inequality_point),
-            "worst_equality_point": _point_json(self.worst_equality_point),
+            "worst_inequality_point": [list(v) for v in self.worst_inequality_point]
+            if self.worst_inequality_point is not None
+            else None,
+            "worst_equality_point": [list(v) for v in self.worst_equality_point]
+            if self.worst_equality_point is not None
+            else None,
             "n_test_points": self.n_test_points,
             "n_gamma_points": self.n_gamma_points,
             "n_vacuous": self.n_vacuous,
@@ -305,8 +307,7 @@ def certify_splitting(
         pts = _point_rows(test_points, spec.dims)
         used_seed = None
 
-    # u_1 + ... + u_N in order; a row stops at its first +inf (vacuous), so
-    # once one has, the later u_i are evaluated at the live rows alone.
+    # u_1 + ... + u_N in order; a row stops at its first +inf (vacuous).
     total = np.zeros(len(pts))
     blocks = marginal_blocks(pts, spec.dims)
     for u, x in zip(tup.potentials, blocks):

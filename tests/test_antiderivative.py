@@ -263,6 +263,7 @@ def test_a_potential_copies_the_arrays_it_is_given():
 def test_potential_closed_form_roundtrip_and_fallback():
     form = QuadraticForm(((2.0,),))
     p = Potential.from_closed_form(form)
+    assert p.is_proper
     q = Potential.from_json(p.to_json())
     assert q.value_at((3.0,)) == p.value_at((3.0,))
     bare = Potential(((0.0,),), (0.0,))
