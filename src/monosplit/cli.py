@@ -21,7 +21,7 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -79,53 +79,26 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
-EXAMPLE_NAMES = ("quadratic", "counterexample", "curves", "knott-smith", "young")
 GRID_CAP = 100_000  # most points a lo:hi:step grid may hold
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything that determines a run; echoed into every report."""
-
-    command: str
-    inputs: tuple[str, ...]
-    cost: str | None
-    tol: float
-    seed: int
-    samples: int
-    out: str | None
-    fmt: str
-
-    def __post_init__(self):
-        if not 0.0 < self.tol < math.inf:
-            raise InputValidationError("tolerance must be finite and positive")
-        if self.samples < 0:
-            raise InputValidationError("sample count must be nonnegative")
-
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": list(self.inputs),
-            "cost": self.cost,
-            "tol": self.tol,
-            "seed": self.seed,
-            "samples": self.samples,
-            "out": self.out,
-            "format": self.fmt,
-        }
-
-
-def _config(args: argparse.Namespace, inputs: tuple[str, ...]) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        inputs=inputs,
-        cost=getattr(args, "cost", None),
-        tol=args.tol,
-        seed=getattr(args, "seed", 0),
-        samples=getattr(args, "samples", 0),
-        out=args.out,
-        fmt=getattr(args, "format", "json"),
-    )
+def _config(args: argparse.Namespace, inputs: list[str]) -> dict:
+    """The report's config header: everything that determines a run."""
+    if not 0.0 < args.tol < math.inf:
+        raise InputValidationError("tolerance must be finite and positive")
+    samples = getattr(args, "samples", 0)
+    if samples < 0:
+        raise InputValidationError("sample count must be nonnegative")
+    return {
+        "command": args.command,
+        "inputs": inputs,
+        "cost": getattr(args, "cost", None),
+        "tol": args.tol,
+        "seed": getattr(args, "seed", 0),
+        "samples": samples,
+        "out": args.out,
+        "format": getattr(args, "format", "json"),
+    }
 
 
 def _read_json_file(path: str) -> dict:
@@ -171,7 +144,7 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     if not (math.isfinite(count) and round(count) < GRID_CAP):
         raise ParseError(f"grid {text!r} would hold more than {GRID_CAP} points")
     pts = [lo + k * step for k in range(round(count) + 1)]
-    if pts[-1] > hi + 0.5 * step:
+    if pts[-1] > hi + 1e-9 * step:  # past hi by more than rounding
         pts.pop()
     return tuple(pts)
 
@@ -211,14 +184,14 @@ def _certify(args: argparse.Namespace, g: GammaSet, tups, costs) -> list[Splitti
 def cmd_verify(args: argparse.Namespace) -> int:
     g = _load_gamma(args.gamma)
     spec = _resolve_cost(args.cost, g)
-    config = _config(args, (args.gamma,))
+    config = _config(args, [args.gamma])
 
     projection = check_projection_condition(g, spec, tol=args.tol)
     pairwise = is_c_monotone(g, spec, tol=args.tol)
     holds = projection.all_hold and pairwise.holds
 
     doc: dict = {
-        "config": config.to_json(),
+        "config": config,
         "n_points": g.size,
         "dims": list(g.dims),
         "projection_condition": projection.to_json(),
@@ -248,7 +221,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_split(args: argparse.Namespace) -> int:
     g = _load_gamma(args.gamma)
     spec = _resolve_cost(args.cost, g)
-    config = _config(args, (args.gamma,))
+    config = _config(args, [args.gamma])
     if not (0 <= args.base < g.size):
         raise InputValidationError(f"--base must index a point (0..{g.size - 1})")
 
@@ -272,7 +245,7 @@ def cmd_split(args: argparse.Namespace) -> int:
 
     [cert] = _certify(args, g, [tup], [spec])
     doc = {
-        "config": config.to_json(),
+        "config": config,
         "potentials": [u.to_json() for u in tup.potentials],
         "certificate": cert.to_json(),
     }
@@ -293,7 +266,7 @@ def cmd_split(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _example_quadratic(args: argparse.Namespace, config: RunConfig) -> tuple[dict, bool]:
+def _example_quadratic(args: argparse.Namespace) -> tuple[dict, bool]:
     mats = random_commuting_spds(args.n, args.dim, seed=args.seed)
     qs = quadratic_splitting(mats)
     rng = np.random.default_rng(args.seed + 1)
@@ -302,7 +275,6 @@ def _example_quadratic(args: argparse.Namespace, config: RunConfig) -> tuple[dic
     costs = [classical_cost(c, args.n, args.dim) for c in ("c1", "c3")]
     cert1, cert3 = _certify(args, g, [qs.potentials(), qs.shifted_potentials()], costs)
     doc = {
-        "config": config.to_json(),
         "Q": [m.to_json() for m in mats],
         "splitting": qs.to_json(),
         "certificate_c1": cert1.to_json(),
@@ -311,20 +283,19 @@ def _example_quadratic(args: argparse.Namespace, config: RunConfig) -> tuple[dic
     return doc, cert1.passed and cert3.passed
 
 
-def _example_counterexample(args: argparse.Namespace, config: RunConfig) -> tuple[dict, bool]:
+def _example_counterexample(args: argparse.Namespace) -> tuple[dict, bool]:
     ce = counterexample_construct()
     rep = counterexample_verify(
         n_span=max(1, args.samples // 50), n_random=args.samples, seed=args.seed
     )
     doc = {
-        "config": config.to_json(),
         "kernel_basis": [list(k) for k in ce.kernel_basis],
         "report": rep.to_json(),
     }
     return doc, rep.passed
 
 
-def _example_curves(args: argparse.Namespace, config: RunConfig) -> tuple[dict, bool]:
+def _example_curves(args: argparse.Namespace) -> tuple[dict, bool]:
     alphas = knott_smith_alphas()
     ts = _parse_grid(args.grid)
     if args.format == "csv":
@@ -339,7 +310,6 @@ def _example_curves(args: argparse.Namespace, config: RunConfig) -> tuple[dict, 
     quad_tol = max(args.tol, 1e-8)
     cert = certify_splitting(tup, g, spec, test_points=projection_product(g), tol=quad_tol)
     doc = {
-        "config": config.to_json(),
         "n_grid": len(ts),
         "quadrature_bounds": list(cp.error_bounds),
         "certificate": cert.to_json(),
@@ -347,7 +317,7 @@ def _example_curves(args: argparse.Namespace, config: RunConfig) -> tuple[dict, 
     return doc, cert.passed
 
 
-def _example_knott_smith(args: argparse.Namespace, config: RunConfig) -> tuple[dict, bool]:
+def _example_knott_smith(args: argparse.Namespace) -> tuple[dict, bool]:
     alphas = knott_smith_alphas()
     ts = _parse_grid(f"{-args.tmax}:{args.tmax}:0.1")
     csv = emit_curve_figure_data(alphas, (ts[0], ts[-1]), len(ts))
@@ -368,7 +338,6 @@ def _example_knott_smith(args: argparse.Namespace, config: RunConfig) -> tuple[d
     cert1, cert3 = _certify(args, g, tups, [classical_cost(c, 3, 1) for c in ("c1", "c3")])
     spot = knott_smith_potentials(1.0, 1.0, 1.0)
     doc = {
-        "config": config.to_json(),
         "quadrature_max_deviation": max_dev,
         "certificate_c1": cert1.to_json(),
         "certificate_c3": cert3.to_json(),
@@ -387,7 +356,7 @@ def _example_knott_smith(args: argparse.Namespace, config: RunConfig) -> tuple[d
 _YOUNG_MAPS = {"identity": 1.0, "cube": 3.0}
 
 
-def _example_young(args: argparse.Namespace, config: RunConfig) -> tuple[dict, bool]:
+def _example_young(args: argparse.Namespace) -> tuple[dict, bool]:
     name = args.g
     if name in _YOUNG_MAPS:
         power = _YOUNG_MAPS[name]
@@ -405,7 +374,6 @@ def _example_young(args: argparse.Namespace, config: RunConfig) -> tuple[dict, b
     g = MonotoneBijection.identity() if power == 1.0 else MonotoneBijection.odd_power(power)
     check = young_check(g, args.a, args.b, tol=args.tol)
     doc = {
-        "config": config.to_json(),
         "g": name,
         "a": args.a,
         "b": args.b,
@@ -414,22 +382,24 @@ def _example_young(args: argparse.Namespace, config: RunConfig) -> tuple[dict, b
     return doc, check.rhs >= check.lhs - args.tol
 
 
+EXAMPLES = {
+    "quadratic": _example_quadratic,
+    "counterexample": _example_counterexample,
+    "curves": _example_curves,
+    "knott-smith": _example_knott_smith,
+    "young": _example_young,
+}
+
+
 def cmd_example(args: argparse.Namespace) -> int:
-    if args.name not in EXAMPLE_NAMES:
+    if args.name not in EXAMPLES:
         raise UnknownExample(
-            f"unknown example {args.name!r}; choose from {', '.join(EXAMPLE_NAMES)}"
+            f"unknown example {args.name!r}; choose from {', '.join(EXAMPLES)}"
         )
-    config = _config(args, ())
-    runner = {
-        "quadratic": _example_quadratic,
-        "counterexample": _example_counterexample,
-        "curves": _example_curves,
-        "knott-smith": _example_knott_smith,
-        "young": _example_young,
-    }[args.name]
-    doc, ok = runner(args, config)
-    if doc:
-        _emit_report(doc, args.out)
+    config = _config(args, [])
+    body, ok = EXAMPLES[args.name](args)
+    if body:
+        _emit_report({"config": config, **body}, args.out)
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
@@ -479,7 +449,7 @@ def cmd_rockafellar(args: argparse.Namespace) -> int:
         eval_points = [p[0] for p in pairs]
     eval_points = list(eval_points) + [tuple(base)]
 
-    config = _config(args, (args.pairs,))
+    config = _config(args, [args.pairs])
     try:
         pot = rockafellar_potential(cost, pairs, base, eval_points, tol=args.tol)
     except NotCyclicallyMonotone as exc:
@@ -488,7 +458,7 @@ def cmd_rockafellar(args: argparse.Namespace) -> int:
             f"has gain {exc.gain:.6g}\n"
         )
         return EXIT_VIOLATION
-    doc = {"config": config.to_json(), "potential": pot.to_json()}
+    doc = {"config": config, "potential": pot.to_json()}
     _emit_report(doc, args.out)
     return EXIT_OK
 
@@ -540,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_split)
 
     p = sub.add_parser("example", help="reproduce a built-in example end to end")
-    p.add_argument("name", help=f"one of: {', '.join(EXAMPLE_NAMES)}")
+    p.add_argument("name", help=f"one of: {', '.join(EXAMPLES)}")
     p.add_argument("--n", type=int, default=3, help="marginal count (quadratic)")
     p.add_argument("--dim", type=int, default=2, help="marginal dimension (quadratic)")
     p.add_argument("--grid", default="-1.5:1.5:0.1", metavar="lo:hi:step",

@@ -662,7 +662,7 @@ def is_pair_monotone_classical(
     return _classical_verdict(x, y, tol)
 
 
-def _classical_verdict(x: np.ndarray, y: np.ndarray, tol: float = 1e-12) -> MonotonicityVerdict:
+def _classical_verdict(x: np.ndarray, y: np.ndarray, tol: float) -> MonotonicityVerdict:
     """is_pair_monotone_classical on the distinct pairs (x[k], y[k]), given
     as (m, d) row arrays of one width."""
 

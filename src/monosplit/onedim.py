@@ -482,8 +482,9 @@ def characterize_1d(
 
     which_cost selects the inner-product cost, the negated
     half-squared-distance (the equivalence covers -c2, not c2 itself), or
-    the shifted variant.  All six verdicts must agree; a disagreement
-    raises InternalInconsistency because the six formulations are provably
+    the shifted variant.  tol is the absolute tolerance of all six items.
+    All six verdicts must agree; a disagreement raises
+    InternalInconsistency because the six formulations are provably
     equivalent for these costs.
     """
     if any(d != 1 for d in g.dims):
@@ -512,7 +513,7 @@ def characterize_1d(
         for j in range(i + 1, n + 1)
     }
     item_iii = all(_cycle_verdict(x, y, inner, tol).holds for x, y in projections.values())
-    item_iv = all(_classical_verdict(x, y).holds for x, y in projections.values())
+    item_iv = all(_classical_verdict(x, y, tol).holds for x, y in projections.values())
 
     # Assembly's f_{i,j} is the antiderivative (vi) checks (same base, same
     # grid); a positive cycle refuses assembly and fails (v) and (vi) together.

@@ -304,7 +304,10 @@ def certify_splitting(
         pts = sample_test_points(g, n_samples=n_samples, seed=seed)
         used_seed: int | None = seed
     else:
-        pts = _point_rows(test_points, spec.dims)
+        try:
+            pts = _point_rows(test_points, spec.dims)
+        except TypeError as exc:  # a number where a product point belongs
+            raise DimensionMismatch(f"test points must be product points: {exc}") from exc
         used_seed = None
 
     # u_1 + ... + u_N in order; a row stops at its first +inf (vacuous).

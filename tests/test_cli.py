@@ -480,15 +480,21 @@ def test_rockafellar_rejects_an_empty_pair_list(capsys, tmp_path, flags):
 # ---------------------------------------------------------------------------
 
 
-def test_usage_errors(capsys, gamma_file):
+def test_usage_errors(capsys, gamma_file, pairs_file):
     assert _run(capsys, [])[0] == 2
     assert _run(capsys, ["verify"])[0] == 2
     assert _run(capsys, ["--help"])[0] == 0
     # refused before any check runs, not at the JSON writer
-    for tol in ("-1", "nan", "inf"):
-        code, out, err = _run(capsys, ["verify", gamma_file, "--tol", tol])
-        assert (code, out) == (2, "")
-        assert "tolerance must be finite and positive" in err
+    commands = (["verify", gamma_file], ["split", gamma_file],
+                ["example", "young"], ["rockafellar", pairs_file])
+    for argv in commands:
+        for tol in ("-1", "nan", "inf"):
+            code, out, err = _run(capsys, [*argv, "--tol", tol])
+            assert (code, out) == (2, "")
+            assert err == "error: tolerance must be finite and positive\n"
+    for argv in commands[1:3]:
+        code, out, err = _run(capsys, [*argv, "--samples", "-1"])
+        assert (code, out, err) == (2, "", "error: sample count must be nonnegative\n")
     # refused as input, with a message and no traceback
     for argv in (["--dim", "-1"], ["--dim", "0"], ["--n", "0"]):
         code, out, err = _run(capsys, ["example", "quadratic", *argv])
@@ -507,6 +513,47 @@ def test_a_flag_the_command_does_not_read_is_a_usage_error(
     path = pairs_file if command == "rockafellar" else gamma_file
     code, out, err = _run(capsys, [command, path, flag, value])
     assert (code, out) == (2, "") and f"unrecognized arguments: {flag} {value}" in err
+
+
+def test_input_errors_come_before_the_tolerance_check(capsys, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    code, out, err = _run(capsys, ["verify", missing, "--tol", "nan"])
+    assert (code, out) == (2, "") and err.startswith(f"error: cannot read {missing}: ")
+    code, out, err = _run(capsys, ["example", "nosuch", "--tol", "nan"])
+    assert (code, out) == (2, "") and err.startswith("error: unknown example 'nosuch'")
+
+
+@pytest.mark.parametrize("argv, inputs", [
+    (["verify", "GAMMA"], ["GAMMA"]),
+    (["split", "GAMMA", "--samples", "100"], ["GAMMA"]),
+    (["rockafellar", "PAIRS"], ["PAIRS"]),
+    (["example", "quadratic", "--samples", "100"], []),
+    (["example", "counterexample", "--samples", "50"], []),
+    (["example", "curves", "--grid=-1:1:0.5"], []),
+    (["example", "knott-smith", "--tmax", "0.5", "--samples", "50"], []),
+    (["example", "young"], []),
+])
+def test_every_report_opens_with_the_same_config_keys(capsys, gamma_file, pairs_file, argv, inputs):
+    paths = {"GAMMA": gamma_file, "PAIRS": pairs_file}
+    code, out, _ = _run(capsys, [paths.get(a, a) for a in argv])
+    assert code == 0
+    doc = json.loads(out)
+    assert next(iter(doc)) == "config"
+    config = doc["config"]
+    assert list(config) == ["command", "inputs", "cost", "tol", "seed", "samples", "out", "format"]
+    assert config["command"] == argv[0]
+    assert config["inputs"] == [paths.get(a, a) for a in inputs]
+
+
+def test_grid_holds_no_point_past_hi():
+    assert cli._parse_grid("0:1:0.6") == (0.0, 0.6)
+    assert cli._parse_grid("0:1:0.55") == (0.0, 0.55)
+    # hi is the last point when it is a whole number of steps from lo,
+    # even where (hi - lo) / step rounds just under that number
+    for text, n in (("0:0.3:0.1", 4), ("-1.5:1.5:0.2", 16), ("-1.5:1.5:0.1", 31),
+                    ("-2:2:0.25", 17), ("-1:2:0.5", 7), ("-0.3:0:0.1", 4)):
+        lo, _, step = map(float, text.split(":"))
+        assert cli._parse_grid(text) == tuple(lo + k * step for k in range(n))
 
 
 def test_parse_errors(capsys, tmp_path, gamma_file):

@@ -374,6 +374,16 @@ def test_battery_on_a_violating_set():
     assert report.witness["kind"] == "signs"
 
 
+def test_battery_applies_tol_to_every_item():
+    # Point 2 moves -1e-8 in marginal 2: monotone within 1e-6, not within 1e-9.
+    g = gamma_1d([[0.0, 0.0, 0.0], [1.0, -1e-8, 1.0]])
+    for which in ("c1", "c2", "c3"):
+        loose = characterize_1d(g, which_cost=which, n_max=3, tol=1e-6)
+        assert loose.verdict and all(loose.items())
+        tight = characterize_1d(g, which_cost=which, n_max=3, tol=1e-9)
+        assert not tight.verdict and not any(tight.items())
+
+
 def test_battery_on_curve_samples():
     ts = [-1.0 + 0.5 * k for k in range(5)]
     g = gamma_1d([[t, t**3, t**5] for t in ts])

@@ -169,6 +169,9 @@ def test_misshapen_test_point_is_rejected_not_vacuous():
     for bad in (((0.0, 5.0), (0.0,), (0.0,)), ((0.0,), (0.0,))):
         with pytest.raises(DimensionMismatch):
             certify_splitting(tup, DIAGONAL, C1, test_points=CUBE + [bad])
+    for bad in ([0.0, 1.0], np.zeros(3), 0.0):  # numbers, not a list of points
+        with pytest.raises(DimensionMismatch):
+            certify_splitting(tup, DIAGONAL, C1, test_points=bad)
 
 
 def test_test_points_fail_with_the_one_point_checks_errors():
