@@ -141,12 +141,12 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     if step <= 0.0 or hi < lo:
         raise ParseError("grid needs step > 0 and hi >= lo")
     count = (hi - lo) / step
-    if not (math.isfinite(count) and round(count) < GRID_CAP):
+    last = round(count) if math.isfinite(count) else GRID_CAP
+    if lo + last * step > hi + 1e-9 * step:  # past hi by more than rounding
+        last -= 1
+    if last >= GRID_CAP:
         raise ParseError(f"grid {text!r} would hold more than {GRID_CAP} points")
-    pts = [lo + k * step for k in range(round(count) + 1)]
-    if pts[-1] > hi + 1e-9 * step:  # past hi by more than rounding
-        pts.pop()
-    return tuple(pts)
+    return tuple(lo + k * step for k in range(last + 1))
 
 
 def _parse_vec(text: str) -> tuple[float, ...]:
@@ -243,7 +243,7 @@ def cmd_split(args: argparse.Namespace) -> int:
         )
         return EXIT_VIOLATION
 
-    [cert] = _certify(args, g, [tup], [spec])
+    cert = certify_splitting(tup, g, spec, tol=args.tol)
     doc = {
         "config": config,
         "potentials": [u.to_json() for u in tup.potentials],
@@ -506,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="index of the base point inside the set")
     p.add_argument("--grid", default=None, metavar="lo:hi:step",
                    help="extra scalar evaluation grid for every marginal")
-    _add_common(p, sampled=True)
+    _add_common(p)
     p.set_defaults(fn=cmd_split)
 
     p = sub.add_parser("example", help="reproduce a built-in example end to end")

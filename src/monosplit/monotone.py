@@ -303,21 +303,6 @@ def scan_gain_digraph(
     return scan if scan is not None else _relaxation_scan(x, y, cost, tol, source_mask)
 
 
-def is_two_marginal_cyclically_monotone(
-    pairs: Sequence[tuple],
-    cost: PairwiseCost,
-    tol: float = DEFAULT_TOL,
-) -> MonotonicityVerdict:
-    """Cyclic monotonicity of a finite set of (x, y) pairs.
-
-    Equivalent to n-c-monotonicity for every n at once: a violating
-    permutation decomposes into cycles, and a cyclic shift along any
-    positive cycle is itself a violation.
-    """
-    xs, ys = dedup_pairs(pairs)
-    return _cycle_verdict(xs, ys, cost, tol)
-
-
 def _cycle_verdict(
     xs: np.ndarray, ys: np.ndarray, cost: PairwiseCost, tol: float
 ) -> MonotonicityVerdict:
@@ -763,8 +748,9 @@ def check_projection_condition(
     """Check every pair projection of g for c_ij-cyclic monotonicity.
 
     Each projection is read from g.coords as the distinct (x_i, x_j) rows in
-    first-seen order (:func:`unique_pairs`), and gets the verdict
-    :func:`is_two_marginal_cyclically_monotone` gives on those pairs.
+    first-seen order (:func:`unique_pairs`).  Its verdict is cyclic
+    monotonicity, n-c-monotonicity for every n at once: it holds unless the
+    scan finds a positive cycle of the gain digraph, the witness.
     """
     _check_gamma_against_spec(g, spec)
     blocks = marginal_blocks(g.coords, g.dims)

@@ -51,7 +51,7 @@ from .monotone import (
     is_n_c_monotone_bruteforce,
     sign_criterion_1d,
 )
-from .splitting import assemble_splitting_tuple, certify_splitting, projection_product
+from .splitting import assemble_splitting_tuple, certify_splitting
 
 PANELS_PER_UNIT = 1024  # 2**10 Simpson subintervals per unit length beyond GRADE_LIMIT
 GRADE_PIECES = 48  # geometric halvings toward 0
@@ -443,9 +443,10 @@ class OneDimReport:
     items: (i) brute-force cyclic monotonicity up to n_max, (ii) the sign
     criterion, (iii) cyclic monotonicity of every pair projection,
     (iv) classical monotonicity of every pair projection, (v) an
-    assembled tuple certifies on the product grid of projections,
-    (vi) every projection admits a chain antiderivative.  Items (v) and
-    (vi) read one tabulation: the pair antiderivatives of that assembly.
+    assembled tuple certifies on the product of its tables (the
+    projections) by pairwise brackets, (vi) every projection admits a
+    chain antiderivative.  Items (v) and (vi) read one tabulation: the
+    pair antiderivatives of that assembly.
     """
 
     verdict: bool
@@ -522,7 +523,7 @@ def characterize_1d(
     except ProjectionNotMonotone:
         item_v = item_vi = False
     else:
-        item_v = certify_splitting(tup, g, spec, test_points=projection_product(g), tol=tol).passed
+        item_v = certify_splitting(tup, g, spec, tol=tol).passed
         item_vi = all(
             _antiderivative_check(f, *projections[(i, j)], spec.pair_cost(i, j), tol).holds
             for (i, j), f in tup.pair_potentials.items()

@@ -16,13 +16,26 @@ with conjugates taken in the discrete sense of
 :mod:`monosplit.antiderivative`.  Separable cost shifts are absorbed by
 adding the shift of marginal i onto u_i.
 
-Certification is sample-based: the inequality is tested on a declared set
-of product points (G, a seeded lattice-and-uniform sample around it that
-the certificates of one command share, or the caller's points), and
-equality on all of G.  Points where some u_i is +inf satisfy the
-inequality vacuously and are counted separately; the sum over the u_i
-gathers live rows only once some row is vacuous.  The certificate records
-its sample so every reported number is recomputable.
+Certification follows the construction.  A tuple that carries its pair
+tables (every assembled tuple does) is certified on the whole product of
+its tables.  Once each u_i equals the sum of its terms plus its shift (the
+table identity, checked on its grid), every point x of that product has
+
+    sum_i u_i(x_i) - c(x) = sum_{i<j} [f_{i,j}(x_i) + f_{i,j}^c(x_j) - c_{i,j}(x_i, x_j)],
+
+and each bracket is >= 0 by the discrete Fenchel-Young inequality.  So
+N(N-1)/2 reductions over grid_i x grid_j, in row blocks of at most
+PAIR_BLOCK_CELLS cells, bound max(c - sum u_i) over all prod_i |grid_i|
+points.  The claim covers that finite product, not a continuum.
+
+Tuples without pair tables (closed forms, curve potentials) are tested on
+a declared set of product points instead: G, a seeded lattice-and-uniform
+sample around it that the certificates of one command share, or the
+caller's points.  Points where some u_i is +inf satisfy the inequality
+vacuously and are counted separately; the sum over the u_i gathers live
+rows only once some row is vacuous.  The certificate records its sample so
+every reported number is recomputable.  Equality is checked on all of G
+either way.
 """
 
 from __future__ import annotations
@@ -39,6 +52,7 @@ from .core import (
     CostSpec,
     GammaSet,
     Point,
+    Vec,
     _enc,
     _point_rows,
     _vec_rows,
@@ -55,7 +69,7 @@ from .errors import (
     ProjectionNotMonotone,
     UndefinedOnGamma,
 )
-from .monotone import DEFAULT_TOL, _check_gamma_against_spec
+from .monotone import DEFAULT_TOL, PAIR_BLOCK_CELLS, _check_gamma_against_spec
 
 DEFAULT_SAMPLES = 10_000
 DEFAULT_SEED = 0
@@ -224,15 +238,58 @@ def projection_product(g: GammaSet) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SplittingCertificate:
-    """Sampled evidence that a tuple splits the cost on a point set.
+class PairBrackets:
+    """The Fenchel-Young brackets f_{i,j}(x) + f_{i,j}^c(y) - c_{i,j}(x, y) of
+    one pair over grid_i x grid_j, rows where f_{i,j} is +inf skipped: the
+    cells reduced, the lowest bracket and its first (x, y) in row-major
+    order (None when no cell was reduced), and the contacts, cells whose
+    bracket is within tol of equality."""
 
-    max_inequality_violation is the max of c(p) - sum u_i(p_i) over the
-    non-vacuous test points (negative means uniform slack);
+    pair: tuple[int, int]
+    cells: int
+    lowest_bracket: float
+    lowest_at: tuple[Vec, Vec] | None
+    contacts: int
+
+    def to_json(self) -> dict:
+        return {
+            "pair": list(self.pair),
+            "cells": self.cells,
+            "lowest_bracket": _enc(self.lowest_bracket),
+            "lowest_at": [list(v) for v in self.lowest_at] if self.lowest_at is not None else None,
+            "contacts": self.contacts,
+        }
+
+
+@dataclass(frozen=True)
+class TableIdentity:
+    """How far u_i strays from the sum of its pair terms plus its shift on
+    its grid, and the first grid point where it strays most."""
+
+    marginal: int
+    max_residual: float
+    worst_point: Vec | None
+
+    def to_json(self) -> dict:
+        return {
+            "marginal": self.marginal,
+            "max_residual": _enc(self.max_residual),
+            "worst_point": list(self.worst_point) if self.worst_point is not None else None,
+        }
+
+
+@dataclass(frozen=True)
+class SplittingCertificate:
+    """Evidence that a tuple splits the cost on a finite set of points.
+
     max_equality_residual_on_gamma is the max of |c(p) - sum u_i(p_i)| over
-    the set itself.  Both worst points are recorded, as are the sample
-    size, the vacuous count, and the sampling seed (None when the caller
-    supplied explicit points).
+    the set itself.  max_inequality_violation bounds c(p) - sum u_i(p_i)
+    from above (negative means uniform slack): over the table product it
+    is minus the sum of the pairs' lowest brackets, and pairs and
+    table_identity hold the reductions behind it; over test points it is
+    the max over the non-vacuous ones, at worst_inequality_point, drawn
+    with seed (None when the caller supplied explicit points).  The test
+    point and vacuous counts cover whichever set was checked.
     """
 
     passed: bool
@@ -245,9 +302,11 @@ class SplittingCertificate:
     n_vacuous: int
     seed: int | None
     tol: float
+    pairs: tuple[PairBrackets, ...] | None = None
+    table_identity: tuple[TableIdentity, ...] | None = None
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "passed": self.passed,
             "max_inequality_violation": _enc(self.max_inequality_violation),
             "max_equality_residual_on_gamma": _enc(self.max_equality_residual_on_gamma),
@@ -264,6 +323,10 @@ class SplittingCertificate:
             "inequality_tol": self.tol,
             "equality_tol": self.tol,
         }
+        if self.pairs is not None:
+            out["pairs"] = [b.to_json() for b in self.pairs]
+            out["table_identity"] = [t.to_json() for t in self.table_identity or ()]
+        return out
 
 
 def certify_splitting(
@@ -271,19 +334,27 @@ def certify_splitting(
     g: GammaSet,
     spec: CostSpec,
     test_points: Sequence | None = None,
-    n_samples: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
+    n_samples: int | None = None,
+    seed: int | None = None,
     tol: float = DEFAULT_TOL,
 ) -> SplittingCertificate:
-    """Test the splitting inequality on a sample and equality on the set.
+    """Test equality on the set, and the splitting inequality on the table
+    product or, for a tuple without pair tables, on test points.
 
-    PASS means both: c(p) <= sum u_i(p_i) + tol at every non-vacuous test
-    point, and |c(p) - sum u_i(p_i)| <= tol at every point of g.
-    Raises UndefinedOnGamma when some u_i is +inf on its marginal of g;
-    everywhere else +inf potentials satisfy the inequality vacuously, and
-    the sum adds in place until some row is.  Certificates that share a
-    sample pass it as test_points; a wrongly shaped one raises
-    DimensionMismatch.
+    Both paths raise UndefinedOnGamma when some u_i is +inf on its marginal
+    of g, and PASS requires |c(p) - sum u_i(p_i)| <= tol at every point of
+    g.  A tuple with pair tables also needs each u_i within tol of its
+    table identity and every pair's lowest bracket summed to >= -tol, so
+    that c <= sum u_i + tol on the whole finite product of the grids.  It
+    raises InputValidationError when a pair table is missing, when a term
+    is off u_i's grid or its row order (naming u_i), and when given
+    test_points, n_samples or seed, which it never reads.  Any other tuple
+    passes when
+    c(p) <= sum u_i(p_i) + tol at every non-vacuous test point: test_points
+    if given (shared by the certificates of one command; a wrongly shaped
+    one raises DimensionMismatch), else sample_test_points(g, n_samples,
+    seed).  +inf potentials satisfy the inequality vacuously, and the sum
+    adds in place until some row is.
     """
     if tup.n_marginals != spec.n_marginals or g.dims != spec.dims:
         raise DimensionMismatch("tuple, set, and cost must agree on the marginals")
@@ -300,9 +371,41 @@ def certify_splitting(
     w = int(resid.argmax())
     max_resid, worst_eq = float(resid[w]), g.points[w]
 
+    if tup.pair_potentials or tup.pair_conjugates:
+        if any(a is not None for a in (test_points, n_samples, seed)):
+            raise InputValidationError(
+                "a tuple with pair tables is certified on the product of its tables, "
+                "not on test points"
+            )
+        if not (set(tup.pair_potentials) == set(tup.pair_conjugates) == set(spec.pairs)):
+            raise InputValidationError("the tuple needs one pair table and conjugate per pair")
+        identity = tuple(_table_identity(tup, spec, i) for i in range(1, tup.n_marginals + 1))
+        brackets = tuple(_pair_brackets(tup, spec, key, tol) for key in sorted(spec.pairs))
+        max_viol = 0.0 - sum(b.lowest_bracket for b in brackets)  # 0.0, never -0.0
+        sizes = [len(u.values) for u in tup.potentials]
+        live = [int(np.count_nonzero(u.values != math.inf)) for u in tup.potentials]
+        return SplittingCertificate(
+            passed=max_viol <= tol
+            and max_resid <= tol
+            and all(t.max_residual <= tol for t in identity),
+            max_inequality_violation=max_viol,
+            max_equality_residual_on_gamma=max_resid,
+            worst_inequality_point=None,
+            worst_equality_point=worst_eq,
+            n_test_points=math.prod(sizes),
+            n_gamma_points=g.size,
+            n_vacuous=math.prod(sizes) - math.prod(live),
+            seed=None,
+            tol=tol,
+            pairs=brackets,
+            table_identity=identity,
+        )
+
     if test_points is None:
-        pts = sample_test_points(g, n_samples=n_samples, seed=seed)
-        used_seed: int | None = seed
+        used_seed: int | None = DEFAULT_SEED if seed is None else seed
+        pts = sample_test_points(
+            g, n_samples=DEFAULT_SAMPLES if n_samples is None else n_samples, seed=used_seed
+        )
     else:
         try:
             pts = _point_rows(test_points, spec.dims)
@@ -339,3 +442,43 @@ def certify_splitting(
         seed=used_seed,
         tol=tol,
     )
+
+
+def _table_identity(tup: SplittingTuple, spec: CostSpec, i: int) -> TableIdentity:
+    """u_i against its terms plus its shift, summed in assembly's order."""
+    u, n = tup.potentials[i - 1], tup.n_marginals
+    terms = [tup.pair_potentials[(i, k)] for k in range(i + 1, n + 1)]
+    terms += [tup.pair_conjugates[(k, i)] for k in range(1, i)]
+    if any(t.points.shape != u.points.shape or not np.array_equal(t.points, u.points)
+           for t in terms):
+        raise InputValidationError(
+            f"a pair table of u_{i} is not on the grid of u_{i} in its row order"
+        )
+    want = sum(t.values for t in terms) + spec.shift_values(i, u.points)
+    # Equal entries (+inf against +inf included) are no residual.
+    resid = np.abs(np.subtract(want, u.values, out=np.zeros(len(want)), where=want != u.values))
+    if not len(resid):
+        return TableIdentity(i, 0.0, None)
+    k = int(resid.argmax())
+    return TableIdentity(i, float(resid[k]), tuple(u.points[k].tolist()))
+
+
+def _pair_brackets(
+    tup: SplittingTuple, spec: CostSpec, key: tuple[int, int], tol: float
+) -> PairBrackets:
+    """The brackets of pair key over grid_i x grid_j, PAIR_BLOCK_CELLS cells
+    at a time; the first lowest cell in row-major order wins."""
+    f, fc, cost = tup.pair_potentials[key], tup.pair_conjugates[key], spec.pair_cost(*key)
+    rows = np.flatnonzero(f.values != math.inf) if len(fc.values) else np.empty(0, dtype=int)
+    step = max(1, PAIR_BLOCK_CELLS // max(1, len(fc.values)))
+    lowest, at, contacts = math.inf, None, 0
+    for r0 in range(0, len(rows), step):
+        r = rows[r0:r0 + step]
+        b = (f.values[r, None] + fc.values) - cost.matrix(f.points[r], fc.points)
+        k = int(b.argmin())
+        if b.flat[k] < lowest:
+            a, c = divmod(k, b.shape[1])
+            lowest = float(b.flat[k])
+            at = (tuple(f.points[r[a]].tolist()), tuple(fc.points[c].tolist()))
+        contacts += int(np.count_nonzero(b <= tol))
+    return PairBrackets(key, len(rows) * len(fc.values), lowest, at, contacts)

@@ -9,11 +9,13 @@ brute-force loop one multiset at a time, the row dedup sorts every row
 column by column, the projections dedup the points as tuples, and the
 generators build monotone structure by construction rather than by
 checking it.  The exactness probe, which no command runs, lives here with
-its one-point evaluator ``sum_at``, as does ``add_separable_shift``, which
-builds the shifted costs of the invariance tests.  ``gathered_certificate``
-is a reference of another kind: the certificate's earlier vectorized sum,
-which gathers the live rows for every potential and reads every value
-through the table lookup, and which the library must equal bit for bit.
+its one-point evaluator ``sum_at``, as do ``add_separable_shift``, which
+builds the shifted costs of the invariance tests, and
+``is_two_marginal_cyclically_monotone``, the projection verdict on a list
+of pairs.  ``gathered_certificate`` is a reference of another kind: the
+certificate's earlier vectorized sum, which gathers the live rows for
+every potential and reads every value through the table lookup, and which
+the library's point path must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from monosplit.core import (
     as_point,
     as_vec,
     classical_cost,
+    dedup_pairs,
     marginal_blocks,
 )
 from monosplit.errors import (
@@ -56,6 +59,7 @@ from monosplit.monotone import (
     MonotonicityVerdict,
     Witness,
     _check_gamma_against_spec,
+    _cycle_verdict,
     _full_pair_matrices,
     _perm_array,
     is_n_c_monotone_bruteforce,
@@ -118,6 +122,23 @@ def project_pair(g: GammaSet, i: int, j: int) -> tuple[tuple[Vec, Vec], ...]:
     if i >= j:
         raise IndexOutOfRange("project_pair requires i < j")
     return tuple(dict.fromkeys((p[i - 1], p[j - 1]) for p in g.points))
+
+
+def is_two_marginal_cyclically_monotone(
+    pairs: Sequence[tuple],
+    cost: PairwiseCost,
+    tol: float = DEFAULT_TOL,
+) -> MonotonicityVerdict:
+    """Cyclic monotonicity of a finite set of (x, y) pairs given as a list:
+    the verdict check_projection_condition gives a projection, on the
+    distinct pairs in first-seen order.
+
+    Equivalent to n-c-monotonicity for every n at once: a violating
+    permutation decomposes into cycles, and a cyclic shift along any
+    positive cycle is itself a violation.
+    """
+    xs, ys = dedup_pairs(pairs)
+    return _cycle_verdict(xs, ys, cost, tol)
 
 
 def gamma_1d(rows: Sequence[Sequence[float]]) -> GammaSet:

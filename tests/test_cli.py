@@ -16,7 +16,7 @@ from monosplit import cli, onedim
 from monosplit.antiderivative import Potential, rockafellar_potential
 from monosplit.cli import build_parser, main
 from monosplit.core import GammaSet, PairwiseCost, classical_cost, loads_json
-from monosplit.errors import InputValidationError
+from monosplit.errors import InputValidationError, ParseError
 from monosplit.splitting import SplittingTuple, certify_splitting
 
 DIAGONAL_DOC = gamma_1d([[t, t, t] for t in (-1.0, 0.0, 1.0)]).to_json()
@@ -156,12 +156,13 @@ def test_report_echoes_a_path_with_a_tab(capsys, tmp_path):
 
 
 def test_split_stdout_document(capsys, gamma_file):
-    code, out, _ = _run(capsys, ["split", gamma_file, "--samples", "300"])
+    code, out, _ = _run(capsys, ["split", gamma_file])
     assert code == 0
     doc = json.loads(out)
     assert len(doc["potentials"]) == 3
     assert doc["certificate"]["passed"]
-    assert doc["certificate"]["seed"] == 0
+    assert doc["certificate"]["seed"] is None
+    assert (doc["certificate"]["n_test_points"], doc["certificate"]["n_vacuous"]) == (27, 0)
     assert doc["certificate"]["max_equality_residual_on_gamma"] == 0.0
 
 
@@ -169,7 +170,7 @@ def test_split_outdir_roundtrip(capsys, gamma_file, tmp_path):
     out_dir = tmp_path / "result"
     code, _, _ = _run(
         capsys,
-        ["split", gamma_file, "--samples", "300", "--out", str(out_dir)],
+        ["split", gamma_file, "--out", str(out_dir)],
     )
     assert code == 0
     names = {p.name for p in out_dir.iterdir()}
@@ -198,7 +199,7 @@ def test_split_outdir_roundtrip(capsys, gamma_file, tmp_path):
 
 def test_split_grid_extends_tables(capsys, gamma_file):
     code, out, _ = _run(
-        capsys, ["split", gamma_file, "--grid=-2:2:1", "--samples", "100"]
+        capsys, ["split", gamma_file, "--grid=-2:2:1"]
     )
     assert code == 0
     doc = json.loads(out)
@@ -238,11 +239,11 @@ PASSING_2D_DOC = json.loads((DATA / "verify_passing_2d_gamma.json").read_text())
 
 @pytest.mark.parametrize("files, argv, exit_code, pinned", [
     ({"gamma.json": gamma_1d(SIGNED_ZERO_1D).to_json()},
-     ["split", "gamma.json", "--grid=-2:2:0.25", "--samples", "500"], 0, "split_signed_zero_1d.json"),
+     ["split", "gamma.json", "--grid=-2:2:0.25"], 0, "split_signed_zero_1d.json"),
     ({"gamma.json": PASSING_2D_DOC},
-     ["split", "gamma.json", "--cost", "c3", "--samples", "500"], 0, "split_2d_c3.json"),
+     ["split", "gamma.json", "--cost", "c3"], 0, "split_2d_c3.json"),
     ({"gamma.json": gamma_1d(TAB_GAMMA).to_json(), "cost.json": MIXED_COST},
-     ["split", "gamma.json", "--cost", "cost.json", "--samples", "500"], 0,
+     ["split", "gamma.json", "--cost", "cost.json"], 0,
      "split_mixed_cost.json"),
     ({"pairs.json": SIGNED_PAIRS},
      ["rockafellar", "pairs.json", "--grid=-1.5:1.5:0.5"], 0, "rockafellar_grid.json"),
@@ -379,10 +380,9 @@ def test_example_knott_smith_quadrature_meets_the_closed_forms(capsys):
 @pytest.mark.parametrize("argv, certificates", [
     (["example", "quadratic", "--samples", "200"], 2),
     (["example", "knott-smith", "--tmax", "0.5", "--samples", "200"], 2),
-    (["split", None, "--samples", "200"], 1),
 ])
 def test_a_command_draws_one_sample_for_all_its_certificates(
-    capsys, monkeypatch, gamma_file, argv, certificates
+    capsys, monkeypatch, argv, certificates
 ):
     calls = {"sample_test_points": [], "certify_splitting": []}
     for name in calls:
@@ -394,7 +394,6 @@ def test_a_command_draws_one_sample_for_all_its_certificates(
             return result
 
         monkeypatch.setattr(cli, name, counted)
-    argv = [gamma_file if a is None else a for a in argv]
     code, out, _ = _run(capsys, [*argv, "--seed", "4"])
     assert code == 0
     [sample] = calls["sample_test_points"]
@@ -492,9 +491,8 @@ def test_usage_errors(capsys, gamma_file, pairs_file):
             code, out, err = _run(capsys, [*argv, "--tol", tol])
             assert (code, out) == (2, "")
             assert err == "error: tolerance must be finite and positive\n"
-    for argv in commands[1:3]:
-        code, out, err = _run(capsys, [*argv, "--samples", "-1"])
-        assert (code, out, err) == (2, "", "error: sample count must be nonnegative\n")
+    code, out, err = _run(capsys, ["example", "young", "--samples", "-1"])
+    assert (code, out, err) == (2, "", "error: sample count must be nonnegative\n")
     # refused as input, with a message and no traceback
     for argv in (["--dim", "-1"], ["--dim", "0"], ["--n", "0"]):
         code, out, err = _run(capsys, ["example", "quadratic", *argv])
@@ -504,7 +502,7 @@ def test_usage_errors(capsys, gamma_file, pairs_file):
 @pytest.mark.parametrize("command, flag", [
     ("verify", "--seed"), ("verify", "--samples"), ("verify", "--format"),
     ("rockafellar", "--seed"), ("rockafellar", "--samples"), ("rockafellar", "--format"),
-    ("split", "--format"),
+    ("split", "--format"), ("split", "--seed"), ("split", "--samples"),
 ])
 def test_a_flag_the_command_does_not_read_is_a_usage_error(
     capsys, gamma_file, pairs_file, command, flag
@@ -525,7 +523,7 @@ def test_input_errors_come_before_the_tolerance_check(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv, inputs", [
     (["verify", "GAMMA"], ["GAMMA"]),
-    (["split", "GAMMA", "--samples", "100"], ["GAMMA"]),
+    (["split", "GAMMA"], ["GAMMA"]),
     (["rockafellar", "PAIRS"], ["PAIRS"]),
     (["example", "quadratic", "--samples", "100"], []),
     (["example", "counterexample", "--samples", "50"], []),
@@ -554,6 +552,14 @@ def test_grid_holds_no_point_past_hi():
                     ("-2:2:0.25", 17), ("-1:2:0.5", 7), ("-0.3:0:0.1", 4)):
         lo, _, step = map(float, text.split(":"))
         assert cli._parse_grid(text) == tuple(lo + k * step for k in range(n))
+
+
+def test_grid_cap_counts_the_points_left_after_the_trim():
+    # 0:99999.6:1 rounds to 100 001 points and drops the last, past hi
+    for text in ("0:99999.6:1", "0:99999.4:1"):
+        assert cli._parse_grid(text) == tuple(float(k) for k in range(cli.GRID_CAP))
+    with pytest.raises(ParseError, match="would hold more than 100000 points"):
+        cli._parse_grid("0:100000.4:1")
 
 
 def test_parse_errors(capsys, tmp_path, gamma_file):

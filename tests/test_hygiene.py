@@ -3,8 +3,8 @@ the package imports nothing at run time but the standard library, NumPy and
 itself, no module calls ``json.dump`` or ``json.dumps`` (``core.dumps_json``
 is the one JSON writer), no module reads an ``_``-prefixed attribute of an
 object other than ``self`` or ``cls``, every function the benchmark tracer wraps still
-exists, and the README's Library examples run on the package's top-level
-exports.
+exists, the certificate fields its counter reads still exist, and the
+README's Library examples run on the package's top-level exports.
 
 The scan reads each module of the package (not ``__init__.py``, whose
 imports are its public re-exports) with :mod:`ast`.  A name counts as used
@@ -181,14 +181,19 @@ def test_no_module_reads_another_objects_private_attributes(module):
     assert _private_reads((PACKAGE / module).read_text()) == []
 
 
-def test_traced_functions_exist():
-    # A deleted or renamed target would otherwise fail only when the
-    # benchmark runs with tracing on.
+def _bench_trace():
     spec = importlib.util.spec_from_file_location(
         "bench_trace", ROOT / "perfbench" / "bench_trace.py"
     )
     bench_trace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_trace)
+    return bench_trace
+
+
+def test_traced_functions_exist():
+    # A deleted or renamed target would otherwise fail only when the
+    # benchmark runs with tracing on.
+    bench_trace = _bench_trace()
     missing = [
         f"{short}.{name}"
         for short, funcs in bench_trace.TARGETS.items()
@@ -196,6 +201,23 @@ def test_traced_functions_exist():
         if not callable(getattr(importlib.import_module(f"monosplit.{short}"), name, None))
     ]
     assert missing == []
+
+
+def test_the_tracer_counts_both_kinds_of_certificate():
+    # The tracer reads n_test_points and n_vacuous from each certificate; a
+    # renamed field would fail only when the benchmark runs with tracing on.
+    from monosplit import assemble_splitting_tuple, certify_splitting
+    from monosplit.core import GammaSet, QuadraticForm, classical_cost
+    from monosplit.splitting import SplittingTuple
+
+    count = _bench_trace().TARGETS["splitting"]["certify_splitting"]
+    cost = classical_cost("c1", 2, 1)
+    g = GammaSet.from_points([[0.0, 0.0], [1.0, 1.0]])
+    half_square = SplittingTuple.from_closed_forms([QuadraticForm(((1.0,),))] * 2)
+    table_product = certify_splitting(assemble_splitting_tuple(g, cost), g, cost)
+    on_points = certify_splitting(half_square, g, cost, test_points=g.points)
+    assert count((), {}, table_product) == {"points": 4, "vacuous": 0}
+    assert count((), {}, on_points) == {"points": 2, "vacuous": 0}
 
 
 def _readme_library_blocks() -> list[str]:

@@ -20,6 +20,7 @@ from helpers import (
     bruteforce_loop,
     coupling_oracle_holds,
     gamma_1d,
+    is_two_marginal_cyclically_monotone,
     make_comonotone_gamma,
     make_random_gamma,
     make_random_pairs,
@@ -42,7 +43,6 @@ from monosplit.monotone import (
     is_c_monotone,
     is_n_c_monotone_bruteforce,
     is_pair_monotone_classical,
-    is_two_marginal_cyclically_monotone,
     recheck_witness,
     scan_gain_digraph,
     sign_criterion_1d,

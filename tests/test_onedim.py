@@ -419,7 +419,7 @@ def test_one_scan_per_antiderivative_and_one_antiderivative_per_projection(monke
 def test_battery_stops_testing_projections_once_their_item_fails(monkeypatch):
     calls = []
     # The battery reads its projections as arrays, through the array bodies
-    # of is_two_marginal_cyclically_monotone and is_pair_monotone_classical.
+    # of the projection verdict and is_pair_monotone_classical.
     for name in ("_cycle_verdict", "_classical_verdict"):
         def counted(*args, _fn=getattr(onedim, name), _name=name, **kwargs):
             calls.append(_name)

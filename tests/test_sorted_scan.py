@@ -20,7 +20,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import bruteforce_cycle_gain, chain_enumeration_oracle, gamma_1d
+from helpers import (
+    bruteforce_cycle_gain,
+    chain_enumeration_oracle,
+    gamma_1d,
+    is_two_marginal_cyclically_monotone,
+)
 from monosplit import monotone
 from monosplit.cli import main
 from monosplit.core import CostSpec, PairwiseCost, classical_cost
@@ -28,7 +33,6 @@ from monosplit.errors import InputValidationError
 from monosplit.monotone import (
     DEFAULT_TOL,
     check_projection_condition,
-    is_two_marginal_cyclically_monotone,
     scan_gain_digraph,
 )
 from monosplit.quadratic import commuting_spd_gamma, random_commuting_spds

@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import (
     check_exactness_condition,
@@ -20,12 +22,15 @@ from helpers import (
     sum_at,
     table_values_at,
 )
+from monosplit import splitting
 from monosplit.antiderivative import Potential
 from monosplit.core import (
+    CostSpec,
     EvenPowerForm,
     GammaSet,
     IndicatorQuadraticForm,
     LinearForm,
+    PairwiseCost,
     QuadraticForm,
     as_point,
     classical_cost,
@@ -49,6 +54,7 @@ from monosplit.quadratic import (
 )
 from monosplit.splitting import (
     SplittingTuple,
+    TableIdentity,
     assemble_splitting_tuple,
     certify_splitting,
     sample_test_points,
@@ -66,6 +72,12 @@ def _table(potential):
     return {p[0]: v for p, v in zip(potential.points, potential.values)}
 
 
+def _bare(tup):
+    """The tuple's potentials without their pair tables, so that they are
+    certified on test points."""
+    return SplittingTuple(tup.potentials, {}, {})
+
+
 def test_diagonal_assembly_frozen_tables():
     tup = assemble_splitting_tuple(DIAGONAL, C1)
     assert tup.base_point == ((-1.0,), (-1.0,), (-1.0,))
@@ -76,14 +88,14 @@ def test_diagonal_assembly_frozen_tables():
 
 def test_diagonal_certificate_is_exact_on_the_cube():
     tup = assemble_splitting_tuple(DIAGONAL, C1)
-    cert = certify_splitting(tup, DIAGONAL, C1, test_points=CUBE)
+    cert = certify_splitting(tup, DIAGONAL, C1)  # the product of the tables is the cube
     assert cert.passed
-    assert cert.max_inequality_violation == 0.0  # attained on the set itself
+    assert cert.max_inequality_violation == 0.0  # every pair's brackets touch 0
     assert cert.max_equality_residual_on_gamma == 0.0
     assert cert.n_test_points == 27
     assert cert.n_gamma_points == 3
     assert cert.n_vacuous == 0
-    assert cert.seed is None  # explicit points, nothing was sampled
+    assert (cert.seed, cert.worst_inequality_point) == (None, None)  # nothing was sampled
 
 
 def test_diagonal_exactness_lists_equality_beyond_the_set():
@@ -106,7 +118,7 @@ def test_shift_covariance_between_plain_and_shifted_costs():
         assert u.points.tolist() == v.points.tolist()
         for a, b in zip(u.values, v.values):
             assert a == pytest.approx(b, abs=1e-12)
-    cert = certify_splitting(shifted, DIAGONAL, C3, test_points=CUBE)
+    cert = certify_splitting(shifted, DIAGONAL, C3)
     assert cert.passed
 
 
@@ -121,9 +133,9 @@ def test_shift_rejects_closed_form_backed_potentials():
 def test_translated_set_still_certifies():
     moved = DIAGONAL.translated(((0.5,), (-1.0,), (2.0,)))
     tup = assemble_splitting_tuple(moved, C1)
-    cert = certify_splitting(tup, moved, C1, n_samples=200, seed=11)
+    cert = certify_splitting(tup, moved, C1)
     assert cert.passed
-    assert cert.seed == 11
+    assert cert.seed is None
 
 
 def test_zero_tuple_fails_with_exact_numbers():
@@ -155,7 +167,7 @@ def test_sampler_drops_lattice_points_already_in_the_set():
 
 
 def test_vacuous_points_are_counted_not_failed():
-    tup = assemble_splitting_tuple(DIAGONAL, C1)
+    tup = _bare(assemble_splitting_tuple(DIAGONAL, C1))
     pts = CUBE + [((5.0,), (0.0,), (0.0,))]
     assert sum_at(tup, ((5.0,), (0.0,), (0.0,))) == math.inf
     cert = certify_splitting(tup, DIAGONAL, C1, test_points=pts)
@@ -165,7 +177,7 @@ def test_vacuous_points_are_counted_not_failed():
 
 
 def test_misshapen_test_point_is_rejected_not_vacuous():
-    tup = assemble_splitting_tuple(DIAGONAL, C1)
+    tup = _bare(assemble_splitting_tuple(DIAGONAL, C1))
     for bad in (((0.0, 5.0), (0.0,), (0.0,)), ((0.0,), (0.0,))):
         with pytest.raises(DimensionMismatch):
             certify_splitting(tup, DIAGONAL, C1, test_points=CUBE + [bad])
@@ -175,7 +187,7 @@ def test_misshapen_test_point_is_rejected_not_vacuous():
 
 
 def test_test_points_fail_with_the_one_point_checks_errors():
-    tup = assemble_splitting_tuple(DIAGONAL, C1)
+    tup = _bare(assemble_splitting_tuple(DIAGONAL, C1))
     for bad in (((0.0, 5.0), (0.0,), (0.0,)), ((0.0,), (0.0,), (0.0,), (0.0,)),
                 ((0.0,), (1.0, 2.0), 0.0), ((math.nan,), (0.0,), (0.0,)),
                 (0.0, -math.inf, 1.0), ((0.0,), (0.0,), (1.0, math.inf))):
@@ -187,7 +199,7 @@ def test_test_points_fail_with_the_one_point_checks_errors():
 
 
 def test_scalar_marginals_are_accepted_as_test_points():
-    tup = assemble_splitting_tuple(DIAGONAL, C1)
+    tup = _bare(assemble_splitting_tuple(DIAGONAL, C1))
     scalars = [tuple(x[0] for x in p) for p in CUBE]
     want = certify_splitting(tup, DIAGONAL, C1, test_points=CUBE)
     for pts in (scalars, scalars[:13] + CUBE[13:], np.array(scalars)):
@@ -211,7 +223,7 @@ def test_certificate_matches_the_scalar_loop_on_tables(rng, which):
     spec = spec.negated() if which.startswith("-") else spec
     for _ in range(3):
         g = make_comonotone_gamma(rng, size=6)
-        tup = assemble_splitting_tuple(g, spec, eval_grids=[[0.0, -3.0]] * 3)
+        tup = _bare(assemble_splitting_tuple(g, spec, eval_grids=[[0.0, -3.0]] * 3))
         # every table holds 0.0, so the -0.0 coordinates must find it
         pts = list(itertools.product(*(u.points for u in tup.potentials)))
         pts += [((-0.0,), (-0.0,), (-0.0,)), ((-0.0,), (9.0,), (0.0,))]
@@ -237,7 +249,7 @@ def test_undefined_on_gamma_is_an_error():
     tup = assemble_splitting_tuple(DIAGONAL, C1)
     bigger = gamma_1d([[-1.0, -1.0, -1.0], [2.0, 2.0, 2.0]])
     with pytest.raises(UndefinedOnGamma):
-        certify_splitting(tup, bigger, C1, test_points=CUBE)
+        certify_splitting(tup, bigger, C1)
 
 
 def test_base_point_must_belong_to_the_set():
@@ -250,8 +262,9 @@ def test_eval_grids_extend_the_tables():
     for u in tup.potentials:
         assert (-2.0,) in u.points
         assert len(u.points) == 4
-    cert = certify_splitting(tup, DIAGONAL, C1, test_points=CUBE)
+    cert = certify_splitting(tup, DIAGONAL, C1)
     assert cert.passed
+    assert (cert.n_test_points, cert.n_vacuous) == (4**3, 0)
     with pytest.raises(InputValidationError):
         assemble_splitting_tuple(DIAGONAL, C1, eval_grids=[[-2.0]])
 
@@ -347,7 +360,7 @@ def test_tabulated_certificates_equal_the_gathering_reference(rng):
     for which in ("c1", "c3"):
         spec = classical_cost(which, 3, 1)
         g = make_comonotone_gamma(rng, size=8)
-        tup = assemble_splitting_tuple(g, spec, eval_grids=[[0.0, -3.0]] * 3)
+        tup = _bare(assemble_splitting_tuple(g, spec, eval_grids=[[0.0, -3.0]] * 3))
         pts = list(itertools.product(*(u.points for u in tup.potentials)))
         pts += [((-0.0,), (-0.0,), (-0.0,)), ((-0.0,), (9.0,), (0.0,)), ((0.0,), (0.0,), (9.0,))]
         for kwargs in ({"n_samples": 400, "seed": 4}, {"test_points": pts}):
@@ -422,3 +435,158 @@ def test_flattened_array_test_points_on_2d_marginals():
     for bad in (rows[:, :5], rows[:, :3], np.hstack([rows, rows[:, :1]]), rows.reshape(-1, 2, 3)):
         with pytest.raises(DimensionMismatch):
             certify_splitting(tup, g, spec, test_points=bad)
+
+
+# ---------------------------------------------------------------------------
+# Pairwise Fenchel-Young brackets over the product of the tables
+# ---------------------------------------------------------------------------
+
+
+def _lowered(tup, i, x, by):
+    """The tuple with u_i lowered by `by` at its grid point x, pair tables kept."""
+    pots = list(tup.potentials)
+    u = pots[i - 1]
+    values = np.array(u.values)
+    values[u.points[:, 0] == x] -= by
+    pots[i - 1] = Potential(u.points, values)
+    return SplittingTuple(tuple(pots), tup.pair_potentials, tup.pair_conjugates, tup.base_point)
+
+
+def test_lowered_table_value_off_gamma_is_refused_by_name():
+    rng = np.random.default_rng(7)
+    coords = np.sort(rng.uniform(-1.5, 1.5, size=(120, 3)), axis=0)
+    g = gamma_1d(coords.tolist())
+    grid = [[-2.0 + 0.25 * k] for k in range(17)]
+    tup = assemble_splitting_tuple(g, C1, eval_grids=[grid] * 3)
+    assert certify_splitting(tup, g, C1).passed
+    tampered = _lowered(tup, 2, 1.75, 1.0)  # 1.75 is off the set's projection
+    # The sample misses it; the points with x_2 = 1.75 do not.
+    assert gathered_certificate(tampered, g, C1).passed
+    row = [(a, (1.75,), b) for a, b in itertools.product(tup.potentials[0].points.tolist(),
+                                                         tup.potentials[2].points.tolist())]
+    violation = gathered_certificate(tampered, g, C1, test_points=row).max_inequality_violation
+    assert violation == pytest.approx(1.0, abs=1e-12)
+    cert = certify_splitting(tampered, g, C1)
+    assert not cert.passed
+    assert cert.table_identity[1] == TableIdentity(2, 1.0, (1.75,))
+    assert [t.max_residual for t in cert.table_identity] == [0.0, 1.0, 0.0]
+    assert cert.to_json()["table_identity"][1] == {
+        "marginal": 2, "max_residual": 1.0, "worst_point": [1.75]}
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans(),
+       st.floats(1e-6, 10.0))
+def test_any_lowered_value_off_gamma_is_refused_by_name(seed, i, right, by):
+    g = make_comonotone_gamma(np.random.default_rng(seed), size=4)
+    tup = assemble_splitting_tuple(g, C3, eval_grids=[[-5.0, 7.5]] * 3)
+    x = 7.5 if right else -5.0
+    cert = certify_splitting(_lowered(tup, i, x, by), g, C3)
+    assert not cert.passed
+    worst = max(cert.table_identity, key=lambda t: t.max_residual)
+    assert (worst.marginal, worst.worst_point) == (i, (x,))
+    assert worst.max_residual == pytest.approx(by, rel=1e-9, abs=1e-9)
+
+
+def _mixed_cost_case(seed):
+    """A scalar set under a cost mixing bilinear, tabulated and negated
+    pairs with shifts; the tabulated pair's grids hold every grid point."""
+    g = make_comonotone_gamma(np.random.default_rng(seed), size=5)
+    extra = [[-3.0], [4.5]]
+    xs = sorted({p[0][0] for p in g.points} | {-3.0, 4.5})
+    ys = sorted({p[2][0] for p in g.points} | {-3.0, 4.5})
+    spec = CostSpec((1, 1, 1), {
+        (1, 2): PairwiseCost.bilinear([[2.0]]),
+        (1, 3): PairwiseCost.tabulated(xs, ys, [[x * y + 0.5 * x for y in ys] for x in xs]),
+        (2, 3): PairwiseCost.half_sq_dist(-1),
+    }, ((LinearForm((1.0,), 0.5),), (), (QuadraticForm(((0.25,),)),)))
+    return g, spec, [extra] * 3
+
+
+def _oracle_cases():
+    for seed in range(3):
+        for which, n in (("c1", 3), ("-c2", 3), ("c3", 3), ("c1", 4), ("-c2", 4), ("c3", 4)):
+            spec = classical_cost(which.lstrip("-"), n, 1)
+            spec = spec.negated() if which.startswith("-") else spec
+            g = make_comonotone_gamma(np.random.default_rng(seed), n_marginals=n, size=5)
+            yield g, spec, [[[-3.0], [4.5]]] * n  # g_i <= 7
+        mats = random_commuting_spds(3, 2, seed=seed)
+        g = commuting_spd_gamma(mats, np.random.default_rng(seed).uniform(-2.0, 2.0, size=(8, 2)))
+        for which in ("c1", "c3"):
+            yield g, classical_cost(which, 3, 2), None
+        yield _mixed_cost_case(seed)
+
+
+def test_pairwise_bound_covers_the_enumerated_table_product():
+    for g, spec, grids in _oracle_cases():
+        tup = assemble_splitting_tuple(g, spec, eval_grids=grids)
+        assert all(len(u.points) <= 8 for u in tup.potentials)
+        cert = certify_splitting(tup, g, spec)
+        product = list(itertools.product(*(u.points.tolist() for u in tup.potentials)))
+        ref = gathered_certificate(tup, g, spec, test_points=product)
+        assert ref.max_inequality_violation <= cert.max_inequality_violation + 1e-12
+        assert cert.passed == ref.passed
+        assert (cert.n_test_points, cert.n_vacuous) == (ref.n_test_points, ref.n_vacuous)
+        for b in cert.pairs:  # each reduction against a loop over its cells
+            f, fc = tup.pair_potentials[b.pair], tup.pair_conjugates[b.pair]
+            cost = spec.pair_cost(*b.pair)
+            cells = [(f.value_at(x) + fc.value_at(y)) - cost.value(x, y)
+                     for x, y in itertools.product(f.points.tolist(), fc.points.tolist())]
+            assert b.cells == len(cells)
+            assert b.lowest_bracket == min(cells)
+            assert b.contacts == sum(v <= cert.tol for v in cells)
+
+
+@pytest.mark.parametrize("cells", [1, 40, splitting.PAIR_BLOCK_CELLS])
+def test_pair_reductions_keep_their_blocks_and_results(monkeypatch, cells):
+    rng = np.random.default_rng(11)
+    g = gamma_1d(np.sort(rng.uniform(-1.5, 1.5, size=(1000, 3)), axis=0).tolist())
+    tup = assemble_splitting_tuple(g, C1)
+    want = certify_splitting(tup, g, C1)
+    sizes = [len(u.points) for u in tup.potentials]
+    assert (want.n_test_points, want.n_vacuous) == (math.prod(sizes), 0)
+    shapes = []
+
+    def recorded(self, xs, ys, _matrix=PairwiseCost.matrix):
+        out = _matrix(self, xs, ys)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(splitting, "PAIR_BLOCK_CELLS", cells)
+    monkeypatch.setattr(PairwiseCost, "matrix", recorded)
+    got = certify_splitting(tup, g, C1)
+    _assert_same_certificate(got, want)
+    assert sum(r for r, _ in shapes) == sum(sizes[i - 1] for i, _ in C1.pairs)
+    assert all(r * c <= max(cells, c) for r, c in shapes)
+
+
+def test_pair_tables_must_match_the_grids_they_sum_into():
+    tup = assemble_splitting_tuple(DIAGONAL, C1)
+    f = tup.pair_potentials[(1, 3)]
+    shuffled = Potential(f.points[::-1], f.values[::-1])
+    for pots, conjs, message in (
+        ({**tup.pair_potentials, (1, 3): shuffled}, tup.pair_conjugates,
+         "a pair table of u_1 is not on the grid of u_1"),
+        (tup.pair_potentials, {(1, 2): tup.pair_conjugates[(1, 2)]},
+         "one pair table and conjugate per pair"),
+    ):
+        with pytest.raises(InputValidationError, match=message):
+            certify_splitting(SplittingTuple(tup.potentials, pots, conjs), DIAGONAL, C1)
+    for kwargs in ({"test_points": CUBE}, {"n_samples": 10}, {"seed": 0}):
+        with pytest.raises(InputValidationError, match="product of its tables"):
+            certify_splitting(tup, DIAGONAL, C1, **kwargs)
+
+
+def test_vacuous_product_points_are_counted_from_the_tables():
+    tup = assemble_splitting_tuple(DIAGONAL, C1, eval_grids=[[-2.0]] * 3)
+    pots = list(tup.potentials)
+    pair_pots = dict(tup.pair_potentials)
+    for key in ((1, 2), (1, 3)):  # u_1 = +inf at -2.0, and so are its terms
+        f = pair_pots[key]
+        pair_pots[key] = Potential(f.points, np.where(f.points[:, 0] == -2.0, math.inf, f.values))
+    pots[0] = Potential(pots[0].points, np.where(pots[0].points[:, 0] == -2.0, math.inf,
+                                                 pots[0].values))
+    cert = certify_splitting(SplittingTuple(tuple(pots), pair_pots, tup.pair_conjugates),
+                             DIAGONAL, C1)
+    assert cert.passed
+    assert (cert.n_test_points, cert.n_vacuous) == (64, 16)
+    assert [b.cells for b in cert.pairs] == [12, 12, 16]
