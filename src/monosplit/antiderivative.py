@@ -17,6 +17,9 @@ exact conjugate of f extended by +inf off its table, which keeps the
 Young-Fenchel inequality c(x, y) <= f(x) + f^c(y) valid everywhere under
 the same +inf convention.  Potentials therefore evaluate to +inf at points
 missing from their table unless a closed form is attached.
+
+Tabulation, conjugation and the antiderivative check reduce in shared row
+blocks, so peak memory does not grow as grid x pairs.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .errors import (
     NotCyclicallyMonotone,
     ParseError,
 )
-from .monotone import DEFAULT_TOL, scan_gain_digraph
+from .monotone import DEFAULT_TOL, _reduce_rows, scan_gain_digraph
 
 FORM_AGREEMENT_TOL = 1e-9
 
@@ -106,19 +109,9 @@ class Potential:
         """A potential defined everywhere by its analytic expression."""
         return cls((), (), closed_form=form)
 
-    @property
-    def is_proper(self) -> bool:
-        """True when some value is finite (closed forms count as proper)."""
-        if (self.values != math.inf).any():
-            return True
-        return self.closed_form is not None and not len(self.points)
-
     def value_at(self, x: float | Sequence[float]) -> float:
         """Table value, else closed form, else +inf: values_at on one row."""
         return float(self.values_at(_vec_rows([x]))[0])
-
-    def __call__(self, x: float | Sequence[float]) -> float:
-        return self.value_at(x)
 
     def values_at(self, xs: np.ndarray) -> np.ndarray:
         """The table value of each row of a (k, d) array by exact match,
@@ -189,22 +182,17 @@ def _chain_potential(cost: PairwiseCost, xs, ys, base: Vec, eval_points, tol: fl
     (m, d) row arrays, based at the validated point base."""
     source = find_rows(np.array([base]), xs) == 0
     if not source.any():
-        raise BasePointNotInProjection(
-            f"base point {base!r} is not a first coordinate of any pair"
-        )
+        raise BasePointNotInProjection(f"base point {base!r} is not a first coordinate of any pair")
     # The scan refuses non-finite edge gains c(x_v, y_u) - c(x_u, y_u), so the
     # gain digraph is complete: each pair is one step from a source, and the
     # seeded scan meets every cycle that an unseeded one would.
     scan = scan_gain_digraph(xs, ys, cost, tol=tol, source_mask=source)
     if scan.cycle is not None:
-        raise NotCyclicallyMonotone(
-            f"pairs contain a cycle with gain {scan.cycle_gain:.6g}",
-            scan.cycle,
-            scan.cycle_gain,
-        )
-    pts = dedup_vecs(eval_points)
-    gains = (scan.longest + cost.matrix(pts, ys)) - cost.paired(xs, ys)
-    best = gains[np.arange(len(pts)), gains.argmax(axis=1)]
+        raise NotCyclicallyMonotone(f"pairs contain a cycle with gain {scan.cycle_gain:.6g}",
+                                    scan.cycle, scan.cycle_gain)
+    pts, diag = dedup_vecs(eval_points), cost.paired(xs, ys)
+    _, best = _reduce_rows(lambda p: (scan.longest + cost.matrix(p, ys)) - diag,
+                           pts, len(ys), np.argmax)
     return Potential(pts, np.where(find_rows(np.array([base]), pts) == 0, 0.0, best))
 
 
@@ -221,9 +209,9 @@ def c_conjugate(
     finite = np.flatnonzero(f.values != math.inf)
     if not finite.size:
         raise ImproperInput("cannot conjugate a potential with no finite values")
-    pts = dedup_vecs(eval_points)
-    gains = cost.matrix(f.points[finite], pts) - f.values[finite, None]
-    return Potential(pts, gains[gains.argmax(axis=0), np.arange(len(pts))])
+    pts, table, vals = dedup_vecs(eval_points), f.points[finite], f.values[finite, None]
+    _, best = _reduce_rows(lambda p: (cost.matrix(table, p) - vals).T, pts, len(table), np.argmax)
+    return Potential(pts, best)
 
 
 @dataclass(frozen=True)
@@ -259,8 +247,8 @@ def _antiderivative_check(f: Potential, x1, x2, cost: PairwiseCost, tol: float) 
     if (fx == math.inf).any():
         return AntiderivativeCheck(False, math.inf)
     probes = np.flatnonzero(f.values != math.inf)
-    worst = -math.inf
-    if probes.size:
-        resid = ((fx + cost.matrix(f.points[probes], x2)) - f.values[probes, None]) - cost.paired(x1, x2)
-        worst = float(resid.max())
+    diag = cost.paired(x1, x2) if probes.size else None  # a closed form alone has no probes
+    _, hi = _reduce_rows(lambda k: ((fx + cost.matrix(f.points[k], x2)) - f.values[k, None]) - diag,
+                         probes, len(x2), np.argmax)
+    worst = float(hi.max(initial=-math.inf))
     return AntiderivativeCheck(worst <= tol, worst)

@@ -73,6 +73,18 @@ BRUTE_FORCE_BUDGET = 50_000_000
 PAIR_BLOCK_CELLS = 1 << 20
 
 
+def _reduce_rows(cells: Callable, rows: np.ndarray, n_cols: int, pick: Callable) -> tuple:
+    """Each row's first column where pick (np.argmax or np.argmin) lands, and the cell there;
+    cells(rows[a:b]) builds rows a to b of n_cols cells, PAIR_BLOCK_CELLS or one row at a time."""
+    step = max(1, PAIR_BLOCK_CELLS // max(1, n_cols))
+    cols, vals = np.empty(len(rows), dtype=np.intp), np.empty(len(rows))
+    for r0 in range(0, len(rows), step):
+        block = cells(rows[r0:r0 + step])
+        k = cols[r0:r0 + step] = pick(block, axis=1)
+        vals[r0:r0 + step] = block[np.arange(len(k)), k]
+    return cols, vals
+
+
 @dataclass(frozen=True)
 class Witness:
     """A concrete violation of the monotonicity inequality.

@@ -24,9 +24,9 @@ table identity, checked on its grid), every point x of that product has
     sum_i u_i(x_i) - c(x) = sum_{i<j} [f_{i,j}(x_i) + f_{i,j}^c(x_j) - c_{i,j}(x_i, x_j)],
 
 and each bracket is >= 0 by the discrete Fenchel-Young inequality.  So
-N(N-1)/2 reductions over grid_i x grid_j, in row blocks of at most
-PAIR_BLOCK_CELLS cells, bound max(c - sum u_i) over all prod_i |grid_i|
-points.  The claim covers that finite product, not a continuum.
+N(N-1)/2 reductions over grid_i x grid_j, in the row blocks assembly
+shares, so that no array grows as grid x pairs, bound max(c - sum u_i)
+over all prod_i |grid_i| points: that finite product, not a continuum.
 
 Tuples without pair tables (closed forms, curve potentials) are tested on
 a declared set of product points instead: G, a seeded lattice-and-uniform
@@ -69,7 +69,7 @@ from .errors import (
     ProjectionNotMonotone,
     UndefinedOnGamma,
 )
-from .monotone import DEFAULT_TOL, PAIR_BLOCK_CELLS, _check_gamma_against_spec
+from .monotone import DEFAULT_TOL, _check_gamma_against_spec, _reduce_rows
 
 DEFAULT_SAMPLES = 10_000
 DEFAULT_SEED = 0
@@ -466,19 +466,19 @@ def _table_identity(tup: SplittingTuple, spec: CostSpec, i: int) -> TableIdentit
 def _pair_brackets(
     tup: SplittingTuple, spec: CostSpec, key: tuple[int, int], tol: float
 ) -> PairBrackets:
-    """The brackets of pair key over grid_i x grid_j, PAIR_BLOCK_CELLS cells
-    at a time; the first lowest cell in row-major order wins."""
+    """The brackets of pair key over grid_i x grid_j; the first lowest in row-major order wins."""
     f, fc, cost = tup.pair_potentials[key], tup.pair_conjugates[key], spec.pair_cost(*key)
     rows = np.flatnonzero(f.values != math.inf) if len(fc.values) else np.empty(0, dtype=int)
-    step = max(1, PAIR_BLOCK_CELLS // max(1, len(fc.values)))
-    lowest, at, contacts = math.inf, None, 0
-    for r0 in range(0, len(rows), step):
-        r = rows[r0:r0 + step]
-        b = (f.values[r, None] + fc.values) - cost.matrix(f.points[r], fc.points)
-        k = int(b.argmin())
-        if b.flat[k] < lowest:
-            a, c = divmod(k, b.shape[1])
-            lowest = float(b.flat[k])
-            at = (tuple(f.points[r[a]].tolist()), tuple(fc.points[c].tolist()))
-        contacts += int(np.count_nonzero(b <= tol))
-    return PairBrackets(key, len(rows) * len(fc.values), lowest, at, contacts)
+    contacts = []
+
+    def cells(k):
+        b = (f.values[k, None] + fc.values) - cost.matrix(f.points[k], fc.points)
+        contacts.append(int(np.count_nonzero(b <= tol)))
+        return b
+
+    cols, low = _reduce_rows(cells, rows, len(fc.values), np.argmin)
+    lowest, at = math.inf, None
+    if len(low) and low[a := int(low.argmin())] < math.inf:
+        lowest = float(low[a])
+        at = (tuple(f.points[rows[a]].tolist()), tuple(fc.points[cols[a]].tolist()))
+    return PairBrackets(key, len(rows) * len(fc.values), lowest, at, sum(contacts))

@@ -15,7 +15,10 @@ builds the shifted costs of the invariance tests, and
 of pairs.  ``gathered_certificate`` is a reference of another kind: the
 certificate's earlier vectorized sum, which gathers the live rows for
 every potential and reads every value through the table lookup, and which
-the library's point path must equal bit for bit.
+the library's point path must equal bit for bit.  The ``dense_*``
+references are of that kind too: chain tabulation, conjugation, the
+antiderivative check and the pair brackets, each reduced over one whole
+matrix, which the library's blocked row reduction must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from monosplit.antiderivative import Potential
+from monosplit.antiderivative import AntiderivativeCheck, Potential
 from monosplit.core import (
     ClosedForm,
     CostSpec,
@@ -41,6 +44,8 @@ from monosplit.core import (
     as_vec,
     classical_cost,
     dedup_pairs,
+    dedup_vecs,
+    find_rows,
     marginal_blocks,
 )
 from monosplit.errors import (
@@ -49,6 +54,7 @@ from monosplit.errors import (
     IndexOutOfRange,
     InputValidationError,
     InternalInconsistency,
+    NotCyclicallyMonotone,
     NotOneDimensional,
     OrderTooLarge,
     UndefinedOnGamma,
@@ -63,6 +69,7 @@ from monosplit.monotone import (
     _full_pair_matrices,
     _perm_array,
     is_n_c_monotone_bruteforce,
+    scan_gain_digraph,
 )
 from monosplit.onedim import (
     GRADE_LIMIT,
@@ -75,6 +82,7 @@ from monosplit.onedim import (
 from monosplit.splitting import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
+    PairBrackets,
     SplittingCertificate,
     SplittingTuple,
     sample_test_points,
@@ -552,6 +560,59 @@ def gathered_certificate(
         seed=used_seed,
         tol=tol,
     )
+
+
+def dense_chain_potential(cost: PairwiseCost, xs, ys, base, eval_points, tol: float) -> Potential:
+    """_chain_potential with the gains of every eval point and pair in one
+    matrix, reduced by argmax along the pairs."""
+    source = find_rows(np.array([base]), xs) == 0
+    scan = scan_gain_digraph(xs, ys, cost, tol=tol, source_mask=source)
+    if scan.cycle is not None:
+        raise NotCyclicallyMonotone("dense reference: positive cycle", scan.cycle, scan.cycle_gain)
+    pts = dedup_vecs(eval_points)
+    gains = (scan.longest + cost.matrix(pts, ys)) - cost.paired(xs, ys)
+    best = gains[np.arange(len(pts)), gains.argmax(axis=1)]
+    return Potential(pts, np.where(find_rows(np.array([base]), pts) == 0, 0.0, best))
+
+
+def dense_c_conjugate(f: Potential, cost: PairwiseCost, eval_points) -> Potential:
+    """c_conjugate with c(x, y) - f(x) over f's finite table and every query
+    in one matrix, reduced by argmax along the table."""
+    finite = np.flatnonzero(f.values != math.inf)
+    pts = dedup_vecs(eval_points)
+    gains = cost.matrix(f.points[finite], pts) - f.values[finite, None]
+    return Potential(pts, gains[gains.argmax(axis=0), np.arange(len(pts))])
+
+
+def dense_antiderivative_check(f: Potential, x1, x2, cost: PairwiseCost,
+                               tol: float) -> AntiderivativeCheck:
+    """_antiderivative_check with the residuals of every probe and pair in
+    one matrix, reduced by max."""
+    fx = f.values_at(x1)
+    if (fx == math.inf).any():
+        return AntiderivativeCheck(False, math.inf)
+    probes = np.flatnonzero(f.values != math.inf)
+    worst = -math.inf
+    if probes.size:
+        resid = ((fx + cost.matrix(f.points[probes], x2)) - f.values[probes, None]) \
+            - cost.paired(x1, x2)
+        worst = float(resid.max())
+    return AntiderivativeCheck(worst <= tol, worst)
+
+
+def dense_pair_brackets(tup: SplittingTuple, spec: CostSpec, key: tuple[int, int],
+                        tol: float) -> PairBrackets:
+    """_pair_brackets with every bracket of the pair in one matrix: the
+    first lowest cell in row-major order by flat argmin."""
+    f, fc, cost = tup.pair_potentials[key], tup.pair_conjugates[key], spec.pair_cost(*key)
+    rows = np.flatnonzero(f.values != math.inf) if len(fc.values) else np.empty(0, dtype=int)
+    b = (f.values[rows, None] + fc.values) - cost.matrix(f.points[rows], fc.points)
+    lowest, at = math.inf, None
+    if b.size and b.flat[k := int(b.argmin())] < lowest:
+        a, c = divmod(k, b.shape[1])
+        lowest = float(b.flat[k])
+        at = (tuple(f.points[rows[a]].tolist()), tuple(fc.points[c].tolist()))
+    return PairBrackets(key, b.size, lowest, at, int(np.count_nonzero(b <= tol)))
 
 
 EXACTNESS_BUDGET = 1_000_000

@@ -2,9 +2,11 @@
 the package imports nothing at run time but the standard library, NumPy and
 itself, no module calls ``json.dump`` or ``json.dumps`` (``core.dumps_json``
 is the one JSON writer), no module reads an ``_``-prefixed attribute of an
-object other than ``self`` or ``cls``, every function the benchmark tracer wraps still
-exists, the certificate fields its counter reads still exist, and the
-README's Library examples run on the package's top-level exports.
+object other than ``self`` or ``cls``, ``argmax`` and ``argmin`` take an
+axis only in the blocked row kernel and the relaxation scan, every function
+the benchmark tracer wraps still exists, the certificate fields its counter
+reads still exist, and the README's Library examples run on the package's
+top-level exports.
 
 The scan reads each module of the package (not ``__init__.py``, whose
 imports are its public re-exports) with :mod:`ast`.  A name counts as used
@@ -149,6 +151,57 @@ def test_the_json_writer_scan_sees_calls_and_imports():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_dumps_json_is_the_one_json_writer(module):
     assert _json_writer_calls((PACKAGE / module).read_text()) == []
+
+
+def _axis_reductions(source: str) -> list[str]:
+    """Each argmax or argmin call given an axis (by keyword, or as the
+    argument after the array), as "function: line" with the innermost
+    enclosing def, in source order."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        func = getattr(node, "func", None)
+        name = getattr(func, "attr", getattr(func, "id", None))
+        if isinstance(node, ast.Call) and name in ("argmax", "argmin"):
+            # np.argmax(a, axis) passes the array first; a.argmax(axis) does not.
+            array_first = isinstance(func, ast.Name) or (
+                isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy"))
+            if any(k.arg == "axis" for k in node.keywords) or len(node.args) > array_first:
+                found.append((node.lineno, f"{where}: {node.lineno}"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return [entry for _, entry in sorted(found)]
+
+
+def test_the_axis_reduction_scan_sees_methods_functions_and_positional_axes():
+    source = (
+        "import numpy as np\n"
+        "def f(a):\n"
+        "    def g(b):\n"
+        "        return b.argmin(axis=0), b.argmin()\n"
+        "    return np.argmax(a, 1), a.argmax(), a.argmin(0), np.argmax(a)\n"
+        "top = np.argmin(x, axis=1)\n"
+    )
+    assert _axis_reductions(source) == ["g: 4", "f: 5", "f: 5", "<module>: 6"]
+
+
+# Row reductions along an axis go through monotone._reduce_rows, in blocks of
+# at most PAIR_BLOCK_CELLS cells, so that no caller builds a dense matrix to
+# reduce.  _relaxation_scan keeps its dense rounds: its cand.min(axis=0) keeps
+# the last of tied +-0.0 (np.array([0.0, -0.0]).min() is -0.0) where an argmin
+# gather keeps the first, so routing it through the kernel could flip signed
+# zeros in its distances and in the chain values built on them.
+AXIS_REDUCERS = {"_reduce_rows", "_relaxation_scan"}
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_axis_argmax_and_argmin_live_only_in_the_row_kernel(module):
+    found = _axis_reductions((PACKAGE / module).read_text())
+    assert [f for f in found if f.split(":")[0] not in AXIS_REDUCERS] == []
 
 
 def _private_reads(source: str) -> list[str]:

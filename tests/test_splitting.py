@@ -22,7 +22,7 @@ from helpers import (
     sum_at,
     table_values_at,
 )
-from monosplit import splitting
+from monosplit import monotone
 from monosplit.antiderivative import Potential
 from monosplit.core import (
     CostSpec,
@@ -536,7 +536,7 @@ def test_pairwise_bound_covers_the_enumerated_table_product():
             assert b.contacts == sum(v <= cert.tol for v in cells)
 
 
-@pytest.mark.parametrize("cells", [1, 40, splitting.PAIR_BLOCK_CELLS])
+@pytest.mark.parametrize("cells", [1, 40, monotone.PAIR_BLOCK_CELLS])
 def test_pair_reductions_keep_their_blocks_and_results(monkeypatch, cells):
     rng = np.random.default_rng(11)
     g = gamma_1d(np.sort(rng.uniform(-1.5, 1.5, size=(1000, 3)), axis=0).tolist())
@@ -551,8 +551,14 @@ def test_pair_reductions_keep_their_blocks_and_results(monkeypatch, cells):
         shapes.append(out.shape)
         return out
 
-    monkeypatch.setattr(splitting, "PAIR_BLOCK_CELLS", cells)
+    monkeypatch.setattr(monotone, "PAIR_BLOCK_CELLS", cells)
     monkeypatch.setattr(PairwiseCost, "matrix", recorded)
+    built = assemble_splitting_tuple(g, C1)
+    assert dumps_json(built.to_json()) == dumps_json(tup.to_json())  # signed zeros too
+    # Conjugation builds its blocks as (table, queries), so a block over the
+    # cap is one row of the reduction along either axis.
+    assert shapes and all(r * c <= max(cells, r, c) for r, c in shapes)
+    shapes.clear()
     got = certify_splitting(tup, g, C1)
     _assert_same_certificate(got, want)
     assert sum(r for r, _ in shapes) == sum(sizes[i - 1] for i, _ in C1.pairs)
