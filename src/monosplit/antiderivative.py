@@ -18,8 +18,12 @@ Young-Fenchel inequality c(x, y) <= f(x) + f^c(y) valid everywhere under
 the same +inf convention.  Potentials therefore evaluate to +inf at points
 missing from their table unless a closed form is attached.
 
-Tabulation, conjugation and the antiderivative check reduce in shared row
-blocks, so peak memory does not grow as grid x pairs.
+Tabulation, conjugation and the antiderivative check are each one
+c-transform (:func:`monosplit.monotone.c_transform`): R(p) = max_k
+[c(p, y_k) - h_k] with h_k = c(x_k, y_k) - longest_k over the pairs, f^c
+with h = f over f's finite table, and f(x1) + f^c(x2) - c(x1, x2) <= tol on
+the pairs.  The transform works in row blocks, so peak memory does not grow
+as grid x pairs.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from .errors import (
     NotCyclicallyMonotone,
     ParseError,
 )
-from .monotone import DEFAULT_TOL, _reduce_rows, scan_gain_digraph
+from .monotone import DEFAULT_TOL, c_transform, scan_gain_digraph
 
 FORM_AGREEMENT_TOL = 1e-9
 
@@ -190,9 +194,9 @@ def _chain_potential(cost: PairwiseCost, xs, ys, base: Vec, eval_points, tol: fl
     if scan.cycle is not None:
         raise NotCyclicallyMonotone(f"pairs contain a cycle with gain {scan.cycle_gain:.6g}",
                                     scan.cycle, scan.cycle_gain)
-    pts, diag = dedup_vecs(eval_points), cost.paired(xs, ys)
-    _, best = _reduce_rows(lambda p: (scan.longest + cost.matrix(p, ys)) - diag,
-                           pts, len(ys), np.argmax)
+    # R(p) = max_k [c(p, y_k) - h_k], h_k = c(x_k, y_k) - longest_k: a c-transform over the y_k.
+    pts = dedup_vecs(eval_points)
+    best, _ = c_transform(cost, ys, cost.paired(xs, ys) - scan.longest, pts, False)
     return Potential(pts, np.where(find_rows(np.array([base]), pts) == 0, 0.0, best))
 
 
@@ -209,8 +213,8 @@ def c_conjugate(
     finite = np.flatnonzero(f.values != math.inf)
     if not finite.size:
         raise ImproperInput("cannot conjugate a potential with no finite values")
-    pts, table, vals = dedup_vecs(eval_points), f.points[finite], f.values[finite, None]
-    _, best = _reduce_rows(lambda p: (cost.matrix(table, p) - vals).T, pts, len(table), np.argmax)
+    pts = dedup_vecs(eval_points)
+    best, _ = c_transform(cost, f.points[finite], f.values[finite], pts, True)
     return Potential(pts, best)
 
 
@@ -246,9 +250,9 @@ def _antiderivative_check(f: Potential, x1, x2, cost: PairwiseCost, tol: float) 
     fx = f.values_at(x1)
     if (fx == math.inf).any():
         return AntiderivativeCheck(False, math.inf)
+    # max over probes x1' of c(x1', x2) - f(x1') is f^c(x2) over f's finite table, which is
+    # -inf for a closed form alone: it has no probes.
     probes = np.flatnonzero(f.values != math.inf)
-    diag = cost.paired(x1, x2) if probes.size else None  # a closed form alone has no probes
-    _, hi = _reduce_rows(lambda k: ((fx + cost.matrix(f.points[k], x2)) - f.values[k, None]) - diag,
-                         probes, len(x2), np.argmax)
-    worst = float(hi.max(initial=-math.inf))
+    fc, _ = c_transform(cost, f.points[probes], f.values[probes], x2, True)
+    worst = float(((fx + fc) - cost.paired(x1, x2)).max(initial=-math.inf))
     return AntiderivativeCheck(worst <= tol, worst)

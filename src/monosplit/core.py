@@ -848,13 +848,6 @@ class GammaSet:
     def __hash__(self) -> int:
         return hash((self.dims, self.size))
 
-    def translated(self, z: Sequence[float | Sequence[float]] | Point) -> "GammaSet":
-        zp = as_point(z)
-        dims = tuple(map(len, zp))
-        if dims != self.dims:
-            raise DimensionMismatch(f"cannot translate a set of dims {self.dims} by dims {dims}")
-        return GammaSet(self.dims, self.coords + np.concatenate(zp))
-
     def to_json(self) -> dict:
         return {
             "N": self.n_marginals,

@@ -34,6 +34,11 @@ Rockafellar construction in :mod:`monosplit.antiderivative`: one pass gives
 both the chain values and properness, which fails exactly when a positive
 cycle exists here.
 
+Every table the construction and its certificate build is one c-transform,
+T_h(q) = max_a [c(a, q) - h(a)] over a finite table (:func:`c_transform`),
+taken in blocks of at most PAIR_BLOCK_CELLS cells: chain values, discrete
+conjugates, the antiderivative check and the certificate's brackets.
+
 All inequality checks use an absolute tolerance (default 1e-9): violations
 not exceeding it count as holding.  Verifiers are deterministic; ties in
 cycle extraction break toward the lowest pair index.
@@ -73,16 +78,19 @@ BRUTE_FORCE_BUDGET = 50_000_000
 PAIR_BLOCK_CELLS = 1 << 20
 
 
-def _reduce_rows(cells: Callable, rows: np.ndarray, n_cols: int, pick: Callable) -> tuple:
-    """Each row's first column where pick (np.argmax or np.argmin) lands, and the cell there;
-    cells(rows[a:b]) builds rows a to b of n_cols cells, PAIR_BLOCK_CELLS or one row at a time."""
-    step = max(1, PAIR_BLOCK_CELLS // max(1, n_cols))
-    cols, vals = np.empty(len(rows), dtype=np.intp), np.empty(len(rows))
-    for r0 in range(0, len(rows), step):
-        block = cells(rows[r0:r0 + step])
-        k = cols[r0:r0 + step] = pick(block, axis=1)
-        vals[r0:r0 + step] = block[np.arange(len(k)), k]
-    return cols, vals
+def c_transform(cost: PairwiseCost, points: np.ndarray, h: np.ndarray, queries: np.ndarray,
+                table_first: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The c-transform T_h(q) = max_a [c(points[a], q) - h[a]] at each query row q (with
+    c(q, points[a]) when not table_first) and the first a attaining it, -inf and 0 over no
+    points; cells are built PAIR_BLOCK_CELLS or one query at a time."""
+    vals, arg = np.full(len(queries), -math.inf), np.zeros(len(queries), dtype=np.intp)
+    step = max(1, PAIR_BLOCK_CELLS // max(1, len(points)))
+    for q0 in range(0, len(queries) if len(points) else 0, step):
+        q = queries[q0:q0 + step]
+        cells = (cost.matrix(points, q).T if table_first else cost.matrix(q, points)) - h
+        k = arg[q0:q0 + step] = cells.argmax(axis=1)
+        vals[q0:q0 + step] = cells[np.arange(len(k)), k]
+    return vals, arg
 
 
 @dataclass(frozen=True)

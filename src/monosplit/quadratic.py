@@ -238,9 +238,6 @@ class Counterexample:
             for x, y in zip(self.v1, self.v2)
         )
 
-    def domain_point(self, a1: float, a2: float, a3: float, b3: float) -> Point:
-        return ((a1, 0.0), (a2, a2), (a3, b3))
-
     def reduced_slack(self, rows) -> np.ndarray:
         """The quadratic form of sym_m at each row (a1, a2, a3, b3) of a
         (k, 4) array of reduced coordinates."""

@@ -23,10 +23,12 @@ table identity, checked on its grid), every point x of that product has
 
     sum_i u_i(x_i) - c(x) = sum_{i<j} [f_{i,j}(x_i) + f_{i,j}^c(x_j) - c_{i,j}(x_i, x_j)],
 
-and each bracket is >= 0 by the discrete Fenchel-Young inequality.  So
-N(N-1)/2 reductions over grid_i x grid_j, in the row blocks assembly
-shares, so that no array grows as grid x pairs, bound max(c - sum u_i)
-over all prod_i |grid_i| points: that finite product, not a continuum.
+and each bracket is >= 0 by the discrete Fenchel-Young inequality.  The
+lowest bracket of a row x is f_{i,j}(x) - f_{i,j}^cc(x), f^cc the
+c-transform over f^c's table that assembly's conjugates also take, so
+N(N-1)/2 transforms over grid_i x grid_j, none of whose arrays grows as
+grid x pairs, bound max(c - sum u_i) over all prod_i |grid_i| points: that
+finite product, not a continuum.
 
 Tuples without pair tables (closed forms, curve potentials) are tested on
 a declared set of product points instead: G, a seeded lattice-and-uniform
@@ -69,7 +71,7 @@ from .errors import (
     ProjectionNotMonotone,
     UndefinedOnGamma,
 )
-from .monotone import DEFAULT_TOL, _check_gamma_against_spec, _reduce_rows
+from .monotone import DEFAULT_TOL, _check_gamma_against_spec, c_transform
 
 DEFAULT_SAMPLES = 10_000
 DEFAULT_SEED = 0
@@ -241,15 +243,14 @@ def projection_product(g: GammaSet) -> np.ndarray:
 class PairBrackets:
     """The Fenchel-Young brackets f_{i,j}(x) + f_{i,j}^c(y) - c_{i,j}(x, y) of
     one pair over grid_i x grid_j, rows where f_{i,j} is +inf skipped: the
-    cells reduced, the lowest bracket and its first (x, y) in row-major
-    order (None when no cell was reduced), and the contacts, cells whose
-    bracket is within tol of equality."""
+    cells reduced, the lowest bracket, and where it lies: the first lowest
+    row x, at the first y where that row attains it (None when no bracket
+    is finite)."""
 
     pair: tuple[int, int]
     cells: int
     lowest_bracket: float
     lowest_at: tuple[Vec, Vec] | None
-    contacts: int
 
     def to_json(self) -> dict:
         return {
@@ -257,7 +258,6 @@ class PairBrackets:
             "cells": self.cells,
             "lowest_bracket": _enc(self.lowest_bracket),
             "lowest_at": [list(v) for v in self.lowest_at] if self.lowest_at is not None else None,
-            "contacts": self.contacts,
         }
 
 
@@ -334,8 +334,6 @@ def certify_splitting(
     g: GammaSet,
     spec: CostSpec,
     test_points: Sequence | None = None,
-    n_samples: int | None = None,
-    seed: int | None = None,
     tol: float = DEFAULT_TOL,
 ) -> SplittingCertificate:
     """Test equality on the set, and the splitting inequality on the table
@@ -348,13 +346,12 @@ def certify_splitting(
     that c <= sum u_i + tol on the whole finite product of the grids.  It
     raises InputValidationError when a pair table is missing, when a term
     is off u_i's grid or its row order (naming u_i), and when given
-    test_points, n_samples or seed, which it never reads.  Any other tuple
-    passes when
+    test_points, which it never reads.  Any other tuple passes when
     c(p) <= sum u_i(p_i) + tol at every non-vacuous test point: test_points
     if given (shared by the certificates of one command; a wrongly shaped
-    one raises DimensionMismatch), else sample_test_points(g, n_samples,
-    seed).  +inf potentials satisfy the inequality vacuously, and the sum
-    adds in place until some row is.
+    one raises DimensionMismatch), else sample_test_points(g), recorded
+    with its seed.  +inf potentials satisfy the inequality vacuously, and
+    the sum adds in place until some row is.
     """
     if tup.n_marginals != spec.n_marginals or g.dims != spec.dims:
         raise DimensionMismatch("tuple, set, and cost must agree on the marginals")
@@ -372,7 +369,7 @@ def certify_splitting(
     max_resid, worst_eq = float(resid[w]), g.points[w]
 
     if tup.pair_potentials or tup.pair_conjugates:
-        if any(a is not None for a in (test_points, n_samples, seed)):
+        if test_points is not None:
             raise InputValidationError(
                 "a tuple with pair tables is certified on the product of its tables, "
                 "not on test points"
@@ -380,7 +377,7 @@ def certify_splitting(
         if not (set(tup.pair_potentials) == set(tup.pair_conjugates) == set(spec.pairs)):
             raise InputValidationError("the tuple needs one pair table and conjugate per pair")
         identity = tuple(_table_identity(tup, spec, i) for i in range(1, tup.n_marginals + 1))
-        brackets = tuple(_pair_brackets(tup, spec, key, tol) for key in sorted(spec.pairs))
+        brackets = tuple(_pair_brackets(tup, spec, key) for key in sorted(spec.pairs))
         max_viol = 0.0 - sum(b.lowest_bracket for b in brackets)  # 0.0, never -0.0
         sizes = [len(u.values) for u in tup.potentials]
         live = [int(np.count_nonzero(u.values != math.inf)) for u in tup.potentials]
@@ -402,10 +399,8 @@ def certify_splitting(
         )
 
     if test_points is None:
-        used_seed: int | None = DEFAULT_SEED if seed is None else seed
-        pts = sample_test_points(
-            g, n_samples=DEFAULT_SAMPLES if n_samples is None else n_samples, seed=used_seed
-        )
+        used_seed: int | None = DEFAULT_SEED
+        pts = sample_test_points(g)
     else:
         try:
             pts = _point_rows(test_points, spec.dims)
@@ -463,22 +458,15 @@ def _table_identity(tup: SplittingTuple, spec: CostSpec, i: int) -> TableIdentit
     return TableIdentity(i, float(resid[k]), tuple(u.points[k].tolist()))
 
 
-def _pair_brackets(
-    tup: SplittingTuple, spec: CostSpec, key: tuple[int, int], tol: float
-) -> PairBrackets:
-    """The brackets of pair key over grid_i x grid_j; the first lowest in row-major order wins."""
+def _pair_brackets(tup: SplittingTuple, spec: CostSpec, key: tuple[int, int]) -> PairBrackets:
+    """The brackets of pair key over grid_i x grid_j: row x's lowest is f(x) - f^cc(x), f^cc
+    the c-transform over f^c's table, at x's first maximising y; the first lowest row wins."""
     f, fc, cost = tup.pair_potentials[key], tup.pair_conjugates[key], spec.pair_cost(*key)
-    rows = np.flatnonzero(f.values != math.inf) if len(fc.values) else np.empty(0, dtype=int)
-    contacts = []
-
-    def cells(k):
-        b = (f.values[k, None] + fc.values) - cost.matrix(f.points[k], fc.points)
-        contacts.append(int(np.count_nonzero(b <= tol)))
-        return b
-
-    cols, low = _reduce_rows(cells, rows, len(fc.values), np.argmin)
+    rows = np.flatnonzero(f.values != math.inf)
+    fcc, cols = c_transform(cost, fc.points, fc.values, f.points[rows], False)
+    low = f.values[rows] - fcc
     lowest, at = math.inf, None
     if len(low) and low[a := int(low.argmin())] < math.inf:
         lowest = float(low[a])
         at = (tuple(f.points[rows[a]].tolist()), tuple(fc.points[cols[a]].tolist()))
-    return PairBrackets(key, len(rows) * len(fc.values), lowest, at, sum(contacts))
+    return PairBrackets(key, len(rows) * len(fc.values), lowest, at)

@@ -10,15 +10,19 @@ column by column, the projections dedup the points as tuples, and the
 generators build monotone structure by construction rather than by
 checking it.  The exactness probe, which no command runs, lives here with
 its one-point evaluator ``sum_at``, as do ``add_separable_shift``, which
-builds the shifted costs of the invariance tests, and
+builds the shifted costs of the invariance tests,
 ``is_two_marginal_cyclically_monotone``, the projection verdict on a list
-of pairs.  ``gathered_certificate`` is a reference of another kind: the
-certificate's earlier vectorized sum, which gathers the live rows for
-every potential and reads every value through the table lookup, and which
-the library's point path must equal bit for bit.  The ``dense_*``
-references are of that kind too: chain tabulation, conjugation, the
-antiderivative check and the pair brackets, each reduced over one whole
-matrix, which the library's blocked row reduction must equal bit for bit.
+of pairs, ``translated``, which moves a set, and
+``counterexample_domain_point``.  ``gathered_certificate`` is a reference
+of another kind: the certificate's earlier vectorized sum, which gathers
+the live rows for every potential and reads every value through the table
+lookup, and which the library's point path must equal bit for bit.  The
+``dense_*`` references are of that kind too: the c-transform, and chain
+tabulation, conjugation, the antiderivative check and the pair brackets as
+c-transforms, each over one whole matrix, which the library's blocked
+transform must equal bit for bit.  ``rounding_bound`` bounds how far two
+orders of adding the same terms can land apart: the judge of the bits the
+transform moved against the formulas it replaced.
 """
 
 from __future__ import annotations
@@ -80,7 +84,6 @@ from monosplit.onedim import (
     MonotoneBijection,
 )
 from monosplit.splitting import (
-    DEFAULT_SAMPLES,
     DEFAULT_SEED,
     PairBrackets,
     SplittingCertificate,
@@ -114,6 +117,21 @@ def add_separable_shift(
         old = spec.shift[i] if spec.shift is not None else ()
         merged.append(tuple(old) + new)
     return CostSpec(spec.dims, dict(spec.pairs), tuple(merged))
+
+
+def translated(g: GammaSet, z: Sequence[float | Sequence[float]] | Point) -> GammaSet:
+    """g moved by z, one vector per marginal; a z of other dims is refused."""
+    zp = as_point(z)
+    dims = tuple(map(len, zp))
+    if dims != g.dims:
+        raise DimensionMismatch(f"cannot translate a set of dims {g.dims} by dims {dims}")
+    return GammaSet(g.dims, g.coords + np.concatenate(zp))
+
+
+def counterexample_domain_point(a1: float, a2: float, a3: float, b3: float) -> Point:
+    """The point of the counterexample's domain with reduced coordinates
+    (a1, a2, a3, b3), where its potentials are finite."""
+    return ((a1, 0.0), (a2, a2), (a3, b3))
 
 
 def project(g: GammaSet, i: int) -> tuple[Vec, ...]:
@@ -513,8 +531,6 @@ def gathered_certificate(
     g: GammaSet,
     spec: CostSpec,
     test_points=None,
-    n_samples: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
     tol: float = DEFAULT_TOL,
 ) -> SplittingCertificate:
     """certify_splitting as it was before the sum learned to add in place:
@@ -530,8 +546,8 @@ def gathered_certificate(
     max_resid, worst_eq = float(resid[w]), g.points[w]
 
     if test_points is None:
-        pts = sample_test_points(g, n_samples=n_samples, seed=seed)
-        used_seed = seed
+        pts = sample_test_points(g)
+        used_seed = DEFAULT_SEED
     else:
         pts = _point_rows(test_points, spec.dims)
         used_seed = None
@@ -562,57 +578,72 @@ def gathered_certificate(
     )
 
 
+def dense_c_transform(cost: PairwiseCost, points, h, queries, table_first: bool) -> tuple:
+    """c_transform with every cell in one (table, queries) matrix, reduced
+    by argmax along the table: -inf and row 0 at each query of no table."""
+    if not len(points):
+        return np.full(len(queries), -math.inf), np.zeros(len(queries), dtype=np.intp)
+    cm = cost.matrix(points, queries) if table_first else cost.matrix(queries, points).T
+    cells = cm - np.asarray(h, dtype=float)[:, None]
+    k = cells.argmax(axis=0)
+    return cells[k, np.arange(len(queries))], k
+
+
 def dense_chain_potential(cost: PairwiseCost, xs, ys, base, eval_points, tol: float) -> Potential:
-    """_chain_potential with the gains of every eval point and pair in one
-    matrix, reduced by argmax along the pairs."""
+    """_chain_potential as one dense c-transform over the pairs' y_k with
+    h_k = c(x_k, y_k) - longest_k."""
     source = find_rows(np.array([base]), xs) == 0
     scan = scan_gain_digraph(xs, ys, cost, tol=tol, source_mask=source)
     if scan.cycle is not None:
         raise NotCyclicallyMonotone("dense reference: positive cycle", scan.cycle, scan.cycle_gain)
     pts = dedup_vecs(eval_points)
-    gains = (scan.longest + cost.matrix(pts, ys)) - cost.paired(xs, ys)
-    best = gains[np.arange(len(pts)), gains.argmax(axis=1)]
+    best, _ = dense_c_transform(cost, ys, cost.paired(xs, ys) - scan.longest, pts, False)
     return Potential(pts, np.where(find_rows(np.array([base]), pts) == 0, 0.0, best))
 
 
 def dense_c_conjugate(f: Potential, cost: PairwiseCost, eval_points) -> Potential:
-    """c_conjugate with c(x, y) - f(x) over f's finite table and every query
-    in one matrix, reduced by argmax along the table."""
-    finite = np.flatnonzero(f.values != math.inf)
+    """c_conjugate as one dense c-transform over f's finite table."""
+    finite = f.values != math.inf
     pts = dedup_vecs(eval_points)
-    gains = cost.matrix(f.points[finite], pts) - f.values[finite, None]
-    return Potential(pts, gains[gains.argmax(axis=0), np.arange(len(pts))])
+    return Potential(pts, dense_c_transform(cost, f.points[finite], f.values[finite], pts, True)[0])
 
 
 def dense_antiderivative_check(f: Potential, x1, x2, cost: PairwiseCost,
                                tol: float) -> AntiderivativeCheck:
-    """_antiderivative_check with the residuals of every probe and pair in
-    one matrix, reduced by max."""
+    """_antiderivative_check as f(x1) + f^c(x2) - c(x1, x2), f^c one dense
+    c-transform over f's finite table."""
     fx = f.values_at(x1)
     if (fx == math.inf).any():
         return AntiderivativeCheck(False, math.inf)
-    probes = np.flatnonzero(f.values != math.inf)
-    worst = -math.inf
-    if probes.size:
-        resid = ((fx + cost.matrix(f.points[probes], x2)) - f.values[probes, None]) \
-            - cost.paired(x1, x2)
-        worst = float(resid.max())
+    finite = f.values != math.inf
+    fc, _ = dense_c_transform(cost, f.points[finite], f.values[finite], x2, True)
+    worst = float(((fx + fc) - cost.paired(x1, x2)).max(initial=-math.inf))
     return AntiderivativeCheck(worst <= tol, worst)
 
 
-def dense_pair_brackets(tup: SplittingTuple, spec: CostSpec, key: tuple[int, int],
-                        tol: float) -> PairBrackets:
-    """_pair_brackets with every bracket of the pair in one matrix: the
-    first lowest cell in row-major order by flat argmin."""
+def dense_pair_brackets(tup: SplittingTuple, spec: CostSpec, key: tuple[int, int]) -> PairBrackets:
+    """_pair_brackets with each finite row of f as f(x) - f^cc(x), f^cc one
+    dense c-transform over f^c's table; the first lowest row by argmin."""
     f, fc, cost = tup.pair_potentials[key], tup.pair_conjugates[key], spec.pair_cost(*key)
-    rows = np.flatnonzero(f.values != math.inf) if len(fc.values) else np.empty(0, dtype=int)
-    b = (f.values[rows, None] + fc.values) - cost.matrix(f.points[rows], fc.points)
+    rows = np.flatnonzero(f.values != math.inf)
+    fcc, cols = dense_c_transform(cost, fc.points, fc.values, f.points[rows], False)
+    low = f.values[rows] - fcc
     lowest, at = math.inf, None
-    if b.size and b.flat[k := int(b.argmin())] < lowest:
-        a, c = divmod(k, b.shape[1])
-        lowest = float(b.flat[k])
-        at = (tuple(f.points[rows[a]].tolist()), tuple(fc.points[c].tolist()))
-    return PairBrackets(key, b.size, lowest, at, int(np.count_nonzero(b <= tol)))
+    if low.size and low[a := int(low.argmin())] < lowest:
+        lowest = float(low[a])
+        at = (tuple(f.points[rows[a]].tolist()), tuple(fc.points[cols[a]].tolist()))
+    return PairBrackets(key, len(rows) * len(fc.values), lowest, at)
+
+
+def rounding_bound(*terms) -> np.ndarray:
+    """2 gamma_k sum|terms|, elementwise over k broadcast terms (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 3; u = eps / 2,
+    gamma_k = k u / (1 - k u)): how far apart two float sums of the same k
+    terms, each in its own order and grouping, can land.  Each lies within
+    gamma_(k-1) sum|terms| of the exact sum, and gamma_k over gamma_(k-1)
+    leaves more room than this bound's own rounding takes."""
+    k, u = len(terms), np.finfo(float).eps / 2
+    return 2 * (k * u / (1 - k * u)) * sum(np.abs(t) for t in terms)
 
 
 EXACTNESS_BUDGET = 1_000_000

@@ -17,7 +17,7 @@ from monosplit.antiderivative import Potential, rockafellar_potential
 from monosplit.cli import build_parser, main
 from monosplit.core import GammaSet, PairwiseCost, classical_cost, loads_json
 from monosplit.errors import InputValidationError, ParseError
-from monosplit.splitting import SplittingTuple, certify_splitting
+from monosplit.splitting import SplittingTuple, certify_splitting, sample_test_points
 
 DIAGONAL_DOC = gamma_1d([[t, t, t] for t in (-1.0, 0.0, 1.0)]).to_json()
 ANTITONE_DOC = gamma_1d([[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]).to_json()
@@ -188,7 +188,8 @@ def test_split_outdir_roundtrip(capsys, gamma_file, tmp_path):
     )
     tup = SplittingTuple(pots, {}, {})
     g = gamma_1d([[t, t, t] for t in (-1.0, 0.0, 1.0)])
-    cert = certify_splitting(tup, g, classical_cost("c1", 3, 1), n_samples=300, seed=0)
+    cert = certify_splitting(tup, g, classical_cost("c1", 3, 1),
+                             test_points=sample_test_points(g, 300, 0))
     assert cert.passed
     assert abs(cert.max_inequality_violation - filed["max_inequality_violation"]) <= 1e-12
     assert (

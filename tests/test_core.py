@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import add_separable_shift, gamma_1d, project, project_pair
+from helpers import add_separable_shift, gamma_1d, project, project_pair, translated
 from monosplit.core import (
     CostSpec,
     EvenPowerForm,
@@ -216,15 +216,15 @@ def test_projections_preserve_first_seen_order():
 
 def test_gamma_translation():
     g = gamma_1d([[0.0, 1.0], [1.0, 2.0]])
-    t = g.translated([10.0, -1.0])
+    t = translated(g, [10.0, -1.0])
     assert t.points == (((10.0,), (0.0,)), ((11.0,), (1.0,)))
     # -0.0 + -0.0 stays -0.0 in the report; a shift of other dims is refused.
-    zero = GammaSet.from_points([[-0.0, [-0.0, 1.0]]]).translated([-0.0, [-0.0, 0.0]])
+    zero = translated(GammaSet.from_points([[-0.0, [-0.0, 1.0]]]), [-0.0, [-0.0, 0.0]])
     assert json.dumps(zero.to_json()["points"]) == "[[[-0.0], [-0.0, 1.0]]]"
     with pytest.raises(DimensionMismatch):
-        g.translated([1.0, [1.0, 2.0]])
+        translated(g, [1.0, [1.0, 2.0]])
     with pytest.raises(DimensionMismatch):
-        g.translated([1.0, 2.0, 3.0])
+        translated(g, [1.0, 2.0, 3.0])
 
 
 def test_gamma_json_round_trip():

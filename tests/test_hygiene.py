@@ -189,13 +189,15 @@ def test_the_axis_reduction_scan_sees_methods_functions_and_positional_axes():
     assert _axis_reductions(source) == ["g: 4", "f: 5", "f: 5", "<module>: 6"]
 
 
-# Row reductions along an axis go through monotone._reduce_rows, in blocks of
-# at most PAIR_BLOCK_CELLS cells, so that no caller builds a dense matrix to
-# reduce.  _relaxation_scan keeps its dense rounds: its cand.min(axis=0) keeps
-# the last of tied +-0.0 (np.array([0.0, -0.0]).min() is -0.0) where an argmin
-# gather keeps the first, so routing it through the kernel could flip signed
-# zeros in its distances and in the chain values built on them.
-AXIS_REDUCERS = {"_reduce_rows", "_relaxation_scan"}
+# Chain tables, conjugates, the antiderivative check and the brackets are each
+# one c-transform, max_a [c(a, q) - h(a)], and reduce along an axis only in
+# monotone.c_transform, in blocks of at most PAIR_BLOCK_CELLS cells, so that no
+# caller builds a dense matrix to reduce.  _relaxation_scan keeps its dense
+# rounds: its cand.min(axis=0) keeps the last of tied +-0.0
+# (np.array([0.0, -0.0]).min() is -0.0) where an argmax gather keeps the
+# first, so routing it through the transform could flip signed zeros in its
+# distances and in the chain values built on them.
+AXIS_REDUCERS = {"c_transform", "_relaxation_scan"}
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers import counterexample_domain_point
 from monosplit.antiderivative import Potential, c_conjugate
 from monosplit.core import GammaSet, PairwiseCost, classical_cost, dumps_json
 from monosplit.errors import (
@@ -24,7 +25,7 @@ from monosplit.quadratic import (
     quadratic_splitting,
     random_commuting_spds,
 )
-from monosplit.splitting import certify_splitting
+from monosplit.splitting import certify_splitting, sample_test_points
 
 INNER = PairwiseCost.inner_product()
 
@@ -92,8 +93,9 @@ def test_random_instances_certify_both_costs():
         g = commuting_spd_gamma(q, [tuple(v) for v in vs])
         c1 = classical_cost("c1", 3, 3)
         c3 = classical_cost("c3", 3, 3)
-        assert certify_splitting(spl.potentials(), g, c1, n_samples=200, seed=5).passed
-        assert certify_splitting(spl.shifted_potentials(), g, c3, n_samples=200, seed=5).passed
+        pts = sample_test_points(g, 200, 5)
+        assert certify_splitting(spl.potentials(), g, c1, test_points=pts).passed
+        assert certify_splitting(spl.shifted_potentials(), g, c3, test_points=pts).passed
 
 
 def test_shifted_matrices_add_the_half_square(rng):
@@ -172,7 +174,7 @@ def test_counterexample_certifies_with_explicit_points(rng):
     coeffs = [(float(a), float(b)) for a, b in rng.uniform(-2.0, 2.0, size=(5, 2))]
     g = GammaSet.from_points([ce.span_point(lam, mu) for lam, mu in coeffs])
     pts = [
-        ce.domain_point(*(float(t) for t in row))
+        counterexample_domain_point(*(float(t) for t in row))
         for row in rng.uniform(-4.0, 4.0, size=(100, 4))
     ]
     pts.append(((1.0, 1.0), (0.0, 0.0), (0.0, 0.0)))  # off-domain, vacuous

@@ -13,14 +13,17 @@ from hypothesis import strategies as st
 
 from helpers import (
     check_exactness_condition,
+    counterexample_domain_point,
     gamma_1d,
     gathered_certificate,
     make_comonotone_gamma,
+    rounding_bound,
     scalar_certificate,
     shift_splitting_tuple,
     splitting_implies_monotone_check,
     sum_at,
     table_values_at,
+    translated,
 )
 from monosplit import monotone
 from monosplit.antiderivative import Potential
@@ -53,6 +56,7 @@ from monosplit.quadratic import (
     random_commuting_spds,
 )
 from monosplit.splitting import (
+    DEFAULT_SEED,
     SplittingTuple,
     TableIdentity,
     assemble_splitting_tuple,
@@ -131,7 +135,7 @@ def test_shift_rejects_closed_form_backed_potentials():
 
 
 def test_translated_set_still_certifies():
-    moved = DIAGONAL.translated(((0.5,), (-1.0,), (2.0,)))
+    moved = translated(DIAGONAL, ((0.5,), (-1.0,), (2.0,)))
     tup = assemble_splitting_tuple(moved, C1)
     cert = certify_splitting(tup, moved, C1)
     assert cert.passed
@@ -230,7 +234,7 @@ def test_certificate_matches_the_scalar_loop_on_tables(rng, which):
         cert = certify_splitting(tup, g, spec, test_points=pts)
         _assert_matches_scalar_loop(cert, tup, g, spec, pts)
         assert cert.n_vacuous == 1
-        cert = certify_splitting(tup, g, spec, n_samples=300, seed=3)
+        cert = certify_splitting(tup, g, spec, test_points=sample_test_points(g, 300, 3))
         _assert_matches_scalar_loop(cert, tup, g, spec, _sampled_points(g, 300, 3))
 
 
@@ -240,7 +244,7 @@ def test_certificate_matches_the_scalar_loop_on_closed_forms():
     forms, starred = knott_smith_forms()
     for tup, spec in ((SplittingTuple.from_closed_forms(forms), C1),
                       (SplittingTuple.from_closed_forms(starred), C3)):
-        cert = certify_splitting(tup, g, spec, n_samples=400, seed=5)
+        cert = certify_splitting(tup, g, spec, test_points=sample_test_points(g, 400, 5))
         assert cert.n_vacuous == 0
         _assert_matches_scalar_loop(cert, tup, g, spec, _sampled_points(g, 400, 5))
 
@@ -334,7 +338,7 @@ def _counterexample_points(rng):
     ce = counterexample_construct()
     pts = []
     for a1, a2, a3, b3 in rng.uniform(-3.0, 3.0, size=(40, 4)).tolist():
-        pts.append(ce.domain_point(a1, a2, a3, b3))
+        pts.append(counterexample_domain_point(a1, a2, a3, b3))
         pts.append(((a1, 0.5), (a2, a2), (a3, b3)))
         pts.append(((a1, 0.0), (a2, a2 + 1.0), (a3, b3)))
     return pts
@@ -345,15 +349,16 @@ def test_closed_form_certificates_equal_the_gathering_reference():
     forms, starred = knott_smith_forms()
     for tup, spec in ((SplittingTuple.from_closed_forms(forms), C1),
                       (SplittingTuple.from_closed_forms(starred), C3)):
-        for kwargs in ({"n_samples": 500, "seed": 2}, {"test_points": CUBE}):
-            _assert_same_certificate(certify_splitting(tup, g, spec, **kwargs),
-                                     gathered_certificate(tup, g, spec, **kwargs))
+        for points in (sample_test_points(g, 500, 2), CUBE):
+            _assert_same_certificate(certify_splitting(tup, g, spec, test_points=points),
+                                     gathered_certificate(tup, g, spec, test_points=points))
     for seed in (0, 7):
         qs, g = _quadratic_case(seed)
         for tup, which in ((qs.potentials(), "c1"), (qs.shifted_potentials(), "c3")):
             spec = classical_cost(which, 3, 2)
-            _assert_same_certificate(certify_splitting(tup, g, spec, n_samples=300, seed=seed),
-                                     gathered_certificate(tup, g, spec, n_samples=300, seed=seed))
+            pts = sample_test_points(g, 300, seed)
+            _assert_same_certificate(certify_splitting(tup, g, spec, test_points=pts),
+                                     gathered_certificate(tup, g, spec, test_points=pts))
 
 
 def test_tabulated_certificates_equal_the_gathering_reference(rng):
@@ -363,10 +368,10 @@ def test_tabulated_certificates_equal_the_gathering_reference(rng):
         tup = _bare(assemble_splitting_tuple(g, spec, eval_grids=[[0.0, -3.0]] * 3))
         pts = list(itertools.product(*(u.points for u in tup.potentials)))
         pts += [((-0.0,), (-0.0,), (-0.0,)), ((-0.0,), (9.0,), (0.0,)), ((0.0,), (0.0,), (9.0,))]
-        for kwargs in ({"n_samples": 400, "seed": 4}, {"test_points": pts}):
-            cert = certify_splitting(tup, g, spec, **kwargs)
+        for points in (sample_test_points(g, 400, 4), pts):
+            cert = certify_splitting(tup, g, spec, test_points=points)
             assert cert.n_vacuous > 0
-            _assert_same_certificate(cert, gathered_certificate(tup, g, spec, **kwargs))
+            _assert_same_certificate(cert, gathered_certificate(tup, g, spec, test_points=points))
 
 
 def test_tables_with_a_closed_form_extension_equal_the_gathering_reference():
@@ -377,10 +382,10 @@ def test_tables_with_a_closed_form_extension_equal_the_gathering_reference():
     bare = Potential(marginals[1], forms[1].values(marginals[1]))  # +inf off its table
     tup = SplittingTuple((extended, bare, Potential.from_closed_form(forms[2])), {}, {})
     off_tables = ((0.3,), (0.3,), (0.3,))
-    for kwargs in ({"n_samples": 300, "seed": 1}, {"test_points": CUBE + [off_tables]}):
-        cert = certify_splitting(tup, g, C1, **kwargs)
+    for points in (sample_test_points(g, 300, 1), CUBE + [off_tables]):
+        cert = certify_splitting(tup, g, C1, test_points=points)
         assert 0 < cert.n_vacuous < cert.n_test_points
-        _assert_same_certificate(cert, gathered_certificate(tup, g, C1, **kwargs))
+        _assert_same_certificate(cert, gathered_certificate(tup, g, C1, test_points=points))
 
 
 def test_indicator_certificates_equal_the_gathering_reference(rng):
@@ -389,10 +394,11 @@ def test_indicator_certificates_equal_the_gathering_reference(rng):
     g = GammaSet.from_points([ce.span_point(lam, mu) for lam, mu in
                               rng.uniform(-2.0, 2.0, size=(6, 2)).tolist()])
     pts = _counterexample_points(rng)
-    for kwargs in ({"n_samples": 300, "seed": 3}, {"test_points": pts}):
-        cert = certify_splitting(ce.potentials(), g, spec, **kwargs)
+    for points in (sample_test_points(g, 300, 3), pts):
+        cert = certify_splitting(ce.potentials(), g, spec, test_points=points)
         assert cert.n_vacuous > 0
-        _assert_same_certificate(cert, gathered_certificate(ce.potentials(), g, spec, **kwargs))
+        want = gathered_certificate(ce.potentials(), g, spec, test_points=points)
+        _assert_same_certificate(cert, want)
     cert = certify_splitting(ce.potentials(), g, spec, test_points=pts)
     assert cert.n_vacuous == 80  # two thirds: one third at u_1, one at u_2
 
@@ -431,7 +437,9 @@ def test_flattened_array_test_points_on_2d_marginals():
     nested = [tuple(tuple(r[k:k + 2]) for k in (0, 2, 4)) for r in rows.tolist()]
     want = certify_splitting(tup, g, spec, test_points=nested)
     assert certify_splitting(tup, g, spec, test_points=rows) == want
-    assert certify_splitting(tup, g, spec, n_samples=200, seed=5) == replace(want, seed=5)
+    # With no test points, the default sample is drawn and its seed recorded.
+    sampled = certify_splitting(tup, g, spec, test_points=sample_test_points(g))
+    assert certify_splitting(tup, g, spec) == replace(sampled, seed=DEFAULT_SEED)
     for bad in (rows[:, :5], rows[:, :3], np.hstack([rows, rows[:, :1]]), rows.reshape(-1, 2, 3)):
         with pytest.raises(DimensionMismatch):
             certify_splitting(tup, g, spec, test_points=bad)
@@ -526,14 +534,20 @@ def test_pairwise_bound_covers_the_enumerated_table_product():
         assert ref.max_inequality_violation <= cert.max_inequality_violation + 1e-12
         assert cert.passed == ref.passed
         assert (cert.n_test_points, cert.n_vacuous) == (ref.n_test_points, ref.n_vacuous)
-        for b in cert.pairs:  # each reduction against a loop over its cells
+        for b in cert.pairs:  # each reduction against loops over its rows and cells
             f, fc = tup.pair_potentials[b.pair], tup.pair_conjugates[b.pair]
             cost = spec.pair_cost(*b.pair)
+            xs, ys = f.points.tolist(), fc.points.tolist()
+            rows = [f.value_at(x) - max(cost.value(x, y) - fc.value_at(y) for y in ys)
+                    for x in xs if f.value_at(x) != math.inf]
+            assert b.lowest_bracket == min(rows)  # f(x) - f^cc(x), the transform's formula
             cells = [(f.value_at(x) + fc.value_at(y)) - cost.value(x, y)
-                     for x, y in itertools.product(f.points.tolist(), fc.points.tolist())]
+                     for x, y in itertools.product(xs, ys)]
             assert b.cells == len(cells)
-            assert b.lowest_bracket == min(cells)
-            assert b.contacts == sum(v <= cert.tol for v in cells)
+            # The cells add the same terms in another order: within the rounding bound.
+            bound = max(rounding_bound(f.value_at(x), fc.value_at(y), cost.value(x, y))
+                        for x, y in itertools.product(xs, ys))
+            assert abs(b.lowest_bracket - min(cells)) <= bound < math.inf
 
 
 @pytest.mark.parametrize("cells", [1, 40, monotone.PAIR_BLOCK_CELLS])
@@ -577,9 +591,8 @@ def test_pair_tables_must_match_the_grids_they_sum_into():
     ):
         with pytest.raises(InputValidationError, match=message):
             certify_splitting(SplittingTuple(tup.potentials, pots, conjs), DIAGONAL, C1)
-    for kwargs in ({"test_points": CUBE}, {"n_samples": 10}, {"seed": 0}):
-        with pytest.raises(InputValidationError, match="product of its tables"):
-            certify_splitting(tup, DIAGONAL, C1, **kwargs)
+    with pytest.raises(InputValidationError, match="product of its tables"):
+        certify_splitting(tup, DIAGONAL, C1, test_points=CUBE)
 
 
 def test_vacuous_product_points_are_counted_from_the_tables():
