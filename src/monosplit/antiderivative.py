@@ -45,7 +45,6 @@ from .core import (
     as_vec,
     dedup_pairs,
     dedup_vecs,
-    find_rows,
     form_from_json,
     unique_rows,
 )
@@ -184,7 +183,7 @@ def rockafellar_potential(
 def _chain_potential(cost: PairwiseCost, xs, ys, base: Vec, eval_points, tol: float) -> Potential:
     """rockafellar_potential on the distinct pairs (xs[k], ys[k]), given as
     (m, d) row arrays, based at the validated point base."""
-    source = find_rows(np.array([base]), xs) == 0
+    source = _rows_at(xs, base)
     if not source.any():
         raise BasePointNotInProjection(f"base point {base!r} is not a first coordinate of any pair")
     # The scan refuses non-finite edge gains c(x_v, y_u) - c(x_u, y_u), so the
@@ -197,7 +196,15 @@ def _chain_potential(cost: PairwiseCost, xs, ys, base: Vec, eval_points, tol: fl
     # R(p) = max_k [c(p, y_k) - h_k], h_k = c(x_k, y_k) - longest_k: a c-transform over the y_k.
     pts = dedup_vecs(eval_points)
     best, _ = c_transform(cost, ys, cost.paired(xs, ys) - scan.longest, pts, False)
-    return Potential(pts, np.where(find_rows(np.array([base]), pts) == 0, 0.0, best))
+    return Potential(pts, np.where(_rows_at(pts, base), 0.0, best))
+
+
+def _rows_at(rows: np.ndarray, base: Vec) -> np.ndarray:
+    """Which rows equal base exactly (-0.0 equals 0.0, as in a row lookup);
+    none where the widths differ."""
+    if rows.shape[1] != len(base):
+        return np.zeros(len(rows), dtype=bool)
+    return (rows == base).all(axis=1)
 
 
 def c_conjugate(

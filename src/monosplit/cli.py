@@ -45,9 +45,9 @@ from .errors import (
     UnknownExample,
 )
 from .monotone import (
+    _bruteforce_verdicts,
     check_projection_condition,
     is_c_monotone,
-    is_n_c_monotone_bruteforce,
     sign_criterion_1d,
 )
 from .onedim import (
@@ -199,8 +199,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     }
     if args.brute is not None:
         brute: dict = {}
-        for order in range(2, args.brute + 1):
-            verdict = is_n_c_monotone_bruteforce(g, spec, order, tol=args.tol)
+        orders = range(2, args.brute + 1)
+        for order, verdict in zip(orders, _bruteforce_verdicts(g, spec, orders, tol=args.tol)):
             brute[str(order)] = verdict.to_json()
             holds = holds and verdict.holds
         doc["bruteforce"] = brute

@@ -10,7 +10,7 @@ Fixing s_1 to the identity loses no generality (relabel j by s_1^{-1}), and
 enumerating multisets instead of ordered tuples loses none either, so the
 brute-force verifier walks multisets in lexicographic index order and
 permutation tuples in lexicographic order, reporting the first violation it
-meets.  It takes the multisets in blocks that grow geometrically, and sums
+meets.  It takes the multisets in blocks of a fixed size, and sums
 the costs of every permutation tuple of a block as one array, adding each
 pair term one tuple position at a time.  Where a multiset's n!^(N-1)
 permutation tuples outnumber n! sums a pair, a bound from those sums, with
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -60,6 +60,7 @@ from .core import (
     PairwiseCost,
     Point,
     Vec,
+    _read_only,
     _rows,
     classical_cost,
     dedup_pairs,
@@ -357,7 +358,20 @@ def _cycle_verdict(
 
 @lru_cache(maxsize=16)
 def _perm_array(n: int) -> np.ndarray:
-    return np.array(list(itertools.permutations(range(n))), dtype=int)
+    """The permutations of range(n), one a row in lexicographic order;
+    read-only, since every caller shares it."""
+    return _read_only(np.array(list(itertools.permutations(range(n))), dtype=int))
+
+
+@lru_cache(maxsize=16)
+def _perm_positions(n: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """The order-n position slices, read-only and built once per n: pair
+    (1, j) meets row k with column perms[p, k], entry k * n + perms[p, k] of
+    a multiset's flattened submatrix; and perms[:, k] itself, which places
+    the shift values and, against itself, the rows and columns that pair
+    (i, j), i > 1, meets.  Each is kept as n contiguous slices, one per k."""
+    perms = _perm_array(n)
+    return _positions(np.arange(n) * n + perms), _positions(perms)
 
 
 def _check_gamma_against_spec(g: GammaSet, spec: CostSpec) -> None:
@@ -371,8 +385,8 @@ def _full_pair_matrices(g: GammaSet, spec: CostSpec) -> dict[tuple[int, int], np
 
 
 def _positions(index: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The slices index[..., k] along the trailing axis, each contiguous."""
-    return tuple(np.ascontiguousarray(index[..., k]) for k in range(index.shape[-1]))
+    """The slices index[..., k] along the trailing axis, each contiguous and read-only."""
+    return tuple(_read_only(index[..., k]) for k in range(index.shape[-1]))
 
 
 def _add_positions(rows: np.ndarray, positions: tuple[np.ndarray, ...], axis: int = 1) -> np.ndarray:
@@ -395,19 +409,23 @@ def _permuted_sums(idx: np.ndarray, mats: dict, shifts: np.ndarray, positions: t
     enumerator's dense body.  Axis k + 1 of the unflattened array indexes
     the permutation of marginal k + 2; a pair's term broadcasts along the
     axes of its permuted marginals."""
-    fixed_first, both_moved, by_position = positions
+    fixed_first, by_position = positions
     (b, n), nperm, ndim = idx.shape, len(by_position[0]), len(shifts) - 1
     vals = np.empty((b,) + (nperm,) * ndim)
     vals[...] = shifts[0][idx].sum(axis=-1).reshape((-1,) + (1,) * ndim)
     for (i, j), mat in sorted(mats.items()):
-        # Column a * n + c of a row holds M_ij[idx[a], idx[c]] of its multiset.
-        sub = mat[idx[:, :, None], idx[:, None, :]].reshape(b, n * n)
+        # Entry [a, c] of a multiset's submatrix holds M_ij[idx[a], idx[c]].
+        sub = mat[idx[:, :, None], idx[:, None, :]]
         if i == 1:
             # pair (1, j) plus the shift of marginal j
-            term = (_add_positions(sub, fixed_first)
+            term = (_add_positions(sub.reshape(b, n * n), fixed_first)
                     + _add_positions(shifts[j - 1][idx], by_position))
         else:
-            term = _add_positions(sub, both_moved)
+            # row perms[p, k] against column perms[q, k], added k by k as
+            # _add_positions adds, with no n!-by-n! index table
+            term = sub[:, by_position[0][:, None], by_position[0]]
+            for cols in by_position[1:]:
+                term += sub[:, cols[:, None], cols]
         vals += term.reshape((-1,) + tuple(nperm if k + 2 in (i, j) else 1 for k in range(ndim)))
     return vals.reshape(b, -1)
 
@@ -420,7 +438,7 @@ def _bound_clears(
     instead of n!^(N-1) a multiset.  Every pair goes in one array with the
     tuple positions or permutations on axis 0, then the pairs, then the
     multisets, so each reduction adds or compares whole rows."""
-    fixed_first, _, by_position = positions
+    fixed_first, by_position = positions
     (b, n), nmarg, m = idx.shape, len(shifts), shifts.shape[1]
     flat = (idx[:, :, None] * m + idx[:, None, :]).reshape(b, n * n).T
     sub = np.stack([mats[k].take(flat) for k in sorted(mats)], axis=1)
@@ -448,20 +466,21 @@ def is_n_c_monotone_bruteforce(
 
     Walks every size-n multiset of points (repetition allowed; a tuple may
     use the same point twice) and every permutation tuple with the first
-    marginal fixed to the identity.  Multisets come in blocks of b, as a
-    (b, n) index array whose cost sums are taken from precomputed pairwise
-    matrices into one array with an axis for the multiset and one per
-    marginal 2..N (:func:`_permuted_sums`); this caches evaluations but
-    settles every comparison.  Blocks start at two multisets (the first,
-    one point n times, cannot violate) and double up to PAIR_BLOCK_CELLS /
-    32 cells over the n positions of a term, so an early violation costs
-    one small block.  Each term adds its n positions one by one, the order
-    in which NumPy sums a multiset's term over a short axis, so no sum
-    depends on the block size.  A term may come out -0.0 where NumPy,
-    summing from +0.0, gives +0.0; no sum changes, since the running sum
-    starts from a NumPy sum, is never -0.0, and is left as it is by either
-    zero.  The first violation in (multiset, permutation) lexicographic
-    order becomes the witness.  Any number of marginals is supported.
+    marginal fixed to the identity.  Multisets come in blocks of b, drawn
+    from the lexicographic stream straight into a (b, n) index array, whose
+    cost sums are taken from precomputed pairwise matrices into one array
+    with an axis for the multiset and one per marginal 2..N
+    (:func:`_permuted_sums`); this caches evaluations but settles every
+    comparison.  Every block but the last holds as many multisets as fit
+    PAIR_BLOCK_CELLS / 32 cells over the n positions of a term, so an early
+    violation costs at most one such block.  Each term adds its n positions
+    one by one, the order in which NumPy sums a multiset's term over a short
+    axis, so no sum depends on the block size.  A term may come out -0.0
+    where NumPy, summing from +0.0, gives +0.0; no sum changes, since the
+    running sum starts from a NumPy sum, is never -0.0, and is left as it is
+    by either zero.  The first violation in (multiset, permutation)
+    lexicographic order becomes the witness.  Any number of marginals is
+    supported.
 
     When a multiset has more permutation tuples than n! times the number P
     of pairs (N >= 3 and n >= 3, or n = 2 and N >= 6), a cheap bound (:func:`_bound_clears`)
@@ -497,50 +516,64 @@ def is_n_c_monotone_bruteforce(
     Raises OrderTooLarge when n > 7, or when multisets * permutation tuples
     would exceed the budget.
     """
-    _check_gamma_against_spec(g, spec)
-    if n < 1:
-        raise InputValidationError("order n must be at least 1")
-    if n > 7:
-        raise OrderTooLarge(f"order {n} is beyond the factorial guard of 7")
-    nmarg = g.n_marginals
-    n_multisets = math.comb(g.size + n - 1, n)
-    per_multiset = math.factorial(n) ** (nmarg - 1)
-    if n_multisets * per_multiset > budget:
-        raise OrderTooLarge(
-            f"{n_multisets} multisets x {per_multiset} permutation tuples "
-            f"exceeds the budget of {budget}"
-        )
+    return next(_bruteforce_verdicts(g, spec, (n,), tol, budget))
 
-    mats = _full_pair_matrices(g, spec)
-    shifts = np.array([
-        spec.shift_values(i, x)
-        for i, x in enumerate(marginal_blocks(g.coords, g.dims), start=1)
-    ])
-    perms = _perm_array(n)
-    # Pair (1, j) meets row k with column perms[p, k]; pair (i, j), i > 1,
-    # meets row perms[p, k] with column perms[q, k].  Each is kept as n
-    # contiguous position slices, one per k.
-    positions = (
-        _positions(np.arange(n) * n + perms),
-        _positions(perms[:, None, :] * n + perms[None, :, :]),
-        _positions(perms),
-    )
+
+def _bruteforce_verdicts(
+    g: GammaSet,
+    spec: CostSpec,
+    orders: Iterable[int],
+    tol: float = DEFAULT_TOL,
+    budget: float = BRUTE_FORCE_BUDGET,
+) -> Iterator[MonotonicityVerdict]:
+    """:func:`is_n_c_monotone_bruteforce` at each of orders in turn, raising
+    what it raises when an order is reached.  The set is checked against the
+    cost once, and its pair matrices and shift values are built once, at the
+    first order that passes the guards."""
+    _check_gamma_against_spec(g, spec)
+    tables = None
+    for n in orders:
+        if n < 1:
+            raise InputValidationError("order n must be at least 1")
+        if n > 7:
+            raise OrderTooLarge(f"order {n} is beyond the factorial guard of 7")
+        n_multisets = math.comb(g.size + n - 1, n)
+        per_multiset = math.factorial(n) ** (g.n_marginals - 1)
+        if n_multisets * per_multiset > budget:
+            raise OrderTooLarge(
+                f"{n_multisets} multisets x {per_multiset} permutation tuples "
+                f"exceeds the budget of {budget}"
+            )
+        if tables is None:
+            blocks = marginal_blocks(g.coords, g.dims)
+            shifts = np.array([spec.shift_values(i, x) for i, x in enumerate(blocks, start=1)])
+            tables = _full_pair_matrices(g, spec), shifts
+        yield _order_verdict(g, n, *tables, tol)
+
+
+def _order_verdict(g: GammaSet, n: int, mats: dict, shifts: np.ndarray,
+                   tol: float) -> MonotonicityVerdict:
+    """The order-n walk of :func:`is_n_c_monotone_bruteforce` over the
+    pair matrices and shift values of g."""
+    nmarg = g.n_marginals
+    per_multiset = math.factorial(n) ** (nmarg - 1)
+    perms, positions = _perm_array(n), _perm_positions(n)
     # A term has per_multiset cells a multiset, added up from n takes of that
     # size; capping the n of them at PAIR_BLOCK_CELLS / 32 cells a block keeps
     # each of a block's arrays within a quarter megabyte.  The bound's terms
-    # have n! cells a multiset.
+    # have n! cells a multiset.  Every block but the last is full, so an
+    # early violation costs at most one block.
     dense_cap = max(1, PAIR_BLOCK_CELLS // (32 * per_multiset * n))
     bounded = per_multiset > len(perms) * len(mats)
     cap = max(1, PAIR_BLOCK_CELLS // (32 * len(perms) * n)) if bounded else dense_cap
-    stream = itertools.combinations_with_replacement(range(g.size), n)
+    # The multisets' indices as one flat stream, n to a multiset.
+    stream = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(g.size), n))
     done = 0
-    size = min(2, cap)
-    while combos := list(itertools.islice(stream, size)):
-        idx = np.array(combos)
+    while len(idx := np.fromiter(itertools.islice(stream, cap * n), int).reshape(-1, n)):
         if bounded:
             rows = np.flatnonzero(~_bound_clears(idx, mats, shifts, positions, tol))
         else:
-            rows = np.arange(len(combos))
+            rows = np.arange(len(idx))
         for start in range(0, len(rows), dense_cap):
             part = rows[start:start + dense_cap]
             flat = _permuted_sums(idx[part], mats, shifts, positions)
@@ -557,14 +590,13 @@ def is_n_c_monotone_bruteforce(
             k = int(part[t])
             witness = Witness(
                 kind="permutation",
-                points=tuple(g.points[a] for a in combos[k]),
+                points=tuple(g.points[a] for a in idx[k].tolist()),
                 permutations=sigmas,
                 permuted_sum=float(flat[t, first]),
                 diagonal_sum=float(flat[t, 0]),
             )
             return MonotonicityVerdict(False, witness, (done + k + 1) * per_multiset, tol)
-        done += len(combos)
-        size = min(2 * size, cap)
+        done += len(idx)
     return MonotonicityVerdict(True, None, done * per_multiset, tol)
 
 

@@ -35,7 +35,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .antiderivative import Potential, _antiderivative_check
-from .core import CLASSICAL_COSTS, EvenPowerForm, GammaSet, classical_cost, marginal_blocks, unique_pairs
+from .core import (
+    CLASSICAL_COSTS,
+    EvenPowerForm,
+    GammaSet,
+    PairwiseCost,
+    classical_cost,
+    marginal_blocks,
+    unique_pairs,
+)
 from .errors import (
     BudgetExceeded,
     InputValidationError,
@@ -46,9 +54,9 @@ from .errors import (
 )
 from .monotone import (
     DEFAULT_TOL,
+    _bruteforce_verdicts,
     _classical_verdict,
     _cycle_verdict,
-    is_n_c_monotone_bruteforce,
     sign_criterion_1d,
 )
 from .splitting import assemble_splitting_tuple, certify_splitting
@@ -499,14 +507,12 @@ def characterize_1d(
     else:
         label = which_cost
 
-    item_i = all(
-        is_n_c_monotone_bruteforce(g, spec, order, tol=tol).holds for order in range(2, n_max + 1)
-    )
+    item_i = all(v.holds for v in _bruteforce_verdicts(g, spec, range(2, n_max + 1), tol=tol))
     sign_verdict = sign_criterion_1d(g, tol=tol)
     item_ii = sign_verdict.holds
 
     # Items iii, iv and vi read each pair projection once, as row arrays.
-    inner = classical_cost("c1", 2, 1).pair_cost(1, 2)
+    inner = PairwiseCost.inner_product()
     blocks = marginal_blocks(g.coords, g.dims)
     projections = {
         (i, j): unique_pairs(blocks[i - 1], blocks[j - 1])

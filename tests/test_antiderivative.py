@@ -144,6 +144,15 @@ def test_base_must_appear_in_first_projection():
         rockafellar_potential(INNER, _identity_pairs(), (0.5,), [(0.0,)])
 
 
+def test_a_base_of_another_width_matches_no_pair():
+    # (0.0,) would broadcast against every coordinate of (0.0, 0.0).
+    pairs = [((0.0, 0.0), (0.0, 0.0)), ((1.0, 1.0), (1.0, 1.0))]
+    with pytest.raises(BasePointNotInProjection):
+        rockafellar_potential(INNER, pairs, (0.0,), [(0.0, 0.0)])
+    with pytest.raises(BasePointNotInProjection):
+        rockafellar_potential(INNER, [((0.0,), (0.0,)), ((1.0,), (1.0,))], (0.0, 0.0), [(0.0,)])
+
+
 def test_conjugate_of_tabulated_quadratic():
     grid = [(-2.0 + 0.25 * k,) for k in range(17)]
     f = Potential(tuple(grid), tuple(0.5 * p[0] ** 2 for p in grid))

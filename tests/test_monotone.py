@@ -357,7 +357,59 @@ def test_block_enumerator_exits_on_an_early_violation(monkeypatch):
         drawn.clear()
         verdict = is_n_c_monotone_bruteforce(g, spec, n)
         assert not verdict.holds and verdict.checked == 2 * math.factorial(n)
-        assert len(drawn) <= 2
+        # Exactly one block is drawn, and a block holds at most the order's cap.
+        cap = max(1, monotone.PAIR_BLOCK_CELLS // (32 * math.factorial(n) * n))
+        assert len(drawn) == min(cap, math.comb(g.size + n - 1, n))
+
+
+def test_block_enumerator_takes_full_blocks_from_the_first(rng, monkeypatch):
+    # 55, 220 and 715 multisets at orders 2-4, against caps of 4096 multisets
+    # summed in full, 1820 bounded and 341 bounded: 715 is 341 + 341 + 33.
+    calls = []
+    for name in ("_permuted_sums", "_bound_clears"):
+        real = getattr(monotone, name)
+        monkeypatch.setattr(monotone, name,
+                            lambda *args, f=real, name=name: calls.append(name) or f(*args))
+    g = make_comonotone_gamma(rng, n_marginals=3, size=10)
+    spec = classical_cost("c1", 3, 1)
+    for n, blocks in ((2, ["_permuted_sums"]), (3, ["_bound_clears"]), (4, ["_bound_clears"] * 3)):
+        calls.clear()
+        assert is_n_c_monotone_bruteforce(g, spec, n).holds
+        assert calls == blocks
+
+
+def test_block_enumerator_memory_is_bounded_from_a_full_first_block(rng):
+    # 37 820 order-3 multisets, bounded in blocks of 1820.
+    g = make_comonotone_gamma(rng, n_marginals=3, size=60)
+    spec = classical_cost("c3", 3, 1)
+    tracemalloc.start()
+    try:
+        verdict = is_n_c_monotone_bruteforce(g, spec, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.holds and verdict.checked == math.comb(62, 3) * 36
+    assert peak < 2 * 2**20
+
+
+def test_order_stream_equals_single_orders_and_raises_where_they_do(rng):
+    g = make_comonotone_gamma(rng, n_marginals=3, size=6)
+    spec = classical_cost("c3", 3, 1)
+    stream = monotone._bruteforce_verdicts(g, spec, (2, 3, 4, 8))
+    for n in (2, 3, 4):
+        assert _json(next(stream)) == _json(is_n_c_monotone_bruteforce(g, spec, n))
+    with pytest.raises(OrderTooLarge):
+        next(stream)
+    with pytest.raises(DimensionMismatch):
+        next(monotone._bruteforce_verdicts(g, classical_cost("c3", 3, 2), (8,)))
+
+
+def test_cached_order_tables_are_read_only():
+    for n in (1, 3):
+        fixed_first, by_position = monotone._perm_positions(n)
+        for table in (monotone._perm_array(n), *fixed_first, *by_position):
+            with pytest.raises(ValueError):
+                table[0] = 1
 
 
 @st.composite
@@ -427,7 +479,9 @@ def test_bound_clears_comonotone_multisets_without_their_full_sums(rng, monkeypa
     verdict = is_n_c_monotone_bruteforce(swapped, spec, 4)
     assert not verdict.holds
     assert summed and all(4 in combo and 5 in combo for combo in summed)
-    assert summed[-1] == (0, 0, 4, 5)
+    assert summed[0] == (0, 0, 4, 5)
+    # The violation lies in the first dense block: no other block is summed.
+    assert len(summed) <= max(1, monotone.PAIR_BLOCK_CELLS // (32 * 24**2 * 4))
     assert _json(verdict) == _json(bruteforce_loop(swapped, spec, 4))
 
 

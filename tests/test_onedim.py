@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import curve_potentials_per_knot, gamma_1d, integral_per_knot
-from monosplit import antiderivative, onedim, splitting
+from monosplit import antiderivative, monotone, onedim, splitting
 from monosplit.core import GammaSet, PairwiseCost
 from monosplit.errors import (
     InputValidationError,
@@ -414,6 +414,16 @@ def test_one_scan_per_antiderivative_and_one_antiderivative_per_projection(monke
     g = gamma_1d([[-1.0, -2.0, 0.0], [0.0, 0.0, 0.5], [2.0, 1.0, 3.0]])
     assert characterize_1d(g, which_cost="c1", n_max=3).verdict
     assert calls["chain"] == 3  # one per projection (1,2), (1,3), (2,3)
+
+
+def test_battery_builds_the_brute_force_tables_once(monkeypatch):
+    # Orders 2-4 share one set of pair matrices.
+    built = []
+    full = monotone._full_pair_matrices
+    monkeypatch.setattr(monotone, "_full_pair_matrices", lambda *args: built.append(1) or full(*args))
+    g = gamma_1d([[0.0, 0.5, 1.0], [1.0, 1.5, 2.0], [2.0, 2.5, 3.5], [3.0, 4.0, 4.5]])
+    assert characterize_1d(g, which_cost="c3", n_max=4).verdict
+    assert built == [1]
 
 
 def test_battery_stops_testing_projections_once_their_item_fails(monkeypatch):
