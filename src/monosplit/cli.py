@@ -42,7 +42,6 @@ from .errors import (
     NotCyclicallyMonotone,
     ParseError,
     ProjectionNotMonotone,
-    UnknownExample,
 )
 from .monotone import (
     _bruteforce_verdicts,
@@ -83,22 +82,15 @@ GRID_CAP = 100_000  # most points a lo:hi:step grid may hold
 
 
 def _config(args: argparse.Namespace, inputs: list[str]) -> dict:
-    """The report's config header: everything that determines a run."""
-    if not 0.0 < args.tol < math.inf:
+    """The report's config header: the command, its input files, then every
+    option its subcommand parsed, in parser order (:func:`_add_options`)."""
+    config = {"command": args.command, "inputs": inputs}
+    config.update((key, getattr(args, key)) for key in args.options)
+    if "tol" in config and not 0.0 < config["tol"] < math.inf:
         raise InputValidationError("tolerance must be finite and positive")
-    samples = getattr(args, "samples", 0)
-    if samples < 0:
+    if "samples" in config and config["samples"] < 0:
         raise InputValidationError("sample count must be nonnegative")
-    return {
-        "command": args.command,
-        "inputs": inputs,
-        "cost": getattr(args, "cost", None),
-        "tol": args.tol,
-        "seed": getattr(args, "seed", 0),
-        "samples": samples,
-        "out": args.out,
-        "format": getattr(args, "format", "json"),
-    }
+    return config
 
 
 def _read_json_file(path: str) -> dict:
@@ -185,6 +177,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     g = _load_gamma(args.gamma)
     spec = _resolve_cost(args.cost, g)
     config = _config(args, [args.gamma])
+    if args.brute is not None and args.brute < 2:
+        raise InputValidationError("--brute needs an order N >= 2")
 
     projection = check_projection_condition(g, spec, tol=args.tol)
     pairwise = is_c_monotone(g, spec, tol=args.tol)
@@ -298,11 +292,10 @@ def _example_counterexample(args: argparse.Namespace) -> tuple[dict, bool]:
 def _example_curves(args: argparse.Namespace) -> tuple[dict, bool]:
     alphas = knott_smith_alphas()
     ts = _parse_grid(args.grid)
-    if args.format == "csv":
-        csv = emit_curve_figure_data(alphas, (ts[0], ts[-1]), len(ts))
-        _emit(csv, args.out)
-        return {}, True
     cols = np.array([a(np.asarray(ts)) for a in alphas])
+    if args.format == "csv":
+        _emit(emit_curve_figure_data(ts, cols), args.out)
+        return {}, True
     cp = curve_potentials(alphas, sorted(set(cols.ravel().tolist())))
     tup = SplittingTuple(cp.potentials, {}, {})
     g = GammaSet((1, 1, 1), cols.T)
@@ -320,13 +313,13 @@ def _example_curves(args: argparse.Namespace) -> tuple[dict, bool]:
 def _example_knott_smith(args: argparse.Namespace) -> tuple[dict, bool]:
     alphas = knott_smith_alphas()
     ts = _parse_grid(f"{-args.tmax}:{args.tmax}:0.1")
-    csv = emit_curve_figure_data(alphas, (ts[0], ts[-1]), len(ts))
+    cols = np.array([a(np.asarray(ts)) for a in alphas])
+    csv = emit_curve_figure_data(ts, cols)
     if args.format == "csv":
         _emit(csv, args.out)
         return {}, True
 
     forms, starred = knott_smith_forms()
-    cols = np.array([a(np.asarray(ts)) for a in alphas])
     cp = curve_potentials(alphas, sorted(set(cols.ravel().tolist())))
     max_dev = max(
         float(np.abs(pot.values - form.values(pot.points)).max())
@@ -382,22 +375,9 @@ def _example_young(args: argparse.Namespace) -> tuple[dict, bool]:
     return doc, check.rhs >= check.lhs - args.tol
 
 
-EXAMPLES = {
-    "quadratic": _example_quadratic,
-    "counterexample": _example_counterexample,
-    "curves": _example_curves,
-    "knott-smith": _example_knott_smith,
-    "young": _example_young,
-}
-
-
 def cmd_example(args: argparse.Namespace) -> int:
-    if args.name not in EXAMPLES:
-        raise UnknownExample(
-            f"unknown example {args.name!r}; choose from {', '.join(EXAMPLES)}"
-        )
     config = _config(args, [])
-    body, ok = EXAMPLES[args.name](args)
+    body, ok = args.run(args)
     if body:
         _emit_report({"config": config, **body}, args.out)
     return EXIT_OK if ok else EXIT_VIOLATION
@@ -427,7 +407,7 @@ def _pairwise_cost(selector: str) -> PairwiseCost:
     if selector == "c1":
         return PairwiseCost.inner_product()
     if selector == "c2":
-        return classical_cost("c2", 2, 1).pair_cost(1, 2)
+        return PairwiseCost.half_sq_dist()
     if selector == "c3":
         raise InputValidationError(
             "the shifted cost has no extra pairwise part; chains use c1"
@@ -468,20 +448,49 @@ def cmd_rockafellar(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, sampled: bool = False) -> None:
-    """--tol and --out; with sampled, also --seed and --samples."""
-    p.add_argument("--tol", type=float, default=1e-9, help="absolute tolerance")
-    if sampled:
-        p.add_argument("--seed", type=int, default=0, help="RNG seed recorded in reports")
-        p.add_argument("--samples", type=int, default=10_000, help="random test-point count")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
+# Options that several subcommands take, by dest.
+_SHARED = {
+    "samples": dict(type=int, default=10_000, help="random test-point count"),
+    "format": dict(choices=("json", "csv"), default="json", help="output format"),
+    "tol": dict(type=float, default=1e-9, help="absolute tolerance"),
+    "seed": dict(type=int, default=0, help="RNG seed recorded in reports"),
+    "out": dict(default=None, help="output path (default stdout)"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes each option by its full name only, so
+    that a prefix of another command's option is no alias, and that can
+    list the dests of its options."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def option_dests(self) -> list[str]:
+        """The dests of this parser's options but --help, in the order added."""
+        return [a.dest for a in self._actions if a.option_strings and a.dest != "help"]
+
+
+def _add_options(p: _Parser, fn, *shared: str, named=(), **defaults) -> None:
+    """Add the named shared options, then --out, to p.  Set p's defaults:
+    fn, the given ones, and the options :func:`_config` reports, which are
+    the names in named, then the dests of all p's options in parser order."""
+    for dest in (*shared, "out"):
+        p.add_argument(f"--{dest}", **_SHARED[dest])
+    p.set_defaults(fn=fn, options=(*named, *p.option_dests()), **defaults)
+
+
+def _add_example(e: _Parser, run, *shared: str) -> None:
+    """The shared options named, then --seed and --out, for an example that
+    run computes; its report's config opens with the example's name."""
+    _add_options(e, cmd_example, *shared, "seed", named=("example",), run=run)
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     """The one parser of this process, built on first use: parsing leaves
     it unchanged, so every :func:`main` call can reuse it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="monosplit",
         description="Verify multi-marginal monotonicity and build splitting potentials.",
     )
@@ -495,8 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also run the permutation oracle for orders 2..N")
     p.add_argument("--sign-criterion", action="store_true",
                    help="also run the 1-D difference-sign test")
-    _add_common(p)
-    p.set_defaults(fn=cmd_verify)
+    _add_options(p, cmd_verify, "tol")
 
     p = sub.add_parser("split", help="build chain potentials and certify them")
     p.add_argument("gamma", help="point-set JSON file")
@@ -506,24 +514,28 @@ def build_parser() -> argparse.ArgumentParser:
                    help="index of the base point inside the set")
     p.add_argument("--grid", default=None, metavar="lo:hi:step",
                    help="extra scalar evaluation grid for every marginal")
-    _add_common(p)
-    p.set_defaults(fn=cmd_split)
+    _add_options(p, cmd_split, "tol")
 
     p = sub.add_parser("example", help="reproduce a built-in example end to end")
-    p.add_argument("name", help=f"one of: {', '.join(EXAMPLES)}")
-    p.add_argument("--n", type=int, default=3, help="marginal count (quadratic)")
-    p.add_argument("--dim", type=int, default=2, help="marginal dimension (quadratic)")
-    p.add_argument("--grid", default="-1.5:1.5:0.1", metavar="lo:hi:step",
-                   help="curve parameter grid (curves)")
-    p.add_argument("--tmax", type=float, default=1.5,
-                   help="parameter range half-width (knott-smith)")
-    p.add_argument("--g", default="cube", help="map for young: identity, cube, power:<p>")
-    p.add_argument("--a", type=float, default=2.0, help="first argument (young)")
-    p.add_argument("--b", type=float, default=1.0, help="second argument (young)")
-    p.add_argument("--format", choices=("json", "csv"), default="json",
-                   help="output format (curves, knott-smith)")
-    _add_common(p, sampled=True)
-    p.set_defaults(fn=cmd_example)
+    examples = p.add_subparsers(dest="example", required=True, metavar="name")
+    e = examples.add_parser("quadratic", help="certify commuting positive-definite splittings")
+    e.add_argument("--n", type=int, default=3, help="marginal count")
+    e.add_argument("--dim", type=int, default=2, help="marginal dimension")
+    _add_example(e, _example_quadratic, "samples", "tol")
+    e = examples.add_parser("counterexample", help="re-derive the plane counterexample")
+    _add_example(e, _example_counterexample, "samples")
+    e = examples.add_parser("curves", help="tabulate monotone-curve potentials by quadrature")
+    e.add_argument("--grid", default="-1.5:1.5:0.1", metavar="lo:hi:step",
+                   help="curve parameter grid")
+    _add_example(e, _example_curves, "format", "tol")
+    e = examples.add_parser("knott-smith", help="run the (t, t^3, t^5) curve end to end")
+    e.add_argument("--tmax", type=float, default=1.5, help="parameter range half-width")
+    _add_example(e, _example_knott_smith, "samples", "format", "tol")
+    e = examples.add_parser("young", help="check Young's inequality for a monotone map")
+    e.add_argument("--g", default="cube", help="identity, cube, or power:<p>")
+    e.add_argument("--a", type=float, default=2.0, help="first argument")
+    e.add_argument("--b", type=float, default=1.0, help="second argument")
+    _add_example(e, _example_young, "tol")
 
     p = sub.add_parser("rockafellar", help="tabulate a chain antiderivative")
     p.add_argument("pairs", help="JSON file with a 'pairs' array of [x, y] rows")
@@ -533,8 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="base point as comma-separated floats (default: first x)")
     p.add_argument("--grid", default=None, metavar="lo:hi:step",
                    help="scalar evaluation grid (default: the pair sources)")
-    _add_common(p)
-    p.set_defaults(fn=cmd_rockafellar)
+    _add_options(p, cmd_rockafellar, "tol")
     return parser
 
 
@@ -546,7 +557,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (ParseError, InputValidationError, UnknownExample) as exc:
+    except (ParseError, InputValidationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except BudgetExceeded as exc:

@@ -203,12 +203,6 @@ class RowIndex:
         return np.where(self._sorted[pos] == q, self._order[pos], -1)
 
 
-def find_rows(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Index in table of each row of queries, or -1: :meth:`RowIndex.find`
-    on a table keyed for this one lookup."""
-    return RowIndex(table).find(queries)
-
-
 def marginal_blocks(rows: np.ndarray, dims: Sequence[int]) -> list[np.ndarray]:
     """Split (k, sum(dims)) flattened product points into one (k, d_i)
     array per marginal."""

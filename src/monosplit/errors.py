@@ -104,10 +104,6 @@ class NotCommuting(MonosplitError):
     """Two matrices expected to commute do not, beyond tolerance."""
 
 
-class UnknownExample(InputValidationError):
-    """The requested example name is not one of the built-in examples."""
-
-
 class InversionFailure(MonosplitError):
     """Bisection could not bracket or resolve an inverse value."""
 

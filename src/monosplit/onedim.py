@@ -548,32 +548,18 @@ def characterize_1d(
     )
 
 
-def emit_curve_figure_data(
-    alphas: Sequence[MonotoneBijection],
-    t_range: tuple[float, float],
-    samples: int,
-) -> str:
+def emit_curve_figure_data(ts: Sequence[float], points: np.ndarray) -> str:
     """CSV rows (t, curve point, pair projections) for external plotting.
 
-    Header: t, x1..xN, then pair_i_j_x, pair_i_j_y per projection in
-    lexicographic (i, j) order.  samples >= 2 points spread evenly over
-    t_range, endpoints included.
+    points[i][k] is coordinate i + 1 of the curve at ts[k]; the rows hold
+    exactly these values, each written to round-trip.  Header: t, x1..xN, then
+    pair_i_j_x, pair_i_j_y per projection in lexicographic (i, j) order.
     """
-    if samples < 2:
-        raise InputValidationError("need at least two samples")
-    n = len(alphas)
-    lo, hi = float(t_range[0]), float(t_range[1])
+    n = len(points)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     cols = [f"x{i}" for i in range(1, n + 1)]
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            cols += [f"pair_{i}_{j}_x", f"pair_{i}_{j}_y"]
+    cols += [f"pair_{i + 1}_{j + 1}_{axis}" for i, j in pairs for axis in "xy"]
+    rows = np.column_stack([ts, *points, *(points[k] for pair in pairs for k in pair)])
     lines = ["t," + ",".join(cols)]
-    for m in range(samples):
-        t = lo + (hi - lo) * m / (samples - 1)
-        xs = [a(t) for a in alphas]
-        row = [t] + xs
-        for i in range(n):
-            for j in range(i + 1, n):
-                row += [xs[i], xs[j]]
-        lines.append(",".join(format(v, ".17g") for v in row))
+    lines += [",".join(format(v, ".17g") for v in row) for row in rows.tolist()]
     return "\n".join(lines) + "\n"

@@ -12,11 +12,12 @@ checking it.  The exactness probe, which no command runs, lives here with
 its one-point evaluator ``sum_at``, as do ``add_separable_shift``, which
 builds the shifted costs of the invariance tests,
 ``is_two_marginal_cyclically_monotone``, the projection verdict on a list
-of pairs, ``translated``, which moves a set, and
-``counterexample_domain_point``.  ``gathered_certificate`` is a reference
-of another kind: the certificate's earlier vectorized sum, which gathers
-the live rows for every potential and reads every value through the table
-lookup, and which the library's point path must equal bit for bit.  The
+of pairs, ``translated``, which moves a set,
+``counterexample_domain_point`` and ``find_rows``, a one-off row lookup.
+``gathered_certificate`` is a reference of another kind: the certificate's
+earlier vectorized sum, which gathers the live rows for every potential and
+reads every value through the table lookup, and which the library's point
+path must equal bit for bit.  The
 ``dense_*`` references are of that kind too: the c-transform, and chain
 tabulation, conjugation, the antiderivative check and the pair brackets as
 c-transforms, each over one whole matrix, which the library's blocked
@@ -49,7 +50,6 @@ from monosplit.core import (
     classical_cost,
     dedup_pairs,
     dedup_vecs,
-    find_rows,
     marginal_blocks,
 )
 from monosplit.errors import (
@@ -132,6 +132,12 @@ def counterexample_domain_point(a1: float, a2: float, a3: float, b3: float) -> P
     """The point of the counterexample's domain with reduced coordinates
     (a1, a2, a3, b3), where its potentials are finite."""
     return ((a1, 0.0), (a2, a2), (a3, b3))
+
+
+def find_rows(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Index in table of each row of queries, or -1: :meth:`RowIndex.find`
+    on a table keyed for this one lookup."""
+    return RowIndex(table).find(queries)
 
 
 def project(g: GammaSet, i: int) -> tuple[Vec, ...]:

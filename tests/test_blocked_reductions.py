@@ -29,6 +29,7 @@ from helpers import (
     dense_c_transform,
     dense_chain_potential,
     dense_pair_brackets,
+    find_rows,
     rounding_bound,
 )
 from monosplit import monotone
@@ -38,7 +39,7 @@ from monosplit.antiderivative import (
     _chain_potential,
     c_conjugate,
 )
-from monosplit.core import CostSpec, PairwiseCost, dedup_vecs, find_rows, unique_pairs
+from monosplit.core import CostSpec, PairwiseCost, dedup_vecs, unique_pairs
 from monosplit.errors import NotCyclicallyMonotone
 from monosplit.monotone import c_transform, scan_gain_digraph
 from monosplit.splitting import SplittingTuple, _pair_brackets

@@ -109,13 +109,18 @@ def test_verify_monotone_set(capsys, gamma_file):
     assert code == 0
     doc = json.loads(out)
     assert doc["all_hold"]
-    assert doc["config"]["command"] == "verify"
-    assert doc["config"]["seed"] == 0
-    assert doc["config"]["tol"] == 1e-9
+    assert doc["config"] == {"command": "verify", "inputs": [gamma_file], "cost": "c1",
+                             "brute": 3, "sign_criterion": True, "tol": 1e-9, "out": None}
     assert doc["n_points"] == 3
     assert doc["projection_condition"]["all_hold"]
     assert doc["bruteforce"]["2"]["holds"] and doc["bruteforce"]["3"]["holds"]
     assert doc["sign_criterion"]["holds"]
+
+
+@pytest.mark.parametrize("order", ["1", "0", "-3"])
+def test_verify_refuses_a_brute_order_below_two(capsys, gamma_file, order):
+    code, out, err = _run(capsys, ["verify", gamma_file, "--brute", order])
+    assert (code, out, err) == (2, "", "error: --brute needs an order N >= 2\n")
 
 
 def test_verify_violation_carries_witness(capsys, bad_gamma_file):
@@ -292,7 +297,29 @@ def test_split_refuses_non_monotone_projection(capsys, bad_gamma_file):
 def test_example_unknown_name(capsys):
     code, _, err = _run(capsys, ["example", "nosuch"])
     assert code == 2
-    assert "unknown example" in err
+    assert "argument name: invalid choice: 'nosuch'" in err
+
+
+# The options each example reads, besides --seed and --out, in parser order.
+EXAMPLE_OPTIONS = {
+    "quadratic": ["--n", "--dim", "--samples", "--tol"],
+    "counterexample": ["--samples"],
+    "curves": ["--grid", "--format", "--tol"],
+    "knott-smith": ["--tmax", "--samples", "--format", "--tol"],
+    "young": ["--g", "--a", "--b", "--tol"],
+}
+FLAG_VALUES = {"--grid": "-1:1:0.5", "--format": "csv", "--g": "cube"}
+
+
+@pytest.mark.parametrize("name, flag", [
+    (name, flag)
+    for name, own in EXAMPLE_OPTIONS.items()
+    for flag in sorted({f for fs in EXAMPLE_OPTIONS.values() for f in fs} - set(own))
+])
+def test_an_example_refuses_the_options_of_the_others(capsys, name, flag):
+    value = FLAG_VALUES.get(flag, "3")
+    code, out, err = _run(capsys, ["example", name, flag, value])
+    assert (code, out) == (2, "") and f"unrecognized arguments: {flag} {value}" in err
 
 
 def test_example_young_strict_case(capsys):
@@ -355,6 +382,18 @@ def test_example_curves_csv(capsys):
     assert code == 0
     assert out.startswith("t,x1,x2,x3,")
     assert len(out.strip().split("\n")) == 6
+
+
+@pytest.mark.parametrize("argv, grid", [
+    (["example", "curves", "--grid=-0.5:0.5:0.1"], "-0.5:0.5:0.1"),
+    (["example", "curves", "--grid=0:0:1"], "0:0:1"),
+    (["example", "knott-smith", "--tmax", "0.5"], "-0.5:0.5:0.1"),
+])
+def test_figure_csv_holds_the_grid_the_example_computed_on(capsys, argv, grid):
+    code, out, _ = _run(capsys, [*argv, "--format", "csv"])
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [float(row[0]) for row in rows] == list(cli._parse_grid(grid))
 
 
 def test_example_knott_smith(capsys):
@@ -492,7 +531,7 @@ def test_usage_errors(capsys, gamma_file, pairs_file):
             code, out, err = _run(capsys, [*argv, "--tol", tol])
             assert (code, out) == (2, "")
             assert err == "error: tolerance must be finite and positive\n"
-    code, out, err = _run(capsys, ["example", "young", "--samples", "-1"])
+    code, out, err = _run(capsys, ["example", "quadratic", "--samples", "-1"])
     assert (code, out, err) == (2, "", "error: sample count must be nonnegative\n")
     # refused as input, with a message and no traceback
     for argv in (["--dim", "-1"], ["--dim", "0"], ["--n", "0"]):
@@ -519,7 +558,20 @@ def test_input_errors_come_before_the_tolerance_check(capsys, tmp_path):
     code, out, err = _run(capsys, ["verify", missing, "--tol", "nan"])
     assert (code, out) == (2, "") and err.startswith(f"error: cannot read {missing}: ")
     code, out, err = _run(capsys, ["example", "nosuch", "--tol", "nan"])
-    assert (code, out) == (2, "") and err.startswith("error: unknown example 'nosuch'")
+    assert (code, out) == (2, "") and "argument name: invalid choice: 'nosuch'" in err
+
+
+# The config keys after command and inputs: each option the command parsed.
+CONFIG_KEYS = {
+    "verify": ["cost", "brute", "sign_criterion", "tol", "out"],
+    "split": ["cost", "base", "grid", "tol", "out"],
+    "rockafellar": ["cost", "base", "grid", "tol", "out"],
+    "quadratic": ["example", "n", "dim", "samples", "tol", "seed", "out"],
+    "counterexample": ["example", "samples", "seed", "out"],
+    "curves": ["example", "grid", "format", "tol", "seed", "out"],
+    "knott-smith": ["example", "tmax", "samples", "format", "tol", "seed", "out"],
+    "young": ["example", "g", "a", "b", "tol", "seed", "out"],
+}
 
 
 @pytest.mark.parametrize("argv, inputs", [
@@ -539,9 +591,27 @@ def test_every_report_opens_with_the_same_config_keys(capsys, gamma_file, pairs_
     doc = json.loads(out)
     assert next(iter(doc)) == "config"
     config = doc["config"]
-    assert list(config) == ["command", "inputs", "cost", "tol", "seed", "samples", "out", "format"]
+    name = argv[1] if argv[0] == "example" else argv[0]
+    assert list(config) == ["command", "inputs", *CONFIG_KEYS[name]]
     assert config["command"] == argv[0]
     assert config["inputs"] == [paths.get(a, a) for a in inputs]
+
+
+def test_config_records_the_values_of_the_options_parsed(capsys, gamma_file):
+    argv = ["split", gamma_file, "--base", "1", "--grid=-2:2:1", "--tol", "1e-8"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert list(config.items()) == [
+        ("command", "split"), ("inputs", [gamma_file]), ("cost", "c1"), ("base", 1),
+        ("grid", "-2:2:1"), ("tol", 1e-8), ("out", None),
+    ]
+    code, out, _ = _run(capsys, ["example", "young", "--a", "1.5", "--seed", "3"])
+    assert code == 0
+    assert json.loads(out)["config"] == {
+        "command": "example", "inputs": [], "example": "young", "g": "cube", "a": 1.5,
+        "b": 1.0, "tol": 1e-9, "seed": 3, "out": None,
+    }
 
 
 def test_grid_holds_no_point_past_hi():

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import add_separable_shift, unique_rows_lexsort
+from helpers import add_separable_shift, find_rows, unique_rows_lexsort
 from monosplit import core
 from monosplit.antiderivative import Potential
 from monosplit.core import (
@@ -30,7 +30,6 @@ from monosplit.core import (
     QuadraticForm,
     RowIndex,
     classical_cost,
-    find_rows,
     marginal_blocks,
     unique_rows,
 )

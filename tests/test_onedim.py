@@ -455,18 +455,19 @@ def test_battery_input_validation():
 
 
 def test_figure_csv_layout():
-    text = emit_curve_figure_data(knott_smith_alphas(), (-1.0, 1.0), 5)
+    ts = [-1.0, -0.5, 0.0, 0.5, 1.0]
+    points = np.array([a(np.asarray(ts)) for a in knott_smith_alphas()])
+    text = emit_curve_figure_data(ts, points)
     lines = text.strip().split("\n")
     assert lines[0] == (
         "t,x1,x2,x3,pair_1_2_x,pair_1_2_y,pair_1_3_x,pair_1_3_y,pair_2_3_x,pair_2_3_y"
     )
     assert len(lines) == 6
     assert text.endswith("\n")
-    first = [float(v) for v in lines[1].split(",")]
-    last = [float(v) for v in lines[-1].split(",")]
-    assert first[0] == -1.0 and last[0] == 1.0
-    mid = [float(v) for v in lines[3].split(",")]
-    assert mid[1] == 0.0 and mid[2] == 0.0  # curve passes through the origin
-    assert last[2] == pytest.approx(last[1] ** 3, abs=1e-15)
-    with pytest.raises(InputValidationError):
-        emit_curve_figure_data(knott_smith_alphas(), (-1.0, 1.0), 1)
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    # the rows are the given grid and points, each pair its two coordinates
+    assert rows[:, 0].tolist() == ts
+    assert np.array_equal(rows[:, 1:4], points.T)
+    assert np.array_equal(rows[:, 4:], points[[0, 1, 0, 2, 1, 2]].T)
+    assert rows[2, 1] == 0.0 and rows[2, 2] == 0.0  # curve passes through the origin
+    assert rows[-1, 2] == pytest.approx(rows[-1, 1] ** 3, abs=1e-15)
