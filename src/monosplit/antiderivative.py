@@ -15,8 +15,9 @@ Conjugation is taken in the discrete sense: f^c(y) maximises
 c(x, y) - f(x) over the tabulated domain of f only.  Equivalently it is the
 exact conjugate of f extended by +inf off its table, which keeps the
 Young-Fenchel inequality c(x, y) <= f(x) + f^c(y) valid everywhere under
-the same +inf convention.  Potentials therefore evaluate to +inf at points
-missing from their table unless a closed form is attached.
+the same +inf convention.  A tabulated potential therefore evaluates to
++inf at points missing from its table; a potential given by a closed form
+has no table.
 
 Tabulation, conjugation and the antiderivative check are each one
 c-transform (:func:`monosplit.monotone.c_transform`): R(p) = max_k
@@ -58,21 +59,17 @@ from .errors import (
 )
 from .monotone import DEFAULT_TOL, c_transform, scan_gain_digraph
 
-FORM_AGREEMENT_TOL = 1e-9
-
-
 @dataclass(frozen=True, eq=False)
 class Potential:
-    """A scalar potential on one marginal space, tabulated and extended.
+    """A scalar potential on one marginal space: a table or a closed form.
 
     Attributes:
         points: distinct marginal points carrying explicit values, as a
             read-only (k, d) array.
         values: matching values as a read-only (k,) array; +inf is allowed,
-            -inf and NaN are not.
-        closed_form: optional analytic extension.  When present it must
-            agree with the table within 1e-9 and answers queries off the
-            table; otherwise off-table queries return +inf.
+            -inf and NaN are not.  Queries off the table return +inf.
+        closed_form: an analytic potential answering every query, in place
+            of a table: with one, points and values must be empty.
     """
 
     points: np.ndarray
@@ -95,15 +92,7 @@ class Potential:
                 raise InputValidationError("potential values must be finite or +inf")
             raise InputValidationError(f"duplicate domain point {tuple(rows[k].tolist())!r}")
         if self.closed_form is not None and len(rows):
-            w = self.closed_form.values(rows)
-            # isclose treats equal infinities as close and any other +inf as not.
-            bad = np.flatnonzero(~np.isclose(w, vals, rtol=0.0, atol=FORM_AGREEMENT_TOL))
-            if bad.size:
-                k = bad[0]
-                raise InputValidationError(
-                    f"closed form disagrees with table at {tuple(rows[k].tolist())!r}: "
-                    f"{float(w[k])!r} vs {float(vals[k])!r}"
-                )
+            raise InputValidationError("a potential is a table or a closed form, not both")
         object.__setattr__(self, "points", _read_only(rows))
         object.__setattr__(self, "values", _read_only(vals))
 
@@ -113,19 +102,15 @@ class Potential:
         return cls((), (), closed_form=form)
 
     def value_at(self, x: float | Sequence[float]) -> float:
-        """Table value, else closed form, else +inf: values_at on one row."""
+        """The closed form, else the table value, else +inf: values_at on one row."""
         return float(self.values_at(_vec_rows([x]))[0])
 
     def values_at(self, xs: np.ndarray) -> np.ndarray:
-        """The table value of each row of a (k, d) array by exact match,
-        else the closed form, else +inf."""
-        if self.closed_form is not None and not len(self.points):
+        """The closed form at each row of a (k, d) array, else the table
+        value by exact match, else +inf."""
+        if self.closed_form is not None:
             return np.asarray(self.closed_form.values(xs), dtype=float)
-        index = self._index.find(xs)
-        out = self._padded[index]
-        if self.closed_form is not None and (index < 0).any():
-            out[index < 0] = self.closed_form.values(xs[index < 0])
-        return out
+        return self._padded[self._index.find(xs)]
 
     @cached_property
     def _index(self) -> RowIndex:
@@ -139,7 +124,7 @@ class Potential:
     def to_json(self) -> dict:
         return {
             "points": self.points.tolist(),
-            "values": ["inf" if v == math.inf else v for v in self.values.tolist()],
+            "values": self.values.tolist(),
             "closed_form": self.closed_form.to_json() if self.closed_form else None,
         }
 

@@ -187,20 +187,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     doc: dict = {
         "config": config,
         "n_points": g.size,
-        "dims": list(g.dims),
-        "projection_condition": projection.to_json(),
-        "pairwise_monotone": pairwise.to_json(),
+        "dims": g.dims,
+        "projection_condition": projection,
+        "pairwise_monotone": pairwise,
     }
     if args.brute is not None:
         brute: dict = {}
         orders = range(2, args.brute + 1)
         for order, verdict in zip(orders, _bruteforce_verdicts(g, spec, orders, tol=args.tol)):
-            brute[str(order)] = verdict.to_json()
+            brute[str(order)] = verdict
             holds = holds and verdict.holds
         doc["bruteforce"] = brute
     if args.sign_criterion:
         signs = sign_criterion_1d(g, tol=args.tol)
-        doc["sign_criterion"] = signs.to_json()
+        doc["sign_criterion"] = signs
         holds = holds and signs.holds
     doc["all_hold"] = holds
     _emit_report(doc, args.out)
@@ -240,8 +240,8 @@ def cmd_split(args: argparse.Namespace) -> int:
     cert = certify_splitting(tup, g, spec, tol=args.tol)
     doc = {
         "config": config,
-        "potentials": [u.to_json() for u in tup.potentials],
-        "certificate": cert.to_json(),
+        "potentials": tup.potentials,
+        "certificate": cert,
     }
     if args.out is None:
         _emit_report(doc, None)
@@ -249,8 +249,8 @@ def cmd_split(args: argparse.Namespace) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         for i, u in enumerate(tup.potentials, start=1):
-            (out_dir / f"potential_{i}.json").write_text(dumps_json(u.to_json()))
-        (out_dir / "certificate.json").write_text(dumps_json(cert.to_json()))
+            (out_dir / f"potential_{i}.json").write_text(dumps_json(u))
+        (out_dir / "certificate.json").write_text(dumps_json(cert))
         (out_dir / "report.json").write_text(dumps_json(doc))
     return EXIT_OK if cert.passed else EXIT_VIOLATION
 
@@ -269,10 +269,10 @@ def _example_quadratic(args: argparse.Namespace) -> tuple[dict, bool]:
     costs = [classical_cost(c, args.n, args.dim) for c in ("c1", "c3")]
     cert1, cert3 = _certify(args, g, [qs.potentials(), qs.shifted_potentials()], costs)
     doc = {
-        "Q": [m.to_json() for m in mats],
-        "splitting": qs.to_json(),
-        "certificate_c1": cert1.to_json(),
-        "certificate_c3": cert3.to_json(),
+        "Q": mats,
+        "splitting": qs,
+        "certificate_c1": cert1,
+        "certificate_c3": cert3,
     }
     return doc, cert1.passed and cert3.passed
 
@@ -283,8 +283,8 @@ def _example_counterexample(args: argparse.Namespace) -> tuple[dict, bool]:
         n_span=max(1, args.samples // 50), n_random=args.samples, seed=args.seed
     )
     doc = {
-        "kernel_basis": [list(k) for k in ce.kernel_basis],
-        "report": rep.to_json(),
+        "kernel_basis": ce.kernel_basis,
+        "report": rep,
     }
     return doc, rep.passed
 
@@ -304,8 +304,8 @@ def _example_curves(args: argparse.Namespace) -> tuple[dict, bool]:
     cert = certify_splitting(tup, g, spec, test_points=projection_product(g), tol=quad_tol)
     doc = {
         "n_grid": len(ts),
-        "quadrature_bounds": list(cp.error_bounds),
-        "certificate": cert.to_json(),
+        "quadrature_bounds": cp.error_bounds,
+        "certificate": cert,
     }
     return doc, cert.passed
 
@@ -332,9 +332,9 @@ def _example_knott_smith(args: argparse.Namespace) -> tuple[dict, bool]:
     spot = knott_smith_potentials(1.0, 1.0, 1.0)
     doc = {
         "quadrature_max_deviation": max_dev,
-        "certificate_c1": cert1.to_json(),
-        "certificate_c3": cert3.to_json(),
-        "spot_check": spot.to_json(),
+        "certificate_c1": cert1,
+        "certificate_c3": cert3,
+        "spot_check": spot,
         "figure_csv": csv,
     }
     ok = (
@@ -370,7 +370,7 @@ def _example_young(args: argparse.Namespace) -> tuple[dict, bool]:
         "g": name,
         "a": args.a,
         "b": args.b,
-        "young": check.to_json(),
+        "young": check,
     }
     return doc, check.rhs >= check.lhs - args.tol
 
@@ -438,7 +438,7 @@ def cmd_rockafellar(args: argparse.Namespace) -> int:
             f"has gain {exc.gain:.6g}\n"
         )
         return EXIT_VIOLATION
-    doc = {"config": config, "potential": pot.to_json()}
+    doc = {"config": config, "potential": pot}
     _emit_report(doc, args.out)
     return EXIT_OK
 
@@ -473,17 +473,18 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_options(p: _Parser, fn, *shared: str, named=(), **defaults) -> None:
     """Add the named shared options, then --out, to p.  Set p's defaults:
-    fn, the given ones, and the options :func:`_config` reports, which are
-    the names in named, then the dests of all p's options in parser order."""
+    fn, p itself (which reports a usage error in p's terms), the given ones,
+    and the options :func:`_config` reports, which are the names in named,
+    then the dests of all p's options in parser order."""
     for dest in (*shared, "out"):
         p.add_argument(f"--{dest}", **_SHARED[dest])
-    p.set_defaults(fn=fn, options=(*named, *p.option_dests()), **defaults)
+    p.set_defaults(fn=fn, parser=p, options=(*named, *p.option_dests()), **defaults)
 
 
 def _add_example(e: _Parser, run, *shared: str) -> None:
-    """The shared options named, then --seed and --out, for an example that
-    run computes; its report's config opens with the example's name."""
-    _add_options(e, cmd_example, *shared, "seed", named=("example",), run=run)
+    """The shared options named, then --out, for an example that run
+    computes; its report's config opens with the example's name."""
+    _add_options(e, cmd_example, *shared, named=("example",), run=run)
 
 
 @functools.cache
@@ -521,16 +522,16 @@ def build_parser() -> _Parser:
     e = examples.add_parser("quadratic", help="certify commuting positive-definite splittings")
     e.add_argument("--n", type=int, default=3, help="marginal count")
     e.add_argument("--dim", type=int, default=2, help="marginal dimension")
-    _add_example(e, _example_quadratic, "samples", "tol")
+    _add_example(e, _example_quadratic, "samples", "tol", "seed")
     e = examples.add_parser("counterexample", help="re-derive the plane counterexample")
-    _add_example(e, _example_counterexample, "samples")
+    _add_example(e, _example_counterexample, "samples", "seed")
     e = examples.add_parser("curves", help="tabulate monotone-curve potentials by quadrature")
     e.add_argument("--grid", default="-1.5:1.5:0.1", metavar="lo:hi:step",
                    help="curve parameter grid")
-    _add_example(e, _example_curves, "format", "tol")
+    _add_example(e, _example_curves, "format", "tol", "seed")
     e = examples.add_parser("knott-smith", help="run the (t, t^3, t^5) curve end to end")
     e.add_argument("--tmax", type=float, default=1.5, help="parameter range half-width")
-    _add_example(e, _example_knott_smith, "samples", "format", "tol")
+    _add_example(e, _example_knott_smith, "samples", "format", "tol", "seed")
     e = examples.add_parser("young", help="check Young's inequality for a monotone map")
     e.add_argument("--g", default="cube", help="identity, cube, or power:<p>")
     e.add_argument("--a", type=float, default=2.0, help="first argument")
@@ -552,7 +553,9 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
+        if extras:  # refused by the subcommand that was parsed, under its usage
+            args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -22,7 +22,7 @@ import abc
 import json
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _escape
@@ -906,13 +906,10 @@ def unique_pairs(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _enc(v: float):
-    """Encode an infinite float as the string "inf" or "-inf" for JSON."""
-    if v == math.inf:
-        return "inf"
-    if v == -math.inf:
-        return "-inf"
-    return v
+def fields_json(report) -> dict:
+    """A report dataclass as {field: value} in declaration order; used as
+    its to_json, the values are left for :func:`dumps_json` to write."""
+    return {f.name: getattr(report, f.name) for f in fields(report)}
 
 
 def dumps_json(obj) -> str:
@@ -920,15 +917,19 @@ def dumps_json(obj) -> str:
 
     Floats are written as their shortest round-trip repr and keys in
     insertion order, so identical inputs produce byte-identical documents.
-    Non-finite floats and values JSON cannot represent raise
-    InputValidationError, so infinities are encoded upstream as strings.
+    Infinities are written as the strings "inf" and "-inf" wherever they
+    occur; NaN and values JSON cannot represent raise InputValidationError.
+    Any other object is written as its ``to_json()``, so report objects,
+    whose ``to_json`` is often :func:`fields_json`, are written field by
+    field, nested ones included.
 
-    The bytes are those of ``json.dumps(obj, indent=2, allow_nan=False)``,
-    which never uses the C encoder when it indents and spends a generator
-    frame per token.  This writer recurses once per container and writes
-    each of the two shapes that carry most of a report's bytes in one string
-    operation: finite floats (potential values) and equal-length rows of
-    finite floats (potential points, witness and worst points).
+    For JSON values the bytes are those of ``json.dumps(obj, indent=2,
+    allow_nan=False)``, which never uses the C encoder when it indents and
+    spends a generator frame per token.  This writer recurses once per
+    container and writes each of the two shapes that carry most of a
+    report's bytes in one string operation: finite floats (potential
+    values) and equal-length rows of finite floats (potential points,
+    witness and worst points).
     """
     try:
         return _write(obj, "\n", set()) + "\n"
@@ -948,9 +949,13 @@ def _write(o, nl: str, path: set) -> str:
     if isinstance(o, float):
         if math.isfinite(o):
             return float.__repr__(o)
+        if math.isinf(o):
+            return '"inf"' if o > 0 else '"-inf"'
         raise ValueError(f"Out of range float values are not JSON compliant: {o!r}")
     is_dict = isinstance(o, dict)
     if not is_dict and not isinstance(o, (list, tuple)):
+        if hasattr(o, "to_json"):
+            return _write(o.to_json(), nl, path)
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
     if not o:
         return "{}" if is_dict else "[]"
@@ -963,7 +968,7 @@ def _write(o, nl: str, path: set) -> str:
         body = sep.join([f"{_key(k)}: {_write(v, inner, path)}" for k, v in o.items()])
     elif _all_finite_floats(o):
         body = sep.join(map(float.__repr__, o))
-    elif set(map(type, o)) == {list} and len(widths := set(map(len, o))) == 1 \
+    elif set(map(type, o)) <= {list, tuple} and len(widths := set(map(len, o))) == 1 \
             and _all_finite_floats(flat := list(chain.from_iterable(o))):
         row = "[" + inner + "  " + (sep + "  ").join(["%r"] * widths.pop()) + inner + "]"
         body = sep.join([row] * len(o)) % tuple(flat)
@@ -979,10 +984,11 @@ def _all_finite_floats(items: list) -> bool:
 
 def _key(k) -> str:
     """A dict key as json.dumps writes it: a string, or a scalar's JSON text
-    in quotes."""
+    in quotes (an infinity's text is quoted already)."""
     if k is not None and not isinstance(k, (str, int, float)):
         raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-    return _escape(k if isinstance(k, str) else _write(k, "", set()))
+    text = _write(k, "", set())
+    return text if text[0] == '"' else _escape(text)
 
 
 def loads_json(text: str):

@@ -64,6 +64,7 @@ from .core import (
     _rows,
     classical_cost,
     dedup_pairs,
+    fields_json,
     marginal_blocks,
     unique_pairs,
 )
@@ -121,15 +122,7 @@ class Witness:
     def gain(self) -> float:
         return self.permuted_sum - self.diagonal_sum
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "points": [[list(x) for x in p] for p in self.points],
-            "permutations": [list(s) for s in self.permutations],
-            "permuted_sum": self.permuted_sum,
-            "diagonal_sum": self.diagonal_sum,
-            "value": self.value,
-        }
+    to_json = fields_json
 
 
 @dataclass(frozen=True)
@@ -148,13 +141,7 @@ class MonotonicityVerdict:
     checked: int
     tolerance: float
 
-    def to_json(self) -> dict:
-        return {
-            "holds": self.holds,
-            "witness": self.witness.to_json() if self.witness else None,
-            "checked": self.checked,
-            "tolerance": self.tolerance,
-        }
+    to_json = fields_json
 
 
 def recheck_witness(witness: Witness, spec: CostSpec) -> tuple[float, float]:
@@ -251,10 +238,11 @@ def _relaxation_scan(xs, ys, cost: PairwiseCost, tol: float, source_mask) -> Gai
         dist = np.where(np.asarray(source_mask, dtype=bool), 0.0, np.inf)
     pred = np.full(m, -1, dtype=int)
     improved = np.zeros(m, dtype=bool)
+    cols = np.arange(m)
     for _ in range(m):
         cand = dist[:, None] - gains
-        best = cand.min(axis=0)
         arg = cand.argmin(axis=0)
+        best = cand[arg, cols]  # the first of tied minima, as pred records
         improved = best < dist
         if not improved.any():
             break
@@ -787,7 +775,7 @@ class ProjectionReport:
 
     def to_json(self) -> dict:
         return {
-            "pairs": {f"{i},{j}": v.to_json() for (i, j), v in sorted(self.verdicts.items())},
+            "pairs": {f"{i},{j}": v for (i, j), v in sorted(self.verdicts.items())},
             "all_hold": self.all_hold,
         }
 

@@ -41,6 +41,7 @@ from .core import (
     GammaSet,
     PairwiseCost,
     classical_cost,
+    fields_json,
     marginal_blocks,
     unique_pairs,
 )
@@ -320,26 +321,16 @@ def curve_potentials(
 
 @dataclass(frozen=True)
 class YoungCheck:
-    """lhs = ab, rhs = integral_0^a g + integral_0^b g^{-1}, and whether the
-    equality case b = g(a) holds within tolerance."""
+    """lhs = ab, rhs = integral_0^a g + integral_0^b g^{-1}, gap = rhs - lhs,
+    and whether the equality case b = g(a) holds within tolerance."""
 
     lhs: float
     rhs: float
+    gap: float
     equality: bool
     quadrature_bound: float
 
-    @property
-    def gap(self) -> float:
-        return self.rhs - self.lhs
-
-    def to_json(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "gap": self.gap,
-            "equality": self.equality,
-            "quadrature_bound": self.quadrature_bound,
-        }
+    to_json = fields_json
 
 
 def young_check(
@@ -357,10 +348,11 @@ def young_check(
     beta = g.inverse(b)
     i1, e1 = integral_from_zero(g, a)
     i2, e2 = integral_from_zero(g, beta)
-    rhs = i1 + b * beta - i2
+    lhs, rhs = a * b, i1 + b * beta - i2
     return YoungCheck(
-        lhs=a * b,
+        lhs=lhs,
         rhs=rhs,
+        gap=rhs - lhs,
         equality=abs(b - g(a)) <= tol,
         quadrature_bound=e1 + e2,
     )
@@ -405,15 +397,7 @@ class KnottSmithValues:
     c1_slack: float
     c3_slack: float
 
-    def to_json(self) -> dict:
-        return {
-            "u": list(self.u),
-            "starred": list(self.starred),
-            "c1_value": self.c1_value,
-            "c3_value": self.c3_value,
-            "c1_slack": self.c1_slack,
-            "c3_slack": self.c3_slack,
-        }
+    to_json = fields_json
 
 
 def knott_smith_potentials(x1: float, x2: float, x3: float) -> KnottSmithValues:

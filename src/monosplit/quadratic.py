@@ -32,7 +32,6 @@ from .core import (
     IndicatorQuadraticForm,
     Point,
     QuadraticForm,
-    _enc,
     as_vec,
     classical_cost,
 )
@@ -99,7 +98,7 @@ class SymMatrix:
         return QuadraticForm(self.rows)
 
     def to_json(self) -> dict:
-        return {"matrix": [list(r) for r in self.rows]}
+        return {"matrix": self.rows}
 
 
 def psd_check(a: SymMatrix) -> tuple[bool, float]:
@@ -124,8 +123,8 @@ class QuadraticSplitting:
 
     def to_json(self) -> dict:
         return {
-            "M": [mi.to_json() for mi in self.m],
-            "G": [gi.to_json() for gi in self.g],
+            "M": self.m,
+            "G": self.g,
         }
 
 
@@ -299,15 +298,15 @@ class CounterexampleReport:
     def to_json(self) -> dict:
         return {
             "passed": self.passed,
-            "eigenvalues": list(self.eigenvalues),
+            "eigenvalues": self.eigenvalues,
             "min_eigenvalue": self.min_eigenvalue,
             "kernel_dim": self.kernel_dim,
-            "kernel_match_residual": _enc(self.kernel_match_residual),
+            "kernel_match_residual": self.kernel_match_residual,
             "nonzero_eigen_sum": self.nonzero_eigen_sum,
             "nonzero_eigen_product": self.nonzero_eigen_product,
-            "equality_max_residual": _enc(self.equality_max_residual),
+            "equality_max_residual": self.equality_max_residual,
             "n_span_samples": self.n_span_samples,
-            "slack_min": _enc(self.slack_min),
+            "slack_min": self.slack_min,
             "algebra_max_residual": self.algebra_max_residual,
             "n_random_points": self.n_random_points,
             "seed": self.seed,

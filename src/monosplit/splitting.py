@@ -55,10 +55,10 @@ from .core import (
     GammaSet,
     Point,
     Vec,
-    _enc,
     _point_rows,
     _vec_rows,
     as_point,
+    fields_json,
     marginal_blocks,
     unique_pairs,
     unique_rows,
@@ -110,16 +110,10 @@ class SplittingTuple:
     def to_json(self) -> dict:
         return {
             "N": self.n_marginals,
-            "base_point": [list(v) for v in self.base_point]
-            if self.base_point is not None
-            else None,
-            "potentials": [u.to_json() for u in self.potentials],
-            "pair_potentials": {
-                f"{i},{j}": f.to_json() for (i, j), f in sorted(self.pair_potentials.items())
-            },
-            "pair_conjugates": {
-                f"{i},{j}": f.to_json() for (i, j), f in sorted(self.pair_conjugates.items())
-            },
+            "base_point": self.base_point,
+            "potentials": self.potentials,
+            "pair_potentials": {f"{i},{j}": f for (i, j), f in sorted(self.pair_potentials.items())},
+            "pair_conjugates": {f"{i},{j}": f for (i, j), f in sorted(self.pair_conjugates.items())},
         }
 
 
@@ -252,13 +246,7 @@ class PairBrackets:
     lowest_bracket: float
     lowest_at: tuple[Vec, Vec] | None
 
-    def to_json(self) -> dict:
-        return {
-            "pair": list(self.pair),
-            "cells": self.cells,
-            "lowest_bracket": _enc(self.lowest_bracket),
-            "lowest_at": [list(v) for v in self.lowest_at] if self.lowest_at is not None else None,
-        }
+    to_json = fields_json
 
 
 @dataclass(frozen=True)
@@ -270,12 +258,7 @@ class TableIdentity:
     max_residual: float
     worst_point: Vec | None
 
-    def to_json(self) -> dict:
-        return {
-            "marginal": self.marginal,
-            "max_residual": _enc(self.max_residual),
-            "worst_point": list(self.worst_point) if self.worst_point is not None else None,
-        }
+    to_json = fields_json
 
 
 @dataclass(frozen=True)
@@ -308,14 +291,10 @@ class SplittingCertificate:
     def to_json(self) -> dict:
         out = {
             "passed": self.passed,
-            "max_inequality_violation": _enc(self.max_inequality_violation),
-            "max_equality_residual_on_gamma": _enc(self.max_equality_residual_on_gamma),
-            "worst_inequality_point": [list(v) for v in self.worst_inequality_point]
-            if self.worst_inequality_point is not None
-            else None,
-            "worst_equality_point": [list(v) for v in self.worst_equality_point]
-            if self.worst_equality_point is not None
-            else None,
+            "max_inequality_violation": self.max_inequality_violation,
+            "max_equality_residual_on_gamma": self.max_equality_residual_on_gamma,
+            "worst_inequality_point": self.worst_inequality_point,
+            "worst_equality_point": self.worst_equality_point,
             "n_test_points": self.n_test_points,
             "n_gamma_points": self.n_gamma_points,
             "n_vacuous": self.n_vacuous,
@@ -324,8 +303,8 @@ class SplittingCertificate:
             "equality_tol": self.tol,
         }
         if self.pairs is not None:
-            out["pairs"] = [b.to_json() for b in self.pairs]
-            out["table_identity"] = [t.to_json() for t in self.table_identity or ()]
+            out["pairs"] = self.pairs
+            out["table_identity"] = self.table_identity or ()
         return out
 
 

@@ -286,5 +286,7 @@ def test_potential_validation_rules():
     with pytest.raises(InputValidationError):
         Potential(((0.0,),), (float("nan"),))
     form = QuadraticForm(((2.0,),))
+    with pytest.raises(InputValidationError):  # a table and a closed form, though they agree
+        Potential(((1.0,),), (1.0,), closed_form=form)
     with pytest.raises(InputValidationError):
-        Potential(((1.0,),), (5.0,), closed_form=form)  # table disagrees
+        Potential.from_json({**Potential(((1.0,),), (1.0,)).to_json(), "closed_form": form.to_json()})

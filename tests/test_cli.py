@@ -300,12 +300,12 @@ def test_example_unknown_name(capsys):
     assert "argument name: invalid choice: 'nosuch'" in err
 
 
-# The options each example reads, besides --seed and --out, in parser order.
+# The options each example reads, besides --out, in parser order.
 EXAMPLE_OPTIONS = {
-    "quadratic": ["--n", "--dim", "--samples", "--tol"],
-    "counterexample": ["--samples"],
-    "curves": ["--grid", "--format", "--tol"],
-    "knott-smith": ["--tmax", "--samples", "--format", "--tol"],
+    "quadratic": ["--n", "--dim", "--samples", "--tol", "--seed"],
+    "counterexample": ["--samples", "--seed"],
+    "curves": ["--grid", "--format", "--tol", "--seed"],
+    "knott-smith": ["--tmax", "--samples", "--format", "--tol", "--seed"],
     "young": ["--g", "--a", "--b", "--tol"],
 }
 FLAG_VALUES = {"--grid": "-1:1:0.5", "--format": "csv", "--g": "cube"}
@@ -320,6 +320,17 @@ def test_an_example_refuses_the_options_of_the_others(capsys, name, flag):
     value = FLAG_VALUES.get(flag, "3")
     code, out, err = _run(capsys, ["example", name, flag, value])
     assert (code, out) == (2, "") and f"unrecognized arguments: {flag} {value}" in err
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["example", "young", "--samples", "3"], "usage: monosplit example young [-h] [--g G]"),
+    (["example", "young", "--seed", "3"], "usage: monosplit example young [-h] [--g G]"),
+    (["verify", "GAMMA", "--samples", "3"], "usage: monosplit verify [-h] [--cost COST]"),
+], ids=["young-samples", "young-seed", "verify-samples"])
+def test_an_unknown_option_shows_the_usage_of_its_subcommand(capsys, argv, usage):
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(usage + " ") and f"error: unrecognized arguments: {argv[-2]} 3\n" in err
 
 
 def test_example_young_strict_case(capsys):
@@ -570,7 +581,7 @@ CONFIG_KEYS = {
     "counterexample": ["example", "samples", "seed", "out"],
     "curves": ["example", "grid", "format", "tol", "seed", "out"],
     "knott-smith": ["example", "tmax", "samples", "format", "tol", "seed", "out"],
-    "young": ["example", "g", "a", "b", "tol", "seed", "out"],
+    "young": ["example", "g", "a", "b", "tol", "out"],
 }
 
 
@@ -606,11 +617,11 @@ def test_config_records_the_values_of_the_options_parsed(capsys, gamma_file):
         ("command", "split"), ("inputs", [gamma_file]), ("cost", "c1"), ("base", 1),
         ("grid", "-2:2:1"), ("tol", 1e-8), ("out", None),
     ]
-    code, out, _ = _run(capsys, ["example", "young", "--a", "1.5", "--seed", "3"])
+    code, out, _ = _run(capsys, ["example", "young", "--a", "1.5", "--tol", "1e-8"])
     assert code == 0
     assert json.loads(out)["config"] == {
         "command": "example", "inputs": [], "example": "young", "g": "cube", "a": 1.5,
-        "b": 1.0, "tol": 1e-9, "seed": 3, "out": None,
+        "b": 1.0, "tol": 1e-8, "out": None,
     }
 
 

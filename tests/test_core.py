@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from monosplit.core import (
     as_vec,
     classical_cost,
     dumps_json,
+    fields_json,
     form_from_json,
     loads_json,
 )
@@ -34,6 +36,8 @@ from monosplit.errors import (
     InputValidationError,
     ParseError,
 )
+from monosplit.monotone import MonotonicityVerdict, Witness
+from monosplit.onedim import YoungCheck
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 
@@ -253,9 +257,43 @@ def test_dumps_json_deterministic_and_lossless():
 
 def test_dumps_json_rejects_non_finite():
     with pytest.raises(InputValidationError):
-        dumps_json({"bad": math.inf})
+        dumps_json({"bad": math.nan})
+    with pytest.raises(InputValidationError):
+        dumps_json(YoungCheck(math.nan, 1.0, math.nan, False, 0.0))
     with pytest.raises(InputValidationError):
         dumps_json({"bad": object()})
+
+
+def test_dumps_json_writes_report_objects_field_by_field():
+    witness = Witness("pair", (((0.0,), (1.0,)), ((1.0,), (-0.0,))), ((0, 1), (1, 0)), 0.0, 1.0)
+    written = {
+        "kind": "pair", "points": [[[0.0], [1.0]], [[1.0], [-0.0]]],
+        "permutations": [[0, 1], [1, 0]], "permuted_sum": 0.0, "diagonal_sum": 1.0,
+        "value": None,
+    }
+    assert dumps_json(witness) == _stdlib_json(written)
+    verdict = MonotonicityVerdict(False, witness, 4, 1e-9)
+    assert dumps_json({"v": [verdict]}) == _stdlib_json(
+        {"v": [{"holds": False, "witness": written, "checked": 4, "tolerance": 1e-9}]})
+    young = YoungCheck(math.inf, 2.0, -math.inf, False, 0.0)
+    assert dumps_json(young) == _stdlib_json(
+        {"lhs": "inf", "rhs": 2.0, "gap": "-inf", "equality": False, "quadrature_bound": 0.0})
+
+
+@dataclass(frozen=True)
+class _Report:
+    zeta: float
+    alpha: tuple
+    inner: _Report | None = None
+
+    to_json = fields_json
+
+
+def test_fields_json_writes_a_report_in_field_order():
+    report = _Report(1.5, (2, 3.0), _Report(-math.inf, ()))
+    assert list(report.to_json()) == ["zeta", "alpha", "inner"]
+    assert dumps_json(report) == _stdlib_json(
+        {"zeta": 1.5, "alpha": [2, 3.0], "inner": {"zeta": "-inf", "alpha": [], "inner": None}})
 
 
 # The writer's oracle: what json.dumps writes with the same settings.
@@ -314,9 +352,7 @@ def _stable_id(doc) -> str:
 
 
 @pytest.mark.parametrize("doc", [
-    *([bad] for bad in (math.inf, -math.inf, math.nan)),
-    *([[0.5], [bad]] for bad in (math.inf, -math.inf, math.nan)),
-    math.inf, -math.inf, math.nan, np.float64(math.inf),
+    [math.nan], [[0.5], [math.nan]], math.nan, np.float64(math.nan),
     {"k": [1.0, math.nan]}, {math.nan: 1}, {(1, 2): 1},
     object(), [object()], np.int64(1), np.bool_(True),
     _self_list(), {"a": {}, "b": [_self_list()]},
@@ -328,6 +364,24 @@ def test_dumps_json_raises_what_the_stdlib_raises(doc):
         dumps_json(doc)
     assert str(ours.value) == f"cannot serialize to JSON: {stdlib.value}"
     assert type(ours.value.__cause__) is type(stdlib.value)
+
+
+def _inf_as_text(doc):
+    """doc with each infinity in it replaced by the string written for it."""
+    if isinstance(doc, float) and math.isinf(doc):
+        return "inf" if doc > 0 else "-inf"
+    if isinstance(doc, dict):
+        return {_inf_as_text(k): _inf_as_text(v) for k, v in doc.items()}
+    return [_inf_as_text(v) for v in doc] if isinstance(doc, list) else doc
+
+
+@pytest.mark.parametrize("doc", [
+    *([bad] for bad in (math.inf, -math.inf)),
+    *([[0.5], [bad]] for bad in (math.inf, -math.inf)),
+    math.inf, -math.inf, np.float64(math.inf), {math.inf: [0.5, -math.inf]},
+], ids=_stable_id)
+def test_dumps_json_writes_infinities_as_strings(doc):
+    assert dumps_json(doc) == _stdlib_json(_inf_as_text(doc))
 
 
 DATA = Path(__file__).parent / "data"

@@ -172,16 +172,13 @@ def test_values_at_reproduces_value_at(d, with_form, data):
                                min_size=1, max_size=8, unique=True))
     values = data.draw(st.lists(st.one_of(FLOATS, st.just(math.inf)),
                                 min_size=len(table), max_size=len(table)))
-    form = None
-    if with_form:
-        form = LinearForm((1.0,) * d, 0.0)
-        values = [form.value(p) for p in table]
-    pot = Potential(tuple(table), tuple(values), closed_form=form)
+    form = LinearForm((1.0,) * d, 0.0) if with_form else None
+    pot = Potential.from_closed_form(form) if form else Potential(tuple(table), tuple(values))
     # queries: table points, their -0.0 twins, and points off the table
     queries = table + [tuple(-v if v == 0.0 else v for v in p) for p in table]
     queries += data.draw(st.lists(st.tuples(*[st.sampled_from((-0.0, 0.0, 0.5, 3.0))] * d),
                                   max_size=6))
-    lookup = dict(zip(table, values))
+    lookup = {} if form else dict(zip(table, values))
     got = pot.values_at(np.array(queries).reshape(len(queries), d))
     for q, v in zip(queries, got):
         want = lookup[q] if q in lookup else form.value(q) if form else math.inf

@@ -35,6 +35,7 @@ from monosplit.core import (
     GammaSet,
     PairwiseCost,
     classical_cost,
+    dumps_json,
 )
 from monosplit.errors import DimensionMismatch, OffGrid, OrderTooLarge
 from monosplit.monotone import (
@@ -146,8 +147,8 @@ def test_is_c_monotone_matches_coupling_oracle(rng):
 
 
 def _json(verdict) -> str:
-    # json.dumps tells -0.0 from 0.0, which == on the dicts does not.
-    return json.dumps(verdict.to_json())
+    # The written report tells -0.0 from 0.0, which == on the verdicts does not.
+    return dumps_json(verdict)
 
 
 def _grid_rows(rng, shape):
@@ -648,7 +649,7 @@ def _projection_report_from_tuples(g: GammaSet, spec: CostSpec, tol: float) -> s
         (i, j): is_two_marginal_cyclically_monotone(project_pair(g, i, j), cost, tol)
         for (i, j), cost in spec.pairs.items()
     }
-    return json.dumps(ProjectionReport(verdicts, all(v.holds for v in verdicts.values())).to_json())
+    return dumps_json(ProjectionReport(verdicts, all(v.holds for v in verdicts.values())))
 
 
 def _projection_corpus(rng):
@@ -679,7 +680,7 @@ def test_projections_from_coords_equal_the_tuple_projections(rng):
     for g, spec in _projection_corpus(rng):
         for tol in (1e-9, 0.0, 0.5):
             report = check_projection_condition(g, spec, tol)
-            assert json.dumps(report.to_json()) == _projection_report_from_tuples(g, spec, tol)
+            assert dumps_json(report) == _projection_report_from_tuples(g, spec, tol)
             for (i, j), verdict in report.verdicts.items():
                 repeated = len(project_pair(g, i, j)) < g.size
                 outcomes.add((g.dims[0], repeated, verdict.witness and verdict.witness.kind))
@@ -705,7 +706,7 @@ def test_projections_from_coords_keep_the_first_seen_signed_zero(dim):
         report = check_projection_condition(g, spec)
         assert not report.verdicts[(1, 2)].holds
         assert report.verdicts[(1, 2)].witness.kind == "cycle"
-        reports.append(json.dumps(report.to_json()))
+        reports.append(dumps_json(report))
         assert reports[-1] == _projection_report_from_tuples(g, spec, monotone.DEFAULT_TOL)
     assert "-0.0" in reports[0] and "-0.0" not in reports[1]
 

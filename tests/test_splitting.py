@@ -38,6 +38,7 @@ from monosplit.core import (
     as_point,
     classical_cost,
     dumps_json,
+    loads_json,
 )
 from monosplit.errors import (
     BasePointNotInGamma,
@@ -304,7 +305,7 @@ def test_tuple_needs_two_potentials():
 
 def test_tuple_json_includes_provenance():
     tup = assemble_splitting_tuple(DIAGONAL, C1)
-    doc = tup.to_json()
+    doc = loads_json(dumps_json(tup))
     assert doc["N"] == 3
     assert set(doc["pair_potentials"]) == {"1,2", "1,3", "2,3"}
     assert doc["base_point"] == [[-1.0], [-1.0], [-1.0]]
@@ -378,9 +379,9 @@ def test_tables_with_a_closed_form_extension_equal_the_gathering_reference():
     g = _knott_smith_gamma()
     forms, _ = knott_smith_forms()
     marginals = [np.unique(g.coords[:, i])[:, None] for i in range(3)]
-    extended = Potential(marginals[0], forms[0].values(marginals[0]), closed_form=forms[0])
-    bare = Potential(marginals[1], forms[1].values(marginals[1]))  # +inf off its table
-    tup = SplittingTuple((extended, bare, Potential.from_closed_form(forms[2])), {}, {})
+    # Two tables, +inf off them, beside a closed form defined everywhere.
+    tables = [Potential(x, form.values(x)) for x, form in zip(marginals, forms[:2])]
+    tup = SplittingTuple((*tables, Potential.from_closed_form(forms[2])), {}, {})
     off_tables = ((0.3,), (0.3,), (0.3,))
     for points in (sample_test_points(g, 300, 1), CUBE + [off_tables]):
         cert = certify_splitting(tup, g, C1, test_points=points)
@@ -478,7 +479,7 @@ def test_lowered_table_value_off_gamma_is_refused_by_name():
     assert not cert.passed
     assert cert.table_identity[1] == TableIdentity(2, 1.0, (1.75,))
     assert [t.max_residual for t in cert.table_identity] == [0.0, 1.0, 0.0]
-    assert cert.to_json()["table_identity"][1] == {
+    assert loads_json(dumps_json(cert))["table_identity"][1] == {
         "marginal": 2, "max_residual": 1.0, "worst_point": [1.75]}
 
 
