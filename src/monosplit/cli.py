@@ -460,11 +460,22 @@ _SHARED = {
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser that takes each option by its full name only, so
-    that a prefix of another command's option is no alias, and that can
-    list the dests of its options."""
+    that a prefix of another command's option is no alias, that names the
+    parser whose usage refuses an unknown argument, and that can list the
+    dests of its options."""
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        """argparse's parse, which hands back the leftovers of this parser and
+        of the subcommand it parsed in one list.  When this parser leaves more
+        than its subcommand, it is the outermost parser with a leftover of its
+        own, and it becomes the namespace's parser, which refuses them."""
+        namespace, extras = super().parse_known_args(args, namespace)
+        if len(extras) > getattr(namespace, "leftovers", 0):
+            namespace.parser, namespace.leftovers = self, len(extras)
+        return namespace, extras
 
     def option_dests(self) -> list[str]:
         """The dests of this parser's options but --help, in the order added."""
@@ -554,7 +565,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args, extras = parser.parse_known_args(argv)
-        if extras:  # refused by the subcommand that was parsed, under its usage
+        if extras:  # refused under the usage of the outermost parser that left one
             args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK

@@ -29,6 +29,9 @@ positive-gain cycle in the digraph on pairs with edge weight
 
 which this module detects by Bellman-Ford relaxation on negated weights,
 or, for co-ordered scalar pairs (Carlier 2003), by a sort and prefix sums.
+Relaxation reduces each round along the contiguous rows of the transposed
+gains, and the projections of one size relax together, as the lanes of one
+stack of at most PAIR_BLOCK_CELLS cells (at least one lane).
 The same scan, seeded at the pairs over a base point, powers the
 Rockafellar construction in :mod:`monosplit.antiderivative`: one pass gives
 both the chain values and properness, which fails exactly when a positive
@@ -48,6 +51,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -224,62 +228,113 @@ def _sorted_scan(x: np.ndarray, y: np.ndarray, cost: PairwiseCost, source_mask) 
     return GainScan(longest, None, 0.0)
 
 
-def _relaxation_scan(xs, ys, cost: PairwiseCost, tol: float, source_mask) -> GainScan:
-    """m rounds of dense Bellman-Ford relaxation on negated gains."""
-    m = len(xs)
+def _gain_lane(xs, ys, cost: PairwiseCost, out: np.ndarray | None = None) -> np.ndarray:
+    """The transposed gain digraph of the pairs (xs[k], ys[k]), lane[v, u] =
+    c(x_v, y_u) - c(x_u, y_u) with 0.0 on the diagonal, written to out, or
+    over the cost matrix when out is None."""
     cm = cost.matrix(xs, ys)  # cm[a, b] = c(x_a, y_b)
-    gains = cm.T - np.diag(cm)[:, None]  # gains[u, v] = c(x_v, y_u) - c(x_u, y_u)
-    if not np.isfinite(gains).all():
+    lane = cm if out is None else out
+    np.subtract(cm, cm.diagonal().copy(), out=lane)
+    if not np.isfinite(lane).all():
         raise InputValidationError("an edge gain is not finite: the costs on the pairs overflow")
-    np.fill_diagonal(gains, 0.0)
-    if source_mask is None:
-        dist = np.zeros(m)
-    else:
-        dist = np.where(np.asarray(source_mask, dtype=bool), 0.0, np.inf)
-    pred = np.full(m, -1, dtype=int)
-    improved = np.zeros(m, dtype=bool)
-    cols = np.arange(m)
-    for _ in range(m):
-        cand = dist[:, None] - gains
-        arg = cand.argmin(axis=0)
-        best = cand[arg, cols]  # the first of tied minima, as pred records
-        improved = best < dist
-        if not improved.any():
-            break
-        pred[improved] = arg[improved]
-        dist = np.where(improved, best, dist)
+    np.fill_diagonal(lane, 0.0)
+    return lane
 
-    cycle = None
-    cycle_gain = 0.0
-    if improved.any():
-        seen_cycles: set[tuple[int, ...]] = set()
-        for v in np.flatnonzero(improved):
-            # Follow predecessors until a vertex repeats (a cycle of the
-            # predecessor graph) or the chain dead-ends at an initial vertex.
-            seen_at: dict[int, int] = {}
-            chain: list[int] = []
-            u = int(v)
-            while u != -1 and u not in seen_at:
-                seen_at[u] = len(chain)
-                chain.append(u)
-                u = int(pred[u])
-            if u == -1:
-                continue
-            cyc = tuple(reversed(chain[seen_at[u]:]))  # forward edge order
-            rot = cyc.index(min(cyc))
-            cyc = cyc[rot:] + cyc[:rot]
-            if cyc in seen_cycles:
-                continue
-            seen_cycles.add(cyc)
-            gain = float(
-                sum(gains[cyc[k], cyc[(k + 1) % len(cyc)]] for k in range(len(cyc)))
-            )
-            if gain > tol:
-                cycle = cyc
-                cycle_gain = gain
+
+def _gain_stacks(problems: Sequence[tuple]) -> Iterator[tuple[list[int], np.ndarray]]:
+    """The gain lanes of (xs, ys, cost, source_mask) problems in (L, m, m)
+    stacks of problems with m pairs, as many as fit in PAIR_BLOCK_CELLS
+    cells (at least one), each yielded with the indices of its problems once
+    full.  Lanes are built in problem order, so the first problem with a
+    gain that is not finite, or a point off a tabulated grid, is the one
+    refused."""
+    left = Counter(len(problem[0]) for problem in problems)
+    filling: dict[int, tuple[list[int], np.ndarray | None]] = {}
+    for k, (xs, ys, cost, _) in enumerate(problems):
+        m = len(xs)
+        if m not in filling:
+            lanes = min(left[m], max(1, PAIR_BLOCK_CELLS // max(1, m * m)))
+            filling[m] = ([], np.empty((lanes, m, m)) if lanes > 1 else None)
+        members, stack = filling[m]
+        if stack is None:
+            stack = _gain_lane(xs, ys, cost)[None]
+        else:
+            _gain_lane(xs, ys, cost, stack[len(members)])
+        members.append(k)
+        left[m] -= 1
+        if len(members) == len(stack):
+            del filling[m]
+            yield members, stack
+        del stack  # so that no full stack outlives its relaxation
+
+
+def _relaxation_scan(problems: Sequence[tuple], tol: float) -> list[GainScan]:
+    """scan_gain_digraph's dense path for each (xs, ys, cost, source_mask)
+    problem, in problem order: m rounds of Bellman-Ford relaxation on
+    negated gains.
+
+    The problems relax in the stacks of :func:`_gain_stacks`, whose gains
+    are transposed so that each round reduces along the contiguous last
+    axis into one candidate buffer a stack.  Lanes never interact, and a
+    round leaves a converged lane unchanged, so each lane ends as it would
+    alone."""
+    scans: list = [None] * len(problems)
+    for members, gains_t in _gain_stacks(problems):
+        lanes, m = len(members), gains_t.shape[1]
+        dist = np.zeros((lanes, m))
+        for lane, k in enumerate(members):
+            if problems[k][3] is not None:
+                dist[lane] = np.where(np.asarray(problems[k][3], dtype=bool), 0.0, np.inf)
+        pred = np.full((lanes, m), -1, dtype=np.intp)
+        improved = np.zeros((lanes, m), dtype=bool)
+        cand = np.empty(gains_t.shape)
+        flat, rows = cand.reshape(-1), np.arange(lanes * m).reshape(lanes, m) * m
+        tails = dist[:, None, :]  # a view, as dist changes in place
+        for _ in range(m):
+            np.subtract(tails, gains_t, out=cand)
+            arg = cand.argmin(axis=2)
+            best = flat[rows + arg]  # the first of tied minima, as pred records
+            np.less(best, dist, out=improved)
+            if not improved.any():
                 break
-    longest = None if source_mask is None else -dist
-    return GainScan(longest=longest, cycle=cycle, cycle_gain=cycle_gain)
+            np.copyto(pred, arg, where=improved)
+            np.copyto(dist, best, where=improved)
+        for lane, k in enumerate(members):
+            scans[k] = _lane_scan(dist[lane], pred[lane], improved[lane], gains_t[lane], tol,
+                                  seeded=problems[k][3] is not None)
+        del gains_t, cand, flat  # before the next stack's gains are built
+    return scans
+
+
+def _lane_scan(dist, pred, improved, gains_t, tol: float, seeded: bool) -> GainScan:
+    """The GainScan of one relaxed lane: -dist as the chain values when
+    seeded, and the first cycle of the predecessor graph, met from the
+    vertices the last round improved in ascending order, whose gain exceeds
+    tol, rotated to start at its lowest index."""
+    longest = -dist if seeded else None
+    seen_cycles: set[tuple[int, ...]] = set()
+    for v in np.flatnonzero(improved):
+        # Follow predecessors until a vertex repeats (a cycle of the
+        # predecessor graph) or the chain dead-ends at an initial vertex.
+        seen_at: dict[int, int] = {}
+        chain: list[int] = []
+        u = int(v)
+        while u != -1 and u not in seen_at:
+            seen_at[u] = len(chain)
+            chain.append(u)
+            u = int(pred[u])
+        if u == -1:
+            continue
+        cyc = tuple(reversed(chain[seen_at[u]:]))  # forward edge order
+        rot = cyc.index(min(cyc))
+        cyc = cyc[rot:] + cyc[:rot]
+        if cyc in seen_cycles:
+            continue
+        seen_cycles.add(cyc)
+        gain = float(sum(gains_t[cyc[(k + 1) % len(cyc)], cyc[k]] for k in range(len(cyc))))
+        if gain > tol:
+            return GainScan(longest, cyc, gain)
+    return GainScan(longest, None, 0.0)
 
 
 def scan_gain_digraph(
@@ -299,26 +354,31 @@ def scan_gain_digraph(
     O(m log m) with no m x m array: relaxation's values bit for bit where
     the arithmetic is exact, within rounding where a tie (equal y) lets
     relaxation keep another walk.  Every other input runs m rounds of
-    Bellman-Ford relaxation on negated gains (m = number of pairs).  An
-    improvement in the final round signals a cycle; candidate vertices are
-    scanned in ascending index, each extracted cycle is rotated to start at
-    its lowest index, and the first one whose recomputed gain exceeds tol is
-    reported.  Cycles with gain within tol are ignored, so the verdict
-    matches the tolerance convention of the verifiers.  A gain that is not
-    finite raises InputValidationError: relaxation would stall.
+    Bellman-Ford relaxation on negated gains (m = number of pairs), as a
+    stack of one lane; check_projection_condition relaxes the projections of
+    one size together, as the lanes of one stack, each ending bit for bit as
+    it does here.  An improvement in the final round signals a cycle;
+    candidate vertices are scanned in ascending index, each extracted cycle
+    is rotated to start at its lowest index, and the first one whose
+    recomputed gain exceeds tol is reported.  Cycles with gain within tol
+    are ignored, so the verdict matches the tolerance convention of the
+    verifiers.  A gain that is not finite raises InputValidationError:
+    relaxation would stall.
     """
     x, y = _rows(xs), _rows(ys)
     scan = _sorted_scan(x, y, cost, source_mask)
-    return scan if scan is not None else _relaxation_scan(x, y, cost, tol, source_mask)
+    return scan if scan is not None else _relaxation_scan([(x, y, cost, source_mask)], tol)[0]
 
 
 def _cycle_verdict(
-    xs: np.ndarray, ys: np.ndarray, cost: PairwiseCost, tol: float
+    xs: np.ndarray, ys: np.ndarray, cost: PairwiseCost, tol: float, scan: GainScan | None = None
 ) -> MonotonicityVerdict:
     """Cyclic monotonicity of the distinct pairs (xs[k], ys[k]), given as
-    (m, d) row arrays; a positive cycle of the gain digraph is the witness."""
+    (m, d) row arrays; a positive cycle of the gain digraph is the witness.
+    scan is the pairs' unseeded scan, run here when not given."""
     m = len(xs)
-    scan = scan_gain_digraph(xs, ys, cost, tol=tol)
+    if scan is None:
+        scan = scan_gain_digraph(xs, ys, cost, tol=tol)
     if scan.cycle is None:
         return MonotonicityVerdict(True, None, checked=m * m, tolerance=tol)
     cyc = scan.cycle
@@ -790,12 +850,22 @@ def check_projection_condition(
     Each projection is read from g.coords as the distinct (x_i, x_j) rows in
     first-seen order (:func:`unique_pairs`).  Its verdict is cyclic
     monotonicity, n-c-monotonicity for every n at once: it holds unless the
-    scan finds a positive cycle of the gain digraph, the witness.
+    scan finds a positive cycle of the gain digraph, the witness.  Each
+    projection tries the sorted path of :func:`scan_gain_digraph`; all the
+    others relax in one :func:`_relaxation_scan`, those of one size together.
     """
     _check_gamma_against_spec(g, spec)
     blocks = marginal_blocks(g.coords, g.dims)
+    pairs = sorted(spec.pairs.items())
+    projections = [(*unique_pairs(blocks[i - 1], blocks[j - 1]), cost) for (i, j), cost in pairs]
+    scans = [_sorted_scan(x, y, cost, None) for x, y, cost in projections]
+    dense = [k for k, scan in enumerate(scans) if scan is None]
+    if dense:
+        relaxed = _relaxation_scan([(*projections[k], None) for k in dense], tol)
+        for k, scan in zip(dense, relaxed):
+            scans[k] = scan
     verdicts = {
-        (i, j): _cycle_verdict(*unique_pairs(blocks[i - 1], blocks[j - 1]), cost, tol)
-        for (i, j), cost in sorted(spec.pairs.items())
+        ij: _cycle_verdict(*projection, tol, scan)
+        for (ij, _), projection, scan in zip(pairs, projections, scans)
     }
     return ProjectionReport(verdicts, all(v.holds for v in verdicts.values()))

@@ -21,7 +21,9 @@ path must equal bit for bit.  The
 ``dense_*`` references are of that kind too: the c-transform, and chain
 tabulation, conjugation, the antiderivative check and the pair brackets as
 c-transforms, each over one whole matrix, which the library's blocked
-transform must equal bit for bit.  ``rounding_bound`` bounds how far two
+transform must equal bit for bit, and the Bellman-Ford scan of one
+problem at a time over a dense candidate array a round, which the
+library's stacked relaxation must equal bit for bit.  ``rounding_bound`` bounds how far two
 orders of adding the same terms can land apart: the judge of the bits the
 transform moved against the formulas it replaced.
 """
@@ -66,6 +68,7 @@ from monosplit.errors import (
 from monosplit.monotone import (
     BRUTE_FORCE_BUDGET,
     DEFAULT_TOL,
+    GainScan,
     MonotonicityVerdict,
     Witness,
     _check_gamma_against_spec,
@@ -639,6 +642,61 @@ def dense_pair_brackets(tup: SplittingTuple, spec: CostSpec, key: tuple[int, int
         lowest = float(low[a])
         at = (tuple(f.points[rows[a]].tolist()), tuple(fc.points[cols[a]].tolist()))
     return PairBrackets(key, len(rows) * len(fc.values), lowest, at)
+
+
+def dense_relaxation_scan(xs, ys, cost: PairwiseCost, tol: float, source_mask) -> tuple:
+    """One problem of _relaxation_scan alone, as (scan, dist, pred, the last
+    round's improved mask): m rounds of dense Bellman-Ford relaxation on the negated gains
+    gains[u, v] = c(x_v, y_u) - c(x_u, y_u), each a full m x m candidate
+    array reduced along its first axis."""
+    m = len(xs)
+    cm = cost.matrix(xs, ys)  # cm[a, b] = c(x_a, y_b)
+    gains = cm.T - np.diag(cm)[:, None]  # gains[u, v] = c(x_v, y_u) - c(x_u, y_u)
+    if not np.isfinite(gains).all():
+        raise InputValidationError("an edge gain is not finite: the costs on the pairs overflow")
+    np.fill_diagonal(gains, 0.0)
+    if source_mask is None:
+        dist = np.zeros(m)
+    else:
+        dist = np.where(np.asarray(source_mask, dtype=bool), 0.0, np.inf)
+    pred = np.full(m, -1, dtype=int)
+    improved = np.zeros(m, dtype=bool)
+    cols = np.arange(m)
+    for _ in range(m):
+        cand = dist[:, None] - gains
+        arg = cand.argmin(axis=0)
+        best = cand[arg, cols]  # the first of tied minima, as pred records
+        improved = best < dist
+        if not improved.any():
+            break
+        pred[improved] = arg[improved]
+        dist = np.where(improved, best, dist)
+
+    cycle = None
+    cycle_gain = 0.0
+    seen_cycles: set[tuple[int, ...]] = set()
+    for v in np.flatnonzero(improved):
+        seen_at: dict[int, int] = {}
+        chain: list[int] = []
+        u = int(v)
+        while u != -1 and u not in seen_at:
+            seen_at[u] = len(chain)
+            chain.append(u)
+            u = int(pred[u])
+        if u == -1:
+            continue
+        cyc = tuple(reversed(chain[seen_at[u]:]))
+        rot = cyc.index(min(cyc))
+        cyc = cyc[rot:] + cyc[:rot]
+        if cyc in seen_cycles:
+            continue
+        seen_cycles.add(cyc)
+        gain = float(sum(gains[cyc[k], cyc[(k + 1) % len(cyc)]] for k in range(len(cyc))))
+        if gain > tol:
+            cycle, cycle_gain = cyc, gain
+            break
+    longest = None if source_mask is None else -dist
+    return GainScan(longest, cycle, cycle_gain), dist, pred, improved
 
 
 def rounding_bound(*terms) -> np.ndarray:

@@ -333,6 +333,18 @@ def test_an_unknown_option_shows_the_usage_of_its_subcommand(capsys, argv, usage
     assert err.startswith(usage + " ") and f"error: unrecognized arguments: {argv[-2]} 3\n" in err
 
 
+@pytest.mark.parametrize("argv, usage, unknown", [
+    (["--zzz", "example", "young"], "usage: monosplit [-h] {verify", "--zzz"),
+    (["--zzz", "example", "young", "--samples", "3"], "usage: monosplit [-h] {verify",
+     "--zzz --samples 3"),
+    (["example", "--zzz", "young"], "usage: monosplit example [-h] name", "--zzz"),
+], ids=["top", "top-and-young", "example"])
+def test_an_unknown_option_before_a_subcommand_shows_the_outer_usage(capsys, argv, usage, unknown):
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(usage) and err.endswith(f"error: unrecognized arguments: {unknown}\n")
+
+
 def test_example_young_strict_case(capsys):
     code, out, _ = _run(capsys, ["example", "young", "--g", "cube", "--a", "2", "--b", "1"])
     assert code == 0

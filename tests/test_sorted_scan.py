@@ -1,9 +1,9 @@
 """The sorted scan of co-ordered scalar projections against relaxation.
 
 ``monotone._relaxation_scan`` is the dense Bellman-Ford scan that
-``scan_gain_digraph`` falls back to; here it is the reference.  On grid
-data at scales 10^0 .. 10^9 every cost and gain is exact, so both scans
-must agree bit for bit.  On general floats they may end on different walks
+``scan_gain_digraph`` falls back to; here it is the reference, run on one
+problem at a time.  On grid data at scales 10^0 .. 10^9 every cost and gain
+is exact, so both scans must agree bit for bit.  On general floats they may end on different walks
 of equal exact value, and the tests bound that difference by rounding.
 """
 
@@ -62,7 +62,7 @@ def _dedup(xs, ys):
 
 def _both_scans(xs, ys, cost, mask):
     scan = scan_gain_digraph(xs, ys, cost, source_mask=mask)
-    ref = monotone._relaxation_scan(xs, ys, cost, DEFAULT_TOL, mask)
+    [ref] = monotone._relaxation_scan([(xs, ys, cost, mask)], DEFAULT_TOL)
     return scan, ref
 
 
@@ -232,11 +232,11 @@ def test_coordinated_overflow_is_refused_as_before():
 def test_relaxation_runs_only_where_the_sorted_scan_does_not_apply(
     monkeypatch, tmp_path, capsys
 ):
-    calls = []  # pair count of each relaxation scan
+    calls = []  # the pair count of each problem, a list per relaxation scan
 
-    def counted(*args, _fn=monotone._relaxation_scan):
-        calls.append(len(args[0]))
-        return _fn(*args)
+    def counted(problems, tol, _fn=monotone._relaxation_scan):
+        calls.append([len(problem[0]) for problem in problems])
+        return _fn(problems, tol)
 
     monkeypatch.setattr(monotone, "_relaxation_scan", counted)
     rng = np.random.default_rng(5)
@@ -249,14 +249,14 @@ def test_relaxation_runs_only_where_the_sorted_scan_does_not_apply(
 
     anti = [((0.0,), (1.0,)), ((1.0,), (0.0,))]
     assert not is_two_marginal_cyclically_monotone(anti, INNER).holds
-    assert calls == [2]
+    assert calls == [[2]]
 
     mats = random_commuting_spds(3, 2, seed=4)
     g = commuting_spd_gamma(mats, rng.uniform(-2.0, 2.0, size=(12, 2)))
     assert check_projection_condition(g, classical_cost("c1", 3, 2)).all_hold
-    assert calls[1:] == [12, 12, 12]
+    assert calls[1:] == [[12, 12, 12]]  # the three projections relax in one call
 
     table = PairwiseCost.tabulated([0.0, 1.0], [0.0, 1.0], [[0.0, 0.0], [0.0, 1.0]])
     spec = CostSpec((1, 1), {(1, 2): table})
     assert check_projection_condition(gamma_1d([[0.0, 0.0], [1.0, 1.0]]), spec).all_hold
-    assert calls[4:] == [2]
+    assert calls[2:] == [[2]]
