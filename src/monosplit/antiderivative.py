@@ -24,7 +24,8 @@ c-transform (:func:`monosplit.monotone.c_transform`): R(p) = max_k
 [c(p, y_k) - h_k] with h_k = c(x_k, y_k) - longest_k over the pairs, f^c
 with h = f over f's finite table, and f(x1) + f^c(x2) - c(x1, x2) <= tol on
 the pairs.  The transform works in row blocks, so peak memory does not grow
-as grid x pairs.
+as grid x pairs.  Each grid is deduped once, and :func:`_on_grid` checks
+only the values of a table on it.
 """
 
 from __future__ import annotations
@@ -141,6 +142,15 @@ class Potential:
         return cls(points, values, closed_form=form_from_json(form) if form is not None else None)
 
 
+def _on_grid(grid: np.ndarray, values: np.ndarray) -> Potential:
+    """The table of values on grid, distinct read-only rows, checking only the values."""
+    if (np.isnan(values) | (values == -math.inf)).any():
+        raise InputValidationError("potential values must be finite or +inf")
+    pot = object.__new__(Potential)
+    pot.__dict__.update(points=grid, values=_read_only(values), closed_form=None)
+    return pot
+
+
 def rockafellar_potential(
     cost: PairwiseCost,
     pairs: Sequence[tuple],
@@ -162,12 +172,12 @@ def rockafellar_potential(
     continuum limit.
     """
     xs, ys = dedup_pairs(pairs)
-    return _chain_potential(cost, xs, ys, as_vec(s1), eval_points, tol)
+    return _chain_potential(cost, xs, ys, as_vec(s1), dedup_vecs(eval_points), tol)
 
 
-def _chain_potential(cost: PairwiseCost, xs, ys, base: Vec, eval_points, tol: float) -> Potential:
+def _chain_potential(cost: PairwiseCost, xs, ys, base: Vec, grid: np.ndarray, tol: float) -> Potential:
     """rockafellar_potential on the distinct pairs (xs[k], ys[k]), given as
-    (m, d) row arrays, based at the validated point base."""
+    (m, d) row arrays, based at the validated point base, on grid (:func:`_on_grid`)."""
     source = _rows_at(xs, base)
     if not source.any():
         raise BasePointNotInProjection(f"base point {base!r} is not a first coordinate of any pair")
@@ -179,9 +189,8 @@ def _chain_potential(cost: PairwiseCost, xs, ys, base: Vec, eval_points, tol: fl
         raise NotCyclicallyMonotone(f"pairs contain a cycle with gain {scan.cycle_gain:.6g}",
                                     scan.cycle, scan.cycle_gain)
     # R(p) = max_k [c(p, y_k) - h_k], h_k = c(x_k, y_k) - longest_k: a c-transform over the y_k.
-    pts = dedup_vecs(eval_points)
-    best, _ = c_transform(cost, ys, cost.paired(xs, ys) - scan.longest, pts, False)
-    return Potential(pts, np.where(_rows_at(pts, base), 0.0, best))
+    best, _ = c_transform(cost, ys, cost.paired(xs, ys) - scan.longest, grid, False)
+    return _on_grid(grid, np.where(_rows_at(grid, base), 0.0, best))
 
 
 def _rows_at(rows: np.ndarray, base: Vec) -> np.ndarray:
@@ -202,12 +211,15 @@ def c_conjugate(
     Ties in the maximiser break toward the lowest domain index.  Raises
     ImproperInput when f has no finite tabulated value to maximise over.
     """
-    finite = np.flatnonzero(f.values != math.inf)
-    if not finite.size:
+    if (f.values == math.inf).all():
         raise ImproperInput("cannot conjugate a potential with no finite values")
-    pts = dedup_vecs(eval_points)
-    best, _ = c_transform(cost, f.points[finite], f.values[finite], pts, True)
-    return Potential(pts, best)
+    return _conjugate(f, cost, dedup_vecs(eval_points))
+
+
+def _conjugate(f: Potential, cost: PairwiseCost, grid: np.ndarray) -> Potential:
+    """c_conjugate of f, which has a finite value, on grid (:func:`_on_grid`)."""
+    finite = f.values != math.inf
+    return _on_grid(grid, c_transform(cost, f.points[finite], f.values[finite], grid, True)[0])
 
 
 @dataclass(frozen=True)

@@ -231,6 +231,12 @@ def _point_rows(points, dims: Sequence[int]) -> np.ndarray:
         if not np.isfinite(rows).all():
             raise InputValidationError("coordinates must be finite")
         return rows
+    try:  # a (k, N) or (k, N, d) payload of finite numbers is read whole too
+        a = np.array(points, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # not such a payload: the checks raise
+        a = np.empty(0)
+    if a.shape[1:2] == (n,) and tuple(dims) == (a.shape[2:] or (1,)) * n and np.isfinite(a).all():
+        return a.reshape(-1, sum(dims))
     given = [tuple(p) for p in points]
     if any(len(p) != n for p in given):
         raise DimensionMismatch("point has the wrong number of marginals")
@@ -439,11 +445,13 @@ def form_from_json(obj: dict) -> ClosedForm:
 # ---------------------------------------------------------------------------
 
 PAIRWISE_KINDS = ("inner_product", "half_sq_dist", "bilinear", "tabulated")
+PAIR_BLOCK_CELLS = 1 << 20  # cells of a pair block built or reduced at a time
 
 
 @dataclass(frozen=True, eq=False)
 class PairwiseCost:
-    """One two-marginal coupling c_ij, with an overall sign.
+    """One two-marginal coupling c_ij, with an overall sign: value, paired and
+    block (the one kernel of every pair block) evaluate it, bit for bit alike.
 
     Kinds:
         inner_product   <x, y>
@@ -548,13 +556,40 @@ class PairwiseCost:
             return self._couple(x, y)
         return float(self.paired([x], [y])[0])
 
-    def matrix(self, xs, ys) -> np.ndarray:
-        """M[a, b] = value(xs[a], ys[b]), bit for bit, as one array."""
+    def block(self, xs, ys, out: np.ndarray, transposed: bool = False) -> np.ndarray:
+        """Write value(xs[a], ys[b]) into out[a, b] (out[b, a] when transposed) bit for bit,
+        PAIR_BLOCK_CELLS cells or one row at a time, and return out.  The closed forms add
+        coordinates from 0 as value does, a term after the first through one buffer of that
+        size, then halve (half_sq_dist) and apply the sign; a table gathers its cells."""
         x, y = _rows(xs), _rows(ys)
-        if self.kind == "tabulated":
-            ix, iy = np.ix_(self._grid_index(x, "x"), self._grid_index(y, "y"))
-            return self.sign * self.table[ix, iy]
-        return self._couple(x.T[:, :, None], y.T[:, None, :])
+        if self.kind == "tabulated":  # flat positions in the table, then the gather
+            ix, iy = self._grid_index(x, "x") * len(self.grid_y), self._grid_index(y, "y")
+            flat = np.add.outer(iy, ix) if transposed else np.add.outer(ix, iy)
+            np.take(self.table, flat, out=out, mode="clip")
+            return np.negative(out, out=out) if self.sign < 0 else out
+        if self.kind == "bilinear":
+            if x.shape[1] != len(self.coef) or y.shape[1] != len(self.coef[0]):
+                raise DimensionMismatch("bilinear cost shape mismatch")
+            y = np.stack([_dot(row, y.T) for row in self.coef], axis=1)  # <A_i, y> as value sums it
+        elif x.shape[1] != y.shape[1]:
+            raise DimensionMismatch(f"{self.kind} needs equal dimensions")
+        # Each term is symmetric in its operands bit for bit, so a transposed block swaps them.
+        x, y = (np.ascontiguousarray(v.T) for v in ((y, x) if transposed else (x, y)))
+        step = max(1, PAIR_BLOCK_CELLS // max(1, out.shape[1]))
+        buf = np.empty(min(len(out), step) * out.shape[1]) if len(x) > 1 else None
+        for r in range(0, len(out), step):
+            o = out[r:r + step]
+            t = o if buf is None else buf[:o.size].reshape(o.shape)
+            for c in range(len(x)):
+                a, b = x[c, r:r + step, None], y[c, None, :]
+                if self.kind == "half_sq_dist":
+                    a = b = np.subtract(a, b, out=t)
+                np.add(o if c else 0.0, np.multiply(a, b, out=t), out=o)
+            if self.kind == "half_sq_dist":
+                o *= 0.5
+            if self.sign < 0:
+                np.negative(o, out=o)
+        return out
 
     def paired(self, xs, ys) -> np.ndarray:
         """value(xs[r], ys[r]) for each row r of two (k, d) arrays."""
@@ -870,12 +905,12 @@ class GammaSet:
 
 
 def dedup_vecs(points: Sequence[float | Sequence[float]]) -> np.ndarray:
-    """Validated marginal points as a (k, d) array, duplicates dropped, in
-    first-seen order."""
+    """Validated marginal points as a read-only (k, d) array, duplicates
+    dropped, in first-seen order."""
     rows = _vec_rows(points)
     if not len(rows):
         raise InputValidationError("need at least one evaluation point")
-    return rows[unique_rows(rows)]
+    return _read_only(rows[unique_rows(rows)])
 
 
 def dedup_pairs(pairs: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:

@@ -40,7 +40,8 @@ cycle exists here.
 Every table the construction and its certificate build is one c-transform,
 T_h(q) = max_a [c(a, q) - h(a)] over a finite table (:func:`c_transform`),
 taken in blocks of at most PAIR_BLOCK_CELLS cells: chain values, discrete
-conjugates, the antiderivative check and the certificate's brackets.
+conjugates, the antiderivative check and the certificate's brackets.  Every
+pair block is written by PairwiseCost.block into its caller's buffer.
 
 All inequality checks use an absolute tolerance (default 1e-9): violations
 not exceeding it count as holding.  Verifiers are deterministic; ties in
@@ -61,6 +62,7 @@ import numpy as np
 from .core import (
     CostSpec,
     GammaSet,
+    PAIR_BLOCK_CELLS,
     PairwiseCost,
     Point,
     Vec,
@@ -81,19 +83,21 @@ from .errors import (
 
 DEFAULT_TOL = 1e-9
 BRUTE_FORCE_BUDGET = 50_000_000
-PAIR_BLOCK_CELLS = 1 << 20
 
 
 def c_transform(cost: PairwiseCost, points: np.ndarray, h: np.ndarray, queries: np.ndarray,
                 table_first: bool) -> tuple[np.ndarray, np.ndarray]:
     """The c-transform T_h(q) = max_a [c(points[a], q) - h[a]] at each query row q (with
     c(q, points[a]) when not table_first) and the first a attaining it, -inf and 0 over no
-    points; cells are built PAIR_BLOCK_CELLS or one query at a time."""
+    points; a query-major buffer of PAIR_BLOCK_CELLS cells (or one query) takes the cells."""
     vals, arg = np.full(len(queries), -math.inf), np.zeros(len(queries), dtype=np.intp)
     step = max(1, PAIR_BLOCK_CELLS // max(1, len(points)))
+    buf = np.empty(min(step, len(queries)) * len(points))
     for q0 in range(0, len(queries) if len(points) else 0, step):
         q = queries[q0:q0 + step]
-        cells = (cost.matrix(points, q).T if table_first else cost.matrix(q, points)) - h
+        cells = buf[:len(q) * len(points)].reshape(len(q), len(points))
+        cost.block(*((points, q) if table_first else (q, points)), cells, table_first)
+        cells -= h
         k = arg[q0:q0 + step] = cells.argmax(axis=1)
         vals[q0:q0 + step] = cells[np.arange(len(k)), k]
     return vals, arg
@@ -228,44 +232,32 @@ def _sorted_scan(x: np.ndarray, y: np.ndarray, cost: PairwiseCost, source_mask) 
     return GainScan(longest, None, 0.0)
 
 
-def _gain_lane(xs, ys, cost: PairwiseCost, out: np.ndarray | None = None) -> np.ndarray:
-    """The transposed gain digraph of the pairs (xs[k], ys[k]), lane[v, u] =
-    c(x_v, y_u) - c(x_u, y_u) with 0.0 on the diagonal, written to out, or
-    over the cost matrix when out is None."""
-    cm = cost.matrix(xs, ys)  # cm[a, b] = c(x_a, y_b)
-    lane = cm if out is None else out
-    np.subtract(cm, cm.diagonal().copy(), out=lane)
-    if not np.isfinite(lane).all():
-        raise InputValidationError("an edge gain is not finite: the costs on the pairs overflow")
-    np.fill_diagonal(lane, 0.0)
-    return lane
-
-
 def _gain_stacks(problems: Sequence[tuple]) -> Iterator[tuple[list[int], np.ndarray]]:
     """The gain lanes of (xs, ys, cost, source_mask) problems in (L, m, m)
     stacks of problems with m pairs, as many as fit in PAIR_BLOCK_CELLS
     cells (at least one), each yielded with the indices of its problems once
-    full.  Lanes are built in problem order, so the first problem with a
-    gain that is not finite, or a point off a tabulated grid, is the one
-    refused."""
+    full.  Lane k holds lane[v, u] = c(x_v, y_u) - c(x_u, y_u), 0.0 on the
+    diagonal; lanes are built in problem order, so the first problem with a
+    gain that is not finite, or off a tabulated grid, is the one refused."""
     left = Counter(len(problem[0]) for problem in problems)
-    filling: dict[int, tuple[list[int], np.ndarray | None]] = {}
+    filling: dict[int, tuple[list[int], np.ndarray]] = {}
     for k, (xs, ys, cost, _) in enumerate(problems):
         m = len(xs)
         if m not in filling:
             lanes = min(left[m], max(1, PAIR_BLOCK_CELLS // max(1, m * m)))
-            filling[m] = ([], np.empty((lanes, m, m)) if lanes > 1 else None)
+            filling[m] = ([], np.empty((lanes, m, m)))
         members, stack = filling[m]
-        if stack is None:
-            stack = _gain_lane(xs, ys, cost)[None]
-        else:
-            _gain_lane(xs, ys, cost, stack[len(members)])
+        lane = cost.block(xs, ys, stack[len(members)])  # lane[a, b] = c(x_a, y_b)
+        lane -= lane.diagonal().copy()
+        if not np.isfinite(lane).all():
+            raise InputValidationError("an edge gain is not finite: the costs on the pairs overflow")
+        np.fill_diagonal(lane, 0.0)
         members.append(k)
         left[m] -= 1
         if len(members) == len(stack):
             del filling[m]
             yield members, stack
-        del stack  # so that no full stack outlives its relaxation
+        del stack, lane  # so that no full stack outlives its relaxation
 
 
 def _relaxation_scan(problems: Sequence[tuple], tol: float) -> list[GainScan]:
@@ -429,7 +421,8 @@ def _check_gamma_against_spec(g: GammaSet, spec: CostSpec) -> None:
 
 def _full_pair_matrices(g: GammaSet, spec: CostSpec) -> dict[tuple[int, int], np.ndarray]:
     blocks = marginal_blocks(g.coords, g.dims)
-    return {(i, j): cost.matrix(blocks[i - 1], blocks[j - 1]) for (i, j), cost in spec.pairs.items()}
+    return {(i, j): cost.block(blocks[i - 1], blocks[j - 1], np.empty((g.size, g.size)))
+            for (i, j), cost in spec.pairs.items()}
 
 
 def _positions(index: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -693,12 +686,13 @@ def is_c_monotone(g: GammaSet, spec: CostSpec, tol: float = DEFAULT_TOL) -> Mono
         same = [d[rows, None] + d[None, cols] for d in diags]
         cross = []
         for (i, j), cost in pairs:
-            # M_ij[rows, cols] and M_ij[cols, rows], evaluated for this block
-            # only, entry by entry as in the full matrix; one block of all
-            # rows needs the one matrix.
-            mat = cost.matrix(blocks[i - 1][rows], blocks[j - 1][cols])
-            back = mat if rows == cols else cost.matrix(blocks[i - 1][cols], blocks[j - 1][rows])
-            cross.append(mat + back.T)
+            # M_ij[rows, cols] and M_ij[cols, rows] transposed, evaluated for
+            # this block only, entry by entry as in the full matrix; one
+            # block of all rows needs the one matrix.
+            x, y, shape = blocks[i - 1], blocks[j - 1], h[0].shape
+            mat = cost.block(x[rows], y[cols], np.empty(shape))
+            back = mat.T if rows == cols else cost.block(x[cols], y[rows], np.empty(shape), True)
+            cross.append(mat + back)
         out = np.empty((len(masks),) + h[0].shape)
         for s, mask in enumerate(masks):
             vals = h[0]

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .antiderivative import Potential, _chain_potential, c_conjugate
+from .antiderivative import Potential, _chain_potential, _conjugate, _on_grid
 from .core import (
     ClosedForm,
     CostSpec,
@@ -56,6 +56,7 @@ from .core import (
     Point,
     Vec,
     _point_rows,
+    _read_only,
     _vec_rows,
     as_point,
     fields_json,
@@ -119,14 +120,12 @@ class SplittingTuple:
 
 def _grid(projection: np.ndarray, extra: Sequence) -> np.ndarray:
     """The distinct rows of a marginal's projection, then the distinct
-    extra points not among them, first seen first."""
-    rows = projection
-    if len(extra):
-        more = _vec_rows(extra)
-        if more.shape[1] != rows.shape[1]:
-            raise DimensionMismatch("points mix dimensions")
-        rows = np.concatenate([rows, more])
-    return rows[unique_rows(rows)]
+    extra points not among them, first seen first, read-only."""
+    more = _vec_rows(extra) if len(extra) else projection[:0]
+    if more.shape[1] != projection.shape[1]:
+        raise DimensionMismatch("points mix dimensions")
+    rows = np.concatenate([projection, more])
+    return _read_only(rows[unique_rows(rows)])
 
 
 def assemble_splitting_tuple(
@@ -180,7 +179,7 @@ def assemble_splitting_tuple(
                     exc.gain,
                 ) from exc
             pair_pots[(i, j)] = f
-            pair_conjs[(i, j)] = c_conjugate(f, cost_ij, grids[j - 1])
+            pair_conjs[(i, j)] = _conjugate(f, cost_ij, grids[j - 1])
 
     # Every f_{i,k} and f_{k,i}^c is tabulated on grids[i - 1], in its order.
     potentials = []
@@ -188,7 +187,7 @@ def assemble_splitting_tuple(
         terms = [pair_pots[(i, k)] for k in range(i + 1, n + 1)]
         terms += [pair_conjs[(k, i)] for k in range(1, i)]
         total = sum(u.values for u in terms) + spec.shift_values(i, grids[i - 1])
-        potentials.append(Potential(grids[i - 1], total))
+        potentials.append(_on_grid(grids[i - 1], total))
     return SplittingTuple(tuple(potentials), pair_pots, pair_conjs, base)
 
 

@@ -23,7 +23,11 @@ tabulation, conjugation, the antiderivative check and the pair brackets as
 c-transforms, each over one whole matrix, which the library's blocked
 transform must equal bit for bit, and the Bellman-Ford scan of one
 problem at a time over a dense candidate array a round, which the
-library's stacked relaxation must equal bit for bit.  ``rounding_bound`` bounds how far two
+library's stacked relaxation must equal bit for bit.  So are ``pair_matrix``,
+the broadcast cost matrix that ``PairwiseCost.block`` replaced, and
+``point_rows_per_marginal``, the per-marginal reading of product points that
+``core._point_rows`` keeps for every payload it does not read whole: the
+library must equal both bit for bit, errors included.  ``rounding_bound`` bounds how far two
 orders of adding the same terms can land apart: the judge of the bits the
 transform moved against the formulas it replaced.
 """
@@ -47,6 +51,8 @@ from monosplit.core import (
     RowIndex,
     Vec,
     _point_rows,
+    _rows,
+    _vec_rows,
     as_point,
     as_vec,
     classical_cost,
@@ -587,12 +593,25 @@ def gathered_certificate(
     )
 
 
+def pair_matrix(cost: PairwiseCost, xs, ys) -> np.ndarray:
+    """M[a, b] = cost.value(xs[a], ys[b]) as one array, with the kernel's
+    errors: the closed forms broadcast over (d, k, 1) x (d, 1, g) coordinate
+    arrays through value's own sum, a table gathers by np.ix_.  This is the
+    matrix the library built before its block kernel, which must equal it
+    bit for bit."""
+    x, y = _rows(xs), _rows(ys)
+    if cost.kind == "tabulated":
+        ix, iy = np.ix_(cost._grid_index(x, "x"), cost._grid_index(y, "y"))
+        return cost.sign * cost.table[ix, iy]
+    return cost._couple(x.T[:, :, None], y.T[:, None, :])
+
+
 def dense_c_transform(cost: PairwiseCost, points, h, queries, table_first: bool) -> tuple:
     """c_transform with every cell in one (table, queries) matrix, reduced
     by argmax along the table: -inf and row 0 at each query of no table."""
     if not len(points):
         return np.full(len(queries), -math.inf), np.zeros(len(queries), dtype=np.intp)
-    cm = cost.matrix(points, queries) if table_first else cost.matrix(queries, points).T
+    cm = pair_matrix(cost, points, queries) if table_first else pair_matrix(cost, queries, points).T
     cells = cm - np.asarray(h, dtype=float)[:, None]
     k = cells.argmax(axis=0)
     return cells[k, np.arange(len(queries))], k
@@ -650,7 +669,7 @@ def dense_relaxation_scan(xs, ys, cost: PairwiseCost, tol: float, source_mask) -
     gains[u, v] = c(x_v, y_u) - c(x_u, y_u), each a full m x m candidate
     array reduced along its first axis."""
     m = len(xs)
-    cm = cost.matrix(xs, ys)  # cm[a, b] = c(x_a, y_b)
+    cm = pair_matrix(cost, xs, ys)  # cm[a, b] = c(x_a, y_b)
     gains = cm.T - np.diag(cm)[:, None]  # gains[u, v] = c(x_v, y_u) - c(x_u, y_u)
     if not np.isfinite(gains).all():
         raise InputValidationError("an edge gain is not finite: the costs on the pairs overflow")
@@ -820,6 +839,32 @@ def check_exactness_condition(
         n_test_points=len(pts),
         equality_tol=eq_tol,
     )
+
+
+def point_rows_per_marginal(points, dims: Sequence[int]) -> np.ndarray:
+    """core._point_rows as it read every payload before its rectangular
+    path: an array of flattened points whole, anything else one marginal
+    at a time through _vec_rows, whose errors and their order the library
+    must keep."""
+    n = len(dims)
+    numbers = isinstance(points, np.ndarray) and points.dtype.kind in "biuf"
+    if numbers and points.shape[1:] == (sum(dims),):
+        rows = np.asarray(points, dtype=float)
+        if not np.isfinite(rows).all():
+            raise InputValidationError("coordinates must be finite")
+        return rows
+    given = [tuple(p) for p in points]
+    if any(len(p) != n for p in given):
+        raise DimensionMismatch("point has the wrong number of marginals")
+    if not given:
+        return np.empty((0, sum(dims)))
+    try:
+        cols = [_vec_rows([p[i] for p in given]) for i in range(n)]
+    except DimensionMismatch:  # a marginal holds points of two dimensions
+        cols = []
+    if len(cols) != n or any(c.shape[1] != d for c, d in zip(cols, dims)):
+        raise DimensionMismatch("marginal dimension mismatch")
+    return np.hstack(cols)
 
 
 def unique_rows_lexsort(rows: np.ndarray) -> np.ndarray:

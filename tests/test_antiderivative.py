@@ -22,6 +22,7 @@ from monosplit.antiderivative import (
 from monosplit.core import PairwiseCost, QuadraticForm
 from monosplit.errors import (
     BasePointNotInProjection,
+    DimensionMismatch,
     ImproperInput,
     InputValidationError,
     NotCyclicallyMonotone,
@@ -290,3 +291,58 @@ def test_potential_validation_rules():
         Potential(((1.0,),), (1.0,), closed_form=form)
     with pytest.raises(InputValidationError):
         Potential.from_json({**Potential(((1.0,),), (1.0,)).to_json(), "closed_form": form.to_json()})
+
+
+NAN, INF = math.nan, math.inf
+PAIRS = [((0.0,), (0.0,)), ((1.0,), (1.0,))]
+HALF = Potential([(0.0,), (1.0,)], [0.0, 0.5])
+BAD_VALUE = r"^potential values must be finite or \+inf$"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Potential([(0.0,), (-0.0,)], [1.0, 2.0]), InputValidationError,
+     r"^duplicate domain point \(-0\.0,\)$"),
+    (lambda: Potential([(0.0,), (1.0,)], [1.0, NAN]), InputValidationError, BAD_VALUE),
+    (lambda: Potential([(0.0,), (1.0,)], [-INF, 0.0]), InputValidationError, BAD_VALUE),
+    # the first bad row decides: a bad value before a duplicate point
+    (lambda: Potential([(0.0,), (1.0,), (0.0,)], [0.0, NAN, 1.0]), InputValidationError, BAD_VALUE),
+    (lambda: Potential([(0.0,), (NAN,)], [0.0, 0.0]), InputValidationError,
+     "^non-finite coordinate nan$"),
+    (lambda: rockafellar_potential(INNER, PAIRS, (0.0,), [(0.0,), (NAN,)]), InputValidationError,
+     "^non-finite coordinate nan$"),
+    (lambda: rockafellar_potential(INNER, PAIRS, (0.0,), [(-INF,)]), InputValidationError,
+     "^non-finite coordinate -inf$"),
+    (lambda: rockafellar_potential(INNER, PAIRS, (0.0,), [(0.0,), (0.0, 1.0)]), DimensionMismatch,
+     "^points mix dimensions$"),
+    (lambda: rockafellar_potential(INNER, [((0.0,), (NAN,))], (0.0,), [(0.0,)]),
+     InputValidationError, "^non-finite coordinate nan$"),
+    (lambda: rockafellar_potential(INNER, PAIRS, (-INF,), [(0.0,)]), InputValidationError,
+     "^non-finite coordinate -inf$"),
+    (lambda: rockafellar_potential(INNER, PAIRS, (0.5,), [(0.0,)]), BasePointNotInProjection,
+     r"^base point \(0\.5,\) is not a first coordinate of any pair$"),
+    # every argument is validated before the base and the cycle are sought
+    (lambda: rockafellar_potential(INNER, PAIRS, (0.5,), [(NAN,)]), InputValidationError,
+     "^non-finite coordinate nan$"),
+    (lambda: rockafellar_potential(INNER, [((0.0,), (1.0,)), ((1.0,), (0.0,))], (0.0,), [(NAN,)]),
+     InputValidationError, "^non-finite coordinate nan$"),
+    (lambda: rockafellar_potential(INNER, [((0.0,), (1.0,)), ((1.0,), (0.0,))], (0.0,), [(0.0,)]),
+     NotCyclicallyMonotone, "^pairs contain a cycle"),
+    (lambda: c_conjugate(HALF, INNER, [(0.0,), (NAN,)]), InputValidationError,
+     "^non-finite coordinate nan$"),
+    (lambda: c_conjugate(HALF, INNER, [(-INF,)]), InputValidationError,
+     "^non-finite coordinate -inf$"),
+    (lambda: c_conjugate(HALF, INNER, []), InputValidationError,
+     "^need at least one evaluation point$"),
+    (lambda: c_conjugate(Potential([(0.0,)], [INF]), INNER, [(NAN,)]), ImproperInput,
+     "^cannot conjugate a potential with no finite values$"),
+])
+def test_public_entry_points_still_validate_their_inputs(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_public_entry_points_dedup_their_evaluation_points_into_read_only_tables():
+    evals = [(1.0,), (0.0,), (-0.0,), (1.0,)]
+    for u in (rockafellar_potential(INNER, PAIRS, (0.0,), evals), c_conjugate(HALF, INNER, evals)):
+        assert repr(u.points.tolist()) == "[[1.0], [0.0]]"
+        assert not u.points.flags.writeable and not u.values.flags.writeable

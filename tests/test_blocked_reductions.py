@@ -30,6 +30,7 @@ from helpers import (
     dense_chain_potential,
     dense_pair_brackets,
     find_rows,
+    pair_matrix,
     rounding_bound,
 )
 from monosplit import monotone
@@ -86,7 +87,9 @@ def _table(draw, d, finite=False):
 
 @st.composite
 def _chain_case(draw, d):
-    """A cost, distinct pairs (xs, ys) and a grid of their xs and more."""
+    """A cost, distinct pairs (xs, ys) and a grid of their xs and more,
+    which the chain body takes once deduped (dedup_vecs), as assembly's
+    grids are."""
     xs, extra, cost = draw(_points(d, min_size=1)), draw(_points(d)), draw(_costs(d))
     if draw(st.booleans()):  # y = x, with each zero's sign drawn anew
         ys = xs.copy()
@@ -155,7 +158,8 @@ def test_c_transform_matches_the_dense_reference_at_every_cap(case):
         assert _bits(vals) == _bits(want)
         assert arg.tolist() == first.tolist()
     if len(points):  # the first row of each tie is kept, zeros of either sign tying
-        cm = cost.matrix(points, queries) if table_first else cost.matrix(queries, points).T
+        cm = (pair_matrix(cost, points, queries) if table_first
+              else pair_matrix(cost, queries, points).T)
         ties = (cm - h[:, None]) == want
         assert first.tolist() == ties.argmax(axis=0).tolist()
 
@@ -165,7 +169,7 @@ def test_chain_values_match_the_dense_formula_at_every_cap(case):
     cost, xs, ys, grid = case
 
     def run():
-        return _chain_potential(cost, xs, ys, xs[0], grid, 1e-9)
+        return _chain_potential(cost, xs, ys, xs[0], dedup_vecs(grid), 1e-9)
 
     try:
         want = dense_chain_potential(cost, xs, ys, xs[0], grid, 1e-9)
@@ -213,8 +217,8 @@ def test_chain_values_move_within_the_rounding_bound(case):
     scan = scan_gain_digraph(xs, ys, cost, tol=1e-9, source_mask=source)
     if scan.cycle is not None:
         return
-    got = _chain_potential(cost, xs, ys, xs[0], grid, 1e-9)
-    cm, diag, longest = cost.matrix(got.points, ys), cost.paired(xs, ys), scan.longest
+    got = _chain_potential(cost, xs, ys, xs[0], dedup_vecs(grid), 1e-9)
+    cm, diag, longest = pair_matrix(cost, got.points, ys), cost.paired(xs, ys), scan.longest
     at_base = find_rows(xs[:1], got.points) == 0
     old = np.where(at_base, 0.0, ((longest + cm) - diag).max(axis=1))
     assert _within(old, got.values, _row_bound(rounding_bound(longest, cm, diag), axis=1))
@@ -226,7 +230,8 @@ def test_antiderivative_residuals_move_within_the_rounding_bound(case):
     fx, probes = f.values_at(x1), f.values != math.inf
     if (fx == math.inf).any() or not probes.any():
         return
-    cm, fa, diag = cost.matrix(f.points[probes], x2), f.values[probes, None], cost.paired(x1, x2)
+    cm, fa = pair_matrix(cost, f.points[probes], x2), f.values[probes, None]
+    diag = cost.paired(x1, x2)
     old = (((fx + cm) - fa) - diag).max(axis=0)
     fc, _ = dense_c_transform(cost, f.points[probes], f.values[probes], x2, True)
     bound = _row_bound(rounding_bound(fx, cm, fa, diag), axis=0)
@@ -240,7 +245,7 @@ def test_lowest_brackets_move_within_the_rounding_bound(case):
     tup, spec = case
     f, fc = tup.pair_potentials[(1, 2)], tup.pair_conjugates[(1, 2)]
     rows = f.values != math.inf
-    fx, cm = f.values[rows, None], spec.pair_cost(1, 2).matrix(f.points[rows], fc.points)
+    fx, cm = f.values[rows, None], pair_matrix(spec.pair_cost(1, 2), f.points[rows], fc.points)
     old = (fx + fc.values) - cm
     bound = rounding_bound(fx, fc.values, cm)
     got = _pair_brackets(tup, spec, (1, 2))

@@ -1,7 +1,10 @@
 """The array evaluators against independent one-point references.
 
-``PairwiseCost.matrix``/``paired`` must reproduce ``value`` for the closed
-form kinds, and a dict of the grid points for tables; ``CostSpec.total_many``
+``PairwiseCost.block``/``paired`` must reproduce ``value`` for the closed
+form kinds, and a dict of the grid points for tables; ``block`` must also
+equal ``helpers.pair_matrix``, the broadcast matrix it replaced, in both
+orientations and at every buffer size, where entries overflow too, and peak
+in memory at its result plus one buffer; ``CostSpec.total_many``
 must reproduce ``total``; ``Potential.values_at`` and ``value_at`` must
 reproduce a dict of the table.  All bit for bit, signed zeros included, with
 the same errors.  ``ClosedForm.values`` must reproduce the plain float
@@ -12,13 +15,14 @@ what ``dict.fromkeys`` and a dict lookup give on the rows as tuples.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import add_separable_shift, find_rows, unique_rows_lexsort
+from helpers import add_separable_shift, find_rows, pair_matrix, unique_rows_lexsort
 from monosplit import core
 from monosplit.antiderivative import Potential
 from monosplit.core import (
@@ -73,11 +77,13 @@ def cost_and_points(draw):
 @given(cost_and_points())
 def test_matrix_and_paired_reproduce_value_bit_for_bit(case):
     cost, xs, ys, reference = case
-    m = cost.matrix(xs, ys)
+    m = pair_matrix(cost, xs, ys)
+    block = cost.block(xs, ys, np.empty((len(xs), len(ys))))
     assert m.shape == (len(xs), len(ys))
     for a, x in enumerate(xs):
         for b, y in enumerate(ys):
             assert same_bits(m[a, b], reference(x, y))
+            assert same_bits(block[a, b], reference(x, y))
             assert same_bits(cost.value(x, y), reference(x, y))
     k = min(len(xs), len(ys))
     row = cost.paired(xs[:k], ys[:k])
@@ -100,9 +106,84 @@ def test_kernel_raises_what_value_raises(cost, x, y, error):
     with pytest.raises(error):
         cost.value(x, y)
     with pytest.raises(error):
-        cost.matrix([x], [y])
+        pair_matrix(cost, [x], [y])
+    for transposed in (False, True):
+        with pytest.raises(error):
+            cost.block([x], [y], np.empty((1, 1)), transposed)
     with pytest.raises(error):
         cost.paired([x], [y])
+
+
+# Both zeros, subnormals, and magnitudes whose products, differences and
+# sums overflow (1e155 squared, 1.7e308 doubled), so that cells are inf or
+# inf - inf = nan, as well as ordinary values.
+ENTRIES = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e155, -1e155, 1.7e308, -1.7e308)),
+    FLOATS,
+)
+
+
+def _entry_points(dim: int):
+    return st.lists(st.tuples(*[ENTRIES] * dim), min_size=1, max_size=5)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A cost of each kind and sign, with points of dimension 1 to 3 (a
+    bilinear cost's two sides may differ) whose coordinates, coefficients
+    and table entries are ENTRIES."""
+    kind, sign = draw(st.sampled_from(PAIRWISE_KINDS)), draw(st.sampled_from((1, -1)))
+    d = draw(st.integers(1, 3))
+    dy = draw(st.integers(1, 3)) if kind == "bilinear" else d
+    xs, ys = draw(_entry_points(d)), draw(_entry_points(dy))
+    if kind == "bilinear":
+        coef = draw(st.lists(st.lists(ENTRIES, min_size=dy, max_size=dy), min_size=d, max_size=d))
+        return PairwiseCost.bilinear(coef, sign), xs, ys
+    if kind == "tabulated":
+        gx, gy = xs + draw(_entry_points(d)), ys + draw(_entry_points(dy))
+        table = draw(st.lists(st.lists(ENTRIES, min_size=len(gy), max_size=len(gy)),
+                              min_size=len(gx), max_size=len(gx)))
+        return PairwiseCost.tabulated(gx, gy, table, sign), xs, ys
+    return PairwiseCost(kind, sign), xs, ys
+
+
+@given(kernel_cases(), st.sampled_from((1, 3, core.PAIR_BLOCK_CELLS)))
+def test_block_equals_the_broadcast_matrix_bit_for_bit(case, cells):
+    cost, xs, ys = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = pair_matrix(cost, xs, ys)
+        for transposed in (False, True):
+            out = np.full(want.T.shape if transposed else want.shape, 7.0)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(core, "PAIR_BLOCK_CELLS", cells)
+                got = cost.block(xs, ys, out, transposed)
+            assert got is out
+            got = got.T if transposed else got
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))  # zeros and nans too
+
+
+@pytest.mark.parametrize("kind", ["inner_product", "half_sq_dist"])
+def test_a_block_peaks_at_its_result_plus_one_buffer(kind):
+    rng = np.random.default_rng(5)
+    x, y = rng.uniform(-2.0, 2.0, (2000, 2)), rng.uniform(-2.0, 2.0, (2000, 2))
+    cost = PairwiseCost(kind)
+    for transposed in (False, True):
+        tracemalloc.start()
+        try:
+            out = cost.block(x, y, np.empty((2000, 2000)), transposed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 256 kB covers the transposed points and NumPy's broadcast buffers
+        assert peak <= out.nbytes + 8 * core.PAIR_BLOCK_CELLS + (1 << 18)
+    # The broadcast matrix held a temporary of the result's size beside it.
+    tracemalloc.start()
+    try:
+        pair_matrix(cost, x, y)
+        assert tracemalloc.get_traced_memory()[1] >= 2 * out.nbytes
+    finally:
+        tracemalloc.stop()
 
 
 @given(

@@ -12,13 +12,15 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monosplit import errors
+from helpers import point_rows_per_marginal
+from monosplit import core, errors
 from monosplit.cli import main
-from monosplit.core import GammaSet, as_point
+from monosplit.core import GammaSet, _point_rows, as_point
 
 NAN, INF = math.nan, math.inf
 POINTS = [[[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]], [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]]
@@ -108,3 +110,59 @@ def test_points_and_membership_follow_first_seen_tuples(pts, probe):
     other = tuple(tuple(next(values) for _ in x) for x in next(iter(expected)))
     assert (other in g) == (other in expected)
     assert (other[:-1] in g) is False
+
+
+# (payload, dims) makers, fresh on each call (one is a generator): payloads
+# that are rectangular, ragged or neither, of good and bad coordinates, and
+# faults in more than one marginal, whose order decides the error.
+PAYLOADS = {
+    "scalars": (lambda: [[1, 2.5, -0.0], [0.0, True, 3]], (1, 1, 1)),
+    "1-tuples": (lambda: [[(1.0,), (2.0,)], [(-0.0,), (4.0,)]], (1, 1)),
+    "pairs": (lambda: [[[1.0, 2.0], [3.0, -0.0]]], (2, 2)),
+    "mixed scalars and 1-tuples": (lambda: [[0.5, (1.0,)], [(2.0,), 3.0]], (1, 1)),
+    "marginals of two dimensions": (lambda: [[1.0, [2.0, 3.0]]], (1, 2)),
+    "numeric strings": (lambda: [["1", "2.5"], [b"3", 4]], (1, 1)),
+    "strings as points": (lambda: ["12", "34"], (1, 1)),
+    "flattened array": (lambda: np.array([[1.0, 2.0, 3.0]]), (1, 2)),
+    "nested array": (lambda: np.array([[[1.0, 2.0], [3.0, 4.0]]]), (2, 2)),
+    "flattened array with nan": (lambda: np.array([[1.0, np.nan]]), (1, 1)),
+    "empty": (lambda: [], (1, 1)),
+    "empty object array": (lambda: np.empty((0, 2), dtype=object), (1, 1)),
+    "generator": (lambda: (p for p in [[1.0, 2.0]]), (1, 1)),
+    "too few marginals": (lambda: [[1.0, 2.0]], (1, 1, 1)),
+    "too many marginals": (lambda: [[1.0, 2.0, 3.0]], (1, 1)),
+    "ragged marginal count": (lambda: [[1.0, 2.0], [3.0]], (1, 1)),
+    "pairs for scalars": (lambda: [[[1.0, 2.0], [3.0, 4.0]]], (1, 1)),
+    "scalars for pairs": (lambda: [[1.0, 2.0]], (2, 2)),
+    "ragged pair": (lambda: [[[1.0, 2.0], [3.0]]], (2, 2)),
+    "nan": (lambda: [[math.nan, 1.0]], (1, 1)),
+    "-inf in a pair": (lambda: [[[1.0, 2.0], [-math.inf, 4.0]]], (2, 2)),
+    "inf in marginal 1, nan in marginal 2": (lambda: [[1.0, math.nan], [math.inf, 2.0]], (1, 1)),
+    "None": (lambda: [[None, 1.0]], (1, 1)),
+    "complex": (lambda: [[1 + 2j, 1.0]], (1, 1)),
+    "huge int": (lambda: [[10**400, 1.0]], (1, 1)),
+    "word": (lambda: [["a", 1.0]], (1, 1)),
+    "dict": (lambda: [[{}, 1.0]], (1, 1)),
+    "flat numbers": (lambda: [1.0, 2.0], (1, 1)),
+    "flat array": (lambda: np.array([1.0, 2.0]), (1, 1)),
+}
+
+
+def _outcome(call):
+    """The rows as (shape, bytes), or the exception as (type, message)."""
+    try:
+        rows = call()
+    except Exception as exc:  # noqa: BLE001 - type and message are compared
+        return type(exc), str(exc)
+    return rows.shape, rows.tobytes()
+
+
+@pytest.mark.parametrize("label", PAYLOADS)
+def test_point_rows_reads_every_payload_as_the_per_marginal_checks(label, monkeypatch):
+    make, dims = PAYLOADS[label]
+    want = _outcome(lambda: point_rows_per_marginal(make(), dims))
+    assert _outcome(lambda: _point_rows(make(), dims)) == want
+    # and so every way in that reads points through it
+    got = _outcome(lambda: GammaSet.from_points(make(), dims).coords)
+    monkeypatch.setattr(core, "_point_rows", point_rows_per_marginal)
+    assert got == _outcome(lambda: GammaSet.from_points(make(), dims).coords)

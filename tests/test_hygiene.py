@@ -206,6 +206,40 @@ def test_axis_argmax_and_argmin_live_only_in_the_row_kernel(module):
     assert [f for f in found if f.split(":")[0] not in AXIS_REDUCERS] == []
 
 
+def _cost_matrix_uses(source: str) -> list[str]:
+    """Each definition of a function named matrix and each call of a .matrix
+    attribute, as "line: what", in source order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "matrix":
+            found.append((node.lineno, f"def {node.name}"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "matrix":
+            found.append((node.lineno, ast.unparse(node.func)))
+    return [f"{line}: {what}" for line, what in sorted(found)]
+
+
+def test_the_matrix_scan_sees_definitions_and_calls():
+    source = (
+        "class C:\n"
+        "    def matrix(self, xs, ys):\n"
+        "        return xs\n"
+        "m = cost.matrix(a, b)\n"
+        "q = form.matrix\n"
+        "r = spec.pair_cost(1, 2).matrix(x, y)\n"
+    )
+    assert _cost_matrix_uses(source) == ["2: def matrix", "4: cost.matrix",
+                                         "6: spec.pair_cost(1, 2).matrix"]
+
+
+# Every cost cell comes from the one kernel, PairwiseCost.block, written into
+# its caller's buffer.  The broadcast matrix it replaced is the kernel's
+# oracle, tests/helpers.pair_matrix; a form's matrix field is read, not called.
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_module_defines_or_calls_a_cost_matrix(module):
+    assert _cost_matrix_uses((PACKAGE / module).read_text()) == []
+
+
 def _private_reads(source: str) -> list[str]:
     """Each read of an _-prefixed, non-dunder attribute of an object other
     than self or cls, as "line: expression", in source order."""

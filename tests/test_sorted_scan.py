@@ -181,14 +181,14 @@ def test_inexact_ties_differ_from_relaxation_only_by_rounding():
 
 
 def test_large_coordinated_projection_builds_no_pair_matrix(monkeypatch):
-    real = PairwiseCost.matrix
+    real = PairwiseCost.block
 
-    def small_only(self, xs, ys):
-        if len(xs) * len(ys) > 4:
-            raise AssertionError(f"a {len(xs)} x {len(ys)} cost matrix")
-        return real(self, xs, ys)
+    def small_only(self, xs, ys, out, transposed=False):
+        if out.size > 4:
+            raise AssertionError(f"a {len(xs)} x {len(ys)} cost block")
+        return real(self, xs, ys, out, transposed)
 
-    monkeypatch.setattr(PairwiseCost, "matrix", small_only)
+    monkeypatch.setattr(PairwiseCost, "block", small_only)
     rng = np.random.default_rng(3)
     m = 5000
     x = np.sort(rng.uniform(-3.0, 3.0, m))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +26,7 @@ from helpers import (
     table_values_at,
     translated,
 )
-from monosplit import monotone
+from monosplit import core, monotone
 from monosplit.antiderivative import Potential
 from monosplit.core import (
     CostSpec,
@@ -561,17 +562,16 @@ def test_pair_reductions_keep_their_blocks_and_results(monkeypatch, cells):
     assert (want.n_test_points, want.n_vacuous) == (math.prod(sizes), 0)
     shapes = []
 
-    def recorded(self, xs, ys, _matrix=PairwiseCost.matrix):
-        out = _matrix(self, xs, ys)
+    def recorded(self, xs, ys, out, transposed=False, _block=PairwiseCost.block):
         shapes.append(out.shape)
-        return out
+        return _block(self, xs, ys, out, transposed)
 
     monkeypatch.setattr(monotone, "PAIR_BLOCK_CELLS", cells)
-    monkeypatch.setattr(PairwiseCost, "matrix", recorded)
+    monkeypatch.setattr(PairwiseCost, "block", recorded)
     built = assemble_splitting_tuple(g, C1)
     assert dumps_json(built.to_json()) == dumps_json(tup.to_json())  # signed zeros too
-    # Conjugation builds its blocks as (table, queries), so a block over the
-    # cap is one row of the reduction along either axis.
+    # Every block is (queries, table), conjugation's too, so a block over the
+    # cap is one query's row.
     assert shapes and all(r * c <= max(cells, r, c) for r, c in shapes)
     shapes.clear()
     got = certify_splitting(tup, g, C1)
@@ -610,3 +610,43 @@ def test_vacuous_product_points_are_counted_from_the_tables():
     assert cert.passed
     assert (cert.n_test_points, cert.n_vacuous) == (64, 16)
     assert [b.cells for b in cert.pairs] == [12, 12, 16]
+
+
+def test_an_assembled_table_whose_values_come_out_nan_is_refused():
+    # The shift of marginal 1 is inf + -inf = nan at 10.0: assembly takes
+    # its grids as they are, and still checks every value it tabulates.
+    shift = ((QuadraticForm([[1e308]]), QuadraticForm([[-1e308]])), (), ())
+    g = gamma_1d([[0.0, 0.0, 0.0], [10.0, 10.0, 10.0]])
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(InputValidationError, match=r"^potential values must be finite or \+inf$"):
+        assemble_splitting_tuple(g, CostSpec(C1.dims, C1.pairs, shift))
+
+
+def test_assembled_potentials_are_read_only():
+    tup = assemble_splitting_tuple(DIAGONAL, C1, eval_grids=[[2.0], [], [-3.0, 0.0]])
+    for u in (*tup.potentials, *tup.pair_potentials.values(), *tup.pair_conjugates.values()):
+        for table in (u.points, u.values):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 5.0
+
+
+def test_a_split_dedups_each_grid_and_projection_once(monkeypatch):
+    g = make_comonotone_gamma(np.random.default_rng(8), 3, 40)
+    grid = [[-2.0 + 0.25 * k] for k in range(17)]
+    calls = []
+    real = core.unique_rows
+
+    def counted(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("monosplit")]:
+        if getattr(module, "unique_rows", None) is real:
+            monkeypatch.setattr(module, "unique_rows", counted)
+    tup = assemble_splitting_tuple(g, C1, s=g.points[3], eval_grids=[grid] * 3)
+    # three grids and three pair projections; the parent took 21
+    assert len(calls) <= 6
+    calls.clear()
+    assert certify_splitting(tup, g, C1).passed
+    assert calls == []
