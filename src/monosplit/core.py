@@ -24,7 +24,7 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii as _escape
 
 import numpy as np
@@ -205,10 +205,10 @@ class RowIndex:
 
 def marginal_blocks(rows: np.ndarray, dims: Sequence[int]) -> list[np.ndarray]:
     """Split (k, sum(dims)) flattened product points into one (k, d_i)
-    array per marginal."""
+    column-slice view per marginal."""
     if rows.ndim != 2 or rows.shape[1] != sum(dims):
         raise DimensionMismatch(f"points need {sum(dims)} coordinates, got {rows.shape}")
-    return np.split(rows, np.cumsum(dims)[:-1], axis=1)
+    return [rows[:, e - d:e] for d, e in zip(dims, accumulate(dims))]
 
 
 def _marginal_dims(dims: Sequence[int]) -> tuple[int, ...]:

@@ -14,12 +14,12 @@ potentials
     u_i(x) = integral_0^x  sum_{k != i} a_k(a_i^{-1}(t)) dt
 
 are tabulated by one cumulative sweep of composite Simpson pieces per
-sign, graded geometrically into t = 0, where compositions like t^(1/3)
-have unbounded derivatives.  Each integrand is increasing, so every
-tabulated value carries a Riemann bracket |h| |f(b) - f(a)| summed over
-its pieces; the bracket is rigorous but overstates the Simpson error by
-many orders of magnitude.  Young's inequality is evaluated through the exact
-complement-area identity
+sign, on one piece grid that every marginal shares, graded geometrically
+into t = 0, where compositions like t^(1/3) have unbounded derivatives.
+Each integrand is increasing, so every tabulated value carries a Riemann
+bracket |h| |f(b) - f(a)| summed over its pieces; the bracket is rigorous
+but overstates the Simpson error by many orders of magnitude.  Young's
+inequality is evaluated through the exact complement-area identity
 
     integral_0^b g^{-1} = b g^{-1}(b) - integral_0^{g^{-1}(b)} g,
 
@@ -91,7 +91,8 @@ class MonotoneBijection:
     inverse_fn: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        if abs(self.fn(0.0)) > ZERO_TOL:
+        # not (... <= tol) refuses NaN, which every comparison is False on.
+        if not abs(self.fn(0.0)) <= ZERO_TOL:
             raise InputValidationError(
                 f"{self.label}(0) = {self.fn(0.0)!r}, expected 0"
             )
@@ -103,9 +104,11 @@ class MonotoneBijection:
                 )
         if self.inverse_fn is not None:
             for t in self.probe:
-                if abs(self.inverse_fn(self.fn(t)) - t) > 1e-9 * max(1.0, abs(t)):
+                back = self.inverse_fn(self.fn(t))
+                if not abs(back - t) <= 1e-9 * max(1.0, abs(t)):
                     raise InputValidationError(
-                        f"declared inverse of {self.label} fails at {t!r}"
+                        f"declared inverse of {self.label} fails at {t!r}: "
+                        f"it returns {float(back)!r}"
                     )
 
     def __call__(self, t):
@@ -166,11 +169,14 @@ def _float_or_array(out: np.ndarray):
 
 
 def signed_power(t, p: float):
-    """Odd extension of the power map, sign(t) |t|^p, elementwise on arrays."""
+    """Odd extension of the power map, sign(t) |t|^p, elementwise on arrays;
+    0 at both signed zeros, -0.0 where a negative t underflows.
+
+    float_power calls libm pow on each entry, as Python's float ** does.
+    The sign comes from t + 0.0, which differs from t only at -0.0.
+    """
     t = np.asarray(t, dtype=float)
-    # float_power calls libm pow on each entry, as Python's float ** does.
-    odd = np.copysign(np.float_power(np.abs(t), p), t)
-    return _float_or_array(np.where(t == 0.0, 0.0, odd))
+    return _float_or_array(np.copysign(np.float_power(np.abs(t), p), t + 0.0))
 
 
 def _add_in_order(terms: np.ndarray) -> np.ndarray:
@@ -227,49 +233,62 @@ def _sweep_edges(ys: np.ndarray) -> np.ndarray:
     return np.array(edges)
 
 
-def _sweep(fn, knots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """integral_0^x fn and its Riemann bracket at every x in knots.
+def _sweep(
+    fns: Sequence[Callable[[np.ndarray], np.ndarray]], knots: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """integral_0^x fn and its Riemann bracket at every x in knots, for
+    each fn in fns: one (values, brackets) pair per integrand, in order.
 
-    One cumulative sweep per sign: the pieces of both signs (see
-    _sweep_edges), GRADE_PANELS Simpson panels each, go through fn in one
-    call together with 0, for the trapezoid over the sliver between 0 and
-    the innermost edge.  A knot reads the in-order prefix sums of the piece
-    values and brackets below it; a knot at 0 reads exactly 0.
+    The piece grid of the knots is built once and shared: the pieces of
+    both signs (see _sweep_edges, which checks SWEEP_NODE_BUDGET before any
+    integrand runs), GRADE_PANELS Simpson panels each, and then 0, for the
+    trapezoid over the sliver between 0 and the innermost edge.  Each fn is
+    called once, on that one read-only node array, so an integrand that
+    writes into its nodes raises instead of corrupting the next one.  A
+    knot reads the in-order prefix sums of the piece values and brackets
+    below it, one cumulative sweep per sign; a knot at 0 reads exactly 0.
     """
     if not np.isfinite(knots).all():
         raise InputValidationError("integration limits must be finite")
-    values, brackets = np.zeros(knots.shape), np.zeros(knots.shape)
     sides = [(s, np.flatnonzero(s * knots > 0)) for s in (1.0, -1.0)]
     sides = [(s, idx, _sweep_edges(np.unique(s * knots[idx]))) for s, idx in sides if idx.size]
     if not sides:
-        return values, brackets
+        return [(np.zeros(knots.shape), np.zeros(knots.shape)) for _ in fns]
     a = np.concatenate([s * edges[:-1] for s, _, edges in sides])
     b = np.concatenate([s * edges[1:] for s, _, edges in sides])
     h = (b - a) / GRADE_PANELS
     nodes = a[:, None] + np.arange(GRADE_PANELS + 1) * h[:, None]
     nodes[:, -1] = b  # a + n h can miss b in the last bit
-    f = fn(np.append(nodes, 0.0))
-    f0, f = f[-1], f[:-1].reshape(nodes.shape)
-    v, e = _simpson(f, h)
-    row = 0
-    for s, idx, edges in sides:
-        inner, fi, stop = s * edges[0], f[row, 0], row + len(edges) - 1
-        sliver = [[0.0, 0.5 * inner * (f0 + fi)], [0.0, 0.5 * abs(inner) * abs(fi - f0)]]
-        sums = np.cumsum(np.hstack([sliver, [v[row:stop], e[row:stop]]]), axis=1)
-        values[idx], brackets[idx] = sums[:, np.searchsorted(edges, s * knots[idx]) + 1]
-        row = stop
-    return values, brackets
+    nodes = np.append(nodes, 0.0)
+    nodes.flags.writeable = False
+    reads = [np.searchsorted(edges, s * knots[idx]) + 1 for s, idx, edges in sides]
+    out = []
+    for fn in fns:
+        values, brackets = np.zeros(knots.shape), np.zeros(knots.shape)
+        f = fn(nodes)
+        f0, f = f[-1], f[:-1].reshape(-1, GRADE_PANELS + 1)
+        v, e = _simpson(f, h)
+        row = 0
+        for (s, idx, edges), at in zip(sides, reads):
+            inner, fi, stop = s * edges[0], f[row, 0], row + len(edges) - 1
+            sliver = [[0.0, 0.5 * inner * (f0 + fi)], [0.0, 0.5 * abs(inner) * abs(fi - f0)]]
+            sums = np.cumsum(np.hstack([sliver, [v[row:stop], e[row:stop]]]), axis=1)
+            values[idx], brackets[idx] = sums[:, at]
+            row = stop
+        out.append((values, brackets))
+    return out
 
 
 def integral_from_zero(fn, x: float) -> tuple[float, float]:
-    """integral_0^x fn for fn continuous: the one-knot case of the sweep
-    that tabulates curve potentials.
+    """integral_0^x fn for fn continuous: the one-knot, one-integrand case
+    of the sweep that tabulates curve potentials.
 
-    fn is called at most once, on an array of nodes.  Returns (value, bracket);
-    the bracket is the Riemann bracket summed over the pieces, rigorous
-    when fn is monotone but many orders larger than the Simpson error.
+    fn is called at most once, on a read-only array of nodes.  Returns
+    (value, bracket); the bracket is the Riemann bracket summed over the
+    pieces, rigorous when fn is monotone but many orders larger than the
+    Simpson error.
     """
-    v, e = _sweep(fn, np.array([float(x)]))
+    [(v, e)] = _sweep([fn], np.array([float(x)]))
     return float(v[0]), float(e[0])
 
 
@@ -288,13 +307,13 @@ def curve_potentials(
 ) -> CurvePotentials:
     """Tabulate u_i(x) = integral_0^x sum_{k != i} a_k(a_i^{-1}(t)) dt.
 
-    Each marginal integrates all knots in one sweep per sign, piece by
-    piece from 0 outward, and its integrand is called once; the piece rule
-    b <= 2a keeps fractional-power behaviour at the origin off coarse
-    panels however the knots cluster.  u_i(0) = 0 exactly.  The reported
-    bound for each marginal is the largest Riemann bracket over the grid:
-    rigorous, since the integrands are increasing, but it overstates the
-    Simpson error by many orders of magnitude.
+    Every marginal shares one read-only sweep grid over all knots, built
+    once, piece by piece from 0 outward; each integrand is called once, on
+    its nodes.  The piece rule b <= 2a keeps fractional-power behaviour at
+    the origin off coarse panels however the knots cluster.  u_i(0) = 0
+    exactly.  The reported bound for each marginal is the largest Riemann
+    bracket over the grid: rigorous, since the integrands are increasing,
+    but it overstates the Simpson error by many orders of magnitude.
     """
     n = len(alphas)
     if n < 2:
@@ -303,8 +322,7 @@ def curve_potentials(
     if not knots.size:
         raise InputValidationError("the grid must be nonempty")
 
-    pots = []
-    bounds = []
+    integrands = []
     for i in range(n):
         others = [alphas[k] for k in range(n) if k != i]
         inv = alphas[i].inverse
@@ -313,9 +331,10 @@ def curve_potentials(
             s = _inv(t)
             return sum(a(s) for a in _others)
 
-        values, brackets = _sweep(integrand, knots)
-        pots.append(Potential(knots[:, None], values))
-        bounds.append(float(brackets.max()))
+        integrands.append(integrand)
+    swept = _sweep(integrands, knots)
+    pots = [Potential(knots[:, None], values) for values, _ in swept]
+    bounds = [float(brackets.max()) for _, brackets in swept]
     return CurvePotentials(tuple(pots), tuple(bounds))
 
 

@@ -34,10 +34,10 @@ Tuples without pair tables (closed forms, curve potentials) are tested on
 a declared set of product points instead: G, a seeded lattice-and-uniform
 sample around it that the certificates of one command share, or the
 caller's points.  Points where some u_i is +inf satisfy the inequality
-vacuously and are counted separately; the sum over the u_i gathers live
-rows only once some row is vacuous.  The certificate records its sample so
-every reported number is recomputable.  Equality is checked on all of G
-either way.
+vacuously and are counted separately; the sum over the u_i and the cost
+gather live rows only once some row is vacuous.  The certificate records
+its sample so every reported number is recomputable.  Equality is checked
+on all of G either way.
 """
 
 from __future__ import annotations
@@ -329,7 +329,10 @@ def certify_splitting(
     if given (shared by the certificates of one command; a wrongly shaped
     one raises DimensionMismatch), else sample_test_points(g), recorded
     with its seed.  +inf potentials satisfy the inequality vacuously, and
-    the sum adds in place until some row is.
+    the sum adds in place until some row is.  c - sum u_i is taken on every
+    row at once while none is vacuous; after that only covered rows are
+    costed, into a buffer where vacuous rows read -inf, so a vacuous row
+    whose cost overflows or is undefined never turns into NaN or an error.
     """
     if tup.n_marginals != spec.n_marginals or g.dims != spec.dims:
         raise DimensionMismatch("tuple, set, and cost must agree on the marginals")
@@ -392,15 +395,23 @@ def certify_splitting(
     for u, x in zip(tup.potentials, blocks):
         live = np.flatnonzero(total != math.inf) if (total == math.inf).any() else slice(None)
         total[live] += u.values_at(x[live])
-    covered = np.flatnonzero(total != math.inf)
-    vacuous = len(pts) - len(covered)
+    # c - sum u_i, gathered only once some row is vacuous: c may be undefined
+    # there (off a tabulated cost's grid).  Vacuous rows read -inf.
+    covered = total != math.inf
+    vacuous = len(pts) - int(np.count_nonzero(covered))
+    if not vacuous:
+        viol = spec.total_many(pts) - total
+    else:
+        viol = np.full(len(pts), -math.inf)
+        viol[covered] = spec.total_many(pts[covered]) - total[covered]
     max_viol = -math.inf
     worst_ineq: Point | None = None
-    if covered.size:
-        viol = spec.total_many(pts[covered]) - total[covered]
+    if vacuous < len(pts):
         w = int(viol.argmax())
+        if not covered[w]:  # every covered row reads -inf too: the first of them
+            w = int(covered.argmax())
         max_viol = float(viol[w])
-        worst_ineq = tuple(tuple(x[covered[w]].tolist()) for x in blocks)
+        worst_ineq = tuple(tuple(x[w].tolist()) for x in blocks)
 
     passed = max_viol <= tol and max_resid <= tol
     return SplittingCertificate(

@@ -27,7 +27,9 @@ library's stacked relaxation must equal bit for bit.  So are ``pair_matrix``,
 the broadcast cost matrix that ``PairwiseCost.block`` replaced, and
 ``point_rows_per_marginal``, the per-marginal reading of product points that
 ``core._point_rows`` keeps for every payload it does not read whole: the
-library must equal both bit for bit, errors included.  ``rounding_bound`` bounds how far two
+library must equal both bit for bit, errors included, and ``signed_power_where``,
+the odd power that settled the sign of zero with a comparison, which
+``onedim.signed_power`` must equal bit for bit.  ``rounding_bound`` bounds how far two
 orders of adding the same terms can land apart: the judge of the bits the
 transform moved against the formulas it replaced.
 """
@@ -1017,3 +1019,12 @@ def curve_potentials_per_knot(
         pots.append(Potential(tuple((t,) for t in knots), values))
         bounds.append(max((0.0, *brackets)))
     return CurvePotentials(tuple(pots), tuple(bounds))
+
+
+def signed_power_where(t, p: float):
+    """Reference for onedim.signed_power: the odd power with the sign of
+    zero settled by a comparison and a where pass; a float for a scalar."""
+    t = np.asarray(t, dtype=float)
+    odd = np.copysign(np.float_power(np.abs(t), p), t)
+    out = np.where(t == 0.0, 0.0, odd)
+    return float(out) if out.ndim == 0 else out

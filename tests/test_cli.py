@@ -261,6 +261,7 @@ PASSING_2D_DOC = json.loads((DATA / "verify_passing_2d_gamma.json").read_text())
     ({}, ["example", "quadratic", "--samples", "300"], 0, "example_quadratic.json"),
     ({}, ["example", "knott-smith", "--tmax", "0.5", "--samples", "200"], 0,
      "example_knott_smith.json"),
+    ({}, ["example", "curves", "--grid=-1.5:1.5:0.2"], 0, "example_curves.json"),
 ])
 def test_construction_reports_are_pinned(capsys, tmp_path, monkeypatch, files, argv,
                                          exit_code, pinned):

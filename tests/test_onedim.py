@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import curve_potentials_per_knot, gamma_1d, integral_per_knot
+from helpers import curve_potentials_per_knot, gamma_1d, integral_per_knot, signed_power_where
 from monosplit import antiderivative, monotone, onedim, splitting
 from monosplit.core import GammaSet, PairwiseCost
 from monosplit.errors import (
@@ -135,11 +135,11 @@ class _NodeCounter:
         return counted
 
 
-def _counted_knott_smith():
-    """The curve (t, t^3, t^5) with counted inverses: marginal i's integrand
-    calls the inverse of component i exactly once per call."""
+def _counted_curve(components):
+    """The curve with counted inverses: marginal i's integrand calls the
+    inverse of component i exactly once per call."""
     alphas, counters = [], []
-    for a in knott_smith_alphas():
+    for a in components:
         counter = _NodeCounter()
         alphas.append(MonotoneBijection(a.fn, a.label, inverse_fn=counter.wrap(a.inverse_fn)))
         counter.calls = counter.nodes = 0  # construction probes the inverse
@@ -156,15 +156,43 @@ def _node_bound(ys: np.ndarray) -> float:
     return pieces * (GRADE_PANELS + 1)
 
 
+# The curve (t, t^3, t^5, t^(1/3), t^7), cut to its first n components.
+CURVE = (*knott_smith_alphas(), MonotoneBijection.odd_power(1.0 / 3.0),
+         MonotoneBijection.odd_power(7.0))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
 @pytest.mark.parametrize("k", [1, 4, 32, 256])
-def test_curve_potentials_call_each_integrand_once_on_bounded_nodes(k):
+def test_curve_potentials_call_each_integrand_once_on_bounded_nodes(monkeypatch, k, n):
     knots = np.concatenate([np.geomspace(1e-4, 3.0, k), -np.geomspace(1e-3, 1.5, k), [0.0]])
-    alphas, counters = _counted_knott_smith()
+    alphas, counters = _counted_curve(CURVE[:n])
+    edges = _NodeCounter()
+    monkeypatch.setattr(onedim, "_sweep_edges", edges.wrap(onedim._sweep_edges))
     curve_potentials(alphas, knots)
+    assert edges.calls == 2  # one grid per sign, shared by all n marginals
     bound = _node_bound(knots[knots > 0]) + _node_bound(-knots[knots < 0])
     for counter in counters:
         assert counter.calls == 1
         assert counter.nodes <= bound
+    curve_potentials(alphas, knots[knots >= 0])
+    assert edges.calls == 3
+
+
+def _scribbling_inverse(t):
+    """The identity, written back into its argument."""
+    t = np.asarray(t)
+    t[...] = t
+    return t
+
+
+def test_an_integrand_that_writes_into_its_nodes_raises():
+    for i in (0, 1):  # the first marginal, and one after a clean one
+        alphas = list(knott_smith_alphas())
+        alphas[i] = MonotoneBijection(lambda t: t, label="t", inverse_fn=_scribbling_inverse)
+        with pytest.raises(ValueError, match="read-only"):
+            curve_potentials(alphas, [-1.0, 0.5, 2.0])
+    with pytest.raises(ValueError, match="read-only"):
+        integral_from_zero(_scribbling_inverse, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +234,15 @@ def test_bijection_validation():
         MonotoneBijection(lambda t: t, inverse_fn=lambda t: t + 0.1)
     with pytest.raises(InputValidationError):
         MonotoneBijection.odd_power(0.0)
+    # NaN compares False both ways, so it must not pass for a small error.
+    with (np.errstate(invalid="ignore"),
+          pytest.raises(InputValidationError, match=r"t\^3 fails at -8\.0: it returns nan")):
+        MonotoneBijection(lambda t: signed_power(t, 3.0), label="t^3",
+                          inverse_fn=lambda t: np.power(t, 1.0 / 3.0))
+    with pytest.raises(InputValidationError, match=r"fails at 0\.0: it returns nan"):
+        MonotoneBijection(lambda t: t, inverse_fn=lambda t: t if t else math.nan)
+    with pytest.raises(InputValidationError, match=r"g\(0\) = nan, expected 0"):
+        MonotoneBijection(lambda t: t if t else math.nan)
 
 
 def test_signed_power_conventions():
@@ -216,6 +253,22 @@ def test_signed_power_conventions():
     ts = [-8.0, -0.0, 0.0, 0.3, 2.0]
     got = signed_power(np.array(ts), 1.0 / 3.0).tolist()
     assert got == [signed_power(t, 1.0 / 3.0) for t in ts]
+
+
+# Signed zeros, the smallest subnormals, an underflow to -0.0 at p = 3, and
+# the infinities, with ordinary values beside them.
+EDGE_TS = [0.0, -0.0, 5e-324, -5e-324, -1e-300, math.inf, -math.inf, -8.0, 0.3, 2.0]
+
+
+@pytest.mark.parametrize("p", [3.0, 5.0, 1.0 / 3.0, 1.0 / 5.0, 2.0, 4.0 / 3.0])
+def test_signed_power_is_bit_identical_to_the_where_reference(p):
+    got, want = signed_power(np.array(EDGE_TS), p), signed_power_where(np.array(EDGE_TS), p)
+    assert got.tobytes() == want.tobytes()
+    for t in EDGE_TS:
+        got, want = signed_power(t, p), signed_power_where(t, p)
+        assert type(got) is float
+        assert math.copysign(1.0, got) == math.copysign(1.0, want) and got == want
+    assert math.copysign(1.0, signed_power(-1e-300, 3.0)) == -1.0  # underflows to -0.0
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,9 @@ HALF_SQUARE = QuadraticForm(((1.0,),))  # t -> t^2 / 2
 DIAGONAL = gamma_1d([[t, t, t] for t in (-1.0, 0.0, 1.0)])
 CUBE = [tuple((float(a),) for a in combo)
         for combo in itertools.product((-1, 0, 1), repeat=3)]
+# Vacuous wherever a potential overflows or is off its table, and its c1 and
+# c3 cost overflows to +inf: it must read -inf, never inf - inf = NaN.
+HUGE = ((1e200,), (1e200,), (1e200,))
 
 
 def _table(potential):
@@ -346,36 +349,42 @@ def _counterexample_points(rng):
     return pts
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_closed_form_certificates_equal_the_gathering_reference():
     g = _knott_smith_gamma()
     forms, starred = knott_smith_forms()
     for tup, spec in ((SplittingTuple.from_closed_forms(forms), C1),
                       (SplittingTuple.from_closed_forms(starred), C3)):
-        for points in (sample_test_points(g, 500, 2), CUBE):
+        for points in (sample_test_points(g, 500, 2), CUBE, CUBE + [HUGE]):
             _assert_same_certificate(certify_splitting(tup, g, spec, test_points=points),
                                      gathered_certificate(tup, g, spec, test_points=points))
+        assert certify_splitting(tup, g, spec, test_points=[HUGE] + CUBE).n_vacuous == 1
     for seed in (0, 7):
         qs, g = _quadratic_case(seed)
         for tup, which in ((qs.potentials(), "c1"), (qs.shifted_potentials(), "c3")):
             spec = classical_cost(which, 3, 2)
             pts = sample_test_points(g, 300, seed)
-            _assert_same_certificate(certify_splitting(tup, g, spec, test_points=pts),
-                                     gathered_certificate(tup, g, spec, test_points=pts))
+            for points in (pts, np.vstack([np.full((1, 6), 1e200), pts])):
+                _assert_same_certificate(certify_splitting(tup, g, spec, test_points=points),
+                                         gathered_certificate(tup, g, spec, test_points=points))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_tabulated_certificates_equal_the_gathering_reference(rng):
     for which in ("c1", "c3"):
         spec = classical_cost(which, 3, 1)
         g = make_comonotone_gamma(rng, size=8)
         tup = _bare(assemble_splitting_tuple(g, spec, eval_grids=[[0.0, -3.0]] * 3))
         pts = list(itertools.product(*(u.points for u in tup.potentials)))
-        pts += [((-0.0,), (-0.0,), (-0.0,)), ((-0.0,), (9.0,), (0.0,)), ((0.0,), (0.0,), (9.0,))]
+        pts += [((-0.0,), (-0.0,), (-0.0,)), ((-0.0,), (9.0,), (0.0,)), ((0.0,), (0.0,), (9.0,)),
+                HUGE]
         for points in (sample_test_points(g, 400, 4), pts):
             cert = certify_splitting(tup, g, spec, test_points=points)
             assert cert.n_vacuous > 0
             _assert_same_certificate(cert, gathered_certificate(tup, g, spec, test_points=points))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_tables_with_a_closed_form_extension_equal_the_gathering_reference():
     g = _knott_smith_gamma()
     forms, _ = knott_smith_forms()
@@ -384,19 +393,21 @@ def test_tables_with_a_closed_form_extension_equal_the_gathering_reference():
     tables = [Potential(x, form.values(x)) for x, form in zip(marginals, forms[:2])]
     tup = SplittingTuple((*tables, Potential.from_closed_form(forms[2])), {}, {})
     off_tables = ((0.3,), (0.3,), (0.3,))
-    for points in (sample_test_points(g, 300, 1), CUBE + [off_tables]):
+    for points in (sample_test_points(g, 300, 1), CUBE + [off_tables], [HUGE] + CUBE):
         cert = certify_splitting(tup, g, C1, test_points=points)
         assert 0 < cert.n_vacuous < cert.n_test_points
         _assert_same_certificate(cert, gathered_certificate(tup, g, C1, test_points=points))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_indicator_certificates_equal_the_gathering_reference(rng):
     ce = counterexample_construct()
     spec = ce.cost()
     g = GammaSet.from_points([ce.span_point(lam, mu) for lam, mu in
                               rng.uniform(-2.0, 2.0, size=(6, 2)).tolist()])
     pts = _counterexample_points(rng)
-    for points in (sample_test_points(g, 300, 3), pts):
+    huge = ((1e200, 0.0), (1e200, 1e200), (1e200, 1e200))  # off the domain of u_1
+    for points in (sample_test_points(g, 300, 3), pts, [huge] + pts):
         cert = certify_splitting(ce.potentials(), g, spec, test_points=points)
         assert cert.n_vacuous > 0
         want = gathered_certificate(ce.potentials(), g, spec, test_points=points)
@@ -405,6 +416,7 @@ def test_indicator_certificates_equal_the_gathering_reference(rng):
     assert cert.n_vacuous == 80  # two thirds: one third at u_1, one at u_2
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_empty_test_points_equal_the_gathering_reference():
     qs, g = _quadratic_case(3)
     tup, spec = qs.potentials(), classical_cost("c1", 3, 2)
@@ -412,6 +424,37 @@ def test_empty_test_points_equal_the_gathering_reference():
         cert = certify_splitting(tup, g, spec, test_points=pts)
         assert (cert.n_test_points, cert.worst_inequality_point) == (0, None)
         _assert_same_certificate(cert, gathered_certificate(tup, g, spec, test_points=pts))
+    # No row covered: the one test point is vacuous, and its cost overflows.
+    cert = certify_splitting(tup, g, spec, test_points=np.full((1, 6), 1e200))
+    assert (cert.n_vacuous, cert.max_inequality_violation, cert.worst_inequality_point) == (
+        1, -math.inf, None)
+    _assert_same_certificate(
+        cert, gathered_certificate(tup, g, spec, test_points=np.full((1, 6), 1e200)))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_worst_point_is_the_first_covered_row_when_every_violation_is_minus_inf():
+    g = _knott_smith_gamma()
+    table = Potential(np.unique(g.coords[:, 0])[:, None], np.zeros(len(np.unique(g.coords[:, 0]))))
+    zero = Potential.from_closed_form(LinearForm((0.0,), 0.0))
+    tup = SplittingTuple((table, zero, zero), {}, {})
+    # Off u_1's table first, then two covered rows whose c1 cost is -inf.
+    points = [((0.3,), (1e300,), (-1e300,)), ((1.0,), (1e300,), (-1e300,)),
+              ((0.0,), (1e300,), (-1e300,))]
+    cert = certify_splitting(tup, g, C1, test_points=points)
+    assert (cert.n_vacuous, cert.max_inequality_violation) == (1, -math.inf)
+    assert cert.worst_inequality_point == points[1]
+    _assert_same_certificate(cert, gathered_certificate(tup, g, C1, test_points=points))
+
+
+def test_vacuous_rows_off_a_tabulated_cost_grid_are_not_costed():
+    g, spec, grids = _mixed_cost_case(0)
+    tup = _bare(assemble_splitting_tuple(g, spec, eval_grids=grids))
+    points = list(itertools.product(*(u.points for u in tup.potentials)))
+    points.append(((0.25,), (0.25,), (0.25,)))  # off every table and off the cost's grids
+    cert = certify_splitting(tup, g, spec, test_points=points)
+    assert cert.n_vacuous == 1
+    _assert_same_certificate(cert, gathered_certificate(tup, g, spec, test_points=points))
 
 
 @pytest.mark.parametrize("form", [
