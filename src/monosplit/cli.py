@@ -179,6 +179,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     config = _config(args, [args.gamma])
     if args.brute is not None and args.brute < 2:
         raise InputValidationError("--brute needs an order N >= 2")
+    if args.sign_criterion and args.cost not in ("c1", "c3"):
+        raise InputValidationError(
+            "--sign-criterion needs --cost c1 or c3: the difference-sign test decides "
+            "c-monotonicity, with witnesses summed in c1, for those costs only"
+        )
 
     projection = check_projection_condition(g, spec, tol=args.tol)
     pairwise = is_c_monotone(g, spec, tol=args.tol)
@@ -515,7 +520,7 @@ def build_parser() -> _Parser:
     p.add_argument("--brute", type=int, default=None, metavar="N",
                    help="also run the permutation oracle for orders 2..N")
     p.add_argument("--sign-criterion", action="store_true",
-                   help="also run the 1-D difference-sign test")
+                   help="also run the 1-D difference-sign test (with --cost c1 or c3)")
     _add_options(p, cmd_verify, "tol")
 
     p = sub.add_parser("split", help="build chain potentials and certify them")

@@ -450,8 +450,9 @@ PAIR_BLOCK_CELLS = 1 << 20  # cells of a pair block built or reduced at a time
 
 @dataclass(frozen=True, eq=False)
 class PairwiseCost:
-    """One two-marginal coupling c_ij, with an overall sign: value, paired and
-    block (the one kernel of every pair block) evaluate it, bit for bit alike.
+    """One two-marginal coupling c_ij, with an overall sign, and the one place
+    that knows its formula: value, paired and block evaluate it, bit for bit
+    alike, the closed forms through one coordinate loop.
 
     Kinds:
         inner_product   <x, y>
@@ -519,21 +520,25 @@ class PairwiseCost:
     ) -> "PairwiseCost":
         return cls("tabulated", sign, grid_x=grid_x, grid_y=grid_y, table=table)
 
-    def _couple(self, x, y):
-        """The closed-form kinds on coordinate sequences: floats for one pair
-        of points, or broadcastable arrays for many, summed in one order."""
+    def accepts(self, dx: int, dy: int) -> bool:
+        """Whether this cost couples points of dimension dx with points of
+        dimension dy: equal positive ones for inner_product and half_sq_dist,
+        the matrix's shape for bilinear, the grids' widths for tabulated."""
         if self.kind == "bilinear":
-            assert self.coef is not None
-            if len(x) != len(self.coef) or len(y) != len(self.coef[0]):
-                raise DimensionMismatch("bilinear cost shape mismatch")
-            s = sum(x[i] * _dot(row, y) for i, row in enumerate(self.coef))
-        elif len(x) != len(y):
-            raise DimensionMismatch(f"{self.kind} needs equal dimensions")
-        elif self.kind == "inner_product":
-            s = _dot(x, y)
-        else:
-            s = 0.5 * sum((a - b) * (a - b) for a, b in zip(x, y))
-        return s if self.sign > 0 else -s
+            return (dx, dy) == (len(self.coef), len(self.coef[0]))
+        if self.kind == "tabulated":
+            return (dx, dy) == (self.grid_x.shape[1], self.grid_y.shape[1])
+        return dx == dy > 0
+
+    @cached_property
+    def mixed_sign(self) -> int:
+        """The sign of the mixed partial d^2 c / dx dy on scalar points where
+        it is one constant, as in Carlier's class (Carlier, 2003), else 0: +1
+        for inner_product, -1 for half_sq_dist, sign(a) for a 1x1 bilinear
+        [[a]], each times sign; 0 for wider matrices and tables."""
+        if self.kind == "bilinear":
+            return self.sign * int(np.sign(self.coef[0][0])) if np.shape(self.coef) == (1, 1) else 0
+        return self.sign * {"inner_product": 1, "half_sq_dist": -1}.get(self.kind, 0)
 
     def _grid_index(self, pts: np.ndarray, axis: str) -> np.ndarray:
         index = (self._x_index if axis == "x" else self._y_index).find(pts)
@@ -551,53 +556,70 @@ class PairwiseCost:
         return RowIndex(self.grid_y)
 
     def value(self, x: Vec, y: Vec) -> float:
-        """c(x, y) for one pair of points; for a table, paired on one row."""
-        if self.kind != "tabulated":
-            return self._couple(x, y)
+        """c(x, y) for one pair of points: paired on one row."""
         return float(self.paired([x], [y])[0])
 
+    def paired(self, xs, ys) -> np.ndarray:
+        """c(xs[r], ys[r]) for each row r of two (k, d) arrays; a side with
+        one row pairs with every row of the other."""
+        x, y = _rows(xs), _rows(ys)
+        if self.kind == "tabulated":
+            ix, iy = self._grid_index(x, "x"), self._grid_index(y, "y")
+            return self.sign * self.table[ix, iy]
+        x, y = self._coordinates(x, y)
+        return self._fill(x, y, np.empty(x.shape[1] if y.shape[1] == 1 else y.shape[1]))
+
     def block(self, xs, ys, out: np.ndarray, transposed: bool = False) -> np.ndarray:
-        """Write value(xs[a], ys[b]) into out[a, b] (out[b, a] when transposed) bit for bit,
-        PAIR_BLOCK_CELLS cells or one row at a time, and return out.  The closed forms add
-        coordinates from 0 as value does, a term after the first through one buffer of that
-        size, then halve (half_sq_dist) and apply the sign; a table gathers its cells."""
+        """Write c(xs[a], ys[b]) into out[a, b] (out[b, a] when transposed), bit for
+        bit as paired, and return out; a table gathers its cells."""
         x, y = _rows(xs), _rows(ys)
         if self.kind == "tabulated":  # flat positions in the table, then the gather
             ix, iy = self._grid_index(x, "x") * len(self.grid_y), self._grid_index(y, "y")
             flat = np.add.outer(iy, ix) if transposed else np.add.outer(ix, iy)
             np.take(self.table, flat, out=out, mode="clip")
             return np.negative(out, out=out) if self.sign < 0 else out
-        if self.kind == "bilinear":
-            if x.shape[1] != len(self.coef) or y.shape[1] != len(self.coef[0]):
-                raise DimensionMismatch("bilinear cost shape mismatch")
-            y = np.stack([_dot(row, y.T) for row in self.coef], axis=1)  # <A_i, y> as value sums it
-        elif x.shape[1] != y.shape[1]:
-            raise DimensionMismatch(f"{self.kind} needs equal dimensions")
+        x, y = (np.ascontiguousarray(v) for v in self._coordinates(x, y))
         # Each term is symmetric in its operands bit for bit, so a transposed block swaps them.
-        x, y = (np.ascontiguousarray(v.T) for v in ((y, x) if transposed else (x, y)))
-        step = max(1, PAIR_BLOCK_CELLS // max(1, out.shape[1]))
-        buf = np.empty(min(len(out), step) * out.shape[1]) if len(x) > 1 else None
+        x, y = (y, x) if transposed else (x, y)
+        return self._fill(x[:, :, None], y[:, None, :], out)
+
+    def _coordinates(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A closed form's (k, d) operands as coordinate-major (d, k) arrays,
+        a bilinear y as its rows <A_i, y> summed from 0."""
+        if not self.accepts(x.shape[1], y.shape[1]):
+            raise DimensionMismatch(
+                f"{self.kind} cost does not couple dimensions {x.shape[1]} and {y.shape[1]}"
+            )
+        if self.kind == "bilinear":
+            return x.T, np.array([_dot(row, y.T) for row in self.coef])
+        return x.T, y.T
+
+    def _fill(self, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The closed forms' one coordinate loop: out[r] from x[:, r] and
+        y[:, r], coordinate-major operands whose axis 1 runs along out's rows
+        (a side with one row there broadcasts), PAIR_BLOCK_CELLS cells or one
+        row of out at a time.  Coordinates add from 0.0 in order, a term after
+        the first through one buffer of that size, then the sum is halved
+        (half_sq_dist) and signed."""
+        cells = out.size // max(1, len(out))  # in one row of out
+        step = max(1, PAIR_BLOCK_CELLS // max(1, cells))
+        buf = np.empty(min(len(out), step) * cells) if len(x) > 1 else None
+        half = self.kind == "half_sq_dist"
         for r in range(0, len(out), step):
             o = out[r:r + step]
             t = o if buf is None else buf[:o.size].reshape(o.shape)
+            xr = x if x.shape[1] == 1 else x[:, r:r + step]
+            yr = y if y.shape[1] == 1 else y[:, r:r + step]
             for c in range(len(x)):
-                a, b = x[c, r:r + step, None], y[c, None, :]
-                if self.kind == "half_sq_dist":
+                a, b = xr[c], yr[c]
+                if half:
                     a = b = np.subtract(a, b, out=t)
                 np.add(o if c else 0.0, np.multiply(a, b, out=t), out=o)
-            if self.kind == "half_sq_dist":
+            if half:
                 o *= 0.5
             if self.sign < 0:
                 np.negative(o, out=o)
         return out
-
-    def paired(self, xs, ys) -> np.ndarray:
-        """value(xs[r], ys[r]) for each row r of two (k, d) arrays."""
-        x, y = _rows(xs), _rows(ys)
-        if self.kind == "tabulated":
-            ix, iy = self._grid_index(x, "x"), self._grid_index(y, "y")
-            return self.sign * self.table[ix, iy]
-        return self._couple(x.T, y.T)
 
     def negated(self) -> "PairwiseCost":
         return PairwiseCost(
@@ -664,16 +686,9 @@ class CostSpec:
                 f"pairwise map must cover exactly the index pairs {sorted(expected)}"
             )
         for (i, j), c in pairs.items():
-            if c.kind == "bilinear":
-                assert c.coef is not None
-                if (len(c.coef), len(c.coef[0])) != (dims[i - 1], dims[j - 1]):
-                    raise DimensionMismatch(
-                        f"bilinear matrix for pair ({i},{j}) has the wrong shape"
-                    )
-            if c.kind in ("inner_product", "half_sq_dist") and dims[i - 1] != dims[j - 1]:
-                raise DimensionMismatch(
-                    f"pair ({i},{j}) couples marginals of different dimension"
-                )
+            if not c.accepts(dims[i - 1], dims[j - 1]):
+                raise DimensionMismatch(f"pair ({i},{j}) couples dimensions {dims[i - 1]} and "
+                                        f"{dims[j - 1]}, which its {c.kind} cost does not")
         object.__setattr__(self, "pairs", pairs)
         if self.shift is not None:
             if len(self.shift) != n:
@@ -691,16 +706,6 @@ class CostSpec:
             raise IndexOutOfRange(f"pair ({i},{j}) outside 1..{self.n_marginals}")
         return self.pairs[(i, j)]
 
-    def validate_point(self, p: Point) -> Point:
-        if len(p) != self.n_marginals:
-            raise DimensionMismatch(
-                f"point has {len(p)} marginals, cost expects {self.n_marginals}"
-            )
-        for x, d in zip(p, self.dims):
-            if len(x) != d:
-                raise DimensionMismatch("marginal dimension mismatch")
-        return p
-
     def shift_values(self, i: int, rows) -> np.ndarray:
         """Separable shift contribution of marginal i (1-based) at each row
         of an array of its points."""
@@ -709,18 +714,13 @@ class CostSpec:
         return sum((h.values(x) for h in forms), np.zeros(len(x)))
 
     def total(self, p: Point) -> float:
-        self.validate_point(p)
-        out = 0.0
-        for (i, j), c in self.pairs.items():
-            out += c.value(p[i - 1], p[j - 1])
-        if self.shift is not None:
-            for i, x in enumerate(p, start=1):
-                out += float(self.shift_values(i, [x])[0])
-        return out
+        """The cost at one product point: total_many on its one row."""
+        return float(self.total_many(_point_rows([p], self.dims))[0])
 
     def total_many(self, rows: np.ndarray) -> np.ndarray:
-        """total() of each row of a (k, sum(dims)) array, in the same order:
-        couplings pair by pair, then the shifts."""
+        """The cost at each row of a (k, sum(dims)) array of flattened
+        product points, added from 0.0: couplings pair by pair, then the
+        shifts."""
         cols = marginal_blocks(rows, self.dims)
         out = np.zeros(len(rows))
         for (i, j), c in self.pairs.items():

@@ -66,6 +66,7 @@ from .core import (
     PairwiseCost,
     Point,
     Vec,
+    _point_rows,
     _read_only,
     _rows,
     classical_cost,
@@ -155,21 +156,20 @@ class MonotonicityVerdict:
 def recheck_witness(witness: Witness, spec: CostSpec) -> tuple[float, float]:
     """Re-evaluate both sides of a witness straight through the cost.
 
-    Independent of every verifier: builds the permuted tuples explicitly and
-    sums spec.total.  Returns (permuted_sum, diagonal_sum).
+    Independent of every verifier: builds the permuted tuples explicitly,
+    evaluates them and the given ones in one spec.total_many call, and adds
+    each side from 0.0 in tuple order.  Returns (permuted_sum, diagonal_sum).
     """
     n = len(witness.points)
     if len(witness.permutations) != spec.n_marginals:
         raise DimensionMismatch("witness permutation count must match marginals")
-    permuted = 0.0
-    diagonal = 0.0
-    for j in range(n):
-        mixed = tuple(
-            witness.points[witness.permutations[i][j]][i]
-            for i in range(spec.n_marginals)
-        )
-        permuted += spec.total(mixed)
-        diagonal += spec.total(witness.points[j])
+    mixed = [tuple(witness.points[witness.permutations[i][j]][i] for i in range(spec.n_marginals))
+             for j in range(n)]
+    values = spec.total_many(_point_rows(mixed + list(witness.points), spec.dims)).tolist()
+    permuted = diagonal = 0.0
+    for p, d in zip(values[:n], values[n:]):
+        permuted += p
+        diagonal += d
     return permuted, diagonal
 
 
@@ -198,10 +198,7 @@ class GainScan:
 def _sorted_scan(x: np.ndarray, y: np.ndarray, cost: PairwiseCost, source_mask) -> GainScan | None:
     """scan_gain_digraph's sorted path on (m, d) arrays, or None when it does
     not apply.  The corner bound covers every cost: rounding is monotone."""
-    if cost.kind == "bilinear":  # s: the sign of the constant mixed partial, or 0
-        s = cost.sign * int(np.sign(cost.coef[0][0])) if np.shape(cost.coef) == (1, 1) else 0
-    else:
-        s = cost.sign * {"inner_product": 1, "half_sq_dist": -1}.get(cost.kind, 0)
+    s = cost.mixed_sign
     if s == 0 or x.shape[1] != 1 or y.shape[1] != 1 or not x.size:
         return None
     x, sy = x[:, 0], s * y[:, 0]
@@ -373,19 +370,20 @@ def _cycle_verdict(
         scan = scan_gain_digraph(xs, ys, cost, tol=tol)
     if scan.cycle is None:
         return MonotonicityVerdict(True, None, checked=m * m, tolerance=tol)
-    cyc = scan.cycle
+    cyc = list(scan.cycle)
     k = len(cyc)
     points = tuple((tuple(xs[c].tolist()), tuple(ys[c].tolist())) for c in cyc)
     forward = tuple((j + 1) % k for j in range(k))
     identity = tuple(range(k))
-    permuted = sum(cost.value(points[(j + 1) % k][0], points[j][1]) for j in range(k))
-    diagonal = sum(cost.value(points[j][0], points[j][1]) for j in range(k))
+    # c(x_{next}, y_j) then c(x_j, y_j) for each j of the cycle, in one call
+    values = cost.paired(xs[cyc[1:] + cyc[:1] + cyc], ys[cyc + cyc]).tolist()
+    permuted, diagonal = sum(values[:k]), sum(values[k:])
     witness = Witness(
         kind="cycle",
         points=points,
         permutations=(forward, identity),
-        permuted_sum=float(permuted),
-        diagonal_sum=float(diagonal),
+        permuted_sum=permuted,
+        diagonal_sum=diagonal,
         value=scan.cycle_gain,
     )
     return MonotonicityVerdict(False, witness, checked=m * m, tolerance=tol)
@@ -754,14 +752,16 @@ def _classical_verdict(x: np.ndarray, y: np.ndarray, tol: float) -> Monotonicity
     pair, checked = _scan_pairs(len(x), 4, True, negative)
     if pair is None:
         return MonotonicityVerdict(True, None, checked, tol)
+    a, b = pair
     (xa, ya), (xb, yb) = ((tuple(x[k].tolist()), tuple(y[k].tolist())) for k in pair)
     inner = PairwiseCost.inner_product()
+    p1, p2, d1, d2 = inner.paired(x[[a, b, a, b]], y[[b, a, a, b]]).tolist()
     witness = Witness(
         kind="pair",
         points=((xa, ya), (xb, yb)),
         permutations=((0, 1), (1, 0)),
-        permuted_sum=inner.value(xa, yb) + inner.value(xb, ya),
-        diagonal_sum=inner.value(xa, ya) + inner.value(xb, yb),
+        permuted_sum=p1 + p2,
+        diagonal_sum=d1 + d2,
         value=sum((p - q) * (r - s) for p, q, r, s in zip(xa, xb, ya, yb)),
     )
     return MonotonicityVerdict(False, witness, checked, tol)
@@ -772,8 +772,9 @@ def sign_criterion_1d(g: GammaSet, tol: float = DEFAULT_TOL) -> MonotonicityVerd
 
     Holds when for every two points of g the coordinatewise differences all
     share one sign (entries within tol of zero count as both).  Equivalent
-    to c-monotonicity for the classical costs; a mixed-sign pair yields an
-    explicit violation by swapping the negative-difference coordinates.
+    to c-monotonicity for c1, c3 and -c2, not c2; a mixed-sign pair yields
+    an explicit violation of c1 by swapping the negative-difference
+    coordinates.
     Pairs are scanned in (a, b) order, a < b; the positive and negative
     differences are each summed from the left, and their product is the
     witness value.
@@ -792,20 +793,21 @@ def sign_criterion_1d(g: GammaSet, tol: float = DEFAULT_TOL) -> MonotonicityVerd
     pair, checked = _scan_pairs(g.size, 4 * g.n_marginals, True, mixed)
     if pair is None:
         return MonotonicityVerdict(True, None, checked, tol)
-    p, q = g.points[pair[0]], g.points[pair[1]]
+    a, b = pair
+    p, q = g.points[a], g.points[b]
     t = [p[i][0] - q[i][0] for i in range(g.n_marginals)]
     pos = sum(v for v in t if v > tol)
     neg = sum(v for v in t if v < -tol)
     moved = [v < -tol for v in t]
-    mix_pq = tuple(qi if s else pi for pi, qi, s in zip(p, q, moved))
-    mix_qp = tuple(pi if s else qi for pi, qi, s in zip(p, q, moved))
-    spec = classical_cost("c1", g.n_marginals, 1)
+    rows = x[[a, b, a, b]]  # (p, q) with the moved coordinates swapped, then (p, q)
+    rows[:2] = np.where(moved, rows[1::-1], rows[:2])
+    p1, p2, d1, d2 = classical_cost("c1", g.n_marginals, 1).total_many(rows).tolist()
     witness = Witness(
         kind="signs",
         points=(p, q),
         permutations=tuple((1, 0) if s else (0, 1) for s in moved),
-        permuted_sum=spec.total(mix_pq) + spec.total(mix_qp),
-        diagonal_sum=spec.total(p) + spec.total(q),
+        permuted_sum=p1 + p2,
+        diagonal_sum=d1 + d2,
         value=pos * neg,
     )
     return MonotonicityVerdict(False, witness, checked, tol)

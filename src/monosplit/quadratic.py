@@ -34,6 +34,7 @@ from .core import (
     QuadraticForm,
     as_vec,
     classical_cost,
+    fields_json,
 )
 from .errors import (
     DimensionMismatch,
@@ -296,25 +297,10 @@ class CounterexampleReport:
     pair_witnesses: tuple[tuple[str, float, float], ...]
 
     def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "eigenvalues": self.eigenvalues,
-            "min_eigenvalue": self.min_eigenvalue,
-            "kernel_dim": self.kernel_dim,
-            "kernel_match_residual": self.kernel_match_residual,
-            "nonzero_eigen_sum": self.nonzero_eigen_sum,
-            "nonzero_eigen_product": self.nonzero_eigen_product,
-            "equality_max_residual": self.equality_max_residual,
-            "n_span_samples": self.n_span_samples,
-            "slack_min": self.slack_min,
-            "algebra_max_residual": self.algebra_max_residual,
-            "n_random_points": self.n_random_points,
-            "seed": self.seed,
-            "pair_witnesses": [
-                {"pair": label, "lambda": lam, "value": value}
-                for label, lam, value in self.pair_witnesses
-            ],
-        }
+        return {**fields_json(self), "pair_witnesses": [
+            {"pair": label, "lambda": lam, "value": value}
+            for label, lam, value in self.pair_witnesses
+        ]}
 
 
 PAIR_WITNESS_LAMBDAS = (((1, 2), 3.0, -1.0), ((1, 3), -1.0, -1.0), ((2, 3), 1.9, -0.06))
@@ -334,8 +320,14 @@ def counterexample_verify(
     points, with the honest slack agreeing with the reduced quadratic
     form; (d) each pair projection is non-monotone with the stated
     witness value at the stated lambda (against the origin, a point of
-    the plane).
+    the plane).  Raises InputValidationError unless n_span and n_random are
+    both at least 1: a claim tested at no point is not evidence.
     """
+    if n_span < 1 or n_random < 1:
+        raise InputValidationError(
+            f"the counterexample needs n_span >= 1 and n_random >= 1 sample points, "
+            f"got {n_span} and {n_random}"
+        )
     ce = counterexample_construct()
     u1, u2, u3 = ce.forms()
     spec = ce.cost()
@@ -363,15 +355,15 @@ def counterexample_verify(
     lam, mu = coeffs[:, :1], coeffs[:, 1:]
     span = [lam * np.array(x) + mu * np.array(y) for x, y in zip(ce.v1, ce.v2)]
     total = u1.values(span[0]) + u2.values(span[1]) + u3.values(span[2])
-    eq_max = float(np.abs(total - spec.total_many(np.hstack(span))).max(initial=0.0))
+    eq_max = float(np.abs(total - spec.total_many(np.hstack(span))).max())
 
     draws = np.random.default_rng(seed + 1).uniform(-5.0, 5.0, size=(n_random, 4))
     a1, a2, a3, b3 = draws.T
     domain = [np.column_stack(c) for c in ((a1, np.zeros_like(a1)), (a2, a2), (a3, b3))]
     total = u1.values(domain[0]) + u2.values(domain[1]) + u3.values(domain[2])
     slack = total - spec.total_many(np.hstack(domain))
-    slack_min = float(slack.min(initial=math.inf))
-    algebra_max = float(np.abs(slack - ce.reduced_slack(draws)).max(initial=0.0))
+    slack_min = float(slack.min())
+    algebra_max = float(np.abs(slack - ce.reduced_slack(draws)).max())
 
     witnesses = []
     witness_ok = True

@@ -23,8 +23,11 @@ tabulation, conjugation, the antiderivative check and the pair brackets as
 c-transforms, each over one whole matrix, which the library's blocked
 transform must equal bit for bit, and the Bellman-Ford scan of one
 problem at a time over a dense candidate array a round, which the
-library's stacked relaxation must equal bit for bit.  So are ``pair_matrix``,
-the broadcast cost matrix that ``PairwiseCost.block`` replaced, and
+library's stacked relaxation must equal bit for bit.  So are ``couple``,
+the closed-form cost formula the kernel's one coordinate loop replaced,
+``validate_point`` and ``total_loop``, the one-point ``CostSpec.total`` it
+replaced, ``pair_matrix``, the broadcast cost matrix that
+``PairwiseCost.block`` replaced, and
 ``point_rows_per_marginal``, the per-marginal reading of product points that
 ``core._point_rows`` keeps for every payload it does not read whole: the
 library must equal both bit for bit, errors included, and ``signed_power_where``,
@@ -595,17 +598,60 @@ def gathered_certificate(
     )
 
 
+def couple(cost: PairwiseCost, x, y):
+    """The closed-form kinds on coordinate sequences, as the library wrote
+    them before its one coordinate loop: floats for one pair of points, or
+    broadcastable arrays for many, summed in one order.  The kernel must
+    equal it bit for bit, errors' types included."""
+    if cost.kind == "bilinear":
+        if len(x) != len(cost.coef) or len(y) != len(cost.coef[0]):
+            raise DimensionMismatch("bilinear cost shape mismatch")
+        s = sum(x[i] * sum(a * b for a, b in zip(row, y)) for i, row in enumerate(cost.coef))
+    elif len(x) != len(y):
+        raise DimensionMismatch(f"{cost.kind} needs equal dimensions")
+    elif cost.kind == "inner_product":
+        s = sum(a * b for a, b in zip(x, y))
+    else:
+        s = 0.5 * sum((a - b) * (a - b) for a, b in zip(x, y))
+    return s if cost.sign > 0 else -s
+
+
+def validate_point(spec: CostSpec, p: Point) -> Point:
+    """The one-point check the library's total ran before it read a point
+    as one row."""
+    if len(p) != spec.n_marginals:
+        raise DimensionMismatch(f"point has {len(p)} marginals, cost expects {spec.n_marginals}")
+    for x, d in zip(p, spec.dims):
+        if len(x) != d:
+            raise DimensionMismatch("marginal dimension mismatch")
+    return p
+
+
+def total_loop(spec: CostSpec, p: Point) -> float:
+    """CostSpec.total as a loop over one point: each pair through couple (a
+    table through paired on one row), then the shifts, added from 0.0."""
+    validate_point(spec, p)
+    out = 0.0
+    for (i, j), c in spec.pairs.items():
+        x, y = p[i - 1], p[j - 1]
+        out += float(c.paired([x], [y])[0]) if c.kind == "tabulated" else couple(c, x, y)
+    if spec.shift is not None:
+        for i, x in enumerate(p, start=1):
+            out += float(spec.shift_values(i, [x])[0])
+    return out
+
+
 def pair_matrix(cost: PairwiseCost, xs, ys) -> np.ndarray:
-    """M[a, b] = cost.value(xs[a], ys[b]) as one array, with the kernel's
-    errors: the closed forms broadcast over (d, k, 1) x (d, 1, g) coordinate
-    arrays through value's own sum, a table gathers by np.ix_.  This is the
-    matrix the library built before its block kernel, which must equal it
-    bit for bit."""
+    """M[a, b] = c(xs[a], ys[b]) as one array, with the kernel's errors: the
+    closed forms broadcast over (d, k, 1) x (d, 1, g) coordinate arrays
+    through :func:`couple`, a table gathers by np.ix_.  This is the matrix the
+    library built before its block kernel, which must equal it bit for
+    bit."""
     x, y = _rows(xs), _rows(ys)
     if cost.kind == "tabulated":
         ix, iy = np.ix_(cost._grid_index(x, "x"), cost._grid_index(y, "y"))
         return cost.sign * cost.table[ix, iy]
-    return cost._couple(x.T[:, :, None], y.T[:, None, :])
+    return couple(cost, x.T[:, :, None], y.T[:, None, :])
 
 
 def dense_c_transform(cost: PairwiseCost, points, h, queries, table_first: bool) -> tuple:

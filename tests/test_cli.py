@@ -117,6 +117,25 @@ def test_verify_monotone_set(capsys, gamma_file):
     assert doc["sign_criterion"]["holds"]
 
 
+# A c2-monotone set that is not c1-monotone: the points are antitone.
+ANTITONE_PAIRS_DOC = gamma_1d([[0.0, 1.0], [1.0, 0.0], [2.0, -1.0]]).to_json()
+
+
+@pytest.mark.parametrize("cost", ["c2", "file"])
+def test_verify_refuses_the_sign_criterion_outside_c1_and_c3(capsys, tmp_path, cost):
+    gamma = tmp_path / "gamma.json"
+    gamma.write_text(json.dumps(ANTITONE_PAIRS_DOC))
+    if cost == "file":  # c1 itself, but the sign criterion cannot see that
+        cost = str(tmp_path / "cost.json")
+        Path(cost).write_text(json.dumps(classical_cost("c1", 2, 1).to_json()))
+    else:
+        assert _run(capsys, ["verify", str(gamma), "--cost", cost])[0] == 0
+    code, out, err = _run(capsys, ["verify", str(gamma), "--cost", cost, "--sign-criterion"])
+    assert (code, out) == (2, "")
+    assert err == ("error: --sign-criterion needs --cost c1 or c3: the difference-sign test "
+                   "decides c-monotonicity, with witnesses summed in c1, for those costs only\n")
+
+
 @pytest.mark.parametrize("order", ["1", "0", "-3"])
 def test_verify_refuses_a_brute_order_below_two(capsys, gamma_file, order):
     code, out, err = _run(capsys, ["verify", gamma_file, "--brute", order])
@@ -262,6 +281,8 @@ PASSING_2D_DOC = json.loads((DATA / "verify_passing_2d_gamma.json").read_text())
     ({}, ["example", "knott-smith", "--tmax", "0.5", "--samples", "200"], 0,
      "example_knott_smith.json"),
     ({}, ["example", "curves", "--grid=-1.5:1.5:0.2"], 0, "example_curves.json"),
+    # the classical pair witnesses of the three projections, and every claim
+    ({}, ["example", "counterexample"], 0, "example_counterexample.json"),
 ])
 def test_construction_reports_are_pinned(capsys, tmp_path, monkeypatch, files, argv,
                                          exit_code, pinned):
@@ -280,6 +301,21 @@ def test_off_grid_refusal_is_pinned(capsys, tmp_path, monkeypatch):
     code, out, err = _run(capsys, ["verify", "gamma.json", "--cost", "cost.json"])
     assert (code, out) == (1, "")
     assert err == "error: 'point (0.25,) not on the tabulated x-grid'\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "split"])
+def test_a_table_of_the_wrong_width_is_malformed_input(capsys, tmp_path, monkeypatch, command):
+    # A 2-D x-grid for the 1-D marginal 1 of pair (1,3) is no cost for this
+    # set: a usage error, not a point off the grid.
+    monkeypatch.chdir(tmp_path)
+    wide = dict(MIXED_COST["pairs"]["1,3"], grid_x=[[x, 0.0] for x in TAB_GRID_X])
+    Path("gamma.json").write_text(json.dumps(gamma_1d(TAB_GAMMA).to_json()))
+    Path("cost.json").write_text(json.dumps(
+        {**MIXED_COST, "pairs": {**MIXED_COST["pairs"], "1,3": wide}}))
+    code, out, err = _run(capsys, [command, "gamma.json", "--cost", "cost.json"])
+    assert (code, out) == (2, "")
+    assert err == ("error: pair (1,3) couples dimensions 1 and 1, "
+                   "which its tabulated cost does not\n")
 
 
 def test_split_refuses_non_monotone_projection(capsys, bad_gamma_file):
@@ -369,6 +405,13 @@ def test_example_young_rejects_bad_maps(capsys):
     assert _run(capsys, ["example", "young", "--g", "power:zzz"])[0] == 2
     assert _run(capsys, ["example", "young", "--g", "power:-1"])[0] == 2
     assert _run(capsys, ["example", "young", "--g", "unknown"])[0] == 2
+
+
+def test_example_counterexample_refuses_no_samples(capsys):
+    code, out, err = _run(capsys, ["example", "counterexample", "--samples", "0"])
+    assert (code, out) == (2, "")
+    assert err == ("error: the counterexample needs n_span >= 1 and n_random >= 1 "
+                   "sample points, got 1 and 0\n")
 
 
 def test_example_counterexample(capsys):

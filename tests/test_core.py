@@ -174,6 +174,25 @@ def test_cost_spec_validation():
         CostSpec((1, 2), {(1, 2): PairwiseCost.inner_product()})
 
 
+@pytest.mark.parametrize("grid_x, grid_y", [
+    ([[0.0, 0.0], [1.0, 0.0]], [[0.0], [1.0]]),  # a 2-D x-grid for a 1-D marginal
+    ([[0.0], [1.0]], [[0.0, 0.0], [1.0, 0.0]]),  # a 2-D y-grid
+])
+def test_a_tabulated_pair_must_have_its_marginals_widths(grid_x, grid_y):
+    table = {"kind": "tabulated", "grid_x": grid_x, "grid_y": grid_y,
+             "table": [[0.0, 1.0], [1.0, 2.0]]}
+    doc = {"dims": [1, 1, 1], "pairs": {"1,2": {"kind": "inner_product"}, "1,3": table,
+                                       "2,3": {"kind": "inner_product"}}}
+    with pytest.raises(DimensionMismatch, match=r"^pair \(1,3\) couples dimensions 1 and 1, "
+                                                r"which its tabulated cost does not$"):
+        CostSpec.from_json(doc)
+    # The same table on marginals of its grids' widths is a cost.
+    dims = [len(grid_x[0]), 1, len(grid_y[0])]
+    doc["pairs"]["2,3"] = {"kind": "bilinear", "matrix": [[1.0] * dims[2]]}
+    doc["pairs"]["1,2"] = {"kind": "bilinear", "matrix": [[1.0]] * dims[0]}
+    assert CostSpec.from_json({**doc, "dims": dims}).dims == tuple(dims)
+
+
 def test_cost_spec_negation_and_shift():
     spec = classical_cost("c1", 2, 1)
     p = as_point([1.0, 2.0])

@@ -1,11 +1,13 @@
 """The array evaluators against independent one-point references.
 
-``PairwiseCost.block``/``paired`` must reproduce ``value`` for the closed
-form kinds, and a dict of the grid points for tables; ``block`` must also
+``PairwiseCost.block``/``paired``/``value`` must reproduce
+``helpers.couple``, the closed-form formula their one coordinate loop
+replaced, and a dict of the grid points for tables; ``block`` must also
 equal ``helpers.pair_matrix``, the broadcast matrix it replaced, in both
 orientations and at every buffer size, where entries overflow too, and peak
 in memory at its result plus one buffer; ``CostSpec.total_many``
-must reproduce ``total``; ``Potential.values_at`` and ``value_at`` must
+must reproduce ``total``, and ``total`` ``helpers.total_loop``, the one-point
+loop it replaced; ``Potential.values_at`` and ``value_at`` must
 reproduce a dict of the table.  All bit for bit, signed zeros included, with
 the same errors.  ``ClosedForm.values`` must reproduce the plain float
 formulas of each form, and the row helpers ``unique_rows``/``find_rows``
@@ -22,7 +24,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import add_separable_shift, find_rows, pair_matrix, unique_rows_lexsort
+from helpers import (
+    add_separable_shift,
+    couple,
+    find_rows,
+    pair_matrix,
+    total_loop,
+    unique_rows_lexsort,
+)
 from monosplit import core
 from monosplit.antiderivative import Potential
 from monosplit.core import (
@@ -60,7 +69,7 @@ def cost_and_points(draw):
     if kind == "bilinear":
         coef = draw(st.lists(st.lists(FLOATS, min_size=dy, max_size=dy), min_size=dx, max_size=dx))
         cost = PairwiseCost.bilinear(coef, sign)
-        return cost, xs, ys, cost.value
+        return cost, xs, ys, lambda x, y: couple(cost, x, y)
     if kind == "tabulated":
         # grid points may repeat, and -0.0 stands for 0.0
         gx, gy = xs + draw(vecs(dx, 3)), ys + draw(vecs(dy, 3))
@@ -71,7 +80,7 @@ def cost_and_points(draw):
         cost = PairwiseCost.tabulated(gx, gy, table, sign)
         return cost, xs, ys, lambda x, y: sign * table[ix[x]][iy[y]]
     cost = PairwiseCost(kind, sign)
-    return cost, xs, ys, cost.value
+    return cost, xs, ys, lambda x, y: couple(cost, x, y)
 
 
 @given(cost_and_points())
@@ -88,6 +97,9 @@ def test_matrix_and_paired_reproduce_value_bit_for_bit(case):
     k = min(len(xs), len(ys))
     row = cost.paired(xs[:k], ys[:k])
     assert all(same_bits(row[r], reference(xs[r], ys[r])) for r in range(k))
+    # a side with one row pairs with every row of the other
+    assert all(same_bits(v, reference(xs[0], y)) for v, y in zip(cost.paired(xs[:1], ys), ys))
+    assert all(same_bits(v, reference(x, ys[0])) for v, x in zip(cost.paired(xs, ys[:1]), xs))
 
 
 GRID = PairwiseCost.tabulated([0.0, 1.0], [(2.0, 3.0)], [[1.0], [2.0]])
@@ -112,6 +124,34 @@ def test_kernel_raises_what_value_raises(cost, x, y, error):
             cost.block([x], [y], np.empty((1, 1)), transposed)
     with pytest.raises(error):
         cost.paired([x], [y])
+
+
+@pytest.mark.parametrize("cost", [PairwiseCost.inner_product(), PairwiseCost.half_sq_dist(-1)])
+def test_points_without_coordinates_are_refused(cost):
+    # No formula reads a point of dimension 0: refused, not left unwritten.
+    for call in (lambda: cost.value((), ()), lambda: cost.paired([()], [()]),
+                 lambda: cost.block([()], [()], np.empty((1, 1)))):
+        with pytest.raises(DimensionMismatch, match="does not couple dimensions 0 and 0"):
+            call()
+
+
+@pytest.mark.parametrize("cost, sign", [
+    (PairwiseCost.inner_product(), 1),
+    (PairwiseCost.inner_product(-1), -1),
+    (PairwiseCost.half_sq_dist(), -1),
+    (PairwiseCost.half_sq_dist(-1), 1),
+    (PairwiseCost.bilinear([[2.5]]), 1),
+    (PairwiseCost.bilinear([[2.5]], -1), -1),
+    (PairwiseCost.bilinear([[-0.5]]), -1),
+    (PairwiseCost.bilinear([[0.0]]), 0),
+    (PairwiseCost.bilinear([[1.0, 0.0]]), 0),
+    (PairwiseCost.bilinear([[1.0], [0.0]]), 0),
+    (GRID, 0),
+    (PairwiseCost.tabulated([0.0, 1.0], [0.0, 1.0], [[0.0, 0.0], [0.0, 1.0]]), 0),
+])
+def test_mixed_sign_is_the_constant_sign_of_the_mixed_partial(cost, sign):
+    assert cost.mixed_sign == sign
+    assert cost.negated().mixed_sign == -sign
 
 
 # Both zeros, subnormals, and magnitudes whose products, differences and
@@ -222,6 +262,65 @@ def test_total_many_covers_tabulated_and_bilinear_pairs():
         spec.total_many(np.array([(0.5, 2.0, 3.0, 5.0)]))
     with pytest.raises(DimensionMismatch):
         spec.total_many(np.array([(0.0, 2.0, 3.0)]))
+
+
+@st.composite
+def spec_and_point(draw):
+    """A cost on n marginals of dimension d, each pair of a drawn kind and
+    sign, maybe shifted, and a point whose coordinates are ENTRIES: as
+    drawn, or with a marginal missing, one too many, or one too wide.  A
+    tabulated pair's grids hold the point's marginals unless drawn off."""
+    n, d = draw(st.integers(2, 4)), draw(st.integers(1, 2))
+    point = tuple(draw(st.tuples(*[ENTRIES] * d)) for _ in range(n))
+    pairs = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            kind, sign = draw(st.sampled_from(PAIRWISE_KINDS)), draw(st.sampled_from((1, -1)))
+            if kind == "bilinear":
+                coef = draw(st.lists(st.lists(ENTRIES, min_size=d, max_size=d),
+                                     min_size=d, max_size=d))
+                pairs[(i, j)] = PairwiseCost.bilinear(coef, sign)
+            elif kind == "tabulated":
+                on = [] if draw(st.booleans()) and draw(st.booleans()) else [point[i - 1]]
+                gx, gy = on + draw(_entry_points(d)), [point[j - 1]] + draw(_entry_points(d))
+                table = draw(st.lists(st.lists(ENTRIES, min_size=len(gy), max_size=len(gy)),
+                                      min_size=len(gx), max_size=len(gx)))
+                pairs[(i, j)] = PairwiseCost.tabulated(gx, gy, table, sign)
+            else:
+                pairs[(i, j)] = PairwiseCost(kind, sign)
+    spec = CostSpec((d,) * n, pairs)
+    if draw(st.booleans()):
+        vector, matrix = draw(st.tuples(*[ENTRIES] * d)), [[draw(ENTRIES)] * d] * d
+        spec = add_separable_shift(spec, [LinearForm(vector, -2.0), QuadraticForm(matrix)]
+                                   + [None] * (n - 2))
+    shape = draw(st.sampled_from(("as drawn", "missing", "extra", "wide")))
+    if shape == "missing":
+        point = point[:-1]
+    elif shape == "extra":
+        point = point + point[:1]
+    elif shape == "wide":
+        point = (point[0] + (0.0,),) + point[1:]
+    return spec, point
+
+
+def _outcome(fn):
+    """fn's value, or the type of what it raised."""
+    try:
+        return fn()
+    except Exception as exc:  # the error's type is the outcome compared
+        return type(exc)
+
+
+@given(spec_and_point())
+def test_total_reproduces_the_one_point_loop(case):
+    spec, point = case
+    with np.errstate(all="ignore"):
+        got, want = _outcome(lambda: spec.total(point)), _outcome(lambda: total_loop(spec, point))
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert type(got) is float
+        assert same_bits(got, want) or (math.isnan(got) and math.isnan(want))
 
 
 @given(st.integers(1, 3), st.data())

@@ -1,7 +1,9 @@
 """Source hygiene: every name a module imports at top level is used there,
 the package imports nothing at run time but the standard library, NumPy and
 itself, no module calls ``json.dump`` or ``json.dumps`` (``core.dumps_json``
-is the one JSON writer), no module reads an ``_``-prefixed attribute of an
+is the one JSON writer), no module but ``core`` reads a ``.kind`` attribute
+and none defines ``_couple`` (``PairwiseCost`` alone knows its formula and
+kinds), no module reads an ``_``-prefixed attribute of an
 object other than ``self`` or ``cls``, ``argmax`` and ``argmin`` take an
 axis only in the blocked row kernel and the relaxation scan, every function
 the benchmark tracer wraps still exists, the certificate fields its counter
@@ -238,6 +240,33 @@ def test_the_matrix_scan_sees_definitions_and_calls():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_module_defines_or_calls_a_cost_matrix(module):
     assert _cost_matrix_uses((PACKAGE / module).read_text()) == []
+
+
+def _kind_reads(source: str) -> list[str]:
+    """Each read of a .kind attribute, as "line: expression", in source order."""
+    reads = [node for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Attribute) and node.attr == "kind"]
+    reads.sort(key=lambda node: (node.lineno, node.col_offset))
+    return [f"{node.lineno}: {ast.unparse(node)}" for node in reads]
+
+
+def test_the_kind_scan_sees_attribute_reads_only():
+    source = (
+        "def f(cost, kind):\n"
+        "    w = Witness(kind=kind)\n"
+        "    return cost.kind, spec.pair_cost(1, 2).kind, w\n"
+    )
+    assert _kind_reads(source) == ["3: cost.kind", "3: spec.pair_cost(1, 2).kind"]
+
+
+# PairwiseCost is the one place that knows the cost formula and its kinds:
+# the closed forms have one coordinate loop (the formula it replaced is the
+# oracle tests/helpers.couple), and no other module branches on a kind.
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_only_the_cost_knows_its_kinds(module):
+    source = (PACKAGE / module).read_text()
+    assert "_couple" not in source
+    assert module == "core.py" or _kind_reads(source) == []
 
 
 def _private_reads(source: str) -> list[str]:

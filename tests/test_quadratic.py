@@ -168,6 +168,13 @@ def test_counterexample_report_numbers():
     dumps_json(rep.to_json())  # serializable without non-finite leakage
 
 
+@pytest.mark.parametrize("n_span, n_random", [(0, 10), (10, 0), (0, 0), (-1, 10)])
+def test_counterexample_refuses_to_test_no_points(n_span, n_random):
+    # No sample of a claim would report it passed with slack_min "inf".
+    with pytest.raises(InputValidationError, match="needs n_span >= 1 and n_random >= 1"):
+        counterexample_verify(n_span=n_span, n_random=n_random)
+
+
 def test_counterexample_certifies_with_explicit_points(rng):
     ce = counterexample_construct()
     spec = ce.cost()

@@ -25,6 +25,7 @@ from helpers import (
     sum_at,
     table_values_at,
     translated,
+    validate_point,
 )
 from monosplit import core, monotone
 from monosplit.antiderivative import Potential
@@ -201,7 +202,7 @@ def test_test_points_fail_with_the_one_point_checks_errors():
                 ((0.0,), (1.0, 2.0), 0.0), ((math.nan,), (0.0,), (0.0,)),
                 (0.0, -math.inf, 1.0), ((0.0,), (0.0,), (1.0, math.inf))):
         with pytest.raises(InputValidationError) as expected:
-            C1.validate_point(as_point(bad))
+            validate_point(C1, as_point(bad))
         with pytest.raises(InputValidationError) as got:
             certify_splitting(tup, DIAGONAL, C1, test_points=CUBE + [bad])
         assert type(got.value) is type(expected.value)
