@@ -90,6 +90,10 @@ def _config(args: argparse.Namespace, inputs: list[str]) -> dict:
         raise InputValidationError("tolerance must be finite and positive")
     if "samples" in config and config["samples"] < 0:
         raise InputValidationError("sample count must be nonnegative")
+    if "tmax" in config and not 0.0 <= config["tmax"] < math.inf:
+        raise InputValidationError(
+            f"--tmax must be finite and nonnegative, got {config['tmax']!r}"
+        )
     return config
 
 
@@ -294,10 +298,23 @@ def _example_counterexample(args: argparse.Namespace) -> tuple[dict, bool]:
     return doc, rep.passed
 
 
+def _curve_points(alphas: tuple[MonotoneBijection, ...], ts: tuple[float, ...]) -> np.ndarray:
+    """The curve (a_1(t), ..., a_N(t)) at each grid value t, one row a
+    component; refuses the first t whose curve point is not finite."""
+    with np.errstate(over="ignore"):
+        cols = np.array([a(np.asarray(ts)) for a in alphas])
+    off = ~np.isfinite(cols).all(axis=0)
+    if off.any():
+        raise InputValidationError(
+            f"the curve point at grid value {ts[int(off.argmax())]!r} is not finite"
+        )
+    return cols
+
+
 def _example_curves(args: argparse.Namespace) -> tuple[dict, bool]:
     alphas = knott_smith_alphas()
     ts = _parse_grid(args.grid)
-    cols = np.array([a(np.asarray(ts)) for a in alphas])
+    cols = _curve_points(alphas, ts)
     if args.format == "csv":
         _emit(emit_curve_figure_data(ts, cols), args.out)
         return {}, True
@@ -318,7 +335,7 @@ def _example_curves(args: argparse.Namespace) -> tuple[dict, bool]:
 def _example_knott_smith(args: argparse.Namespace) -> tuple[dict, bool]:
     alphas = knott_smith_alphas()
     ts = _parse_grid(f"{-args.tmax}:{args.tmax}:0.1")
-    cols = np.array([a(np.asarray(ts)) for a in alphas])
+    cols = _curve_points(alphas, ts)
     csv = emit_curve_figure_data(ts, cols)
     if args.format == "csv":
         _emit(csv, args.out)

@@ -28,6 +28,7 @@ so the possibly singular inverse is never integrated numerically.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -377,8 +378,10 @@ def young_check(
     )
 
 
+@functools.cache
 def knott_smith_alphas() -> tuple[MonotoneBijection, ...]:
-    """The curve components t, t^3, t^5."""
+    """The curve components t, t^3, t^5: frozen bijections, built and
+    probed once per process."""
     return (
         MonotoneBijection.identity(),
         MonotoneBijection.odd_power(3.0),

@@ -204,23 +204,28 @@ def sample_test_points(
     even 2 per axis overflows).  Uniform draws use numpy's default generator with the given
     seed.  Returns a (k, sum(dims)) array of distinct flattened points in
     first-seen order; points of G come first, so equality points are always
-    present.
+    present.  G, the lattice (in meshgrid "ij" order) and the draws are
+    written into one buffer, which is returned as it is when no row repeats
+    an earlier one; it never shares memory with g.
     """
     lo, hi = g.coords.min(axis=0), g.coords.max(axis=0)
     pad = np.where(hi > lo, 0.5 * (hi - lo), 0.5)
     lows, highs = lo - pad, hi + pad
     total_dim = len(lows)
-    blocks = [g.coords]
     k = LATTICE_PER_AXIS
     while k >= 2 and k**total_dim > LATTICE_CAP:
         k -= 1
-    if k >= 2:
-        axes = np.meshgrid(*(np.linspace(a, b, k) for a, b in zip(lows, highs)), indexing="ij")
-        blocks.append(np.stack(axes, axis=-1).reshape(-1, total_dim))
+    m, n_lattice = len(g.coords), k**total_dim if k >= 2 else 0
+    pts = np.empty((m + n_lattice + n_samples, total_dim))
+    pts[:m] = g.coords
+    if n_lattice:
+        cube = pts[m : m + n_lattice].reshape((k,) * total_dim + (total_dim,))
+        for axis, (a, b) in enumerate(zip(lows, highs)):
+            cube[..., axis] = np.linspace(a, b, k).reshape((k,) + (1,) * (total_dim - 1 - axis))
     rng = np.random.default_rng(seed)
-    blocks.append(rng.uniform(low=lows, high=highs, size=(n_samples, total_dim)))
-    pts = np.concatenate(blocks)
-    return pts[unique_rows(pts)]
+    pts[m + n_lattice :] = rng.uniform(low=lows, high=highs, size=(n_samples, total_dim))
+    first = unique_rows(pts)
+    return pts if first.all() else pts[first]
 
 
 def projection_product(g: GammaSet) -> np.ndarray:

@@ -35,6 +35,11 @@ the odd power that settled the sign of zero with a comparison, which
 ``onedim.signed_power`` must equal bit for bit.  ``rounding_bound`` bounds how far two
 orders of adding the same terms can land apart: the judge of the bits the
 transform moved against the formulas it replaced.
+``sample_test_points_concatenated`` and ``counterexample_verify_recomputed``
+are the examples' earlier paths: the sampler that concatenated its three
+blocks and gathered every kept row, and the counterexample check that
+recomputed its seed-independent claims and stacked its points marginal by
+marginal on every call; the library must equal both bit for bit.
 """
 
 from __future__ import annotations
@@ -64,6 +69,7 @@ from monosplit.core import (
     dedup_pairs,
     dedup_vecs,
     marginal_blocks,
+    unique_rows,
 )
 from monosplit.errors import (
     BudgetExceeded,
@@ -87,6 +93,7 @@ from monosplit.monotone import (
     _full_pair_matrices,
     _perm_array,
     is_n_c_monotone_bruteforce,
+    is_pair_monotone_classical,
     scan_gain_digraph,
 )
 from monosplit.onedim import (
@@ -97,8 +104,19 @@ from monosplit.onedim import (
     CurvePotentials,
     MonotoneBijection,
 )
+from monosplit.quadratic import (
+    KERNEL_TOL,
+    PAIR_WITNESS_LAMBDAS,
+    PSD_TOL,
+    CounterexampleReport,
+    _span_residual,
+    counterexample_construct,
+)
 from monosplit.splitting import (
+    DEFAULT_SAMPLES,
     DEFAULT_SEED,
+    LATTICE_CAP,
+    LATTICE_PER_AXIS,
     PairBrackets,
     SplittingCertificate,
     SplittingTuple,
@@ -1074,3 +1092,94 @@ def signed_power_where(t, p: float):
     odd = np.copysign(np.float_power(np.abs(t), p), t)
     out = np.where(t == 0.0, 0.0, odd)
     return float(out) if out.ndim == 0 else out
+
+
+def sample_test_points_concatenated(
+    g: GammaSet, n_samples: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED
+) -> np.ndarray:
+    """splitting.sample_test_points as it built its sample before it wrote
+    one buffer: G, a meshgrid lattice and the draws as three arrays,
+    concatenated, and every first-seen row gathered into a fresh array."""
+    lo, hi = g.coords.min(axis=0), g.coords.max(axis=0)
+    pad = np.where(hi > lo, 0.5 * (hi - lo), 0.5)
+    lows, highs = lo - pad, hi + pad
+    total_dim = len(lows)
+    blocks = [g.coords]
+    k = LATTICE_PER_AXIS
+    while k >= 2 and k**total_dim > LATTICE_CAP:
+        k -= 1
+    if k >= 2:
+        axes = np.meshgrid(*(np.linspace(a, b, k) for a, b in zip(lows, highs)), indexing="ij")
+        blocks.append(np.stack(axes, axis=-1).reshape(-1, total_dim))
+    rng = np.random.default_rng(seed)
+    blocks.append(rng.uniform(low=lows, high=highs, size=(n_samples, total_dim)))
+    pts = np.concatenate(blocks)
+    return pts[unique_rows(pts)]
+
+
+def counterexample_verify_recomputed(
+    n_span: int = 200, n_random: int = 10_000, seed: int = 0
+) -> CounterexampleReport:
+    """quadratic.counterexample_verify as it was before it cached its fixed
+    claims: every claim recomputed on each call, and the span and domain
+    points stacked marginal by marginal."""
+    ce = counterexample_construct()
+    u1, u2, u3 = ce.forms()
+    spec = ce.cost()
+
+    eigvals, eigvecs = np.linalg.eigh(ce.sym_m.as_array())
+    eig = tuple(float(v) for v in eigvals)
+    kernel_mask = np.abs(eigvals) <= PSD_TOL
+    kernel_dim = int(kernel_mask.sum())
+    computed_kernel = eigvecs[:, kernel_mask].T
+    declared = np.array(ce.kernel_basis, dtype=float)
+    resid = math.inf
+    if kernel_dim > 0:
+        resid = max(_span_residual(declared, computed_kernel),
+                    _span_residual(computed_kernel, declared))
+    nonzero = [v for v in eig if abs(v) > PSD_TOL]
+    nz_prod = float(np.prod(nonzero)) if nonzero else 0.0
+
+    coeffs = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(n_span, 2))
+    lam, mu = coeffs[:, :1], coeffs[:, 1:]
+    span = [lam * np.array(x) + mu * np.array(y) for x, y in zip(ce.v1, ce.v2)]
+    total = u1.values(span[0]) + u2.values(span[1]) + u3.values(span[2])
+    eq_max = float(np.abs(total - spec.total_many(np.hstack(span))).max())
+
+    draws = np.random.default_rng(seed + 1).uniform(-5.0, 5.0, size=(n_random, 4))
+    a1, a2, a3, b3 = draws.T
+    domain = [np.column_stack(c) for c in ((a1, np.zeros_like(a1)), (a2, a2), (a3, b3))]
+    total = u1.values(domain[0]) + u2.values(domain[1]) + u3.values(domain[2])
+    slack = total - spec.total_many(np.hstack(domain))
+    algebra_max = float(np.abs(slack - ce.reduced_slack(draws)).max())
+
+    witnesses = []
+    witness_ok = True
+    origin: Point = ((0.0, 0.0), (0.0, 0.0), (0.0, 0.0))
+    for (i, j), lam_w, expected in PAIR_WITNESS_LAMBDAS:
+        p = ce.span_point(lam_w, 1.0)
+        pairs = [(p[i - 1], p[j - 1]), (origin[i - 1], origin[j - 1])]
+        verdict = is_pair_monotone_classical(pairs)
+        value = verdict.witness.value if verdict.witness is not None else math.inf
+        witnesses.append((f"{i},{j}", lam_w, float(value)))
+        if verdict.holds or abs(value - expected) > 1e-12:
+            witness_ok = False
+
+    passed = (eig[0] >= -PSD_TOL and kernel_dim == 2 and resid <= KERNEL_TOL and eq_max <= 1e-9
+              and float(slack.min()) >= -1e-9 and algebra_max <= 1e-9 and witness_ok)
+    return CounterexampleReport(
+        passed=passed,
+        eigenvalues=eig,
+        min_eigenvalue=eig[0],
+        kernel_dim=kernel_dim,
+        kernel_match_residual=resid,
+        nonzero_eigen_sum=float(sum(nonzero)),
+        nonzero_eigen_product=nz_prod,
+        equality_max_residual=eq_max,
+        n_span_samples=len(coeffs),
+        slack_min=float(slack.min()),
+        algebra_max_residual=algebra_max,
+        n_random_points=n_random,
+        seed=seed,
+        pair_witnesses=tuple(witnesses),
+    )

@@ -708,12 +708,38 @@ def test_parse_errors(capsys, tmp_path, gamma_file):
     assert _run(capsys, ["split", gamma_file, "--grid", "1:2"])[0] == 2
     # non-finite numbers and grids over GRID_CAP are refused before any is built
     for argv, reason in ((["example", "curves", "--grid=0:nan:1"], "numbers must be finite"),
-                         (["example", "knott-smith", "--tmax", "nan"], "numbers must be finite"),
                          (["example", "curves", "--grid=0:1:inf"], "numbers must be finite"),
                          (["example", "curves", "--grid=-1e300:1e300:1e-300"], "would hold more"),
                          (["split", gamma_file, "--grid=0:1e9:1e-3"], "would hold more")):
         code, out, err = _run(capsys, argv)
         assert (code, out) == (2, "") and err.startswith("error: grid") and reason in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("grid, first", [
+    ("-1e300:1e300:1e299", "-1e+300"),
+    ("-1e100:1e100:1e99", "-1e+100"),
+    ("0:1e300:1e299", "1e+299"),
+])
+def test_example_curves_refuses_a_grid_whose_curve_point_overflows(capsys, recwarn, fmt, grid,
+                                                                   first):
+    code, out, err = _run(capsys, ["example", "curves", f"--grid={grid}", "--format", fmt])
+    assert (code, out) == (2, "")
+    assert err == f"error: the curve point at grid value {first} is not finite\n"
+    assert [str(w.message) for w in recwarn] == []
+
+
+@pytest.mark.parametrize("tmax", ["-1", "-1e-300", "nan", "inf", "-inf"])
+def test_example_knott_smith_refuses_a_negative_or_non_finite_tmax(capsys, tmax):
+    code, out, err = _run(capsys, ["example", "knott-smith", f"--tmax={tmax}"])
+    assert (code, out) == (2, "")
+    assert err == f"error: --tmax must be finite and nonnegative, got {float(tmax)!r}\n"
+
+
+@pytest.mark.parametrize("tmax", ["0", "-0.0"])
+def test_example_knott_smith_takes_a_zero_tmax(capsys, tmax):
+    code, out, _ = _run(capsys, ["example", "knott-smith", f"--tmax={tmax}", "--samples", "20"])
+    assert code == 0 and json.loads(out)["config"]["tmax"] == float(tmax)
 
 
 @pytest.mark.parametrize("a", ["1e6", "1e300"])

@@ -7,8 +7,9 @@ kinds), no module reads an ``_``-prefixed attribute of an
 object other than ``self`` or ``cls``, ``argmax`` and ``argmin`` take an
 axis only in the blocked row kernel and the relaxation scan, every function
 the benchmark tracer wraps still exists, the certificate fields its counter
-reads still exist, and the README's Library examples run on the package's
-top-level exports.
+reads still exist, every ``functools.cache`` or ``lru_cache`` decorates a
+function of no parameters or of ``int`` ones only, and the README's Library
+examples run on the package's top-level exports.
 
 The scan reads each module of the package (not ``__init__.py``, whose
 imports are its public re-exports) with :mod:`ast`.  A name counts as used
@@ -297,6 +298,82 @@ def test_the_private_read_scan_sees_other_objects_only():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_module_reads_another_objects_private_attributes(module):
     assert _private_reads((PACKAGE / module).read_text()) == []
+
+
+def _cached_functions(source: str) -> dict[str, list[str]]:
+    """Each function decorated with functools.cache or functools.lru_cache
+    (bare or called, through the module or a name imported from it, under
+    any alias) -> its parameters that are not annotated int, in order."""
+    tree = ast.parse(source)
+    modules, caches = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "functools"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            caches |= {a.asname or a.name for a in node.names
+                       if a.name in ("cache", "lru_cache")}
+
+    def is_cache(dec) -> bool:
+        dec = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(dec, ast.Attribute):
+            return isinstance(dec.value, ast.Name) and dec.value.id in modules \
+                and dec.attr in ("cache", "lru_cache")
+        return isinstance(dec, ast.Name) and dec.id in caches
+
+    def is_int(ann) -> bool:
+        return (isinstance(ann, ast.Name) and ann.id == "int") or \
+            (isinstance(ann, ast.Constant) and ann.value == "int")
+
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and any(is_cache(d) for d in node.decorator_list):
+            a = node.args
+            named = [(x.arg, x) for x in (*a.posonlyargs, *a.args, *a.kwonlyargs)]
+            named += [(f"*{x.arg}", x) for x in (a.vararg,) if x is not None]
+            named += [(f"**{x.arg}", x) for x in (a.kwarg,) if x is not None]
+            found[node.name] = [name for name, x in named if not is_int(x.annotation)]
+    return found
+
+
+def test_the_cache_scan_sees_every_spelling_and_every_kind_of_parameter():
+    source = (
+        "import functools\n"
+        "import functools as ft\n"
+        "from functools import cache, lru_cache as lru, partial\n"
+        "@functools.cache\n"
+        "def a() -> int: ...\n"
+        "@functools.lru_cache(maxsize=4)\n"
+        "def b(n: int, /, m: 'int', *, k: int = 2): ...\n"
+        "@cache\n"
+        "def c(x: float, n: int, t): ...\n"
+        "@lru(maxsize=None)\n"
+        "def d(*args: int, **kw): ...\n"
+        "class K:\n"
+        "    @ft.lru_cache\n"
+        "    def e(self, n: int): ...\n"
+        "@partial\n"
+        "def f(x): ...\n"
+        "def g(x): ...\n"
+    )
+    assert _cached_functions(source) == {
+        "a": [], "b": [], "c": ["x", "t"], "d": ["**kw"], "e": ["self"],
+    }
+
+
+# A process-wide cache must hold one object for the process, or one per small
+# integer: a cache keyed on a seed, a path, a grid or any other input would
+# hold on to every input it saw and tie a report to an earlier call.
+CACHED = {"build_parser", "_perm_array", "_perm_positions", "knott_smith_alphas", "_fixed_claims"}
+
+
+def test_every_cache_takes_no_parameters_or_only_ints():
+    found = {}
+    for module in sorted(p.name for p in PACKAGE.glob("*.py")):
+        for name, params in _cached_functions((PACKAGE / module).read_text()).items():
+            found[f"{module}:{name}"] = params
+    assert {key.split(":")[1] for key in found} == CACHED
+    assert {key: params for key, params in found.items() if params} == {}
 
 
 def _bench_trace():

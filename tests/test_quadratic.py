@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import counterexample_domain_point
+from helpers import counterexample_domain_point, counterexample_verify_recomputed
+from monosplit import quadratic
 from monosplit.antiderivative import Potential, c_conjugate
 from monosplit.core import GammaSet, PairwiseCost, classical_cost, dumps_json
 from monosplit.errors import (
@@ -166,6 +167,34 @@ def test_counterexample_report_numbers():
     assert rep.pair_witnesses[1] == ("1,3", -1.0, -1.0)
     assert rep.pair_witnesses[2] == ("2,3", 1.9, -0.06000000000000005)
     dumps_json(rep.to_json())  # serializable without non-finite leakage
+
+
+@pytest.mark.parametrize("seed", [0, 1, 11, 2**40])
+@pytest.mark.parametrize("n_span, n_random", [(1, 1), (3, 50), (200, 10_000)])
+def test_counterexample_report_equals_the_recomputed_one(seed, n_span, n_random):
+    got = counterexample_verify(n_span=n_span, n_random=n_random, seed=seed)
+    want = counterexample_verify_recomputed(n_span=n_span, n_random=n_random, seed=seed)
+    assert dumps_json(got.to_json()) == dumps_json(want.to_json())
+    assert got == want
+
+
+def test_the_fixed_claims_are_computed_once_per_process(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append("eigh") or eigh(a))
+    monkeypatch.setattr(quadratic, "is_pair_monotone_classical",
+                        lambda pairs, _f=quadratic.is_pair_monotone_classical:
+                        calls.append("pair") or _f(pairs))
+    quadratic._fixed_claims.cache_clear()
+    try:
+        reports = [counterexample_verify(n_span=5, n_random=40, seed=s) for s in range(3)]
+        assert calls == ["eigh", "pair", "pair", "pair"]
+        assert quadratic._fixed_claims() is quadratic._fixed_claims()
+        assert quadratic._fixed_claims() == quadratic._fixed_claims.__wrapped__()
+        assert quadratic._fixed_claims.cache_info().misses == 1
+    finally:
+        quadratic._fixed_claims.cache_clear()
+    assert all(r.passed for r in reports)
 
 
 @pytest.mark.parametrize("n_span, n_random", [(0, 10), (10, 0), (0, 0), (-1, 10)])

@@ -19,6 +19,7 @@ from helpers import (
     gathered_certificate,
     make_comonotone_gamma,
     rounding_bound,
+    sample_test_points_concatenated,
     scalar_certificate,
     shift_splitting_tuple,
     splitting_implies_monotone_check,
@@ -174,6 +175,36 @@ def test_sampler_drops_lattice_points_already_in_the_set():
     assert len(a) == 3 + (5**3 - 3) + 100
     assert len({tuple(row) for row in a.tolist()}) == len(a)
     assert np.signbit(a[1]).all()  # the set's -0.0 is kept, the lattice's 0.0 dropped
+
+
+# Sets for the sampler's oracle check, each with the lattice it should get and
+# how many of its own rows lie on it: scalar and 2-D marginals, rows of the set
+# on the lattice (so those lattice rows are dropped and the kept ones
+# gathered), one point (always the lattice's centre), and sum(dims) = 15,
+# where even 2 points per axis overflow LATTICE_CAP and the lattice is dropped.
+SAMPLER_SETS = {
+    "scalar": (gamma_1d([[0.3, -1.2, 2.0], [1.1, 0.4, 2.5], [-0.7, -2.0, 0.1]]), 5**3, 0),
+    "plane": (GammaSet.from_points(np.random.default_rng(4).normal(size=(6, 3, 2)).tolist()),
+              5**6, 0),
+    "on the lattice": (gamma_1d([[-1.0] * 3, [-0.0] * 3, [1.0] * 3]), 5**3, 3),
+    "one point": (gamma_1d([[0.5, -0.0, 2.0]]), 5**3, 1),
+    "no lattice": (GammaSet.from_points(np.random.default_rng(5).normal(size=(3, 5, 3)).tolist()),
+                   0, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLER_SETS))
+@pytest.mark.parametrize("n_samples", [0, 1, 250])
+def test_the_one_buffer_sampler_equals_the_concatenated_one(name, n_samples):
+    g, lattice, on_lattice = SAMPLER_SETS[name]
+    for seed in (0, 7):
+        got = sample_test_points(g, n_samples=n_samples, seed=seed)
+        want = sample_test_points_concatenated(g, n_samples=n_samples, seed=seed)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert not np.shares_memory(got, g.coords)
+        assert len(got) == g.size + lattice + n_samples - on_lattice
 
 
 def test_vacuous_points_are_counted_not_failed():
